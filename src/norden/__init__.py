@@ -9,6 +9,7 @@ from .curvature import (
     RicciScalars,
     kahler_decomposition_dim4,
     pi_forms,
+    q_pairing,
     reconstruct_R_dim4,
     ricci_and_scalars,
     riemann,
@@ -61,7 +62,6 @@ from .suite import (
 from .tensors import (
     DEFAULT_TOLERANCE,
     DenseTensor,
-    MetricPair,
     contract,
     cyclic_sum3,
     residual,

@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 all checks PASS or NA, 1 any FAIL, 2 input error.
 The env var NORDEN_TOLERANCE overrides the default tolerance; the
---tolerance flag wins over the env var.
+--tolerance flag wins over the env var.  A tolerance must be a finite
+number in (0, 1).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .manifests import (
 from .manifolds import InvalidManifoldError
 from .search import SearchConfig, SearchTarget, search_w3_examples
 from .suite import DEFAULT_TOLERANCE, VerificationReport, run_suite
+from .tensors import check_tolerance
 
 TEXT = "text"
 STRUCTURED = "json"
@@ -114,17 +116,24 @@ def emit_report(
 
 
 def _resolve_tolerance(arg_value: float | None) -> float:
-    if arg_value is not None:
-        return arg_value
-    env = os.environ.get("NORDEN_TOLERANCE")
-    if env is not None:
+    """The --tolerance flag, else NORDEN_TOLERANCE, else the default; a value
+    outside (0, 1) ends the command with exit code 2."""
+    source, value = "--tolerance", arg_value
+    if value is None:
+        env = os.environ.get("NORDEN_TOLERANCE")
+        if env is None:
+            return DEFAULT_TOLERANCE
+        source = "NORDEN_TOLERANCE"
         try:
-            return float(env)
+            value = float(env)
         except ValueError:
             raise SystemExit(
                 f"error: NORDEN_TOLERANCE={env!r} is not a number"
             ) from None
-    return DEFAULT_TOLERANCE
+    try:
+        return check_tolerance(value, source)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 def _verify_manifest(manifest: ManifoldManifest, tolerance: float, fmt: str) -> int:

@@ -10,11 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import ScalarPanel
+from .geometry import ScalarPanel, twist_arrays
 from .manifolds import ConnectionCoeffs, LieFrameManifold
 from .tensors import (
     DEFAULT_TOLERANCE,
     DenseTensor,
+    contract,
     cyclic_sum3,
     residual,
     zero_residual,
@@ -62,7 +63,7 @@ class CurvatureTensor:
             residual(a, -a.transpose(1, 0, 2, 3)),
             residual(a, -a.transpose(0, 1, 3, 2)),
         )
-        bianchi = zero_residual(cyclic_sum3(t))
+        bianchi = zero_residual(cyclic_sum3(a))
         kahler = residual(np.einsum("ck,dl,ijcd->ijkl", J, J, a), -a)
         return cls(
             t=t,
@@ -73,90 +74,84 @@ class CurvatureTensor:
         )
 
 
-def riemann(
-    m: LieFrameManifold,
-    conn: ConnectionCoeffs,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> CurvatureTensor:
+def curvature_array(gamma: NDArray, C: NDArray, g: NDArray) -> NDArray:
     """Curvature R(x,y)z = nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z
-    of a frame connection, lowered to the (0,4) form g(R(x,y)z, w)."""
-    gamma, C, g = conn.gamma, m.structure_constants, m.metric
+    of the frame connection gamma, lowered to the (0,4) form g(R(x,y)z, w)."""
     r_vec = (
         np.einsum("lim,mjk->lijk", gamma, gamma)
         - np.einsum("ljm,mik->lijk", gamma, gamma)
         - np.einsum("mij,lmk->lijk", C, gamma)
     )
-    r_cov = np.einsum("mijk,ml->ijkl", r_vec, g)
-    return CurvatureTensor.from_components(r_cov, m.J, tolerance)
+    return np.einsum("mijk,ml->ijkl", r_vec, g)
+
+
+def riemann(
+    m: LieFrameManifold,
+    conn: ConnectionCoeffs,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> CurvatureTensor:
+    """Curvature tensor of a frame connection (see `curvature_array`)."""
+    arr = curvature_array(conn.gamma, m.structure_constants, m.metric)
+    return CurvatureTensor.from_components(arr, m.J, tolerance)
 
 
 @dataclass(frozen=True)
 class RicciScalars:
-    """Ricci tensor, associated Ricci tensor and the two scalar curvatures.
-
-    tau_star is the contraction g^{ij} rho(e_i, Je_j) of the plain Ricci
-    tensor; tau_star_alt = g^{ij} rho_star(e_i, e_j) is kept as a diagnostic
-    (the two coincide for pair-symmetric rank-4 tensors).
-    """
+    """Ricci tensor and the two scalar curvatures."""
 
     rho: DenseTensor
-    rho_star: DenseTensor
     tau: float
     tau_star: float
-    tau_star_alt: float
 
 
 def ricci_and_scalars(m: LieFrameManifold, ct: CurvatureTensor) -> RicciScalars:
     """rho(x,y) = g^{ij} L(e_i,x,y,e_j); tau = g^{ij} rho(e_i,e_j);
-    rho_star(x,y) = g^{ij} L(e_i,x,y,Je_j); tau_star = g^{ij} rho(e_i,Je_j)."""
-    g_inv = np.linalg.inv(m.metric)
-    L = ct.t.components
-    rho = np.einsum("ij,iabj->ab", g_inv, L)
-    rho_star = np.einsum("ij,iabm,mj->ab", g_inv, L, m.J)
-    tau = float(np.einsum("ab,ab->", g_inv, rho))
-    tau_star = float(np.einsum("ab,am,mb->", g_inv, rho, m.J))
-    tau_star_alt = float(np.einsum("ab,ab->", g_inv, rho_star))
+    tau_star = g^{ij} rho(e_i,Je_j)."""
+    g_inv = m.metric_inv
+    rho = contract(ct.t, 0, 3, g_inv)
     return RicciScalars(
-        rho=DenseTensor.from_array(rho),
-        rho_star=DenseTensor.from_array(rho_star),
-        tau=tau,
-        tau_star=tau_star,
-        tau_star_alt=tau_star_alt,
+        rho=rho,
+        tau=float(contract(rho, 0, 1, g_inv).components),
+        tau_star=float(np.einsum("ab,am,mb->", g_inv, rho.components, m.J)),
     )
+
+
+def q_pairing(m: LieFrameManifold, q_vec: DenseTensor) -> NDArray:
+    """qq[x][y][z][w] = g(Q(x,y), Q(z,w)); every Q-quadratic term of R', P
+    and EQ_2_6/EQ_2_7 is a slot permutation of it."""
+    qv = q_vec.components
+    return np.einsum("mij,nkl,mn->ijkl", qv, qv, m.metric)
 
 
 def curvature_prime_from_correction(
     m: LieFrameManifold,
-    conn: ConnectionCoeffs,
     R: CurvatureTensor,
-    q_vec: DenseTensor,
-    q_cov: DenseTensor,
+    nabla_Q: DenseTensor,
+    qq: NDArray,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> CurvatureTensor:
     """Independent route to the skew-torsion curvature:
     R'(x,y,z,w) = R(x,y,z,w) + (nabla_x Q)(y,z,w) - (nabla_y Q)(x,z,w)
                   - g(Q(y,z),Q(x,w)) + g(Q(x,z),Q(y,w)),
-    with nabla the Levi-Civita connection."""
-    from .manifolds import covariant_derivative
-
-    dQ = covariant_derivative(m, conn, q_cov).components
-    qv, g = q_vec.components, m.metric
-    qq_yz_xw = np.einsum("mjk,nil,mn->ijkl", qv, qv, g)
-    qq_xz_yw = np.einsum("mik,njl,mn->ijkl", qv, qv, g)
-    arr = R.t.components + dQ - dQ.transpose(1, 0, 2, 3) - qq_yz_xw + qq_xz_yw
+    with nabla_Q the Levi-Civita derivative of the covariant Q and qq from
+    `q_pairing`."""
+    dQ = nabla_Q.components
+    arr = (
+        R.t.components
+        + dQ
+        - dQ.transpose(1, 0, 2, 3)
+        - qq.transpose(2, 0, 1, 3)
+        + qq.transpose(0, 2, 1, 3)
+    )
     return CurvatureTensor.from_components(arr, m.J, tolerance)
 
 
 def tensor_P(
-    m: LieFrameManifold, q_vec: DenseTensor, tolerance: float = DEFAULT_TOLERANCE
+    m: LieFrameManifold, qq: NDArray, tolerance: float = DEFAULT_TOLERANCE
 ) -> CurvatureTensor:
-    """P(x,y,z,w) = 2 g(Q(x,y),Q(z,w)) + g(Q(z,y),Q(x,w)) + g(Q(x,z),Q(y,w))."""
-    qv, g = q_vec.components, m.metric
-    arr = (
-        2.0 * np.einsum("mij,nkl,mn->ijkl", qv, qv, g)
-        + np.einsum("mkj,nil,mn->ijkl", qv, qv, g)
-        + np.einsum("mik,njl,mn->ijkl", qv, qv, g)
-    )
+    """P(x,y,z,w) = 2 g(Q(x,y),Q(z,w)) + g(Q(z,y),Q(x,w)) + g(Q(x,z),Q(y,w)),
+    with qq from `q_pairing`."""
+    arr = 2.0 * qq + qq.transpose(2, 1, 0, 3) + qq.transpose(0, 2, 1, 3)
     return CurvatureTensor.from_components(arr, m.J, tolerance)
 
 
@@ -164,15 +159,16 @@ def tensor_H(
     m: LieFrameManifold, nabla_J: DenseTensor, tolerance: float = DEFAULT_TOLERANCE
 ) -> CurvatureTensor:
     """H(x,y,z,w) = g((nabla_x J)Jy + (nabla_{Jx} J)y, (nabla_z J)Jw + (nabla_{Jz} J)w)."""
-    nJ, J, g = nabla_J.components, m.J, m.metric
-    B = np.einsum("kia,aj->kij", nJ, J) + np.einsum("ai,kaj->kij", J, nJ)
-    arr = np.einsum("mij,nkl,mn->ijkl", B, B, g)
+    a, b = twist_arrays(nabla_J.components, m.J)
+    B = a + b
+    arr = np.einsum("mij,nkl,mn->ijkl", B, B, m.metric)
     return CurvatureTensor.from_components(arr, m.J, tolerance)
 
 
-def pi_forms(
-    m: LieFrameManifold, tolerance: float = DEFAULT_TOLERANCE
-) -> tuple[CurvatureTensor, CurvatureTensor, CurvatureTensor]:
+PiForms = tuple[CurvatureTensor, CurvatureTensor, CurvatureTensor]
+
+
+def pi_forms(m: LieFrameManifold, tolerance: float = DEFAULT_TOLERANCE) -> PiForms:
     """The three rank-4 tensors built from g and the associated metric:
 
     pi_1(x,y,z,w) = g(y,z)g(x,w) - g(x,z)g(y,w)
@@ -194,17 +190,27 @@ def pi_forms(
     )
 
 
+def kahler_form(pis: PiForms, a: float, b: float) -> NDArray:
+    """The Kahler-type combination a (pi_1 - pi_2) + b pi_3."""
+    pi1, pi2, pi3 = (p.t.components for p in pis)
+    return a * (pi1 - pi2) + b * pi3
+
+
+def _require_dim4(pis: PiForms, what: str) -> None:
+    if pis[0].t.dim != 4:
+        raise ValueError(f"{what} is specific to dimension 4, got {pis[0].t.dim}")
+
+
 def kahler_decomposition_dim4(
-    m: LieFrameManifold,
+    pis: PiForms,
     R_prime: CurvatureTensor,
     tau_prime: float,
     tau_prime_star: float,
-    tolerance: float = DEFAULT_TOLERANCE,
     require_kahler: bool = True,
 ) -> float:
-    """Residual of R' = (tau'/8)(pi_1 - pi_2) + (tau'*/8) pi_3 in dimension 4."""
-    if m.dim != 4:
-        raise ValueError(f"decomposition is specific to dimension 4, got {m.dim}")
+    """Residual of R' = (tau'/8)(pi_1 - pi_2) + (tau'*/8) pi_3 in dimension 4,
+    with pis from `pi_forms`."""
+    _require_dim4(pis, "decomposition")
     if require_kahler and not R_prime.is_kahler:
         raise ValueError(
             "decomposition applies to a Kahler curvature tensor; residuals: "
@@ -212,41 +218,27 @@ def kahler_decomposition_dim4(
             f"bianchi {R_prime.bianchi_residual:.3e}, "
             f"kahler {R_prime.kahler_residual:.3e}"
         )
-    pi1, pi2, pi3 = pi_forms(m, tolerance)
-    rhs = (tau_prime / 8.0) * (pi1.t.components - pi2.t.components) + (
-        tau_prime_star / 8.0
-    ) * pi3.t.components
+    rhs = kahler_form(pis, tau_prime / 8.0, tau_prime_star / 8.0)
     return residual(R_prime.t.components, rhs)
 
 
 def reconstruct_R_dim4(
-    m: LieFrameManifold,
-    panel: ScalarPanel,
-    P: CurvatureTensor,
-    R: CurvatureTensor | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
+    pis: PiForms, panel: ScalarPanel, P: CurvatureTensor, R: CurvatureTensor
 ) -> tuple[float, float]:
     """Residuals of the two dimension-4 reconstructions of the Levi-Civita
-    curvature from scalars and P:
+    curvature from scalars and P, with pis from `pi_forms`:
 
     residual_thm32: R = (1/8){ tau (pi_1 - pi_2) + tau* pi_3 } - (1/3) P
     residual_thm33: R = (1/128){ (16 tau + tau(H))(pi_1 - pi_2)
                                  + (16 tau* - tau(H)) pi_3 } - (1/3) P
     """
-    if m.dim != 4:
-        raise ValueError(f"reconstruction is specific to dimension 4, got {m.dim}")
-    if R is None:
-        from .manifolds import levi_civita
-
-        R = riemann(m, levi_civita(m), tolerance)
-    pi1, pi2, pi3 = pi_forms(m, tolerance)
-    d12 = pi1.t.components - pi2.t.components
-    p3 = pi3.t.components
-    base = -P.t.components / 3.0
-    rhs32 = (panel.tau * d12 + panel.tau_star * p3) / 8.0 + base
-    rhs33 = (
-        (16.0 * panel.tau + panel.tau_H) * d12
-        + (16.0 * panel.tau_star - panel.tau_H) * p3
-    ) / 128.0 + base
+    _require_dim4(pis, "reconstruction")
+    base = P.t.components / 3.0
+    rhs32 = kahler_form(pis, panel.tau / 8.0, panel.tau_star / 8.0) - base
+    rhs33 = kahler_form(
+        pis,
+        (16.0 * panel.tau + panel.tau_H) / 128.0,
+        (16.0 * panel.tau_star - panel.tau_H) / 128.0,
+    ) - base
     arr = R.t.components
     return residual(arr, rhs32), residual(arr, rhs33)

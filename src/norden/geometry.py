@@ -14,12 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .manifolds import ConnectionCoeffs, LieFrameManifold
-from .tensors import (
-    DEFAULT_TOLERANCE,
-    DenseTensor,
-    cyclic_sum3,
-    zero_residual,
-)
+from .tensors import DEFAULT_TOLERANCE, DenseTensor, cyclic_sum3, lower, zero_residual
 
 
 class ClassLabel(enum.Enum):
@@ -77,50 +72,54 @@ class ScalarPanel:
     )
 
 
+def nabla_J_array(gamma: NDArray, J: NDArray) -> NDArray:
+    """(nabla_{e_i} J)e_j of the connection gamma, index order [k][i][j]."""
+    return np.einsum("kim,mj->kij", gamma, J) - np.einsum("km,mij->kij", J, gamma)
+
+
+def twist_arrays(nJ: NDArray, J: NDArray) -> tuple[NDArray, NDArray]:
+    """(nabla_x J)Jy and (nabla_{Jx} J)y as mixed arrays [k][x][y]."""
+    return np.einsum("kia,aj->kij", nJ, J), np.einsum("ai,kaj->kij", J, nJ)
+
+
+def q_array(nJ: NDArray, J: NDArray) -> NDArray:
+    """Q(x,y) = 1/4 { (nabla_x J)Jy - (nabla_{Jx} J)y - 2 (nabla_y J)Jx }, mixed."""
+    a, b = twist_arrays(nJ, J)
+    return 0.25 * (a - b - 2.0 * a.transpose(0, 2, 1))
+
+
 def compute_nabla_J(m: LieFrameManifold, conn: ConnectionCoeffs) -> DenseTensor:
     """(nabla_{e_i} J)e_j in frame components, index order [k][i][j]."""
-    gamma, J = conn.gamma, m.J
-    nJ = np.einsum("kim,mj->kij", gamma, J) - np.einsum("km,mij->kij", J, gamma)
-    return DenseTensor(dim=m.dim, rank=3, components=nJ)
+    return DenseTensor(dim=m.dim, rank=3, components=nabla_J_array(conn.gamma, m.J))
 
 
 def compute_F(m: LieFrameManifold, nabla_J: DenseTensor) -> DenseTensor:
     """Fundamental tensor F(x,y,z) = g((nabla_x J)y, z), fully covariant."""
-    F = np.einsum("mij,mk->ijk", nabla_J.components, m.metric)
-    return DenseTensor(dim=m.dim, rank=3, components=F)
-
-
-def _nabla_J_from_F(m: LieFrameManifold, F: DenseTensor) -> NDArray:
-    g_inv = np.linalg.inv(m.metric)
-    return np.einsum("km,ijm->kij", g_inv, F.components)
+    return DenseTensor(dim=m.dim, rank=3, components=lower(nabla_J.components, m.metric))
 
 
 def w3_membership_residuals(
-    m: LieFrameManifold, F: DenseTensor
+    m: LieFrameManifold, F: DenseTensor, nabla_J: DenseTensor
 ) -> tuple[float, float, float]:
     """Residuals of the three equivalent quasi-Kahler membership conditions."""
     J = m.J
-    cyc_F = cyclic_sum3(F)
-    r_14 = zero_residual(cyc_F)
+    r_14 = zero_residual(cyclic_sum3(F.components))
     FJ = np.einsum("ai,ajk->ijk", J, F.components)
-    r_113 = zero_residual(cyclic_sum3(DenseTensor.from_array(FJ)))
-    nJ = _nabla_J_from_F(m, F)
-    defect = (
-        np.einsum("kia,aj->kij", nJ, J)
-        + np.einsum("kja,ai->kij", nJ, J)
-        + np.einsum("ai,kaj->kij", J, nJ)
-        + np.einsum("aj,kai->kij", J, nJ)
-    )
-    r_114 = zero_residual(defect)
+    r_113 = zero_residual(cyclic_sum3(FJ))
+    a, b = twist_arrays(nabla_J.components, J)
+    r_114 = zero_residual(a + a.transpose(0, 2, 1) + b + b.transpose(0, 2, 1))
     return r_14, r_113, r_114
 
 
 def classify(
-    m: LieFrameManifold, F: DenseTensor, tolerance: float = DEFAULT_TOLERANCE
+    m: LieFrameManifold,
+    F: DenseTensor,
+    nabla_J: DenseTensor,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> Classification:
     """Kahler / quasi-Kahler / other decision from the fundamental tensor."""
     f_norm = F.max_abs()
-    r_14, r_113, r_114 = w3_membership_residuals(m, F)
+    r_14, r_113, r_114 = w3_membership_residuals(m, F, nabla_J)
     if f_norm <= tolerance:
         label = ClassLabel.KAHLER_W0
     elif r_14 <= tolerance:
@@ -136,33 +135,17 @@ def classify(
     )
 
 
-def square_norms(
-    m: LieFrameManifold,
-    nabla_J: DenseTensor,
-    assoc_variant: str = "inner",
-) -> tuple[float, float]:
+def square_norms(m: LieFrameManifold, nabla_J: DenseTensor) -> tuple[float, float]:
     """Square norm of nabla J and its associated variant.
 
-    sq_norm = g^{ij} g^{ks} g((nabla_{e_i} J)e_k, (nabla_{e_j} J)e_s).
-
-    The associated variant replaces, for "inner", the innermost pairing g by
-    the associated metric g~(x,y) = g(x,Jy); the alternative "outer" variant
-    instead replaces the two contraction metrics by g~-inverses.  The inner
-    variant is the adopted definition; the outer one exists only for the
-    consistency experiment in the test suite.
+    sq_norm = g^{ij} g^{ks} g((nabla_{e_i} J)e_k, (nabla_{e_j} J)e_s); the
+    associated variant replaces the innermost pairing g by the associated
+    metric g~(x,y) = g(x,Jy).
     """
-    g = m.metric
-    g_inv = np.linalg.inv(g)
+    g, g_inv = m.metric, m.metric_inv
     nJ = nabla_J.components
     sq = float(np.einsum("ij,ks,aik,bjs,ab->", g_inv, g_inv, nJ, nJ, g))
-    if assoc_variant == "inner":
-        g_tilde = g @ m.J
-        assoc = float(np.einsum("ij,ks,aik,bjs,ab->", g_inv, g_inv, nJ, nJ, g_tilde))
-    elif assoc_variant == "outer":
-        gt_inv = np.linalg.inv(g @ m.J)
-        assoc = float(np.einsum("ij,ks,aik,bjs,ab->", gt_inv, gt_inv, nJ, nJ, g))
-    else:
-        raise ValueError(f"unknown assoc_variant {assoc_variant!r}")
+    assoc = float(np.einsum("ij,ks,aik,bjs,ab->", g_inv, g_inv, nJ, nJ, g @ m.J))
     return sq, assoc
 
 
@@ -172,44 +155,31 @@ def sq_norm_cross_form(m: LieFrameManifold, nabla_J: DenseTensor) -> float:
     Equals the square norm of nabla J on quasi-Kahler manifolds; used as an
     independent route for the square-norm identity check.
     """
-    g = m.metric
-    g_inv = np.linalg.inv(g)
+    g, g_inv = m.metric, m.metric_inv
     nJ = nabla_J.components
     return float(-2.0 * np.einsum("ij,ks,aik,bsj,ab->", g_inv, g_inv, nJ, nJ, g))
 
 
 def compute_Q(
-    m: LieFrameManifold,
-    conn: ConnectionCoeffs,
-    nabla_J: DenseTensor,
-    tolerance: float = DEFAULT_TOLERANCE,
+    m: LieFrameManifold, nabla_J: DenseTensor, classification: Classification
 ) -> tuple[DenseTensor, DenseTensor]:
-    """Torsion potential of the skew-torsion connection, vector and covariant.
-
-    Q(x,y) = 1/4 { (nabla_x J)Jy - (nabla_{Jx} J)y - 2 (nabla_y J)Jx },
-    Q(y,z,w) = g(Q(y,z), w).
+    """Torsion potential of the skew-torsion connection, vector and covariant:
+    Q(x,y) as in `q_array`, and Q(y,z,w) = g(Q(y,z), w).
 
     Refuses manifolds outside the Kahler/quasi-Kahler classes: total skewness
     of the covariant form is a class fact, and the connection built from Q is
     only natural there.
     """
-    F = compute_F(m, nabla_J)
-    cls = classify(m, F, tolerance)
-    if not cls.is_w3_or_kahler:
+    if not classification.is_w3_or_kahler:
         raise InapplicableClassError(
             f"torsion potential requires class KAHLER_W0 or QUASI_KAHLER_W3, "
-            f"got {cls.label.value} (cyclic-F residual {cls.w3_residual:.3e})"
+            f"got {classification.label.value} "
+            f"(cyclic-F residual {classification.w3_residual:.3e})"
         )
-    nJ, J, g = nabla_J.components, m.J, m.metric
-    q_vec = 0.25 * (
-        np.einsum("kia,aj->kij", nJ, J)
-        - np.einsum("ai,kaj->kij", J, nJ)
-        - 2.0 * np.einsum("kja,ai->kij", nJ, J)
-    )
-    q_cov = np.einsum("mij,mk->ijk", q_vec, g)
+    q_vec = q_array(nabla_J.components, m.J)
     return (
         DenseTensor(dim=m.dim, rank=3, components=q_vec),
-        DenseTensor(dim=m.dim, rank=3, components=q_cov),
+        DenseTensor(dim=m.dim, rank=3, components=lower(q_vec, m.metric)),
     )
 
 
@@ -220,7 +190,7 @@ class InapplicableClassError(ValueError):
 def q_from_cyclic_F(m: LieFrameManifold, F: DenseTensor) -> DenseTensor:
     """Covariant Q by the independent route -1/4 cyclic-sum of F(y,z,Jw)."""
     FJ = np.einsum("ija,ak->ijk", F.components, m.J)
-    out = -0.25 * cyclic_sum3(DenseTensor.from_array(FJ)).components
+    out = -0.25 * cyclic_sum3(FJ)
     return DenseTensor(dim=m.dim, rank=3, components=out)
 
 

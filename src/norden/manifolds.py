@@ -10,11 +10,12 @@ be certified without discretization error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .tensors import DenseTensor, MetricPair, _as_readonly, residual
+from .tensors import DenseTensor, _as_readonly, lower, residual
 
 JACOBI_TOLERANCE = 1e-10
 MATRIX_TOLERANCE = 1e-12
@@ -48,6 +49,16 @@ class LieFrameManifold:
         object.__setattr__(self, "structure_constants", _as_readonly(C))
         object.__setattr__(self, "metric", _as_readonly(g))
         object.__setattr__(self, "J", _as_readonly(J))
+
+    @cached_property
+    def metric_inv(self) -> NDArray:
+        """g^{-1}, computed once per manifold."""
+        try:
+            g_inv = np.linalg.inv(self.metric)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"metric is singular: {exc}") from exc
+        g_inv.setflags(write=False)
+        return g_inv
 
 
 @dataclass(frozen=True)
@@ -107,10 +118,15 @@ def canonical_norden_pair(dim: int) -> tuple[NDArray, NDArray]:
     return g, J
 
 
-def jacobi_residual(C: NDArray) -> float:
-    """Max-abs of the cyclic sum of [[e_i,e_j],e_l] in frame components."""
+def jacobi_array(C: NDArray) -> NDArray:
+    """Cyclic sum of [[e_i,e_j],e_l] in frame components, index order [p][i][j][l]."""
     T = np.einsum("mij,pml->pijl", C, C)
-    cyc = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
+    return T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
+
+
+def jacobi_residual(C: NDArray) -> float:
+    """Max-abs of the Jacobi cyclic sum."""
+    cyc = jacobi_array(C)
     return float(np.max(np.abs(cyc))) if cyc.size else 0.0
 
 
@@ -167,28 +183,22 @@ def validate_manifold(
     return ValidationOutcome(ok=not violations, violations=tuple(violations))
 
 
-def metric_pair(m: LieFrameManifold) -> MetricPair:
-    return MetricPair.from_metric(m.metric, m.J, tol=1e-10)
+def koszul_array(C: NDArray, g: NDArray, g_inv: NDArray) -> NDArray:
+    """Levi-Civita coefficients gamma[k][i][j] of a constant-component metric.
+
+    The Koszul formula collapses to
+    2 g(nabla_{e_i} e_j, e_k) = g([e_i,e_j],e_k) + g([e_k,e_i],e_j) + g([e_k,e_j],e_i).
+    """
+    b = lower(C, g)  # b[i][j][k] = g([e_i,e_j],e_k)
+    low = 0.5 * (b + b.transpose(1, 2, 0) + b.transpose(2, 1, 0))
+    return np.einsum("km,ijm->kij", g_inv, low)
 
 
 def levi_civita(m: LieFrameManifold) -> ConnectionCoeffs:
-    """Levi-Civita connection of a left-invariant metric.
-
-    With constant-component g the Koszul formula collapses to
-    2 g(nabla_{e_i} e_j, e_k) = g([e_i,e_j],e_k) + g([e_k,e_i],e_j) + g([e_k,e_j],e_i).
-    """
-    C, g = m.structure_constants, m.metric
-    try:
-        g_inv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"metric is singular: {exc}") from exc
-    low = 0.5 * (
-        np.einsum("mij,mk->ijk", C, g)
-        + np.einsum("mki,mj->ijk", C, g)
-        + np.einsum("mkj,mi->ijk", C, g)
+    """Levi-Civita connection of a left-invariant metric."""
+    return ConnectionCoeffs(
+        gamma=koszul_array(m.structure_constants, m.metric, m.metric_inv)
     )
-    gamma = np.einsum("km,ijm->kij", g_inv, low)
-    return ConnectionCoeffs(gamma=gamma)
 
 
 def covariant_derivative(
@@ -213,16 +223,6 @@ def covariant_derivative(
         t_letters = letters[:s] + "m" + letters[s + 1 :]
         out -= np.einsum(f"mi{letters[s]},{t_letters}->i{letters}", gamma, t.components)
     return DenseTensor(dim=m.dim, rank=t.rank + 1, components=out)
-
-
-def connection_checks(m: LieFrameManifold, conn: ConnectionCoeffs) -> dict[str, float]:
-    """Residuals of metric compatibility and torsion-freeness for `conn`."""
-    C, g = m.structure_constants, m.metric
-    gamma = conn.gamma
-    low = np.einsum("kij,km->ijm", gamma, g)  # g(nabla_i e_j, e_m) indexed [i][j][m]
-    compat = residual(low, -low.transpose(0, 2, 1))
-    torsion_free = residual(gamma - gamma.transpose(0, 2, 1), C)
-    return {"metric_compatibility": compat, "torsion_freeness": torsion_free}
 
 
 def torsion(m: LieFrameManifold, conn: ConnectionCoeffs) -> DenseTensor:

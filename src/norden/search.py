@@ -28,16 +28,25 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import ClassLabel, classify, compute_F, compute_nabla_J
+from .curvature import curvature_array
+from .geometry import (
+    ClassLabel,
+    classify,
+    compute_F,
+    compute_nabla_J,
+    nabla_J_array,
+    q_array,
+)
 from .manifests import ManifoldManifest
 from .manifolds import (
     LieFrameManifold,
     canonical_norden_pair,
-    jacobi_residual,
+    jacobi_array,
+    koszul_array,
     levi_civita,
     validate_manifold,
 )
-from .suite import DEFAULT_TOLERANCE
+from .tensors import DEFAULT_TOLERANCE, check_tolerance, cyclic_sum3, lower, zero_residual
 
 GN_MAX_ITERATIONS = 120
 GN_CONVERGENCE = 1e-13
@@ -65,6 +74,8 @@ class SearchConfig:
             raise ValueError(f"dim must be even and positive, got {self.dim}")
         if self.max_results < 1:
             raise ValueError(f"max_results must be >= 1, got {self.max_results}")
+        check_tolerance(self.tolerance)
+        check_tolerance(self.jacobi_tolerance, "jacobi_tolerance")
 
 
 @dataclass
@@ -106,16 +117,8 @@ def _w3_rows(dim: int, basis: NDArray) -> NDArray:
     rows = []
     for t in range(basis.shape[1]):
         C = basis[:, t].reshape(dim, dim, dim)
-        low = 0.5 * (
-            np.einsum("mij,mk->ijk", C, g)
-            + np.einsum("mki,mj->ijk", C, g)
-            + np.einsum("mkj,mi->ijk", C, g)
-        )
-        gamma = np.einsum("km,ijm->kij", g_inv, low)
-        nJ = np.einsum("kim,mj->kij", gamma, J) - np.einsum("km,mij->kij", J, gamma)
-        F = np.einsum("mij,mk->ijk", nJ, g)
-        cyc = F + F.transpose(1, 2, 0) + F.transpose(2, 0, 1)
-        rows.append(cyc.ravel())
+        F = lower(nabla_J_array(koszul_array(C, g, g_inv), J), g)
+        rows.append(cyclic_sum3(F).ravel())
     return np.array(rows).T
 
 
@@ -167,36 +170,18 @@ def _two_step_families(dim: int) -> tuple[tuple[NDArray, NDArray], ...]:
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_map(C: NDArray) -> NDArray:
-    T = np.einsum("mij,pml->pijl", C, C)
-    cyc = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
-    return cyc.ravel()
+def _r_prime_bianchi(
+    C: NDArray, g: NDArray, J: NDArray, gamma: NDArray, nJ: NDArray
+) -> NDArray:
+    """First Bianchi cyclic sum of the skew-torsion curvature, from the
+    Levi-Civita coefficients gamma and their nabla J."""
+    return cyclic_sum3(curvature_array(gamma + q_array(nJ, J), C, g))
 
 
 def _bianchi_prime_map(C: NDArray, g: NDArray, g_inv: NDArray, J: NDArray) -> NDArray:
-    """First Bianchi cyclic sum of the skew-torsion curvature; homogeneous
-    quadratic in the structure constants."""
-    low = 0.5 * (
-        np.einsum("mij,mk->ijk", C, g)
-        + np.einsum("mki,mj->ijk", C, g)
-        + np.einsum("mkj,mi->ijk", C, g)
-    )
-    gamma = np.einsum("km,ijm->kij", g_inv, low)
-    nJ = np.einsum("kim,mj->kij", gamma, J) - np.einsum("km,mij->kij", J, gamma)
-    q_vec = 0.25 * (
-        np.einsum("kia,aj->kij", nJ, J)
-        - np.einsum("ai,kaj->kij", J, nJ)
-        - 2.0 * np.einsum("kja,ai->kij", nJ, J)
-    )
-    gp = gamma + q_vec
-    r_vec = (
-        np.einsum("lim,mjk->lijk", gp, gp)
-        - np.einsum("ljm,mik->lijk", gp, gp)
-        - np.einsum("mij,lmk->lijk", C, gp)
-    )
-    r_cov = np.einsum("mijk,ml->ijkl", r_vec, g)
-    cyc = r_cov + r_cov.transpose(1, 2, 0, 3) + r_cov.transpose(2, 0, 1, 3)
-    return cyc.ravel()
+    """The R' Bianchi sum as a map of C; homogeneous quadratic."""
+    gamma = koszul_array(C, g, g_inv)
+    return _r_prime_bianchi(C, g, J, gamma, nabla_J_array(gamma, J)).ravel()
 
 
 def _gauss_newton_candidate(
@@ -218,7 +203,7 @@ def _gauss_newton_candidate(
         return (basis @ (null @ z)).reshape(dim, dim, dim)
 
     def phi(C: NDArray) -> NDArray:
-        parts = [_jacobi_map(C)]
+        parts = [jacobi_array(C).ravel()]
         if want_kahler:
             parts.append(_bianchi_prime_map(C, g, g_inv, J))
         return np.concatenate(parts)
@@ -287,25 +272,20 @@ def _accept(
     cfg: SearchConfig,
     stats: SearchStats,
 ) -> LieFrameManifold | None:
-    if jacobi_residual(C) > cfg.jacobi_tolerance:
-        stats.rejected_jacobi += 1
-        return None
     g, J = canonical_norden_pair(cfg.dim)
     m = LieFrameManifold(dim=cfg.dim, structure_constants=C, metric=g, J=J)
     if not validate_manifold(m, jacobi_tolerance=cfg.jacobi_tolerance).ok:
         stats.rejected_jacobi += 1
         return None
     conn = levi_civita(m)
-    F = compute_F(m, compute_nabla_J(m, conn))
-    cls = classify(m, F, cfg.tolerance)
+    nabla_J = compute_nabla_J(m, conn)
+    cls = classify(m, compute_F(m, nabla_J), nabla_J, cfg.tolerance)
     if cls.label is not ClassLabel.QUASI_KAHLER_W3:
         stats.rejected_class += 1
         return None
     if cfg.target is SearchTarget.W3_RPRIME_KAHLER:
-        g_inv = np.linalg.inv(g)
-        bianchi = np.max(np.abs(_bianchi_prime_map(C, g, g_inv, J)))
-        scale = 1.0 + bianchi
-        if bianchi / scale > cfg.tolerance:
+        bianchi = _r_prime_bianchi(C, g, J, conn.gamma, nabla_J.components)
+        if zero_residual(bianchi) > cfg.tolerance:
             stats.rejected_class += 1
             return None
     return m

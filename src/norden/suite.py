@@ -8,7 +8,6 @@ are computable, so contrapositives remain observable in report data.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +26,7 @@ from .manifolds import (
 from .tensors import (
     DEFAULT_TOLERANCE,
     DenseTensor,
+    check_tolerance,
     cyclic_sum3,
     residual,
     scalar_residual,
@@ -48,7 +48,6 @@ class CheckResult:
     tolerance: float
     status: str
     reason: str | None = None
-    elapsed: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -88,18 +87,10 @@ class GeometryContext:
     nabla_J: DenseTensor
     F: DenseTensor
     classification: geo.Classification
+    R: curv.CurvatureTensor
     values: dict[str, float] = field(default_factory=dict)
     panel: geo.ScalarPanel | None = None
     r_prime_kahler: bool = False
-    # populated by the precomputation passes below
-    R: curv.CurvatureTensor | None = None
-    R_prime: curv.CurvatureTensor | None = None
-    P: curv.CurvatureTensor | None = None
-    H: curv.CurvatureTensor | None = None
-    q_vec: DenseTensor | None = None
-    q_cov: DenseTensor | None = None
-    conn_prime: ConnectionCoeffs | None = None
-    scalars: dict[str, curv.RicciScalars] = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -114,8 +105,7 @@ def _class_independent_values(ctx: GeometryContext) -> None:
     v["EQ_1_3_A"] = residual(Fc, Fc.transpose(0, 2, 1))
     v["EQ_1_3_B"] = residual(Fc, np.einsum("iab,aj,bk->ijk", Fc, J, J))
 
-    R = curv.riemann(m, ctx.conn, ctx.tolerance)
-    ctx.R = R
+    R = ctx.R
     v["R_CURVATURE_LIKE"] = max(R.antisym_residual, R.bianchi_residual)
     Rc = R.t.components
     v["R_PAIR_SYMMETRY"] = residual(Rc, Rc.transpose(2, 3, 0, 1))
@@ -133,8 +123,7 @@ def _class_independent_values(ctx: GeometryContext) -> None:
 
 def _class_dependent_values(ctx: GeometryContext) -> None:
     m, F, nJ = ctx.m, ctx.F, ctx.nabla_J
-    J, g = m.J, m.metric
-    g_inv = np.linalg.inv(g)
+    J, g, g_inv = m.J, m.metric, m.metric_inv
     tol = ctx.tolerance
     v = ctx.values
     R = ctx.R
@@ -155,13 +144,9 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     )
     sym = nJc + nJc.transpose(0, 2, 1)
     G = np.einsum("aij,bkl,ab->ijkl", sym, sym, g)
-    v["EQ_1_15"] = residual(
-        cyclic_sum3(DenseTensor.from_array(S)).components,
-        cyclic_sum3(DenseTensor.from_array(G)).components,
-    )
+    v["EQ_1_15"] = residual(cyclic_sum3(S), cyclic_sum3(G))
 
-    q_vec, q_cov = geo.compute_Q(m, ctx.conn, nJ, tol)
-    ctx.q_vec, ctx.q_cov = q_vec, q_cov
+    q_vec, q_cov = geo.compute_Q(m, nJ, ctx.classification)
     v["EQ_1_19"] = residual(q_cov.components, geo.q_from_cyclic_F(m, F).components)
     qc = q_cov.components
     v["Q_SKEW"] = max(
@@ -172,7 +157,6 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     v["F_TRACE_B"] = zero_residual(np.einsum("ij,aj,iaz->z", g_inv, J, F.components))
 
     conn_p = geo.connection_prime(ctx.conn, q_vec)
-    ctx.conn_prime = conn_p
     v["NATURAL_G"] = zero_residual(
         covariant_derivative(m, conn_p, DenseTensor.from_array(g)).components
     )
@@ -181,35 +165,32 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
         torsion(m, conn_p).components, 2.0 * q_vec.components
     )
 
+    # nabla Q and g(Q(x,y),Q(z,w)), shared by R' (correction route), P and
+    # EQ_2_6/EQ_2_7
+    dQ = covariant_derivative(m, ctx.conn, q_cov)
+    qq = curv.q_pairing(m, q_vec)
     R_prime = curv.riemann(m, conn_p, tol)
-    ctx.R_prime = R_prime
-    R_prime_2 = curv.curvature_prime_from_correction(m, ctx.conn, R, q_vec, q_cov, tol)
+    R_prime_2 = curv.curvature_prime_from_correction(m, R, dQ, qq, tol)
     v["EQ_2_3"] = residual(R_prime.t.components, R_prime_2.t.components)
     v["R_PRIME_1_10"] = R_prime.antisym_residual
     v["R_PRIME_1_12"] = R_prime.kahler_residual
     v["BIANCHI_R_PRIME"] = R_prime.bianchi_residual
     ctx.r_prime_kahler = R_prime.is_kahler
 
-    P = curv.tensor_P(m, q_vec, tol)
-    ctx.P = P
+    P = curv.tensor_P(m, qq, tol)
     Rpc = R_prime.t.components
     v["EQ_2_8"] = residual(3.0 * Rpc, 3.0 * Rc + P.t.components)
 
     H = curv.tensor_H(m, nJ, tol)
-    ctx.H = H
     v["EQ_2_14"] = H.bianchi_residual
     v["H_1_10"] = H.antisym_residual
     v["H_1_12"] = H.kahler_residual
     v["P_CURVATURE_LIKE"] = max(P.antisym_residual, P.bianchi_residual)
 
-    dQ = covariant_derivative(m, ctx.conn, q_cov).components
-    qv = q_vec.components
-    qq_xy_zw = np.einsum("mij,nkl,mn->ijkl", qv, qv, g)
-    qq_zy_xw = np.einsum("mkj,nil,mn->ijkl", qv, qv, g)
-    v["EQ_2_6"] = residual(Rpc, Rc - dQ.transpose(2, 0, 1, 3) + qq_xy_zw)
+    v["EQ_2_6"] = residual(Rpc, Rc - dQ.components.transpose(2, 0, 1, 3) + qq)
     v["EQ_2_7"] = residual(
         Rpc + Rpc.transpose(2, 1, 0, 3),
-        Rc + Rc.transpose(2, 1, 0, 3) + qq_xy_zw + qq_zy_xw,
+        Rc + Rc.transpose(2, 1, 0, 3) + qq + qq.transpose(2, 1, 0, 3),
     )
     v["TORSION_PARALLEL"] = zero_residual(
         covariant_derivative(m, conn_p, q_cov).components
@@ -219,7 +200,6 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     sc_Rp = curv.ricci_and_scalars(m, R_prime)
     sc_P = curv.ricci_and_scalars(m, P)
     sc_H = curv.ricci_and_scalars(m, H)
-    ctx.scalars = {"R": sc_R, "R_prime": sc_Rp, "P": sc_P, "H": sc_H}
     panel = geo.ScalarPanel(
         tau=sc_R.tau,
         tau_star=sc_R.tau_star,
@@ -238,6 +218,7 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     v["EQ_3_2"] = scalar_residual(
         3.0 * panel.tau_prime_star, 3.0 * panel.tau_star + panel.tau_star_P
     )
+    qv = q_vec.components
     trace_qq = float(
         3.0 * np.einsum("ij,ks,mik,nsj,mn->", g_inv, g_inv, qv, qv, g)
     )
@@ -278,17 +259,15 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     v["THM_3_1"] = float(any(indicator(s) != iso for s in six))
 
     if m.dim == 4:
+        pis = curv.pi_forms(m, tol)
         v["EQ_3_12"] = curv.kahler_decomposition_dim4(
-            m, R_prime, panel.tau_prime, panel.tau_prime_star, tol, require_kahler=False
+            pis, R_prime, panel.tau_prime, panel.tau_prime_star, require_kahler=False
         )
-        pi1, pi2, pi3 = curv.pi_forms(m, tol)
-        d12 = pi1.t.components - pi2.t.components
-        rhs13 = (
-            (panel.tau + 3.0 / 8.0 * sq) * d12
-            + (panel.tau_star - sq / 8.0) * pi3.t.components
-        ) / 8.0 - P.t.components / 3.0
-        v["EQ_3_13"] = residual(Rc, rhs13)
-        r32, r33 = curv.reconstruct_R_dim4(m, panel, P, R, tol)
+        rhs13 = curv.kahler_form(
+            pis, (panel.tau + 3.0 / 8.0 * sq) / 8.0, (panel.tau_star - sq / 8.0) / 8.0
+        )
+        v["EQ_3_13"] = residual(Rc, rhs13 - P.t.components / 3.0)
+        r32, r33 = curv.reconstruct_R_dim4(pis, panel, P, R)
         v["THM_3_2"] = float(indicator(r32) != iso)
         v["THM_3_2_RESIDUAL"] = r32
         v["THM_3_3"] = r33
@@ -297,23 +276,24 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
 def build_context(
     m: LieFrameManifold, tolerance: float = DEFAULT_TOLERANCE
 ) -> GeometryContext:
+    check_tolerance(tolerance)
     outcome = validate_manifold(m)
     if not outcome.ok:
         raise InvalidManifoldError(outcome)
     conn = levi_civita(m)
     nabla_J = geo.compute_nabla_J(m, conn)
     F = geo.compute_F(m, nabla_J)
-    classification = geo.classify(m, F, tolerance)
     ctx = GeometryContext(
         m=m,
         tolerance=tolerance,
         conn=conn,
         nabla_J=nabla_J,
         F=F,
-        classification=classification,
+        classification=geo.classify(m, F, nabla_J, tolerance),
+        R=curv.riemann(m, conn, tolerance),
     )
     _class_independent_values(ctx)
-    if classification.is_w3_or_kahler:
+    if ctx.classification.is_w3_or_kahler:
         _class_dependent_values(ctx)
     return ctx
 
@@ -523,7 +503,6 @@ def _gate_reason(defn: CheckDef, ctx: GeometryContext) -> str | None:
 
 
 def _run_one(defn: CheckDef, ctx: GeometryContext) -> CheckResult:
-    start = time.perf_counter()
     reason = _gate_reason(defn, ctx)
     res = ctx.values.get(defn.value_key)
     if reason is not None:
@@ -539,7 +518,6 @@ def _run_one(defn: CheckDef, ctx: GeometryContext) -> CheckResult:
         tolerance=ctx.tolerance,
         status=status,
         reason=reason,
-        elapsed=time.perf_counter() - start,
     )
 
 

@@ -22,6 +22,14 @@ DEFAULT_TOLERANCE = 1e-9
 _AXIS_LETTERS = string.ascii_lowercase
 
 
+def check_tolerance(value: float, name: str = "tolerance") -> float:
+    """Return `value` if it lies in (0, 1); raise ValueError otherwise (NaN
+    and the infinities fail the comparison)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be a finite number in (0, 1), got {value!r}")
+    return value
+
+
 def _as_readonly(arr: NDArray) -> NDArray:
     out = np.array(arr, dtype=float, copy=True, order="C")
     out.setflags(write=False)
@@ -108,28 +116,37 @@ def contract(
     return DenseTensor(dim=t.dim, rank=t.rank - 2, components=out)
 
 
-def cyclic_sum3(t: DenseTensor, slots: tuple[int, int, int] = (0, 1, 2)) -> DenseTensor:
-    """Cyclic sum of `t` over three slots: t + t∘σ + t∘σ², σ the 3-cycle."""
-    if t.rank < 3:
-        raise ValueError(f"cyclic_sum3 requires rank >= 3, got rank {t.rank}")
+def cyclic_sum3(
+    t: DenseTensor | NDArray, slots: tuple[int, int, int] = (0, 1, 2)
+) -> DenseTensor | NDArray:
+    """Cyclic sum of `t` over three slots: t + t∘σ + t∘σ², σ the 3-cycle.
+
+    Returns a DenseTensor for a DenseTensor and a plain array for an array.
+    """
+    if isinstance(t, DenseTensor):
+        out = cyclic_sum3(t.components, slots)
+        return DenseTensor(dim=t.dim, rank=t.rank, components=out)
+    if t.ndim < 3:
+        raise ValueError(f"cyclic_sum3 requires rank >= 3, got rank {t.ndim}")
     a, b, c = slots
     if len({a, b, c}) != 3:
         raise ValueError(f"cyclic slots must be distinct, got {slots}")
     for s in slots:
-        if not 0 <= s < t.rank:
-            raise ValueError(f"slot {s} out of range for rank {t.rank}")
+        if not 0 <= s < t.ndim:
+            raise ValueError(f"slot {s} out of range for rank {t.ndim}")
     # t∘σ evaluated at arguments (x_a, x_b, x_c) is t at (x_b, x_c, x_a):
     # realised by the axis permutation that sends axis a<-b, b<-c, c<-a.
-    axes1 = list(range(t.rank))
+    axes1 = list(range(t.ndim))
     axes1[a], axes1[b], axes1[c] = b, c, a
-    axes2 = list(range(t.rank))
+    axes2 = list(range(t.ndim))
     axes2[a], axes2[b], axes2[c] = c, a, b
-    out = (
-        t.components
-        + np.transpose(t.components, axes1)
-        + np.transpose(t.components, axes2)
-    )
-    return DenseTensor(dim=t.dim, rank=t.rank, components=out)
+    return t + np.transpose(t, axes1) + np.transpose(t, axes2)
+
+
+def lower(t: NDArray, g: NDArray) -> NDArray:
+    """Lower the vector index of a vector-valued 2-form stored t[k][i][j]:
+    out[i][j][k] = g(t(e_i, e_j), e_k)."""
+    return np.einsum("mij,mk->ijk", t, g)
 
 
 def residual(a: DenseTensor | NDArray, b: DenseTensor | NDArray) -> float:
@@ -157,50 +174,3 @@ def zero_residual(a: DenseTensor | NDArray) -> float:
 def scalar_residual(lhs: float, rhs: float) -> float:
     """Scaled residual for scalar identities: |lhs-rhs| / max(1, |lhs|, |rhs|)."""
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-
-@dataclass(frozen=True)
-class MetricPair:
-    """A Norden metric g with its inverse and associated metric g~(x,y)=g(x,Jy)."""
-
-    g: NDArray = field(repr=False)
-    g_inv: NDArray = field(repr=False)
-    g_tilde: NDArray = field(repr=False)
-    g_tilde_inv: NDArray = field(repr=False)
-
-    @classmethod
-    def from_metric(cls, g: NDArray, J: NDArray, tol: float = 1e-12) -> "MetricPair":
-        g = np.asarray(g, dtype=float)
-        J = np.asarray(J, dtype=float)
-        dim = g.shape[0]
-        if g.shape != (dim, dim) or J.shape != (dim, dim):
-            raise ValueError("metric and complex structure must be square of equal size")
-        if residual(g, g.T) > tol:
-            raise ValueError("metric is not symmetric")
-        try:
-            g_inv = np.linalg.inv(g)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"metric is singular: {exc}") from exc
-        if residual(g @ g_inv, np.eye(dim)) > tol:
-            raise np.linalg.LinAlgError("metric inverse check g*g_inv=I failed")
-        eigs = np.linalg.eigvalsh(g)
-        n_pos = int(np.sum(eigs > tol))
-        n_neg = int(np.sum(eigs < -tol))
-        if n_pos != dim // 2 or n_neg != dim // 2:
-            raise ValueError(
-                f"metric signature is ({n_pos},{n_neg}), expected ({dim//2},{dim//2})"
-            )
-        g_tilde = g @ J
-        if residual(g_tilde, g_tilde.T) > 1e-10:
-            raise ValueError("associated metric g(x,Jy) is not symmetric")
-        g_tilde_inv = np.linalg.inv(g_tilde)
-        return cls(
-            g=_as_readonly(g),
-            g_inv=_as_readonly(g_inv),
-            g_tilde=_as_readonly(g_tilde),
-            g_tilde_inv=_as_readonly(g_tilde_inv),
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.g.shape[0]

@@ -217,7 +217,8 @@ def test_criterion_3_w3_discovery(tmp_path):
         failures.append("no manifest produced")
     for path in manifests:
         m = load_manifest(path).to_manifold()
-        cls = classify(m, compute_F(m, compute_nabla_J(m, levi_civita(m))))
+        nJ = compute_nabla_J(m, levi_civita(m))
+        cls = classify(m, compute_F(m, nJ), nJ)
         if cls.label is not ClassLabel.QUASI_KAHLER_W3 or cls.f_norm <= TOL:
             failures.append(f"{path.name} is not a non-flat quasi-Kahler example")
     _verdict(3, "quasi-Kahler discovery", failures)
@@ -581,7 +582,7 @@ def test_criterion_8_synthetic_decomposition():
         failures.append(f"nu' = {sc.tau / 8.0!r} != 3")
     if abs(sc.tau_star / 8.0 - 5.0) > 1e-12:
         failures.append(f"nu'* = {sc.tau_star / 8.0!r} != 5")
-    res = kahler_decomposition_dim4(m, synth, sc.tau, sc.tau_star)
+    res = kahler_decomposition_dim4((pi1, pi2, pi3), synth, sc.tau, sc.tau_star)
     if res > 1e-12:
         failures.append(f"decomposition residual {res:.3e} > 1e-12")
     _verdict(8, "synthetic decomposition self-test", failures)

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from norden import bundled_manifest_path, canonical_norden_pair, load_manifest
 from norden.cli import main
@@ -106,6 +107,45 @@ class TestToleranceResolution:
         )
         assert code == 2
         assert "NORDEN_TOLERANCE" in err
+
+
+class TestToleranceRange:
+    """A tolerance must be a finite number in (0, 1), from any source."""
+
+    BAD = ("nan", "inf", "-inf", "-1", "0", "1", "2")
+
+    @pytest.mark.parametrize("value", BAD)
+    def test_verify_flag_exit_two(self, capsys, value):
+        code, out, err = run_cli(
+            capsys,
+            "verify",
+            str(bundled_manifest_path("flat_kahler_4")),
+            f"--tolerance={value}",
+            "--format",
+            "json",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "(0, 1)" in err
+
+    @pytest.mark.parametrize("value", ("nan", "inf", "-1"))
+    def test_env_value_exit_two(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("NORDEN_TOLERANCE", value)
+        code, _, err = run_cli(
+            capsys, "verify", str(bundled_manifest_path("flat_kahler_4"))
+        )
+        assert code == 2
+        assert "NORDEN_TOLERANCE" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ("--tolerance", "--jacobi-tolerance"))
+    @pytest.mark.parametrize("value", ("nan", "inf", "-1"))
+    def test_search_exit_two(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "search", "--max-candidates", "1", f"{flag}={value}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "(0, 1)" in err
 
 
 class TestDemo:

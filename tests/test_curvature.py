@@ -8,11 +8,12 @@ import pytest
 from norden import (
     CurvatureTensor,
     compute_nabla_J,
-    compute_Q,
     connection_prime,
+    covariant_derivative,
     kahler_decomposition_dim4,
     levi_civita,
     pi_forms,
+    q_pairing,
     reconstruct_R_dim4,
     ricci_and_scalars,
     riemann,
@@ -22,6 +23,8 @@ from norden import (
 from norden.curvature import curvature_prime_from_correction
 from norden.geometry import ScalarPanel
 from norden.tensors import DenseTensor, residual, scalar_residual
+
+from test_geometry import q_of
 
 
 def loop_tau(arr, g_inv):
@@ -51,10 +54,11 @@ class TestRiemann:
         for m in list(w3_pool)[:8]:
             conn = levi_civita(m)
             nJ = compute_nabla_J(m, conn)
-            q_vec, q_cov = compute_Q(m, conn, nJ)
+            q_vec, q_cov = q_of(m, nJ)
             R = riemann(m, conn)
             R_prime = riemann(m, connection_prime(conn, q_vec))
-            R_prime2 = curvature_prime_from_correction(m, conn, R, q_vec, q_cov)
+            dQ = covariant_derivative(m, conn, q_cov)
+            R_prime2 = curvature_prime_from_correction(m, R, dQ, q_pairing(m, q_vec))
             assert residual(R_prime.t.components, R_prime2.t.components) <= 1e-9
 
     def test_skew_torsion_curvature_structure(self, w3_pool):
@@ -62,7 +66,7 @@ class TestRiemann:
         regardless of whether its first Bianchi identity does."""
         for m in list(w3_pool)[:8]:
             conn = levi_civita(m)
-            q_vec, _ = compute_Q(m, conn, compute_nabla_J(m, conn))
+            q_vec, _ = q_of(m, compute_nabla_J(m, conn))
             R_prime = riemann(m, connection_prime(conn, q_vec))
             assert R_prime.antisym_residual <= 1e-9
             assert R_prime.kahler_residual <= 1e-9
@@ -72,8 +76,8 @@ class TestRicciScalars:
     def test_zero_tensor(self, flat4):
         ct = CurvatureTensor.from_components(np.zeros((4, 4, 4, 4)), flat4.J)
         sc = ricci_and_scalars(flat4, ct)
-        assert sc.tau == sc.tau_star == sc.tau_star_alt == 0.0
-        assert sc.rho.max_abs() == sc.rho_star.max_abs() == 0.0
+        assert sc.tau == sc.tau_star == 0.0
+        assert sc.rho.max_abs() == 0.0
 
     def test_pi1_scalar_curvature_is_12(self, flat4, generic_w3_4):
         for m in (flat4, generic_w3_4):
@@ -95,20 +99,23 @@ class TestRicciScalars:
         for m in list(w3_pool)[:6]:
             R = riemann(m, levi_civita(m))
             sc = ricci_and_scalars(m, R)
-            assert scalar_residual(sc.tau_star, sc.tau_star_alt) <= 1e-9
+            g_inv = np.linalg.inv(m.metric)
+            rho_star = np.einsum("ij,iabm,mj->ab", g_inv, R.t.components, m.J)
+            tau_star_alt = float(np.einsum("ab,ab->", g_inv, rho_star))
+            assert scalar_residual(sc.tau_star, tau_star_alt) <= 1e-9
 
 
 class TestTensorP:
     def test_zero_potential(self, flat4):
         q = DenseTensor.zeros(4, 3)
-        P = tensor_P(flat4, q)
+        P = tensor_P(flat4, q_pairing(flat4, q))
         assert P.t.max_abs() == 0.0
 
     def test_curvature_like_on_class(self, w3_pool):
         for m in list(w3_pool)[:8]:
             conn = levi_civita(m)
-            q_vec, _ = compute_Q(m, conn, compute_nabla_J(m, conn))
-            P = tensor_P(m, q_vec)
+            q_vec, _ = q_of(m, compute_nabla_J(m, conn))
+            P = tensor_P(m, q_pairing(m, q_vec))
             assert P.antisym_residual <= 1e-9
             assert P.bianchi_residual <= 1e-9
 
@@ -119,9 +126,9 @@ class TestTensorP:
         for m in list(w3_pool)[:8]:
             conn = levi_civita(m)
             nJ = compute_nabla_J(m, conn)
-            q_vec, _ = compute_Q(m, conn, nJ)
+            q_vec, _ = q_of(m, nJ)
             sq, _ = square_norms(m, nJ)
-            sc = ricci_and_scalars(m, tensor_P(m, q_vec))
+            sc = ricci_and_scalars(m, tensor_P(m, q_pairing(m, q_vec)))
             assert scalar_residual(sc.tau, 9.0 / 8.0 * sq) <= 1e-9
 
 
@@ -172,9 +179,9 @@ class TestPiForms:
 class TestDim4Decomposition:
     def test_flat_zero(self, flat4):
         conn = levi_civita(flat4)
-        q_vec, _ = compute_Q(flat4, conn, compute_nabla_J(flat4, conn))
+        q_vec, _ = q_of(flat4, compute_nabla_J(flat4, conn))
         R_prime = riemann(flat4, connection_prime(conn, q_vec))
-        res = kahler_decomposition_dim4(flat4, R_prime, 0.0, 0.0)
+        res = kahler_decomposition_dim4(pi_forms(flat4), R_prime, 0.0, 0.0)
         assert res == 0.0
 
     def test_synthetic_decomposition(self, flat4):
@@ -186,32 +193,32 @@ class TestDim4Decomposition:
         sc = ricci_and_scalars(flat4, synth)
         assert sc.tau / 8.0 == pytest.approx(3.0, abs=1e-12)
         assert sc.tau_star / 8.0 == pytest.approx(5.0, abs=1e-12)
-        res = kahler_decomposition_dim4(flat4, synth, sc.tau, sc.tau_star)
+        res = kahler_decomposition_dim4(pi_forms(flat4), synth, sc.tau, sc.tau_star)
         assert res <= 1e-12
 
     def test_real_kahler_example(self, kahler_rprime_4):
         m = kahler_rprime_4
         conn = levi_civita(m)
-        q_vec, _ = compute_Q(m, conn, compute_nabla_J(m, conn))
+        q_vec, _ = q_of(m, compute_nabla_J(m, conn))
         R_prime = riemann(m, connection_prime(conn, q_vec))
         assert R_prime.is_kahler
         sc = ricci_and_scalars(m, R_prime)
-        res = kahler_decomposition_dim4(m, R_prime, sc.tau, sc.tau_star)
+        res = kahler_decomposition_dim4(pi_forms(m), R_prime, sc.tau, sc.tau_star)
         assert res <= 1e-9
 
     def test_wrong_dimension_rejected(self, two_step_6):
         R_prime = riemann(two_step_6, levi_civita(two_step_6))
         with pytest.raises(ValueError, match="dimension 4"):
-            kahler_decomposition_dim4(two_step_6, R_prime, 0.0, 0.0)
+            kahler_decomposition_dim4(pi_forms(two_step_6), R_prime, 0.0, 0.0)
 
     def test_non_kahler_refused_with_diagnostic(self, generic_w3_4):
         m = generic_w3_4
         conn = levi_civita(m)
-        q_vec, _ = compute_Q(m, conn, compute_nabla_J(m, conn))
+        q_vec, _ = q_of(m, compute_nabla_J(m, conn))
         R_prime = riemann(m, connection_prime(conn, q_vec))
         assert not R_prime.is_kahler
         with pytest.raises(ValueError, match="bianchi"):
-            kahler_decomposition_dim4(m, R_prime, 1.0, 1.0)
+            kahler_decomposition_dim4(pi_forms(m), R_prime, 1.0, 1.0)
 
 
 class TestReconstruction:
@@ -221,11 +228,11 @@ class TestReconstruction:
 
         conn = levi_civita(m)
         nJ = compute_nabla_J(m, conn)
-        q_vec, _ = compute_Q(m, conn, nJ)
+        q_vec, _ = q_of(m, nJ)
         sq, assoc = square_norms(m, nJ)
         R = riemann(m, conn)
         R_prime = riemann(m, connection_prime(conn, q_vec))
-        P = tensor_P(m, q_vec)
+        P = tensor_P(m, q_pairing(m, q_vec))
         H = tensor_H(m, nJ)
         sc = {k: ricci_and_scalars(m, v) for k, v in
               (("R", R), ("Rp", R_prime), ("P", P), ("H", H))}
@@ -245,7 +252,7 @@ class TestReconstruction:
 
     def test_flat_both_zero(self, flat4):
         panel, P, R = self._panel(flat4)
-        r32, r33 = reconstruct_R_dim4(flat4, panel, P, R)
+        r32, r33 = reconstruct_R_dim4(pi_forms(flat4), panel, P, R)
         assert r32 == 0.0
         assert r33 == 0.0
 
@@ -255,13 +262,13 @@ class TestReconstruction:
         its biconditional)."""
         panel, P, R = self._panel(kahler_rprime_4)
         assert abs(panel.sq_norm_nablaJ) > 1e-9
-        r32, r33 = reconstruct_R_dim4(kahler_rprime_4, panel, P, R)
+        r32, r33 = reconstruct_R_dim4(pi_forms(kahler_rprime_4), panel, P, R)
         assert r32 > 1e-9
 
     def test_wrong_dimension_rejected(self, two_step_6):
         panel, P, R = self._panel(two_step_6)
         with pytest.raises(ValueError, match="dimension 4"):
-            reconstruct_R_dim4(two_step_6, panel, P, R)
+            reconstruct_R_dim4(pi_forms(two_step_6), panel, P, R)
 
 
 class TestJTwistedCurvatureIdentity:

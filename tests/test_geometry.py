@@ -22,6 +22,11 @@ from norden.manifolds import torsion
 from norden.tensors import DenseTensor, residual, scalar_residual
 
 
+def q_of(m, nJ):
+    """compute_Q with the classification of the same nabla J."""
+    return compute_Q(m, nJ, classify(m, compute_F(m, nJ), nJ))
+
+
 def loop_nabla_J(gamma, J):
     dim = J.shape[0]
     out = np.zeros((dim,) * 3)
@@ -69,16 +74,16 @@ class TestFundamentalTensor:
 
 class TestClassify:
     def test_flat_is_kahler(self, flat4):
-        F = compute_F(flat4, compute_nabla_J(flat4, levi_civita(flat4)))
-        cls = classify(flat4, F)
+        nJ = compute_nabla_J(flat4, levi_civita(flat4))
+        cls = classify(flat4, compute_F(flat4, nJ), nJ)
         assert cls.label is ClassLabel.KAHLER_W0
         assert cls.f_norm == 0.0
         assert cls.w3_residual == 0.0
 
     def test_derived_example_is_quasi_kahler(self, two_step_6):
         m = two_step_6
-        F = compute_F(m, compute_nabla_J(m, levi_civita(m)))
-        cls = classify(m, F)
+        nJ = compute_nabla_J(m, levi_civita(m))
+        cls = classify(m, compute_F(m, nJ), nJ)
         assert cls.label is ClassLabel.QUASI_KAHLER_W3
         assert cls.f_norm > 1e-9
         assert cls.w3_residual <= 1e-9
@@ -88,8 +93,8 @@ class TestClassify:
     def test_membership_conditions_covanish(self, w3_pool, other_class_4, other_class_6):
         tol = 1e-9
         for m in list(w3_pool)[:8] + [other_class_4, other_class_6]:
-            F = compute_F(m, compute_nabla_J(m, levi_civita(m)))
-            cls = classify(m, F)
+            nJ = compute_nabla_J(m, levi_civita(m))
+            cls = classify(m, compute_F(m, nJ), nJ)
             statuses = {
                 cls.w3_residual <= tol,
                 cls.w3_j_residual <= tol,
@@ -99,8 +104,8 @@ class TestClassify:
 
     def test_rejection_sample_is_other(self, other_class_6):
         m = other_class_6
-        F = compute_F(m, compute_nabla_J(m, levi_civita(m)))
-        cls = classify(m, F)
+        nJ = compute_nabla_J(m, levi_civita(m))
+        cls = classify(m, compute_F(m, nJ), nJ)
         assert cls.label is ClassLabel.OTHER
         assert cls.w3_residual > 1e-9
 
@@ -119,7 +124,7 @@ class TestSquareNorms:
     def test_associated_norm_vanishes_on_class(self, w3_pool):
         for m in list(w3_pool)[:8]:
             nJ = compute_nabla_J(m, levi_civita(m))
-            _, assoc = square_norms(m, nJ, assoc_variant="inner")
+            _, assoc = square_norms(m, nJ)
             assert scalar_residual(assoc, 0.0) <= 1e-9
 
     def test_trace_consistency_of_adopted_definition(self, two_step_6, generic_w3_4):
@@ -132,30 +137,18 @@ class TestSquareNorms:
             conn = levi_civita(m)
             nJ = compute_nabla_J(m, conn)
             sq, assoc = square_norms(m, nJ)
-            q_vec, _ = compute_Q(m, conn, nJ)
-            from norden import ricci_and_scalars
+            q_vec, _ = q_of(m, nJ)
+            from norden import q_pairing, ricci_and_scalars
 
-            tau_P = ricci_and_scalars(m, tensor_P(m, q_vec)).tau
+            tau_P = ricci_and_scalars(m, tensor_P(m, q_pairing(m, q_vec))).tau
             assert scalar_residual(tau_P, 3.0 / 8.0 * (3.0 * sq + 2.0 * assoc)) <= 1e-9
             assert scalar_residual(tau_P, 3.0 / 8.0 * (3.0 * sq + assoc)) <= 1e-9
-
-    def test_outer_variant_is_computable(self, generic_w3_4):
-        nJ = compute_nabla_J(generic_w3_4, levi_civita(generic_w3_4))
-        sq_o, assoc_o = square_norms(generic_w3_4, nJ, assoc_variant="outer")
-        assert np.isfinite(assoc_o)
-        sq_i, _ = square_norms(generic_w3_4, nJ, assoc_variant="inner")
-        assert sq_o == sq_i
-
-    def test_unknown_variant_rejected(self, flat4):
-        nJ = compute_nabla_J(flat4, levi_civita(flat4))
-        with pytest.raises(ValueError):
-            square_norms(flat4, nJ, assoc_variant="sideways")
 
 
 class TestTorsionPotential:
     def test_flat_zero(self, flat4):
         conn = levi_civita(flat4)
-        q_vec, q_cov = compute_Q(flat4, conn, compute_nabla_J(flat4, conn))
+        q_vec, q_cov = q_of(flat4, compute_nabla_J(flat4, conn))
         assert q_vec.max_abs() == 0.0
         assert q_cov.max_abs() == 0.0
 
@@ -163,14 +156,14 @@ class TestTorsionPotential:
         for m in list(w3_pool)[:8]:
             conn = levi_civita(m)
             nJ = compute_nabla_J(m, conn)
-            _, q_cov = compute_Q(m, conn, nJ)
+            _, q_cov = q_of(m, nJ)
             alt = q_from_cyclic_F(m, compute_F(m, nJ))
             assert residual(q_cov.components, alt.components) <= 1e-9
 
     def test_total_skewness_and_trace(self, w3_pool):
         for m in list(w3_pool)[:8]:
             conn = levi_civita(m)
-            q_vec, q_cov = compute_Q(m, conn, compute_nabla_J(m, conn))
+            q_vec, q_cov = q_of(m, compute_nabla_J(m, conn))
             qc = q_cov.components
             assert residual(qc, -qc.transpose(1, 0, 2)) <= 1e-9
             assert residual(qc, -qc.transpose(0, 2, 1)) <= 1e-9
@@ -196,15 +189,15 @@ class TestTorsionPotential:
         assert skew > 1e-9
 
     def test_refuses_other_class(self, other_class_6):
-        conn = levi_civita(other_class_6)
-        nJ = compute_nabla_J(other_class_6, conn)
+        nJ = compute_nabla_J(other_class_6, levi_civita(other_class_6))
+        cls = classify(other_class_6, compute_F(other_class_6, nJ), nJ)
         with pytest.raises(InapplicableClassError):
-            compute_Q(other_class_6, conn, nJ)
+            compute_Q(other_class_6, nJ, cls)
 
     def test_lower_raise_roundtrip(self, generic_w3_4):
         m = generic_w3_4
         conn = levi_civita(m)
-        q_vec, q_cov = compute_Q(m, conn, compute_nabla_J(m, conn))
+        q_vec, q_cov = q_of(m, compute_nabla_J(m, conn))
         g_inv = np.linalg.inv(m.metric)
         raised = np.einsum("km,ijm->kij", g_inv, q_cov.components)
         assert residual(raised, q_vec.components) <= 1e-12
@@ -213,14 +206,14 @@ class TestTorsionPotential:
 class TestConnectionPrime:
     def test_flat_unchanged(self, flat4):
         conn = levi_civita(flat4)
-        q_vec, _ = compute_Q(flat4, conn, compute_nabla_J(flat4, conn))
+        q_vec, _ = q_of(flat4, compute_nabla_J(flat4, conn))
         conn_p = connection_prime(conn, q_vec)
         assert np.max(np.abs(conn_p.gamma)) == 0.0
 
     def test_naturality(self, w3_pool):
         for m in list(w3_pool)[:8]:
             conn = levi_civita(m)
-            q_vec, _ = compute_Q(m, conn, compute_nabla_J(m, conn))
+            q_vec, _ = q_of(m, compute_nabla_J(m, conn))
             conn_p = connection_prime(conn, q_vec)
             dg = covariant_derivative(m, conn_p, DenseTensor.from_array(m.metric))
             assert dg.max_abs() <= 1e-9
@@ -230,7 +223,7 @@ class TestConnectionPrime:
     def test_torsion_is_twice_potential(self, w3_pool):
         for m in list(w3_pool)[:8]:
             conn = levi_civita(m)
-            q_vec, _ = compute_Q(m, conn, compute_nabla_J(m, conn))
+            q_vec, _ = q_of(m, compute_nabla_J(m, conn))
             conn_p = connection_prime(conn, q_vec)
             T = torsion(m, conn_p)
             assert residual(T.components, 2.0 * q_vec.components) <= 1e-10

@@ -13,8 +13,17 @@ from norden import (
     levi_civita,
     validate_manifold,
 )
-from norden.manifolds import connection_checks
 from norden.tensors import residual
+
+
+def connection_checks(m, conn):
+    """Residuals of metric compatibility and torsion-freeness for `conn`."""
+    C, g, gamma = m.structure_constants, m.metric, conn.gamma
+    low = np.einsum("kij,km->ijm", gamma, g)  # g(nabla_i e_j, e_m) indexed [i][j][m]
+    return {
+        "metric_compatibility": residual(low, -low.transpose(0, 2, 1)),
+        "torsion_freeness": residual(gamma - gamma.transpose(0, 2, 1), C),
+    }
 
 
 def loop_covariant_derivative(gamma, arr):

@@ -22,6 +22,12 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="max_candidates"):
             SearchConfig(dim=4, seed=1, max_candidates=0)
 
+    @pytest.mark.parametrize("field", ("tolerance", "jacobi_tolerance"))
+    @pytest.mark.parametrize("value", (float("nan"), float("inf"), -1.0, 0.0, 1.0))
+    def test_tolerance_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(dim=4, seed=1, **{field: value})
+
     def test_odd_dim_rejected(self):
         with pytest.raises(ValueError, match="dim"):
             SearchConfig(dim=5, seed=1, max_candidates=10)
@@ -44,7 +50,8 @@ class TestSearch:
         for manifest in hits:
             m = manifest.to_manifold()
             assert validate_manifold(m).ok
-            cls = classify(m, compute_F(m, compute_nabla_J(m, levi_civita(m))))
+            nJ = compute_nabla_J(m, levi_civita(m))
+            cls = classify(m, compute_F(m, nJ), nJ)
             assert cls.label is ClassLabel.QUASI_KAHLER_W3
             assert cls.f_norm > 1e-9
             assert np.max(np.abs(m.structure_constants)) == pytest.approx(1.0)

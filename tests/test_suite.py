@@ -107,6 +107,11 @@ class TestRunSuite:
         assert not err.value.outcome.ok
         assert any("Norden" in v.name for v in err.value.outcome.violations)
 
+    @pytest.mark.parametrize("tolerance", (float("nan"), float("inf"), -1.0, 0.0, 1.0))
+    def test_tolerance_out_of_range_rejected(self, flat4, tolerance):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            run_suite(flat4, tolerance=tolerance)
+
     def test_gating_soundness(self, w3_pool, other_class_6):
         """No check ever reports PASS or FAIL when its gate is unmet."""
         for m in list(w3_pool)[:10] + [other_class_6]:

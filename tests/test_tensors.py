@@ -7,7 +7,6 @@ import pytest
 
 from norden.tensors import (
     DenseTensor,
-    MetricPair,
     contract,
     cyclic_sum3,
     residual,
@@ -217,22 +216,3 @@ class TestDenseTensor:
     def test_non_hypercubic_rejected(self):
         with pytest.raises(ValueError):
             DenseTensor.from_array(np.zeros((2, 3)))
-
-
-class TestMetricPair:
-    def test_canonical_pair(self):
-        g = np.diag([1.0, 1.0, -1.0, -1.0])
-        J = np.zeros((4, 4))
-        J[2, 0] = J[3, 1] = 1.0
-        J[0, 2] = J[1, 3] = -1.0
-        pair = MetricPair.from_metric(g, J)
-        assert residual(pair.g @ pair.g_inv, np.eye(4)) <= 1e-12
-        assert residual(pair.g_tilde, pair.g_tilde.T) <= 1e-12
-        assert residual(pair.g_tilde, g @ J) == 0.0
-
-    def test_wrong_signature_rejected(self):
-        J = np.zeros((4, 4))
-        J[2, 0] = J[3, 1] = 1.0
-        J[0, 2] = J[1, 3] = -1.0
-        with pytest.raises(ValueError):
-            MetricPair.from_metric(np.eye(4), J)
