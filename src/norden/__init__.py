@@ -5,9 +5,11 @@ curvatures, and certifies the identity catalog numerically on left-invariant
 Lie-group models."""
 
 from .curvature import (
-    CurvatureTensor,
     RicciScalars,
+    antisym_residual,
+    bianchi_residual,
     kahler_decomposition_dim4,
+    kahler_residual,
     pi_forms,
     q_pairing,
     reconstruct_R_dim4,
@@ -25,7 +27,6 @@ from .geometry import (
     compute_F,
     compute_nabla_J,
     compute_Q,
-    connection_prime,
     square_norms,
 )
 from .manifests import (
@@ -39,7 +40,6 @@ from .manifests import (
     save_manifest,
 )
 from .manifolds import (
-    ConnectionCoeffs,
     InvalidManifoldError,
     LieFrameManifold,
     ValidationOutcome,
@@ -61,7 +61,6 @@ from .suite import (
 )
 from .tensors import (
     DEFAULT_TOLERANCE,
-    DenseTensor,
     contract,
     cyclic_sum3,
     residual,

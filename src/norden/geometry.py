@@ -1,5 +1,6 @@
 """Norden-specific tensors: nabla J, the fundamental tensor F, class membership,
-square norms of nabla J, the torsion potential Q and the skew-torsion connection.
+square norms of nabla J and the torsion potential Q of the skew-torsion
+connection nabla' = nabla + Q (coefficients gamma + Q).
 
 Conventions: nabla J is stored mixed, (nabla_{e_i} J)e_j = (nablaJ)[k][i][j] e_k.
 F and the covariant form of Q are fully covariant rank-3 tensors.
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .manifolds import ConnectionCoeffs, LieFrameManifold
-from .tensors import DEFAULT_TOLERANCE, DenseTensor, cyclic_sum3, lower, zero_residual
+from .manifolds import LieFrameManifold
+from .tensors import DEFAULT_TOLERANCE, cyclic_sum3, lower, zero_residual
 
 
 class ClassLabel(enum.Enum):
@@ -72,8 +73,8 @@ class ScalarPanel:
     )
 
 
-def nabla_J_array(gamma: NDArray, J: NDArray) -> NDArray:
-    """(nabla_{e_i} J)e_j of the connection gamma, index order [k][i][j]."""
+def compute_nabla_J(gamma: NDArray, J: NDArray) -> NDArray:
+    """(nabla_{e_i} J)e_j of the frame connection gamma, index order [k][i][j]."""
     return np.einsum("kim,mj->kij", gamma, J) - np.einsum("km,mij->kij", J, gamma)
 
 
@@ -88,37 +89,32 @@ def q_array(nJ: NDArray, J: NDArray) -> NDArray:
     return 0.25 * (a - b - 2.0 * a.transpose(0, 2, 1))
 
 
-def compute_nabla_J(m: LieFrameManifold, conn: ConnectionCoeffs) -> DenseTensor:
-    """(nabla_{e_i} J)e_j in frame components, index order [k][i][j]."""
-    return DenseTensor(dim=m.dim, rank=3, components=nabla_J_array(conn.gamma, m.J))
-
-
-def compute_F(m: LieFrameManifold, nabla_J: DenseTensor) -> DenseTensor:
+def compute_F(m: LieFrameManifold, nabla_J: NDArray) -> NDArray:
     """Fundamental tensor F(x,y,z) = g((nabla_x J)y, z), fully covariant."""
-    return DenseTensor(dim=m.dim, rank=3, components=lower(nabla_J.components, m.metric))
+    return lower(nabla_J, m.metric)
 
 
 def w3_membership_residuals(
-    m: LieFrameManifold, F: DenseTensor, nabla_J: DenseTensor
+    m: LieFrameManifold, F: NDArray, nabla_J: NDArray
 ) -> tuple[float, float, float]:
     """Residuals of the three equivalent quasi-Kahler membership conditions."""
     J = m.J
-    r_14 = zero_residual(cyclic_sum3(F.components))
-    FJ = np.einsum("ai,ajk->ijk", J, F.components)
+    r_14 = zero_residual(cyclic_sum3(F))
+    FJ = np.einsum("ai,ajk->ijk", J, F)
     r_113 = zero_residual(cyclic_sum3(FJ))
-    a, b = twist_arrays(nabla_J.components, J)
+    a, b = twist_arrays(nabla_J, J)
     r_114 = zero_residual(a + a.transpose(0, 2, 1) + b + b.transpose(0, 2, 1))
     return r_14, r_113, r_114
 
 
 def classify(
     m: LieFrameManifold,
-    F: DenseTensor,
-    nabla_J: DenseTensor,
+    F: NDArray,
+    nabla_J: NDArray,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> Classification:
     """Kahler / quasi-Kahler / other decision from the fundamental tensor."""
-    f_norm = F.max_abs()
+    f_norm = float(np.max(np.abs(F)))
     r_14, r_113, r_114 = w3_membership_residuals(m, F, nabla_J)
     if f_norm <= tolerance:
         label = ClassLabel.KAHLER_W0
@@ -135,34 +131,32 @@ def classify(
     )
 
 
-def square_norms(m: LieFrameManifold, nabla_J: DenseTensor) -> tuple[float, float]:
+def square_norms(m: LieFrameManifold, nabla_J: NDArray) -> tuple[float, float]:
     """Square norm of nabla J and its associated variant.
 
     sq_norm = g^{ij} g^{ks} g((nabla_{e_i} J)e_k, (nabla_{e_j} J)e_s); the
     associated variant replaces the innermost pairing g by the associated
     metric g~(x,y) = g(x,Jy).
     """
-    g, g_inv = m.metric, m.metric_inv
-    nJ = nabla_J.components
+    g, g_inv, nJ = m.metric, m.metric_inv, nabla_J
     sq = float(np.einsum("ij,ks,aik,bjs,ab->", g_inv, g_inv, nJ, nJ, g))
     assoc = float(np.einsum("ij,ks,aik,bjs,ab->", g_inv, g_inv, nJ, nJ, g @ m.J))
     return sq, assoc
 
 
-def sq_norm_cross_form(m: LieFrameManifold, nabla_J: DenseTensor) -> float:
+def sq_norm_cross_form(m: LieFrameManifold, nabla_J: NDArray) -> float:
     """The cross-contracted form -2 g^{ij} g^{ks} g((nabla_i J)e_k, (nabla_s J)e_j).
 
     Equals the square norm of nabla J on quasi-Kahler manifolds; used as an
     independent route for the square-norm identity check.
     """
-    g, g_inv = m.metric, m.metric_inv
-    nJ = nabla_J.components
+    g, g_inv, nJ = m.metric, m.metric_inv, nabla_J
     return float(-2.0 * np.einsum("ij,ks,aik,bsj,ab->", g_inv, g_inv, nJ, nJ, g))
 
 
 def compute_Q(
-    m: LieFrameManifold, nabla_J: DenseTensor, classification: Classification
-) -> tuple[DenseTensor, DenseTensor]:
+    m: LieFrameManifold, nabla_J: NDArray, classification: Classification
+) -> tuple[NDArray, NDArray]:
     """Torsion potential of the skew-torsion connection, vector and covariant:
     Q(x,y) as in `q_array`, and Q(y,z,w) = g(Q(y,z), w).
 
@@ -176,26 +170,14 @@ def compute_Q(
             f"got {classification.label.value} "
             f"(cyclic-F residual {classification.w3_residual:.3e})"
         )
-    q_vec = q_array(nabla_J.components, m.J)
-    return (
-        DenseTensor(dim=m.dim, rank=3, components=q_vec),
-        DenseTensor(dim=m.dim, rank=3, components=lower(q_vec, m.metric)),
-    )
+    q_vec = q_array(nabla_J, m.J)
+    return q_vec, lower(q_vec, m.metric)
 
 
 class InapplicableClassError(ValueError):
     """Operation undefined for the manifold's class."""
 
 
-def q_from_cyclic_F(m: LieFrameManifold, F: DenseTensor) -> DenseTensor:
+def q_from_cyclic_F(m: LieFrameManifold, F: NDArray) -> NDArray:
     """Covariant Q by the independent route -1/4 cyclic-sum of F(y,z,Jw)."""
-    FJ = np.einsum("ija,ak->ijk", F.components, m.J)
-    out = -0.25 * cyclic_sum3(FJ)
-    return DenseTensor(dim=m.dim, rank=3, components=out)
-
-
-def connection_prime(conn: ConnectionCoeffs, q_vec: DenseTensor) -> ConnectionCoeffs:
-    """The natural connection nabla'_x y = nabla_x y + Q(x,y)."""
-    if conn.dim != q_vec.dim:
-        raise ValueError("connection and torsion potential dimensions differ")
-    return ConnectionCoeffs(gamma=conn.gamma + q_vec.components)
+    return -0.25 * cyclic_sum3(np.einsum("ija,ak->ijk", F, m.J))

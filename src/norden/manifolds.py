@@ -15,10 +15,16 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .tensors import DenseTensor, _as_readonly, lower, residual
+from .tensors import lower, residual
 
 JACOBI_TOLERANCE = 1e-10
 MATRIX_TOLERANCE = 1e-12
+
+
+def _as_readonly(arr: NDArray) -> NDArray:
+    out = np.array(arr, dtype=float, copy=True, order="C")
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -59,25 +65,6 @@ class LieFrameManifold:
             raise np.linalg.LinAlgError(f"metric is singular: {exc}") from exc
         g_inv.setflags(write=False)
         return g_inv
-
-
-@dataclass(frozen=True)
-class ConnectionCoeffs:
-    """Frame connection coefficients: nabla_{e_i} e_j = gamma[k][i][j] e_k."""
-
-    gamma: NDArray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        gamma = np.asarray(self.gamma, dtype=float)
-        if gamma.ndim != 3 or len(set(gamma.shape)) != 1:
-            raise ValueError(f"gamma must be (d,d,d), got shape {gamma.shape}")
-        if not np.all(np.isfinite(gamma)):
-            raise ValueError("gamma contains non-finite entries")
-        object.__setattr__(self, "gamma", _as_readonly(gamma))
-
-    @property
-    def dim(self) -> int:
-        return self.gamma.shape[0]
 
 
 @dataclass(frozen=True)
@@ -138,30 +125,31 @@ def validate_manifold(
     """Check every geometric invariant, reporting all violations with residuals.
 
     Shape errors are raised by the LieFrameManifold constructor; this function
-    only judges the geometry of well-shaped data.
+    only judges the geometry of well-shaped data.  A residual that is not
+    finite (an overflow in the Jacobi sum, say) is a violation.
     """
     C, g, J = m.structure_constants, m.metric, m.J
     d = m.dim
     violations: list[Violation] = []
 
     r = residual(C, -C.transpose(0, 2, 1))
-    if r > matrix_tolerance:
+    if not r <= matrix_tolerance:
         violations.append(Violation("bracket antisymmetry C[k][i][j]=-C[k][j][i]", r))
 
     r = jacobi_residual(C)
-    if r > jacobi_tolerance:
+    if not r <= jacobi_tolerance:
         violations.append(Violation("Jacobi identity", r))
 
     r = residual(J @ J, -np.eye(d))
-    if r > matrix_tolerance:
+    if not r <= matrix_tolerance:
         violations.append(Violation("almost complex structure J^2=-I", r))
 
     r = residual(J.T @ g @ J, -g)
-    if r > matrix_tolerance:
+    if not r <= matrix_tolerance:
         violations.append(Violation("Norden compatibility J^T g J = -g", r))
 
     r = residual(g, g.T)
-    if r > matrix_tolerance:
+    if not r <= matrix_tolerance:
         violations.append(Violation("metric symmetry", r))
 
     eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
@@ -183,8 +171,9 @@ def validate_manifold(
     return ValidationOutcome(ok=not violations, violations=tuple(violations))
 
 
-def koszul_array(C: NDArray, g: NDArray, g_inv: NDArray) -> NDArray:
-    """Levi-Civita coefficients gamma[k][i][j] of a constant-component metric.
+def levi_civita(C: NDArray, g: NDArray, g_inv: NDArray) -> NDArray:
+    """Levi-Civita coefficients gamma[k][i][j] of a constant-component metric,
+    nabla_{e_i} e_j = gamma[k][i][j] e_k.
 
     The Koszul formula collapses to
     2 g(nabla_{e_i} e_j, e_k) = g([e_i,e_j],e_k) + g([e_k,e_i],e_j) + g([e_k,e_j],e_i).
@@ -194,39 +183,29 @@ def koszul_array(C: NDArray, g: NDArray, g_inv: NDArray) -> NDArray:
     return np.einsum("km,ijm->kij", g_inv, low)
 
 
-def levi_civita(m: LieFrameManifold) -> ConnectionCoeffs:
-    """Levi-Civita connection of a left-invariant metric."""
-    return ConnectionCoeffs(
-        gamma=koszul_array(m.structure_constants, m.metric, m.metric_inv)
-    )
-
-
-def covariant_derivative(
-    m: LieFrameManifold, conn: ConnectionCoeffs, t: DenseTensor
-) -> DenseTensor:
-    """Covariant derivative of an all-covariant left-invariant tensor.
+def covariant_derivative(m: LieFrameManifold, gamma: NDArray, t: NDArray) -> NDArray:
+    """Covariant derivative of an all-covariant left-invariant tensor along
+    the frame connection gamma.
 
     Component functions are constant in the frame, so only connection terms
     survive: (nabla t)[i][a_1..a_r] = -sum_s gamma[m][i][a_s] t[a_1..m..a_r].
     The derivative direction is slot 0 of the result.
     """
-    if t.rank == 0:
-        return DenseTensor.zeros(m.dim, 1)
-    if t.dim != m.dim:
-        raise ValueError(f"tensor dim {t.dim} != manifold dim {m.dim}")
-    if t.rank > 8:
+    rank = t.ndim
+    if rank == 0:
+        return np.zeros(m.dim)
+    if t.shape != (m.dim,) * rank:
+        raise ValueError(f"tensor shape {t.shape} does not match manifold dim {m.dim}")
+    if rank > 8:
         raise ValueError("covariant_derivative supports rank <= 8")
-    gamma = conn.gamma
-    letters = "abcdefgh"[: t.rank]
-    out = np.zeros((m.dim,) * (t.rank + 1))
-    for s in range(t.rank):
+    letters = "abcdefgh"[:rank]
+    out = np.zeros((m.dim,) * (rank + 1))
+    for s in range(rank):
         t_letters = letters[:s] + "m" + letters[s + 1 :]
-        out -= np.einsum(f"mi{letters[s]},{t_letters}->i{letters}", gamma, t.components)
-    return DenseTensor(dim=m.dim, rank=t.rank + 1, components=out)
+        out -= np.einsum(f"mi{letters[s]},{t_letters}->i{letters}", gamma, t)
+    return out
 
 
-def torsion(m: LieFrameManifold, conn: ConnectionCoeffs) -> DenseTensor:
-    """Torsion T[k][i][j] of a connection: gamma[k][i][j]-gamma[k][j][i]-C[k][i][j]."""
-    gamma = conn.gamma
-    T = gamma - gamma.transpose(0, 2, 1) - m.structure_constants
-    return DenseTensor(dim=m.dim, rank=3, components=T)
+def torsion(m: LieFrameManifold, gamma: NDArray) -> NDArray:
+    """Torsion T[k][i][j] of a frame connection: gamma[k][i][j]-gamma[k][j][i]-C[k][i][j]."""
+    return gamma - gamma.transpose(0, 2, 1) - m.structure_constants

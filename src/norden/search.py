@@ -28,21 +28,13 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .curvature import curvature_array
-from .geometry import (
-    ClassLabel,
-    classify,
-    compute_F,
-    compute_nabla_J,
-    nabla_J_array,
-    q_array,
-)
+from .curvature import riemann
+from .geometry import ClassLabel, classify, compute_F, compute_nabla_J, q_array
 from .manifests import ManifoldManifest
 from .manifolds import (
     LieFrameManifold,
     canonical_norden_pair,
     jacobi_array,
-    koszul_array,
     levi_civita,
     validate_manifold,
 )
@@ -117,7 +109,7 @@ def _w3_rows(dim: int, basis: NDArray) -> NDArray:
     rows = []
     for t in range(basis.shape[1]):
         C = basis[:, t].reshape(dim, dim, dim)
-        F = lower(nabla_J_array(koszul_array(C, g, g_inv), J), g)
+        F = lower(compute_nabla_J(levi_civita(C, g, g_inv), J), g)
         rows.append(cyclic_sum3(F).ravel())
     return np.array(rows).T
 
@@ -175,13 +167,13 @@ def _r_prime_bianchi(
 ) -> NDArray:
     """First Bianchi cyclic sum of the skew-torsion curvature, from the
     Levi-Civita coefficients gamma and their nabla J."""
-    return cyclic_sum3(curvature_array(gamma + q_array(nJ, J), C, g))
+    return cyclic_sum3(riemann(gamma + q_array(nJ, J), C, g))
 
 
 def _bianchi_prime_map(C: NDArray, g: NDArray, g_inv: NDArray, J: NDArray) -> NDArray:
     """The R' Bianchi sum as a map of C; homogeneous quadratic."""
-    gamma = koszul_array(C, g, g_inv)
-    return _r_prime_bianchi(C, g, J, gamma, nabla_J_array(gamma, J)).ravel()
+    gamma = levi_civita(C, g, g_inv)
+    return _r_prime_bianchi(C, g, J, gamma, compute_nabla_J(gamma, J)).ravel()
 
 
 def _gauss_newton_candidate(
@@ -277,14 +269,14 @@ def _accept(
     if not validate_manifold(m, jacobi_tolerance=cfg.jacobi_tolerance).ok:
         stats.rejected_jacobi += 1
         return None
-    conn = levi_civita(m)
-    nabla_J = compute_nabla_J(m, conn)
+    gamma = levi_civita(C, g, m.metric_inv)
+    nabla_J = compute_nabla_J(gamma, J)
     cls = classify(m, compute_F(m, nabla_J), nabla_J, cfg.tolerance)
     if cls.label is not ClassLabel.QUASI_KAHLER_W3:
         stats.rejected_class += 1
         return None
     if cfg.target is SearchTarget.W3_RPRIME_KAHLER:
-        bianchi = _r_prime_bianchi(C, g, J, conn.gamma, nabla_J.components)
+        bianchi = _r_prime_bianchi(C, g, J, gamma, nabla_J)
         if zero_residual(bianchi) > cfg.tolerance:
             stats.rejected_class += 1
             return None

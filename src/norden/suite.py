@@ -11,13 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import NDArray
 
 from . import curvature as curv
 from . import geometry as geo
 from .manifolds import (
-    ConnectionCoeffs,
     InvalidManifoldError,
     LieFrameManifold,
+    ValidationOutcome,
+    Violation,
     covariant_derivative,
     levi_civita,
     torsion,
@@ -25,7 +27,6 @@ from .manifolds import (
 )
 from .tensors import (
     DEFAULT_TOLERANCE,
-    DenseTensor,
     check_tolerance,
     cyclic_sum3,
     residual,
@@ -83,11 +84,11 @@ class GeometryContext:
 
     m: LieFrameManifold
     tolerance: float
-    conn: ConnectionCoeffs
-    nabla_J: DenseTensor
-    F: DenseTensor
+    gamma: NDArray
+    nabla_J: NDArray
+    F: NDArray
     classification: geo.Classification
-    R: curv.CurvatureTensor
+    R: NDArray
     values: dict[str, float] = field(default_factory=dict)
     panel: geo.ScalarPanel | None = None
     r_prime_kahler: bool = False
@@ -98,19 +99,16 @@ class GeometryContext:
 
 
 def _class_independent_values(ctx: GeometryContext) -> None:
-    m, F = ctx.m, ctx.F
+    m, F, Rc = ctx.m, ctx.F, ctx.R
     J = m.J
     v = ctx.values
-    Fc = F.components
-    v["EQ_1_3_A"] = residual(Fc, Fc.transpose(0, 2, 1))
-    v["EQ_1_3_B"] = residual(Fc, np.einsum("iab,aj,bk->ijk", Fc, J, J))
+    v["EQ_1_3_A"] = residual(F, F.transpose(0, 2, 1))
+    v["EQ_1_3_B"] = residual(F, np.einsum("iab,aj,bk->ijk", F, J, J))
 
-    R = ctx.R
-    v["R_CURVATURE_LIKE"] = max(R.antisym_residual, R.bianchi_residual)
-    Rc = R.t.components
+    v["R_CURVATURE_LIKE"] = max(curv.antisym_residual(Rc), curv.bianchi_residual(Rc))
     v["R_PAIR_SYMMETRY"] = residual(Rc, Rc.transpose(2, 3, 0, 1))
 
-    dF = covariant_derivative(m, ctx.conn, F).components
+    dF = covariant_derivative(m, ctx.gamma, F)
     lhs = dF - dF.transpose(1, 0, 2, 3)
     rhs = np.einsum("ijal,ak->ijkl", Rc, J) - np.einsum("ijka,al->ijkl", Rc, J)
     v["EQ_1_5"] = residual(lhs, rhs)
@@ -122,13 +120,10 @@ def _class_independent_values(ctx: GeometryContext) -> None:
 
 
 def _class_dependent_values(ctx: GeometryContext) -> None:
-    m, F, nJ = ctx.m, ctx.F, ctx.nabla_J
+    m, F, nJ, Rc = ctx.m, ctx.F, ctx.nabla_J, ctx.R
     J, g, g_inv = m.J, m.metric, m.metric_inv
     tol = ctx.tolerance
     v = ctx.values
-    R = ctx.R
-    Rc = R.t.components
-    nJc = nJ.components
 
     sq, assoc = geo.square_norms(m, nJ)
     v["EQ_1_7"] = scalar_residual(sq, geo.sq_norm_cross_form(m, nJ))
@@ -142,62 +137,55 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
         + np.einsum("ai,dl,ajkd->ijkl", J, J, Rc)
         - np.einsum("ai,ck,ajcl->ijkl", J, J, Rc)
     )
-    sym = nJc + nJc.transpose(0, 2, 1)
+    sym = nJ + nJ.transpose(0, 2, 1)
     G = np.einsum("aij,bkl,ab->ijkl", sym, sym, g)
     v["EQ_1_15"] = residual(cyclic_sum3(S), cyclic_sum3(G))
 
-    q_vec, q_cov = geo.compute_Q(m, nJ, ctx.classification)
-    v["EQ_1_19"] = residual(q_cov.components, geo.q_from_cyclic_F(m, F).components)
-    qc = q_cov.components
+    q_vec, qc = geo.compute_Q(m, nJ, ctx.classification)
+    v["EQ_1_19"] = residual(qc, geo.q_from_cyclic_F(m, F))
     v["Q_SKEW"] = max(
         residual(qc, -qc.transpose(1, 0, 2)), residual(qc, -qc.transpose(0, 2, 1))
     )
-    v["Q_TRACE"] = zero_residual(np.einsum("ij,kij->k", g_inv, q_vec.components))
-    v["F_TRACE_A"] = zero_residual(np.einsum("ij,ijz->z", g_inv, F.components))
-    v["F_TRACE_B"] = zero_residual(np.einsum("ij,aj,iaz->z", g_inv, J, F.components))
+    v["Q_TRACE"] = zero_residual(np.einsum("ij,kij->k", g_inv, q_vec))
+    v["F_TRACE_A"] = zero_residual(np.einsum("ij,ijz->z", g_inv, F))
+    v["F_TRACE_B"] = zero_residual(np.einsum("ij,aj,iaz->z", g_inv, J, F))
 
-    conn_p = geo.connection_prime(ctx.conn, q_vec)
-    v["NATURAL_G"] = zero_residual(
-        covariant_derivative(m, conn_p, DenseTensor.from_array(g)).components
-    )
-    v["NATURAL_J"] = zero_residual(geo.compute_nabla_J(m, conn_p).components)
-    v["TORSION_2Q"] = residual(
-        torsion(m, conn_p).components, 2.0 * q_vec.components
-    )
+    gamma_p = ctx.gamma + q_vec  # the natural connection nabla' = nabla + Q
+    v["NATURAL_G"] = zero_residual(covariant_derivative(m, gamma_p, g))
+    v["NATURAL_J"] = zero_residual(geo.compute_nabla_J(gamma_p, J))
+    v["TORSION_2Q"] = residual(torsion(m, gamma_p), 2.0 * q_vec)
 
     # nabla Q and g(Q(x,y),Q(z,w)), shared by R' (correction route), P and
     # EQ_2_6/EQ_2_7
-    dQ = covariant_derivative(m, ctx.conn, q_cov)
+    dQ = covariant_derivative(m, ctx.gamma, qc)
     qq = curv.q_pairing(m, q_vec)
-    R_prime = curv.riemann(m, conn_p, tol)
-    R_prime_2 = curv.curvature_prime_from_correction(m, R, dQ, qq, tol)
-    v["EQ_2_3"] = residual(R_prime.t.components, R_prime_2.t.components)
-    v["R_PRIME_1_10"] = R_prime.antisym_residual
-    v["R_PRIME_1_12"] = R_prime.kahler_residual
-    v["BIANCHI_R_PRIME"] = R_prime.bianchi_residual
-    ctx.r_prime_kahler = R_prime.is_kahler
+    Rpc = curv.riemann(gamma_p, m.structure_constants, g)
+    v["EQ_2_3"] = residual(Rpc, curv.curvature_prime_from_correction(Rc, dQ, qq))
+    v["R_PRIME_1_10"] = curv.antisym_residual(Rpc)
+    v["R_PRIME_1_12"] = curv.kahler_residual(Rpc, J)
+    v["BIANCHI_R_PRIME"] = curv.bianchi_residual(Rpc)
+    ctx.r_prime_kahler = (
+        max(v["R_PRIME_1_10"], v["BIANCHI_R_PRIME"], v["R_PRIME_1_12"]) <= tol
+    )
 
-    P = curv.tensor_P(m, qq, tol)
-    Rpc = R_prime.t.components
-    v["EQ_2_8"] = residual(3.0 * Rpc, 3.0 * Rc + P.t.components)
+    P = curv.tensor_P(qq)
+    v["EQ_2_8"] = residual(3.0 * Rpc, 3.0 * Rc + P)
 
-    H = curv.tensor_H(m, nJ, tol)
-    v["EQ_2_14"] = H.bianchi_residual
-    v["H_1_10"] = H.antisym_residual
-    v["H_1_12"] = H.kahler_residual
-    v["P_CURVATURE_LIKE"] = max(P.antisym_residual, P.bianchi_residual)
+    H = curv.tensor_H(m, nJ)
+    v["EQ_2_14"] = curv.bianchi_residual(H)
+    v["H_1_10"] = curv.antisym_residual(H)
+    v["H_1_12"] = curv.kahler_residual(H, J)
+    v["P_CURVATURE_LIKE"] = max(curv.antisym_residual(P), curv.bianchi_residual(P))
 
-    v["EQ_2_6"] = residual(Rpc, Rc - dQ.components.transpose(2, 0, 1, 3) + qq)
+    v["EQ_2_6"] = residual(Rpc, Rc - dQ.transpose(2, 0, 1, 3) + qq)
     v["EQ_2_7"] = residual(
         Rpc + Rpc.transpose(2, 1, 0, 3),
         Rc + Rc.transpose(2, 1, 0, 3) + qq + qq.transpose(2, 1, 0, 3),
     )
-    v["TORSION_PARALLEL"] = zero_residual(
-        covariant_derivative(m, conn_p, q_cov).components
-    )
+    v["TORSION_PARALLEL"] = zero_residual(covariant_derivative(m, gamma_p, qc))
 
-    sc_R = curv.ricci_and_scalars(m, R)
-    sc_Rp = curv.ricci_and_scalars(m, R_prime)
+    sc_R = curv.ricci_and_scalars(m, Rc)
+    sc_Rp = curv.ricci_and_scalars(m, Rpc)
     sc_P = curv.ricci_and_scalars(m, P)
     sc_H = curv.ricci_and_scalars(m, H)
     panel = geo.ScalarPanel(
@@ -218,9 +206,8 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     v["EQ_3_2"] = scalar_residual(
         3.0 * panel.tau_prime_star, 3.0 * panel.tau_star + panel.tau_star_P
     )
-    qv = q_vec.components
     trace_qq = float(
-        3.0 * np.einsum("ij,ks,mik,nsj,mn->", g_inv, g_inv, qv, qv, g)
+        3.0 * np.einsum("ij,ks,mik,nsj,mn->", g_inv, g_inv, q_vec, q_vec, g)
     )
     v["EQ_3_3"] = scalar_residual(panel.tau_P, trace_qq)
     v["EQ_3_4"] = scalar_residual(panel.tau_P, 9.0 / 8.0 * sq)
@@ -242,11 +229,11 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     def indicator(x: float) -> bool:
         return x <= tol
 
-    v["COR_2_2"] = float(indicator(P.kahler_residual) != indicator(R.kahler_residual))
-    h_kahler_full = max(H.antisym_residual, H.bianchi_residual, H.kahler_residual)
-    v["COR_2_4"] = float(
-        indicator(R_prime.bianchi_residual) != indicator(h_kahler_full)
+    v["COR_2_2"] = float(
+        indicator(curv.kahler_residual(P, J)) != indicator(curv.kahler_residual(Rc, J))
     )
+    h_kahler_full = max(v["H_1_10"], v["EQ_2_14"], v["H_1_12"])
+    v["COR_2_4"] = float(indicator(v["BIANCHI_R_PRIME"]) != indicator(h_kahler_full))
     iso = indicator(scalar_residual(sq, 0.0))
     six = (
         scalar_residual(panel.tau - panel.tau_prime, 0.0),
@@ -259,42 +246,66 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     v["THM_3_1"] = float(any(indicator(s) != iso for s in six))
 
     if m.dim == 4:
-        pis = curv.pi_forms(m, tol)
+        pis = curv.pi_forms(m)
         v["EQ_3_12"] = curv.kahler_decomposition_dim4(
-            pis, R_prime, panel.tau_prime, panel.tau_prime_star, require_kahler=False
+            pis, Rpc, panel.tau_prime, panel.tau_prime_star
         )
         rhs13 = curv.kahler_form(
             pis, (panel.tau + 3.0 / 8.0 * sq) / 8.0, (panel.tau_star - sq / 8.0) / 8.0
         )
-        v["EQ_3_13"] = residual(Rc, rhs13 - P.t.components / 3.0)
-        r32, r33 = curv.reconstruct_R_dim4(pis, panel, P, R)
+        v["EQ_3_13"] = residual(Rc, rhs13 - P / 3.0)
+        r32, r33 = curv.reconstruct_R_dim4(pis, panel, P, Rc)
         v["THM_3_2"] = float(indicator(r32) != iso)
         v["THM_3_2_RESIDUAL"] = r32
         v["THM_3_3"] = r33
 
 
+def _non_finite(ctx: GeometryContext) -> list[Violation]:
+    """Every residual and scalar of `ctx` that is not finite (brackets so large
+    that the curvature overflows, say)."""
+    values = {"cyclic-F norm": ctx.classification.f_norm, **ctx.values}
+    if ctx.panel is not None:
+        for name in geo.ScalarPanel.FIELDS:
+            values[f"scalar {name}"] = getattr(ctx.panel, name)
+    return [
+        Violation(f"finite value of {name}", x)
+        for name, x in values.items()
+        if not np.isfinite(x)
+    ]
+
+
 def build_context(
     m: LieFrameManifold, tolerance: float = DEFAULT_TOLERANCE
 ) -> GeometryContext:
+    """Compute every residual and scalar of the catalog once.
+
+    Raises InvalidManifoldError if the manifold fails validation, or if any
+    residual or scalar computed from it is not finite.
+    """
     check_tolerance(tolerance)
-    outcome = validate_manifold(m)
-    if not outcome.ok:
-        raise InvalidManifoldError(outcome)
-    conn = levi_civita(m)
-    nabla_J = geo.compute_nabla_J(m, conn)
-    F = geo.compute_F(m, nabla_J)
-    ctx = GeometryContext(
-        m=m,
-        tolerance=tolerance,
-        conn=conn,
-        nabla_J=nabla_J,
-        F=F,
-        classification=geo.classify(m, F, nabla_J, tolerance),
-        R=curv.riemann(m, conn, tolerance),
-    )
-    _class_independent_values(ctx)
-    if ctx.classification.is_w3_or_kahler:
-        _class_dependent_values(ctx)
+    # an overflow shows up as a non-finite residual, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcome = validate_manifold(m)
+        if not outcome.ok:
+            raise InvalidManifoldError(outcome)
+        gamma = levi_civita(m.structure_constants, m.metric, m.metric_inv)
+        nabla_J = geo.compute_nabla_J(gamma, m.J)
+        F = geo.compute_F(m, nabla_J)
+        ctx = GeometryContext(
+            m=m,
+            tolerance=tolerance,
+            gamma=gamma,
+            nabla_J=nabla_J,
+            F=F,
+            classification=geo.classify(m, F, nabla_J, tolerance),
+            R=curv.riemann(gamma, m.structure_constants, m.metric),
+        )
+        _class_independent_values(ctx)
+        if ctx.classification.is_w3_or_kahler:
+            _class_dependent_values(ctx)
+    bad = _non_finite(ctx)
+    if bad:
+        raise InvalidManifoldError(ValidationOutcome(ok=False, violations=tuple(bad)))
     return ctx
 
 

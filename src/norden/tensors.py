@@ -1,18 +1,15 @@
 """Dense multi-index tensor arithmetic over a fixed frame.
 
 Every geometric object in this package (the fundamental tensor, curvature
-tensors, torsion potential, ...) is stored as a dense array of frame
-components.  The frame dimension is small (4, 6, 8), so dense row-major
+tensors, torsion potential, ...) is a plain ndarray of frame components, one
+axis per slot.  The frame dimension is small (4, 6, 8), so dense row-major
 storage keeps every operation a plain einsum and makes independent
-loop-oracle comparison trivial.
-
-Values are immutable after construction; operations return new tensors.
+loop-oracle comparison trivial.  Operations return new arrays.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -30,102 +27,40 @@ def check_tolerance(value: float, name: str = "tolerance") -> float:
     return value
 
 
-def _as_readonly(arr: NDArray) -> NDArray:
-    out = np.array(arr, dtype=float, copy=True, order="C")
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True)
-class DenseTensor:
-    """Rank-k real tensor over a dim-dimensional frame, row-major components."""
-
-    dim: int
-    rank: int
-    components: NDArray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.dim <= 0:
-            raise ValueError(f"frame dimension must be positive, got {self.dim}")
-        if self.rank < 0:
-            raise ValueError(f"rank must be non-negative, got {self.rank}")
-        arr = np.asarray(self.components, dtype=float)
-        if arr.size != self.dim**self.rank:
-            raise ValueError(
-                f"components size {arr.size} != dim^rank = {self.dim}^{self.rank}"
-            )
-        arr = arr.reshape((self.dim,) * self.rank)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor components must be finite")
-        object.__setattr__(self, "components", _as_readonly(arr))
-
-    @classmethod
-    def from_array(cls, arr: NDArray) -> "DenseTensor":
-        arr = np.asarray(arr, dtype=float)
-        if arr.ndim == 0:
-            return cls(dim=1, rank=0, components=arr)
-        dims = set(arr.shape)
-        if len(dims) != 1:
-            raise ValueError(f"tensor array must be hypercubic, got shape {arr.shape}")
-        return cls(dim=arr.shape[0], rank=arr.ndim, components=arr)
-
-    @classmethod
-    def zeros(cls, dim: int, rank: int) -> "DenseTensor":
-        return cls(dim=dim, rank=rank, components=np.zeros((dim,) * rank))
-
-    @property
-    def flat(self) -> NDArray:
-        """Row-major flat view of the components."""
-        return self.components.reshape(-1)
-
-    def max_abs(self) -> float:
-        if self.components.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.components)))
-
-
-def contract(
-    t: DenseTensor, slot_a: int, slot_b: int, metric_inv: NDArray
-) -> DenseTensor:
+def contract(t: NDArray, slot_a: int, slot_b: int, metric_inv: NDArray) -> NDArray:
     """Contract two slots of `t` against a (dim x dim) inverse-metric matrix.
 
-    Returns the rank-2-lower tensor  sum_{a,b} metric_inv[a,b] * t[... a ... b ...].
+    Returns the rank-2-lower array  sum_{a,b} metric_inv[a,b] * t[... a ... b ...]
+    (a 0-d array for a rank-2 `t`).
     """
-    if t.rank < 2:
-        raise ValueError(f"contract requires rank >= 2, got rank {t.rank}")
+    rank = t.ndim
+    if rank < 2:
+        raise ValueError(f"contract requires rank >= 2, got rank {rank}")
     if slot_a == slot_b:
         raise ValueError("contraction slots must be distinct")
     for s in (slot_a, slot_b):
-        if not 0 <= s < t.rank:
-            raise ValueError(f"slot {s} out of range for rank {t.rank}")
+        if not 0 <= s < rank:
+            raise ValueError(f"slot {s} out of range for rank {rank}")
     metric_inv = np.asarray(metric_inv, dtype=float)
-    if metric_inv.shape != (t.dim, t.dim):
+    if metric_inv.shape != (t.shape[slot_a], t.shape[slot_b]):
         raise ValueError(
-            f"metric_inv shape {metric_inv.shape} does not match dim {t.dim}"
+            f"metric_inv shape {metric_inv.shape} does not match the contracted "
+            f"slots of shape {t.shape}"
         )
-    if t.rank > 24:
+    if rank > 24:
         raise ValueError("contract supports rank <= 24")
-    letters = list(_AXIS_LETTERS[: t.rank])
+    letters = list(_AXIS_LETTERS[:rank])
     letters[slot_a] = "y"
     letters[slot_b] = "z"
     out_letters = [
-        c for i, c in enumerate(_AXIS_LETTERS[: t.rank]) if i not in (slot_a, slot_b)
+        c for i, c in enumerate(_AXIS_LETTERS[:rank]) if i not in (slot_a, slot_b)
     ]
     subscripts = f"{''.join(letters)},yz->{''.join(out_letters)}"
-    out = np.einsum(subscripts, t.components, metric_inv)
-    return DenseTensor(dim=t.dim, rank=t.rank - 2, components=out)
+    return np.einsum(subscripts, t, metric_inv)
 
 
-def cyclic_sum3(
-    t: DenseTensor | NDArray, slots: tuple[int, int, int] = (0, 1, 2)
-) -> DenseTensor | NDArray:
-    """Cyclic sum of `t` over three slots: t + t∘σ + t∘σ², σ the 3-cycle.
-
-    Returns a DenseTensor for a DenseTensor and a plain array for an array.
-    """
-    if isinstance(t, DenseTensor):
-        out = cyclic_sum3(t.components, slots)
-        return DenseTensor(dim=t.dim, rank=t.rank, components=out)
+def cyclic_sum3(t: NDArray, slots: tuple[int, int, int] = (0, 1, 2)) -> NDArray:
+    """Cyclic sum of `t` over three slots: t + t∘σ + t∘σ², σ the 3-cycle."""
     if t.ndim < 3:
         raise ValueError(f"cyclic_sum3 requires rank >= 3, got rank {t.ndim}")
     a, b, c = slots
@@ -149,14 +84,14 @@ def lower(t: NDArray, g: NDArray) -> NDArray:
     return np.einsum("mij,mk->ijk", t, g)
 
 
-def residual(a: DenseTensor | NDArray, b: DenseTensor | NDArray) -> float:
+def residual(a: NDArray, b: NDArray) -> float:
     """Scaled max-abs deviation: max|a-b| / (1 + max(max|a|, max|b|)).
 
     Zero iff the tensors are equal; bounded by 1 for wildly different inputs,
     so a fixed tolerance is meaningful across curvature magnitudes.
     """
-    arr_a = a.components if isinstance(a, DenseTensor) else np.asarray(a, dtype=float)
-    arr_b = b.components if isinstance(b, DenseTensor) else np.asarray(b, dtype=float)
+    arr_a = np.asarray(a, dtype=float)
+    arr_b = np.asarray(b, dtype=float)
     if arr_a.shape != arr_b.shape:
         raise ValueError(f"shape mismatch: {arr_a.shape} vs {arr_b.shape}")
     if arr_a.size == 0:
@@ -165,9 +100,9 @@ def residual(a: DenseTensor | NDArray, b: DenseTensor | NDArray) -> float:
     return float(np.max(np.abs(arr_a - arr_b)) / scale)
 
 
-def zero_residual(a: DenseTensor | NDArray) -> float:
+def zero_residual(a: NDArray) -> float:
     """Residual of `a` against the zero tensor of the same shape."""
-    arr = a.components if isinstance(a, DenseTensor) else np.asarray(a, dtype=float)
+    arr = np.asarray(a, dtype=float)
     return residual(arr, np.zeros_like(arr))
 
 

@@ -65,6 +65,33 @@ class TestVerify:
         assert code == 2
         assert "Norden" in err
 
+    @pytest.mark.parametrize(
+        "name, cause",
+        [
+            # the Jacobi sum overflows to NaN
+            ("w3_generic_4", "Jacobi identity (residual nan)"),
+            # the Jacobi sum is exactly 0; the overflow first shows up in R
+            ("w3_two_step_6", "finite value of R_CURVATURE_LIKE (residual nan)"),
+        ],
+        ids=["w3_generic_4", "w3_two_step_6"],
+    )
+    def test_overflowing_brackets_exit_two(self, capsys, tmp_path, name, cause):
+        mf = load_manifest(bundled_manifest_path(name))
+        big = ManifoldManifest(
+            id=f"{name}_1e160",
+            dim=mf.dim,
+            structure_constants=1e160 * mf.structure_constants,
+            metric=mf.metric,
+            J=mf.J,
+        )
+        path = save_manifest(big, tmp_path / "big.manifest")
+        code, out, err = run_cli(capsys, "verify", str(path), "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: manifold failed validation: ")
+        assert err.count("\n") == 1
+        assert cause in err
+
     def test_malformed_manifest_exit_two(self, capsys, tmp_path):
         path = tmp_path / "junk.manifest"
         path.write_text("...", encoding="utf-8")

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from norden import (
-    CurvatureTensor,
+    antisym_residual,
+    bianchi_residual,
     compute_nabla_J,
-    connection_prime,
     covariant_derivative,
     kahler_decomposition_dim4,
-    levi_civita,
+    kahler_residual,
     pi_forms,
     q_pairing,
     reconstruct_R_dim4,
@@ -22,9 +22,15 @@ from norden import (
 )
 from norden.curvature import curvature_prime_from_correction
 from norden.geometry import ScalarPanel
-from norden.tensors import DenseTensor, residual, scalar_residual
+from norden.tensors import residual, scalar_residual
 
 from test_geometry import q_of
+from test_manifolds import gamma_of
+
+
+def kahler_defect(L, J):
+    """The largest of the three residuals that make L a Kahler tensor."""
+    return max(antisym_residual(L), bianchi_residual(L), kahler_residual(L, J))
 
 
 def loop_tau(arr, g_inv):
@@ -36,112 +42,130 @@ def loop_tau(arr, g_inv):
     return tau
 
 
+class TestSymmetryResiduals:
+    def test_kahler_residual_matches_loop_oracle(self):
+        """J^T L J broadcast over the first two slots is L(x,y,Jz,Jw): equal to
+        a loop oracle to rounding for any J, and bit for bit for the canonical
+        J, whose products each have a single nonzero term."""
+        from norden import canonical_norden_pair
+
+        rng = np.random.default_rng(17)
+        for dim in (4, 6):
+            L = rng.standard_normal((dim,) * 4)
+            for J, tol in ((rng.standard_normal((dim, dim)), 1e-13),
+                           (canonical_norden_pair(dim)[1], 0.0)):
+                twisted = np.zeros_like(L)
+                for i, j, k, l in itertools.product(range(dim), repeat=4):
+                    twisted[i, j, k, l] = sum(
+                        J[c, k] * J[d, l] * L[i, j, c, d]
+                        for c, d in itertools.product(range(dim), repeat=2)
+                    )
+                assert abs(kahler_residual(L, J) - residual(twisted, -L)) <= tol
+
+
 class TestRiemann:
     def test_flat_vanishes(self, flat4):
-        R = riemann(flat4, levi_civita(flat4))
-        assert R.t.max_abs() == 0.0
-        assert R.is_curvature_like
+        R = riemann(gamma_of(flat4), flat4.structure_constants, flat4.metric)
+        assert np.max(np.abs(R)) == 0.0
+        assert max(antisym_residual(R), bianchi_residual(R)) <= 1e-9
 
     def test_levi_civita_identities(self, w3_pool, other_class_6):
         for m in list(w3_pool)[:8] + [other_class_6]:
-            R = riemann(m, levi_civita(m))
-            assert R.antisym_residual <= 1e-10
-            assert R.bianchi_residual <= 1e-9
-            Rc = R.t.components
-            assert residual(Rc, Rc.transpose(2, 3, 0, 1)) <= 1e-9
+            R = riemann(gamma_of(m), m.structure_constants, m.metric)
+            assert antisym_residual(R) <= 1e-10
+            assert bianchi_residual(R) <= 1e-9
+            assert residual(R, R.transpose(2, 3, 0, 1)) <= 1e-9
 
     def test_skew_torsion_curvature_two_routes(self, w3_pool):
         for m in list(w3_pool)[:8]:
-            conn = levi_civita(m)
-            nJ = compute_nabla_J(m, conn)
+            gamma = gamma_of(m)
+            nJ = compute_nabla_J(gamma, m.J)
             q_vec, q_cov = q_of(m, nJ)
-            R = riemann(m, conn)
-            R_prime = riemann(m, connection_prime(conn, q_vec))
-            dQ = covariant_derivative(m, conn, q_cov)
-            R_prime2 = curvature_prime_from_correction(m, R, dQ, q_pairing(m, q_vec))
-            assert residual(R_prime.t.components, R_prime2.t.components) <= 1e-9
+            R = riemann(gamma, m.structure_constants, m.metric)
+            R_prime = riemann(gamma + q_vec, m.structure_constants, m.metric)
+            dQ = covariant_derivative(m, gamma, q_cov)
+            R_prime2 = curvature_prime_from_correction(R, dQ, q_pairing(m, q_vec))
+            assert residual(R_prime, R_prime2) <= 1e-9
 
     def test_skew_torsion_curvature_structure(self, w3_pool):
         """Both pair antisymmetries and the J-switch property hold for R'
         regardless of whether its first Bianchi identity does."""
         for m in list(w3_pool)[:8]:
-            conn = levi_civita(m)
-            q_vec, _ = q_of(m, compute_nabla_J(m, conn))
-            R_prime = riemann(m, connection_prime(conn, q_vec))
-            assert R_prime.antisym_residual <= 1e-9
-            assert R_prime.kahler_residual <= 1e-9
+            gamma = gamma_of(m)
+            q_vec, _ = q_of(m, compute_nabla_J(gamma, m.J))
+            R_prime = riemann(gamma + q_vec, m.structure_constants, m.metric)
+            assert antisym_residual(R_prime) <= 1e-9
+            assert kahler_residual(R_prime, m.J) <= 1e-9
 
 
 class TestRicciScalars:
     def test_zero_tensor(self, flat4):
-        ct = CurvatureTensor.from_components(np.zeros((4, 4, 4, 4)), flat4.J)
-        sc = ricci_and_scalars(flat4, ct)
+        sc = ricci_and_scalars(flat4, np.zeros((4, 4, 4, 4)))
         assert sc.tau == sc.tau_star == 0.0
-        assert sc.rho.max_abs() == 0.0
+        assert np.max(np.abs(sc.rho)) == 0.0
 
     def test_pi1_scalar_curvature_is_12(self, flat4, generic_w3_4):
         for m in (flat4, generic_w3_4):
             pi1, _, _ = pi_forms(m)
             sc = ricci_and_scalars(m, pi1)
             assert sc.tau == pytest.approx(12.0, abs=1e-12)
-            oracle = loop_tau(pi1.t.components, np.linalg.inv(m.metric))
+            oracle = loop_tau(pi1, np.linalg.inv(m.metric))
             assert sc.tau == pytest.approx(oracle, abs=1e-12)
 
     def test_tau_matches_loop_oracle(self, two_step_6):
         m = two_step_6
-        R = riemann(m, levi_civita(m))
+        R = riemann(gamma_of(m), m.structure_constants, m.metric)
         sc = ricci_and_scalars(m, R)
-        assert sc.tau == pytest.approx(loop_tau(R.t.components, np.linalg.inv(m.metric)), abs=1e-10)
+        assert sc.tau == pytest.approx(loop_tau(R, np.linalg.inv(m.metric)), abs=1e-10)
 
     def test_tau_star_variants_agree_for_pair_symmetric(self, w3_pool):
         """The verbatim contraction of rho against J and the trace of the
         associated Ricci tensor coincide for pair-symmetric rank-4 tensors."""
         for m in list(w3_pool)[:6]:
-            R = riemann(m, levi_civita(m))
+            R = riemann(gamma_of(m), m.structure_constants, m.metric)
             sc = ricci_and_scalars(m, R)
             g_inv = np.linalg.inv(m.metric)
-            rho_star = np.einsum("ij,iabm,mj->ab", g_inv, R.t.components, m.J)
+            rho_star = np.einsum("ij,iabm,mj->ab", g_inv, R, m.J)
             tau_star_alt = float(np.einsum("ab,ab->", g_inv, rho_star))
             assert scalar_residual(sc.tau_star, tau_star_alt) <= 1e-9
 
 
 class TestTensorP:
     def test_zero_potential(self, flat4):
-        q = DenseTensor.zeros(4, 3)
-        P = tensor_P(flat4, q_pairing(flat4, q))
-        assert P.t.max_abs() == 0.0
+        P = tensor_P(q_pairing(flat4, np.zeros((4, 4, 4))))
+        assert np.max(np.abs(P)) == 0.0
 
     def test_curvature_like_on_class(self, w3_pool):
         for m in list(w3_pool)[:8]:
-            conn = levi_civita(m)
-            q_vec, _ = q_of(m, compute_nabla_J(m, conn))
-            P = tensor_P(m, q_pairing(m, q_vec))
-            assert P.antisym_residual <= 1e-9
-            assert P.bianchi_residual <= 1e-9
+            gamma = gamma_of(m)
+            q_vec, _ = q_of(m, compute_nabla_J(gamma, m.J))
+            P = tensor_P(q_pairing(m, q_vec))
+            assert antisym_residual(P) <= 1e-9
+            assert bianchi_residual(P) <= 1e-9
 
     def test_tau_P_value(self, w3_pool):
         """tau(P) = (9/8) ||nabla J||^2 holds on every quasi-Kahler sample."""
         from norden import square_norms
 
         for m in list(w3_pool)[:8]:
-            conn = levi_civita(m)
-            nJ = compute_nabla_J(m, conn)
+            gamma = gamma_of(m)
+            nJ = compute_nabla_J(gamma, m.J)
             q_vec, _ = q_of(m, nJ)
             sq, _ = square_norms(m, nJ)
-            sc = ricci_and_scalars(m, tensor_P(m, q_pairing(m, q_vec)))
+            sc = ricci_and_scalars(m, tensor_P(q_pairing(m, q_vec)))
             assert scalar_residual(sc.tau, 9.0 / 8.0 * sq) <= 1e-9
 
 
 class TestTensorH:
     def test_zero_nabla_J(self, flat4):
-        H = tensor_H(flat4, DenseTensor.zeros(4, 3))
-        assert H.t.max_abs() == 0.0
+        H = tensor_H(flat4, np.zeros((4, 4, 4)))
+        assert np.max(np.abs(H)) == 0.0
 
     def test_structural_properties(self, w3_pool):
         for m in list(w3_pool)[:8]:
-            H = tensor_H(m, compute_nabla_J(m, levi_civita(m)))
-            assert H.antisym_residual <= 1e-9
-            assert H.kahler_residual <= 1e-9
+            H = tensor_H(m, compute_nabla_J(gamma_of(m), m.J))
+            assert antisym_residual(H) <= 1e-9
+            assert kahler_residual(H, m.J) <= 1e-9
 
     def test_tau_H_value(self, w3_pool):
         """tau(H) = 2 ||nabla J||^2 on every quasi-Kahler sample (the analogous
@@ -150,8 +174,8 @@ class TestTensorH:
         from norden import square_norms
 
         for m in list(w3_pool)[:8]:
-            conn = levi_civita(m)
-            nJ = compute_nabla_J(m, conn)
+            gamma = gamma_of(m)
+            nJ = compute_nabla_J(gamma, m.J)
             sq, _ = square_norms(m, nJ)
             sc = ricci_and_scalars(m, tensor_H(m, nJ))
             assert scalar_residual(sc.tau, 2.0 * sq) <= 1e-9
@@ -162,34 +186,30 @@ class TestPiForms:
         pi1, _, _ = pi_forms(flat4)
         # arguments (e1,e2,e2,e1) with g = diag(1,1,-1,-1):
         # g(y,z)g(x,w) - g(x,z)g(y,w) = g(e2,e2)g(e1,e1) - 0 = 1
-        assert pi1.t.components[0, 1, 1, 0] == pytest.approx(1.0)
+        assert pi1[0, 1, 1, 0] == pytest.approx(1.0)
 
     def test_kahler_combinations(self, w3_pool, other_class_6):
         for m in list(w3_pool)[:6] + [other_class_6]:
             pi1, pi2, pi3 = pi_forms(m)
-            diff = CurvatureTensor.from_components(
-                pi1.t.components - pi2.t.components, m.J
-            )
-            assert diff.is_kahler
-            assert diff.kahler_residual <= 1e-10
-            assert pi3.is_kahler
-            assert pi3.kahler_residual <= 1e-10
+            assert kahler_defect(pi1 - pi2, m.J) <= 1e-9
+            assert kahler_residual(pi1 - pi2, m.J) <= 1e-10
+            assert kahler_defect(pi3, m.J) <= 1e-9
+            assert kahler_residual(pi3, m.J) <= 1e-10
 
 
 class TestDim4Decomposition:
     def test_flat_zero(self, flat4):
-        conn = levi_civita(flat4)
-        q_vec, _ = q_of(flat4, compute_nabla_J(flat4, conn))
-        R_prime = riemann(flat4, connection_prime(conn, q_vec))
+        gamma = gamma_of(flat4)
+        q_vec, _ = q_of(flat4, compute_nabla_J(gamma, flat4.J))
+        R_prime = riemann(gamma + q_vec, flat4.structure_constants, flat4.metric)
         res = kahler_decomposition_dim4(pi_forms(flat4), R_prime, 0.0, 0.0)
         assert res == 0.0
 
     def test_synthetic_decomposition(self, flat4):
         """R' := 3(pi_1 - pi_2) + 5 pi_3 must reproduce nu' = 3, nu'* = 5."""
         pi1, pi2, pi3 = pi_forms(flat4)
-        arr = 3.0 * (pi1.t.components - pi2.t.components) + 5.0 * pi3.t.components
-        synth = CurvatureTensor.from_components(arr, flat4.J)
-        assert synth.is_kahler
+        synth = 3.0 * (pi1 - pi2) + 5.0 * pi3
+        assert kahler_defect(synth, flat4.J) <= 1e-9
         sc = ricci_and_scalars(flat4, synth)
         assert sc.tau / 8.0 == pytest.approx(3.0, abs=1e-12)
         assert sc.tau_star / 8.0 == pytest.approx(5.0, abs=1e-12)
@@ -198,27 +218,19 @@ class TestDim4Decomposition:
 
     def test_real_kahler_example(self, kahler_rprime_4):
         m = kahler_rprime_4
-        conn = levi_civita(m)
-        q_vec, _ = q_of(m, compute_nabla_J(m, conn))
-        R_prime = riemann(m, connection_prime(conn, q_vec))
-        assert R_prime.is_kahler
+        gamma = gamma_of(m)
+        q_vec, _ = q_of(m, compute_nabla_J(gamma, m.J))
+        R_prime = riemann(gamma + q_vec, m.structure_constants, m.metric)
+        assert kahler_defect(R_prime, m.J) <= 1e-9
         sc = ricci_and_scalars(m, R_prime)
         res = kahler_decomposition_dim4(pi_forms(m), R_prime, sc.tau, sc.tau_star)
         assert res <= 1e-9
 
     def test_wrong_dimension_rejected(self, two_step_6):
-        R_prime = riemann(two_step_6, levi_civita(two_step_6))
+        m = two_step_6
+        R_prime = riemann(gamma_of(m), m.structure_constants, m.metric)
         with pytest.raises(ValueError, match="dimension 4"):
-            kahler_decomposition_dim4(pi_forms(two_step_6), R_prime, 0.0, 0.0)
-
-    def test_non_kahler_refused_with_diagnostic(self, generic_w3_4):
-        m = generic_w3_4
-        conn = levi_civita(m)
-        q_vec, _ = q_of(m, compute_nabla_J(m, conn))
-        R_prime = riemann(m, connection_prime(conn, q_vec))
-        assert not R_prime.is_kahler
-        with pytest.raises(ValueError, match="bianchi"):
-            kahler_decomposition_dim4(pi_forms(m), R_prime, 1.0, 1.0)
+            kahler_decomposition_dim4(pi_forms(m), R_prime, 0.0, 0.0)
 
 
 class TestReconstruction:
@@ -226,13 +238,13 @@ class TestReconstruction:
     def _panel(m):
         from norden import square_norms
 
-        conn = levi_civita(m)
-        nJ = compute_nabla_J(m, conn)
+        gamma = gamma_of(m)
+        nJ = compute_nabla_J(gamma, m.J)
         q_vec, _ = q_of(m, nJ)
         sq, assoc = square_norms(m, nJ)
-        R = riemann(m, conn)
-        R_prime = riemann(m, connection_prime(conn, q_vec))
-        P = tensor_P(m, q_pairing(m, q_vec))
+        R = riemann(gamma, m.structure_constants, m.metric)
+        R_prime = riemann(gamma + q_vec, m.structure_constants, m.metric)
+        P = tensor_P(q_pairing(m, q_vec))
         H = tensor_H(m, nJ)
         sc = {k: ricci_and_scalars(m, v) for k, v in
               (("R", R), ("Rp", R_prime), ("P", P), ("H", H))}
@@ -278,9 +290,9 @@ class TestJTwistedCurvatureIdentity:
         from norden.tensors import cyclic_sum3
 
         for m in list(w3_pool)[:8]:
-            conn = levi_civita(m)
-            nJ = compute_nabla_J(m, conn).components
-            Rc = riemann(m, conn).t.components
+            gamma = gamma_of(m)
+            nJ = compute_nabla_J(gamma, m.J)
+            Rc = riemann(gamma, m.structure_constants, m.metric)
             J, g = m.J, m.metric
             S = (
                 np.einsum("bj,ck,ibcl->ijkl", J, J, Rc)
@@ -290,8 +302,8 @@ class TestJTwistedCurvatureIdentity:
             )
             sym = nJ + nJ.transpose(0, 2, 1)
             G = np.einsum("aij,bkl,ab->ijkl", sym, sym, g)
-            lhs = cyclic_sum3(DenseTensor.from_array(S)).components
-            rhs = cyclic_sum3(DenseTensor.from_array(G)).components
+            lhs = cyclic_sum3(S)
+            rhs = cyclic_sum3(G)
             assert residual(lhs, rhs) <= 1e-9
             if np.max(np.abs(rhs)) > 1e-6:
                 assert residual(lhs, -rhs) > 1e-3

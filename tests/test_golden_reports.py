@@ -1,5 +1,7 @@
-"""`norden verify --format json` on the bundled manifests against reports
-pinned in tests/golden before the array kernels were shared with the search.
+"""`norden verify --format json` on the bundled manifests and on the frozen
+search hits of perfbench/pool/ (read in place) against reports pinned in
+tests/golden: the bundled ones before the array kernels were shared with the
+search, the pool ones before the tensor wrapper types were retired.
 
 Ids, class, anchors, tolerances and statuses must match exactly; residuals
 and scalars to 1e-15 (1 + |x|), since brackets that are not integers leave the
@@ -15,7 +17,9 @@ from norden import bundled_manifest_path
 from norden.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool"
 BUNDLED = ("flat_kahler_4", "w3_generic_4", "w3_kahler_rprime_4", "w3_two_step_6")
+PINNED = sorted(path.stem for path in GOLDEN.glob("*.json"))
 REL = 1e-15
 
 
@@ -25,9 +29,10 @@ def _close(got, want) -> bool:
     return abs(got - want) <= REL * (1.0 + abs(want))
 
 
-@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize("name", PINNED)
 def test_report_matches_golden(name, capsys):
-    code = main(["verify", str(bundled_manifest_path(name)), "--format", "json"])
+    path = bundled_manifest_path(name) if name in BUNDLED else POOL / f"{name}.manifest"
+    code = main(["verify", str(path), "--format", "json"])
     got = json.loads(capsys.readouterr().out)
     want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert code == (1 if any(c["status"] == "FAIL" for c in want["checks"]) else 0)

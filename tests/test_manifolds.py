@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from norden import (
-    DenseTensor,
     LieFrameManifold,
     canonical_norden_pair,
     covariant_derivative,
@@ -16,9 +15,14 @@ from norden import (
 from norden.tensors import residual
 
 
-def connection_checks(m, conn):
-    """Residuals of metric compatibility and torsion-freeness for `conn`."""
-    C, g, gamma = m.structure_constants, m.metric, conn.gamma
+def gamma_of(m):
+    """Levi-Civita coefficients of a manifold, from its cached g^-1."""
+    return levi_civita(m.structure_constants, m.metric, m.metric_inv)
+
+
+def connection_checks(m, gamma):
+    """Residuals of metric compatibility and torsion-freeness for `gamma`."""
+    C, g = m.structure_constants, m.metric
     low = np.einsum("kij,km->ijm", gamma, g)  # g(nabla_i e_j, e_m) indexed [i][j][m]
     return {
         "metric_compatibility": residual(low, -low.transpose(0, 2, 1)),
@@ -95,6 +99,22 @@ class TestValidation:
         assert not outcome.ok
         assert any("Jacobi" in v.name for v in outcome.violations)
 
+    def test_nan_residual_is_a_violation(self, generic_w3_4):
+        """Brackets scaled by 1e160 overflow the Jacobi sum to NaN, and NaN
+        fails every tolerance comparison."""
+        m = generic_w3_4
+        big = LieFrameManifold(
+            dim=m.dim,
+            structure_constants=1e160 * m.structure_constants,
+            metric=m.metric,
+            J=m.J,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcome = validate_manifold(big)
+        assert not outcome.ok
+        (jacobi,) = [v for v in outcome.violations if "Jacobi" in v.name]
+        assert np.isnan(jacobi.residual)
+
     def test_broken_complex_structure_reported(self):
         g, _ = canonical_norden_pair(4)
         m = LieFrameManifold(
@@ -114,12 +134,11 @@ class TestValidation:
 
 class TestLeviCivita:
     def test_flat_connection_vanishes(self, flat4):
-        conn = levi_civita(flat4)
-        assert np.max(np.abs(conn.gamma)) == 0.0
+        assert np.max(np.abs(gamma_of(flat4))) == 0.0
 
     def test_torsion_and_compatibility(self, w3_pool, other_class_6):
         for m in list(w3_pool)[:8] + [other_class_6]:
-            checks = connection_checks(m, levi_civita(m))
+            checks = connection_checks(m, gamma_of(m))
             assert checks["torsion_freeness"] <= 1e-10
             assert checks["metric_compatibility"] <= 1e-10
 
@@ -152,7 +171,7 @@ class TestLeviCivita:
                 rhs.append(0.0)
         sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
         gamma_oracle = sol.reshape(d, d, d)
-        gamma = levi_civita(m).gamma
+        gamma = gamma_of(m)
         assert residual(gamma, gamma_oracle) <= 1e-10
 
     def test_singular_metric_raises(self):
@@ -163,48 +182,43 @@ class TestLeviCivita:
             dim=4, structure_constants=np.zeros((4, 4, 4)), metric=g, J=J
         )
         with pytest.raises(np.linalg.LinAlgError):
-            levi_civita(m)
+            gamma_of(m)
 
 
 class TestCovariantDerivative:
     def test_metric_is_parallel(self, w3_pool):
         for m in list(w3_pool)[:6]:
-            conn = levi_civita(m)
-            dg = covariant_derivative(m, conn, DenseTensor.from_array(m.metric))
-            assert dg.max_abs() <= 1e-12
+            dg = covariant_derivative(m, gamma_of(m), m.metric)
+            assert np.max(np.abs(dg)) <= 1e-12
 
     def test_flat_connection_annihilates_everything(self, flat4):
         rng = np.random.default_rng(3)
-        conn = levi_civita(flat4)
-        t = DenseTensor.from_array(rng.standard_normal((4, 4, 4)))
-        assert covariant_derivative(flat4, conn, t).max_abs() == 0.0
+        gamma = gamma_of(flat4)
+        t = rng.standard_normal((4, 4, 4))
+        assert np.max(np.abs(covariant_derivative(flat4, gamma, t))) == 0.0
 
     def test_matches_loop_oracle(self, generic_w3_4):
         from norden import compute_F, compute_nabla_J
 
         m = generic_w3_4
-        conn = levi_civita(m)
-        F = compute_F(m, compute_nabla_J(m, conn))
-        got = covariant_derivative(m, conn, F)
-        want = loop_covariant_derivative(conn.gamma, F.components)
-        assert np.max(np.abs(got.components - want)) <= 1e-12
+        gamma = gamma_of(m)
+        F = compute_F(m, compute_nabla_J(gamma, m.J))
+        got = covariant_derivative(m, gamma, F)
+        want = loop_covariant_derivative(gamma, F)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_rank0_gives_zero_rank1(self, generic_w3_4):
-        conn = levi_civita(generic_w3_4)
-        out = covariant_derivative(
-            generic_w3_4, conn, DenseTensor.from_array(np.array(2.5))
-        )
-        assert out.rank == 1 and out.max_abs() == 0.0
+        gamma = gamma_of(generic_w3_4)
+        out = covariant_derivative(generic_w3_4, gamma, np.array(2.5))
+        assert out.ndim == 1 and np.max(np.abs(out)) == 0.0
 
     def test_linearity(self, two_step_6):
         rng = np.random.default_rng(4)
         m = two_step_6
-        conn = levi_civita(m)
+        gamma = gamma_of(m)
         a = rng.standard_normal((6, 6))
         b = rng.standard_normal((6, 6))
-        da = covariant_derivative(m, conn, DenseTensor.from_array(a)).components
-        db = covariant_derivative(m, conn, DenseTensor.from_array(b)).components
-        dab = covariant_derivative(
-            m, conn, DenseTensor.from_array(2.0 * a - 3.0 * b)
-        ).components
+        da = covariant_derivative(m, gamma, a)
+        db = covariant_derivative(m, gamma, b)
+        dab = covariant_derivative(m, gamma, 2.0 * a - 3.0 * b)
         assert residual(dab, 2.0 * da - 3.0 * db) <= 1e-12

@@ -10,11 +10,12 @@ from norden import (
     classify,
     compute_F,
     compute_nabla_J,
-    levi_civita,
     run_suite,
     search_w3_examples,
     validate_manifold,
 )
+
+from test_manifolds import gamma_of
 
 
 class TestSearchConfig:
@@ -50,7 +51,7 @@ class TestSearch:
         for manifest in hits:
             m = manifest.to_manifold()
             assert validate_manifold(m).ok
-            nJ = compute_nabla_J(m, levi_civita(m))
+            nJ = compute_nabla_J(gamma_of(m), m.J)
             cls = classify(m, compute_F(m, nJ), nJ)
             assert cls.label is ClassLabel.QUASI_KAHLER_W3
             assert cls.f_norm > 1e-9
