@@ -38,13 +38,14 @@ def kahler_residual(L: NDArray, J: NDArray) -> float:
 
 def riemann(gamma: NDArray, C: NDArray, g: NDArray) -> NDArray:
     """Curvature R(x,y)z = nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z
-    of the frame connection gamma, lowered to the (0,4) form g(R(x,y)z, w)."""
+    of the frame connection gamma, lowered to the (0,4) form g(R(x,y)z, w);
+    leading batch axes of gamma and C are kept."""
     r_vec = (
-        np.einsum("lim,mjk->lijk", gamma, gamma)
-        - np.einsum("ljm,mik->lijk", gamma, gamma)
-        - np.einsum("mij,lmk->lijk", C, gamma)
+        np.einsum("...lim,...mjk->...lijk", gamma, gamma)
+        - np.einsum("...ljm,...mik->...lijk", gamma, gamma)
+        - np.einsum("...mij,...lmk->...lijk", C, gamma)
     )
-    return np.einsum("mijk,ml->ijkl", r_vec, g)
+    return np.einsum("...mijk,ml->...ijkl", r_vec, g)
 
 
 @dataclass(frozen=True)

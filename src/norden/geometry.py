@@ -74,19 +74,21 @@ class ScalarPanel:
 
 
 def compute_nabla_J(gamma: NDArray, J: NDArray) -> NDArray:
-    """(nabla_{e_i} J)e_j of the frame connection gamma, index order [k][i][j]."""
-    return np.einsum("kim,mj->kij", gamma, J) - np.einsum("km,mij->kij", J, gamma)
+    """(nabla_{e_i} J)e_j of the frame connection gamma, index order [k][i][j];
+    leading batch axes of gamma are kept."""
+    return np.einsum("...kim,mj->...kij", gamma, J) - np.einsum("km,...mij->...kij", J, gamma)
 
 
 def twist_arrays(nJ: NDArray, J: NDArray) -> tuple[NDArray, NDArray]:
     """(nabla_x J)Jy and (nabla_{Jx} J)y as mixed arrays [k][x][y]."""
-    return np.einsum("kia,aj->kij", nJ, J), np.einsum("ai,kaj->kij", J, nJ)
+    return np.einsum("...kia,aj->...kij", nJ, J), np.einsum("ai,...kaj->...kij", J, nJ)
 
 
 def q_array(nJ: NDArray, J: NDArray) -> NDArray:
-    """Q(x,y) = 1/4 { (nabla_x J)Jy - (nabla_{Jx} J)y - 2 (nabla_y J)Jx }, mixed."""
+    """Q(x,y) = 1/4 { (nabla_x J)Jy - (nabla_{Jx} J)y - 2 (nabla_y J)Jx }, mixed;
+    leading batch axes of nJ are kept."""
     a, b = twist_arrays(nJ, J)
-    return 0.25 * (a - b - 2.0 * a.transpose(0, 2, 1))
+    return 0.25 * (a - b - 2.0 * a.swapaxes(-1, -2))
 
 
 def compute_F(m: LieFrameManifold, nabla_J: NDArray) -> NDArray:

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .tensors import lower, residual
+from .tensors import cyclic_sum3, lower, residual
 
 JACOBI_TOLERANCE = 1e-10
 MATRIX_TOLERANCE = 1e-12
@@ -106,9 +106,9 @@ def canonical_norden_pair(dim: int) -> tuple[NDArray, NDArray]:
 
 
 def jacobi_array(C: NDArray) -> NDArray:
-    """Cyclic sum of [[e_i,e_j],e_l] in frame components, index order [p][i][j][l]."""
-    T = np.einsum("mij,pml->pijl", C, C)
-    return T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
+    """Cyclic sum of [[e_i,e_j],e_l] in frame components, index order [p][i][j][l];
+    leading batch axes of C are kept."""
+    return cyclic_sum3(np.einsum("...mij,...pml->...pijl", C, C), (-3, -2, -1))
 
 
 def jacobi_residual(C: NDArray) -> float:
@@ -177,10 +177,12 @@ def levi_civita(C: NDArray, g: NDArray, g_inv: NDArray) -> NDArray:
 
     The Koszul formula collapses to
     2 g(nabla_{e_i} e_j, e_k) = g([e_i,e_j],e_k) + g([e_k,e_i],e_j) + g([e_k,e_j],e_i).
+    Leading batch axes of C are kept.
     """
     b = lower(C, g)  # b[i][j][k] = g([e_i,e_j],e_k)
-    low = 0.5 * (b + b.transpose(1, 2, 0) + b.transpose(2, 1, 0))
-    return np.einsum("km,ijm->kij", g_inv, low)
+    b_kij = b.swapaxes(-3, -2).swapaxes(-2, -1)  # b_kij[i][j][k] = b[k][i][j]
+    low = 0.5 * (b + b_kij + b.swapaxes(-3, -1))
+    return np.einsum("km,...ijm->...kij", g_inv, low)
 
 
 def covariant_derivative(m: LieFrameManifold, gamma: NDArray, t: NDArray) -> NDArray:

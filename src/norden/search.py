@@ -10,9 +10,13 @@ null space.  The quadratic Jacobi identity is handled two ways:
   null spaces exist only for dimension >= 6.
 * Gauss-Newton projection: a damped Gauss-Newton iteration drives the Jacobi
   residual (and, for the Kahler target, the first Bianchi residual of the
-  skew-torsion curvature, both exactly quadratic in the constants) to zero
-  inside the membership null space, on a random affine slice to avoid
-  collapse onto the abelian solution.
+  skew-torsion curvature) to zero inside the membership null space, on a
+  random affine slice to avoid collapse onto the abelian solution.  Both
+  residual maps are homogeneous quadratic in the null-space coordinates z, so
+  they are precomputed once per (dim, target) as a symmetric form Q with
+  phi(z) = Q[z, z] (`QuadraticForm`).  An iteration is one product Qz (the
+  residual and the Jacobian), one small least-squares solve, and one product
+  Q step that prices every line-search trial.
 
 Both paths are driven by one seeded generator, so searches are reproducible.
 """
@@ -72,11 +76,24 @@ class SearchConfig:
 
 @dataclass
 class SearchStats:
+    """Counts of one search.  Every candidate either converges or fails for
+    one reason, and every converged candidate is a hit or one rejection:
+
+    candidates = converged + flat_slope + stalled + iteration_cap + collapsed
+    converged  = hits + rejected_class + rejected_jacobi + rejected_invalid
+    """
+
     candidates: int = 0
     converged: int = 0
     hits: int = 0
-    rejected_class: int = 0
-    rejected_jacobi: int = 0
+    rejected_class: int = 0  # valid, but not quasi-Kahler (or R' not Kahler)
+    rejected_jacobi: int = 0  # failed validation on the Jacobi identity
+    rejected_invalid: int = 0  # failed validation on another invariant only
+    flat_slope: int = 0  # slice direction nearly orthogonal to the start point
+    stalled: int = 0  # line search found no decrease
+    iteration_cap: int = 0  # GN_MAX_ITERATIONS without convergence
+    collapsed: int = 0  # brackets converged to (near) zero, the abelian algebra
+    gn_iterations: int = 0  # Gauss-Newton steps, one least-squares solve each
     elapsed: float = 0.0
     by_ansatz: dict = field(default_factory=dict)
 
@@ -161,95 +178,170 @@ def _two_step_families(dim: int) -> tuple[tuple[NDArray, NDArray], ...]:
 # quadratic residual maps for the Gauss-Newton projection
 # ---------------------------------------------------------------------------
 
+# each kept row of a cyclic sum that is totally antisymmetric in three slots
+# stands for the 6 rows of its index permutations, so weighting it by sqrt(6)
+# gives the normal equations of the full map
+_ROW_WEIGHT = np.sqrt(6.0)
 
-def _r_prime_bianchi(
-    C: NDArray, g: NDArray, J: NDArray, gamma: NDArray, nJ: NDArray
+
+def _r_prime_bianchi(C: NDArray, g: NDArray, conn: NDArray) -> NDArray:
+    """First Bianchi cyclic sum of the curvature of the frame connection conn;
+    R' for the natural connection gamma + Q.  Leading batch axes are kept."""
+    return cyclic_sum3(riemann(conn, C, g), (-4, -3, -2))
+
+
+def _kept_rows(dim: int, slots: tuple[int, int, int]) -> NDArray:
+    """Flat indices of the rank-4 entries whose `slots` indices increase."""
+    i, j, k = np.indices((dim,) * 4).reshape(4, -1)[list(slots)]
+    return np.flatnonzero((i < j) & (j < k))
+
+
+@dataclass(frozen=True)
+class QuadraticForm:
+    """The Gauss-Newton residual map phi(z) of one (dim, target) as a
+    symmetric form: phi(z) = Q[z, z] on the kept rows.
+
+    phi stacks the Jacobi sum of the brackets C(z) = basis @ null @ z (index
+    order [p][i][j][l], cyclic in i, j, l) and, for the Kahler target, the
+    first Bianchi sum of R' (order [i][j][k][l], cyclic in i, j, k).  Both are
+    totally antisymmetric in their three cyclic slots, so only the rows with
+    increasing cyclic indices are kept (`rows`, flat indices into the stacked
+    full map of `full_rows` rows): they carry its max-abs and 1/6 of its sum
+    of squares.  q[a, b, :] = Q[e_a, e_b].
+    """
+
+    dim: int
+    basis: NDArray
+    null: NDArray
+    rows: NDArray
+    full_rows: int
+    q: NDArray
+
+    def brackets(self, z: NDArray) -> NDArray:
+        d = self.dim
+        return (self.basis @ (self.null @ z)).reshape(d, d, d)
+
+    def qz(self, z: NDArray) -> NDArray:
+        """(Q z)[b, k] = Q[z, e_b] on kept row k: phi(z) = z @ qz(z), and the
+        Jacobian of phi is 2 qz(z).T."""
+        r = z.size
+        return (z @ self.q.reshape(r, -1)).reshape(r, -1)
+
+    def step(self, z: NDArray, qz: NDArray, direction: NDArray) -> NDArray:
+        """Gauss-Newton step for phi(z) = 0 on the slice direction @ z = 1,
+        with qz = self.qz(z).  The kept rows, weighted by sqrt(6), give the
+        normal equations of the full map; the singular-value cutoff is the
+        one lstsq(rcond=None) applies to the full map plus the slice row."""
+        A = np.vstack([_ROW_WEIGHT * 2.0 * qz.T, direction[None, :]])
+        b = np.concatenate([_ROW_WEIGHT * (z @ qz), [direction @ z - 1.0]])
+        rcond = np.finfo(float).eps * (self.full_rows + 1)
+        return np.linalg.lstsq(A, b, rcond=rcond)[0]
+
+
+def _phi_kept(
+    C: NDArray, conn: NDArray | None, g: NDArray, rows: NDArray
 ) -> NDArray:
-    """First Bianchi cyclic sum of the skew-torsion curvature, from the
-    Levi-Civita coefficients gamma and their nabla J."""
-    return cyclic_sum3(riemann(gamma + q_array(nJ, J), C, g))
+    """Kept rows of the residual map for a batch of brackets C and, for the
+    Kahler target, their natural connections conn; one row per batch entry."""
+    n = C.shape[0]
+    parts = [jacobi_array(C).reshape(n, -1)]
+    if conn is not None:
+        parts.append(_r_prime_bianchi(C, g, conn).reshape(n, -1))
+    return np.concatenate(parts, axis=1)[:, rows]
 
 
-def _bianchi_prime_map(C: NDArray, g: NDArray, g_inv: NDArray, J: NDArray) -> NDArray:
-    """The R' Bianchi sum as a map of C; homogeneous quadratic."""
-    gamma = levi_civita(C, g, g_inv)
-    return _r_prime_bianchi(C, g, J, gamma, compute_nabla_J(gamma, J)).ravel()
+@lru_cache(maxsize=None)
+def _quadratic_form(dim: int, want_kahler: bool) -> QuadraticForm:
+    """Q of the generic family by polarisation of the kernel maps,
+    Q[e_a, e_b] = (phi(D_a + D_b) - phi(D_a) - phi(D_b)) / 2 for the
+    null-space directions D_a.  The natural connection gamma + Q is linear
+    in C, so it is built once per direction and summed per pair; the pairs
+    are batched one row a at a time."""
+    basis, null = _generic_family(dim)
+    r = null.shape[1]
+    g, J = canonical_norden_pair(dim)
+    D = (basis @ null).T.reshape(r, dim, dim, dim)
+    rows = _kept_rows(dim, (1, 2, 3))
+    blocks = 1
+    conn = None
+    if want_kahler:
+        rows = np.concatenate([rows, dim**4 + _kept_rows(dim, (0, 1, 2))])
+        blocks = 2
+        gamma = levi_civita(D, g, np.linalg.inv(g))
+        conn = gamma + q_array(compute_nabla_J(gamma, J), J)
+    diag = _phi_kept(D, conn, g, rows)
+    q = np.empty((r, r, rows.size))
+    q[np.arange(r), np.arange(r)] = diag
+    for a in range(r - 1):
+        pair_conn = None if conn is None else conn[a] + conn[a + 1 :]
+        pair = _phi_kept(D[a] + D[a + 1 :], pair_conn, g, rows)
+        q[a, a + 1 :] = q[a + 1 :, a] = 0.5 * (pair - diag[a] - diag[a + 1 :])
+    return QuadraticForm(dim, basis, null, rows, blocks * dim**4, q)
 
 
 def _gauss_newton_candidate(
-    rng: np.random.Generator,
-    dim: int,
-    basis: NDArray,
-    null: NDArray,
-    want_kahler: bool,
+    rng: np.random.Generator, form: QuadraticForm, stats: SearchStats
 ) -> NDArray | None:
     """One slice-constrained damped Gauss-Newton attempt; returns structure
-    constants with max-abs 1 on convergence, else None."""
-    r = null.shape[1]
-    if r == 0:
-        return None
-    g, J = canonical_norden_pair(dim)
-    g_inv = np.linalg.inv(g)
-
-    def build(z: NDArray) -> NDArray:
-        return (basis @ (null @ z)).reshape(dim, dim, dim)
-
-    def phi(C: NDArray) -> NDArray:
-        parts = [jacobi_array(C).ravel()]
-        if want_kahler:
-            parts.append(_bianchi_prime_map(C, g, g_inv, J))
-        return np.concatenate(parts)
-
+    constants with max-abs 1 on convergence, else None after counting the
+    failure in `stats`."""
+    r = form.null.shape[1]
     direction = rng.normal(size=r)
     norm = np.linalg.norm(direction)
     if norm < 1e-12:
+        stats.flat_slope += 1
         return None
     direction /= norm
     z = rng.uniform(-1.0, 1.0, r)
     slope = direction @ z
     if abs(slope) < 1e-3:
+        stats.flat_slope += 1
         return None
     z = z / slope
 
-    dirs = [(basis @ null[:, a]).reshape(dim, dim, dim) for a in range(r)]
     for _ in range(GN_MAX_ITERATIONS):
-        C = build(z)
-        f = phi(C)
+        qz = form.qz(z)
+        f = z @ qz
         norm_inf = np.max(np.abs(f))
         if norm_inf < GN_CONVERGENCE:
             break
-        # both residual maps are homogeneous quadratic, so directional
-        # derivatives are exact central differences
-        cols = [0.5 * (phi(C + D) - phi(C - D)) for D in dirs]
-        A = np.vstack([np.array(cols).T, direction[None, :]])
-        b = np.concatenate([f, [direction @ z - 1.0]])
-        step, *_ = np.linalg.lstsq(A, b, rcond=None)
+        stats.gn_iterations += 1
+        step = form.step(z, qz, direction)
+        # phi(z - lam step) = phi(z) - 2 lam Q[z, step] + lam^2 Q[step, step]
+        cross, quad = step @ qz, step @ form.qz(step)
         lam, next_z = 1.0, None
         for _ in range(16):
-            cand = z - lam * step
-            if np.max(np.abs(phi(build(cand)))) < norm_inf:
-                next_z = cand
+            if np.max(np.abs(f - 2.0 * lam * cross + lam * lam * quad)) < norm_inf:
+                next_z = z - lam * step
                 break
             lam *= 0.5
         if next_z is None:
+            stats.stalled += 1
             return None
         z = next_z
     else:
+        stats.iteration_cap += 1
         return None
-    C = build(z)
+    C = form.brackets(z)
     max_abs = np.max(np.abs(C))
     if max_abs < 1e-8:
+        stats.collapsed += 1
         return None
     return C / max_abs
 
 
 def _two_step_candidate(
-    rng: np.random.Generator, dim: int, basis: NDArray, null: NDArray
+    rng: np.random.Generator,
+    dim: int,
+    basis: NDArray,
+    null: NDArray,
+    stats: SearchStats,
 ) -> NDArray | None:
     coeff = null @ rng.uniform(-1.0, 1.0, null.shape[1])
     C = (basis @ coeff).reshape(dim, dim, dim)
     max_abs = np.max(np.abs(C))
     if max_abs < 1e-10:
+        stats.collapsed += 1
         return None
     return C / max_abs
 
@@ -266,8 +358,12 @@ def _accept(
 ) -> LieFrameManifold | None:
     g, J = canonical_norden_pair(cfg.dim)
     m = LieFrameManifold(dim=cfg.dim, structure_constants=C, metric=g, J=J)
-    if not validate_manifold(m, jacobi_tolerance=cfg.jacobi_tolerance).ok:
-        stats.rejected_jacobi += 1
+    outcome = validate_manifold(m, jacobi_tolerance=cfg.jacobi_tolerance)
+    if not outcome.ok:
+        if any(v.name == "Jacobi identity" for v in outcome.violations):
+            stats.rejected_jacobi += 1
+        else:
+            stats.rejected_invalid += 1
         return None
     gamma = levi_civita(C, g, m.metric_inv)
     nabla_J = compute_nabla_J(gamma, J)
@@ -276,7 +372,7 @@ def _accept(
         stats.rejected_class += 1
         return None
     if cfg.target is SearchTarget.W3_RPRIME_KAHLER:
-        bianchi = _r_prime_bianchi(C, g, J, gamma, nabla_J)
+        bianchi = _r_prime_bianchi(C, g, gamma + q_array(nabla_J, J))
         if zero_residual(bianchi) > cfg.tolerance:
             stats.rejected_class += 1
             return None
@@ -295,16 +391,14 @@ def search_w3_examples(
     stats = SearchStats()
     start = time.perf_counter()
 
-    two_step = _two_step_families(cfg.dim)
-    generic = _generic_family(cfg.dim)
     want_kahler = cfg.target is SearchTarget.W3_RPRIME_KAHLER
 
     # deterministic ansatz rotation: all two-step families, then one GN try
-    plan: list[tuple[str, NDArray, NDArray]] = []
+    plan: list[tuple[str, NDArray | None, NDArray | None]] = []
     if not want_kahler:
-        for basis, null in two_step:
+        for basis, null in _two_step_families(cfg.dim):
             plan.append(("two_step", basis, null))
-    plan.append(("gauss_newton", generic[0], generic[1]))
+    plan.append(("gauss_newton", None, None))
 
     manifests: list[ManifoldManifest] = []
     index = 0
@@ -314,9 +408,10 @@ def search_w3_examples(
         stats.candidates += 1
         stats.by_ansatz[kind] = stats.by_ansatz.get(kind, 0) + 1
         if kind == "two_step":
-            C = _two_step_candidate(rng, cfg.dim, basis, null)
+            C = _two_step_candidate(rng, cfg.dim, basis, null, stats)
         else:
-            C = _gauss_newton_candidate(rng, cfg.dim, basis, null, want_kahler)
+            form = _quadratic_form(cfg.dim, want_kahler)
+            C = _gauss_newton_candidate(rng, form, stats)
         if C is None:
             continue
         stats.converged += 1

@@ -60,28 +60,30 @@ def contract(t: NDArray, slot_a: int, slot_b: int, metric_inv: NDArray) -> NDArr
 
 
 def cyclic_sum3(t: NDArray, slots: tuple[int, int, int] = (0, 1, 2)) -> NDArray:
-    """Cyclic sum of `t` over three slots: t + t∘σ + t∘σ², σ the 3-cycle."""
-    if t.ndim < 3:
-        raise ValueError(f"cyclic_sum3 requires rank >= 3, got rank {t.ndim}")
-    a, b, c = slots
+    """Cyclic sum of `t` over three slots: t + t∘σ + t∘σ², σ the 3-cycle.
+    Negative slots count from the last axis, as numpy axes do."""
+    rank = t.ndim
+    if rank < 3:
+        raise ValueError(f"cyclic_sum3 requires rank >= 3, got rank {rank}")
+    for s in slots:
+        if not -rank <= s < rank:
+            raise ValueError(f"slot {s} out of range for rank {rank}")
+    a, b, c = slots[0] % rank, slots[1] % rank, slots[2] % rank
     if len({a, b, c}) != 3:
         raise ValueError(f"cyclic slots must be distinct, got {slots}")
-    for s in slots:
-        if not 0 <= s < t.ndim:
-            raise ValueError(f"slot {s} out of range for rank {t.ndim}")
     # t∘σ evaluated at arguments (x_a, x_b, x_c) is t at (x_b, x_c, x_a):
     # realised by the axis permutation that sends axis a<-b, b<-c, c<-a.
-    axes1 = list(range(t.ndim))
+    axes1 = list(range(rank))
     axes1[a], axes1[b], axes1[c] = b, c, a
-    axes2 = list(range(t.ndim))
+    axes2 = list(range(rank))
     axes2[a], axes2[b], axes2[c] = c, a, b
     return t + np.transpose(t, axes1) + np.transpose(t, axes2)
 
 
 def lower(t: NDArray, g: NDArray) -> NDArray:
     """Lower the vector index of a vector-valued 2-form stored t[k][i][j]:
-    out[i][j][k] = g(t(e_i, e_j), e_k)."""
-    return np.einsum("mij,mk->ijk", t, g)
+    out[i][j][k] = g(t(e_i, e_j), e_k); leading batch axes are kept."""
+    return np.einsum("...mij,mk->...ijk", t, g)
 
 
 def residual(a: NDArray, b: NDArray) -> float:

@@ -205,6 +205,25 @@ class TestSearchCommand:
         manifest = load_manifest(files[0])
         assert manifest.dim == 4
 
+    def test_stats_line_accounts_for_every_candidate(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "search", "--dim", "4", "--seed", "201",
+            "--max-candidates", "40", "--max-results", "16",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        search_line = next(l for l in lines if l.startswith("search:"))
+        candidates = int(search_line.split("candidates=")[1].split("/")[0])
+        stats_line = next(l for l in lines if l.startswith("stats:"))
+        head = stats_line.split("by_ansatz=")[0].split()[1:]
+        n = {key: int(value) for key, value in (kv.split("=") for kv in head)}
+        failures = ("flat_slope", "stalled", "iteration_cap", "collapsed")
+        rejections = ("rejected_class", "rejected_jacobi", "rejected_invalid")
+        assert set(n) == {"converged", "hits", "gn_iterations", *failures, *rejections}
+        assert candidates == n["converged"] + sum(n[k] for k in failures)
+        assert n["converged"] == n["hits"] + sum(n[k] for k in rejections)
+        assert n["gn_iterations"] > 0
+
     def test_search_bad_arguments_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "search", "--max-candidates", "0")
         assert code == 2

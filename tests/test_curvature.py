@@ -8,6 +8,7 @@ import pytest
 from norden import (
     antisym_residual,
     bianchi_residual,
+    canonical_norden_pair,
     compute_nabla_J,
     covariant_derivative,
     kahler_decomposition_dim4,
@@ -21,7 +22,8 @@ from norden import (
     tensor_P,
 )
 from norden.curvature import curvature_prime_from_correction
-from norden.geometry import ScalarPanel
+from norden.geometry import ScalarPanel, q_array
+from norden.manifolds import jacobi_array, levi_civita
 from norden.tensors import residual, scalar_residual
 
 from test_geometry import q_of
@@ -307,3 +309,22 @@ class TestJTwistedCurvatureIdentity:
             assert residual(lhs, rhs) <= 1e-9
             if np.max(np.abs(rhs)) > 1e-6:
                 assert residual(lhs, -rhs) > 1e-3
+
+
+class TestBatchAxis:
+    def test_batched_kernels_equal_one_call_per_entry(self):
+        g, J = canonical_norden_pair(6)
+        g_inv = np.linalg.inv(g)
+        C = np.random.default_rng(31).standard_normal((3, 6, 6, 6))
+        C = C - C.transpose(0, 1, 3, 2)
+
+        def chain(C):
+            gamma = levi_civita(C, g, g_inv)
+            nJ = compute_nabla_J(gamma, J)
+            conn = gamma + q_array(nJ, J)
+            return gamma, nJ, conn, riemann(conn, C, g), jacobi_array(C)
+
+        batched = chain(C)
+        single = [chain(c) for c in C]
+        for k, arr in enumerate(batched):
+            assert np.array_equal(arr, np.stack([s[k] for s in single]))

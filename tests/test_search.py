@@ -1,4 +1,7 @@
-"""Seeded example search: reproducibility, classification of hits, targets."""
+"""Seeded example search: reproducibility, classification of hits, targets,
+the Gauss-Newton quadratic form and the failure counters."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,14 +9,21 @@ import pytest
 from norden import (
     ClassLabel,
     SearchConfig,
+    SearchStats,
     SearchTarget,
+    canonical_norden_pair,
     classify,
     compute_F,
     compute_nabla_J,
+    cyclic_sum3,
     run_suite,
     search_w3_examples,
     validate_manifold,
 )
+from norden import search
+from norden.curvature import riemann
+from norden.geometry import q_array
+from norden.manifolds import jacobi_array, levi_civita
 
 from test_manifolds import gamma_of
 
@@ -106,3 +116,144 @@ class TestSearch:
         reloaded = load_manifest(path)
         report2 = run_suite(reloaded.to_manifold(), manifold_id=reloaded.id)
         assert emit_report(report1, "json") == emit_report(report2, "json")
+
+
+def _kernel_map(C, kahler):
+    """The full Gauss-Newton residual map from the kernels: the Jacobi sum and,
+    for the Kahler target, the first Bianchi sum of R'."""
+    g, J = canonical_norden_pair(C.shape[0])
+    parts = [jacobi_array(C).ravel()]
+    if kahler:
+        gamma = levi_civita(C, g, np.linalg.inv(g))
+        conn = gamma + q_array(compute_nabla_J(gamma, J), J)
+        parts.append(cyclic_sum3(riemann(conn, C, g)).ravel())
+    return np.concatenate(parts)
+
+
+FORMS = [(dim, kahler) for dim in (4, 6) for kahler in (False, True)]
+
+
+@pytest.fixture(params=FORMS, ids=[f"d{d}-{'kahler' if k else 'w3'}" for d, k in FORMS])
+def form_case(request):
+    dim, kahler = request.param
+    form = search._quadratic_form(dim, kahler)
+    rng = np.random.default_rng(100 * dim + kahler)
+    r = form.null.shape[1]
+    return form, kahler, rng.uniform(-2.0, 2.0, r), rng.normal(size=r)
+
+
+class TestQuadraticForm:
+    def test_form_equals_the_kernel_map_on_the_kept_rows(self, form_case):
+        form, kahler, z, _ = form_case
+        kept = _kernel_map(form.brackets(z), kahler)[form.rows]
+        err = np.max(np.abs(z @ form.qz(z) - kept))
+        assert err <= 1e-13 * (1.0 + np.max(np.abs(kept)))
+
+    def test_kept_rows_carry_max_abs_and_a_sixth_of_the_squares(self, form_case):
+        form, kahler, z, _ = form_case
+        d, blocks = form.dim, 2 if kahler else 1
+        full = _kernel_map(form.brackets(z), kahler)
+        kept = full[form.rows]
+        assert full.size == form.full_rows == blocks * d**4
+        assert kept.size == blocks * math.comb(d, 3) * d
+        assert np.max(np.abs(kept)) == pytest.approx(np.max(np.abs(full)), rel=1e-14)
+        assert 6.0 * np.sum(kept**2) == pytest.approx(np.sum(full**2), rel=1e-12)
+
+    def test_reduced_step_equals_the_central_difference_step(self, form_case):
+        form, kahler, z, direction = form_case
+        direction = direction / np.linalg.norm(direction)
+        C = form.brackets(z)
+        cols = []
+        for e in np.eye(z.size):
+            D = form.brackets(e)
+            cols.append(0.5 * (_kernel_map(C + D, kahler) - _kernel_map(C - D, kahler)))
+        A = np.vstack([np.array(cols).T, direction[None, :]])
+        b = np.concatenate([_kernel_map(C, kahler), [direction @ z - 1.0]])
+        full_step = np.linalg.lstsq(A, b, rcond=None)[0]
+        step = form.step(z, form.qz(z), direction)
+        assert np.linalg.norm(step - full_step) <= 1e-8 * np.linalg.norm(full_step)
+
+    def test_one_least_squares_solve_per_iteration(self, monkeypatch):
+        cutoffs = []
+        lstsq = np.linalg.lstsq
+
+        def counting(A, b, rcond):
+            cutoffs.append(rcond)
+            return lstsq(A, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        cfg = SearchConfig(dim=4, seed=42, max_candidates=40, max_results=3)
+        _, stats = search_w3_examples(cfg)
+        assert stats.gn_iterations > 0
+        assert len(cutoffs) == stats.gn_iterations
+        # the cutoff lstsq(rcond=None) applied to the full map: 4**4 rows + slice
+        assert set(cutoffs) == {np.finfo(float).eps * (4**4 + 1)}
+
+
+def _failures(stats):
+    return stats.flat_slope + stats.stalled + stats.iteration_cap + stats.collapsed
+
+
+def _rejections(stats):
+    return stats.rejected_class + stats.rejected_jacobi + stats.rejected_invalid
+
+
+class TestSearchStats:
+    @pytest.mark.parametrize(
+        "dim,seed,n,target",
+        [
+            (4, 201, 16, SearchTarget.W3),
+            (4, 42, 8, SearchTarget.W3),
+            (4, 103, 3, SearchTarget.W3_RPRIME_KAHLER),
+            (6, 7, 5, SearchTarget.W3),
+        ],
+    )
+    def test_every_candidate_is_counted_once(self, dim, seed, n, target):
+        cfg = SearchConfig(
+            dim=dim, seed=seed, max_candidates=40 * n, max_results=n, target=target
+        )
+        hits, stats = search_w3_examples(cfg)
+        assert stats.hits == len(hits)
+        assert stats.candidates == stats.converged + _failures(stats)
+        assert stats.converged == stats.hits + _rejections(stats)
+
+    def test_counters_name_the_failures(self):
+        cfg = SearchConfig(dim=4, seed=201, max_candidates=640, max_results=16)
+        _, stats = search_w3_examples(cfg)
+        assert stats.candidates > stats.converged > stats.hits
+        assert _failures(stats) > 0 and stats.rejected_class > 0
+
+    def test_flat_slope_and_collapse(self):
+        class FixedDraws:
+            """Stands in for the generator: normal() draws e_0, uniform()
+            draws `scale` e_1."""
+
+            def __init__(self, scale):
+                self.scale = scale
+
+            def normal(self, size):
+                return np.eye(size)[0]
+
+            def uniform(self, low, high, size):
+                return self.scale * np.eye(size)[1]
+
+        stats = SearchStats()
+        form = search._quadratic_form(4, False)
+        # slice direction e_0 against start point e_1: slope 0
+        assert search._gauss_newton_candidate(FixedDraws(1.0), form, stats) is None
+        basis, null = search._two_step_families(6)[0]
+        assert search._two_step_candidate(FixedDraws(0.0), 6, basis, null, stats) is None
+        assert (stats.flat_slope, stats.collapsed) == (1, 1)
+        assert stats.gn_iterations == 0
+
+    def test_validation_failures_are_split_by_invariant(self):
+        cfg = SearchConfig(dim=4)
+        stats = SearchStats()
+        not_antisymmetric = np.zeros((4, 4, 4))
+        not_antisymmetric[1, 0, 0] = 1.0  # C[m][1][l] = 0, so the Jacobi sum vanishes
+        assert search._accept(not_antisymmetric, cfg, stats) is None
+        not_jacobi = np.zeros((4, 4, 4))
+        for k, i, j in ((1, 0, 1), (2, 1, 2), (0, 2, 0), (0, 1, 2)):
+            not_jacobi[k, i, j], not_jacobi[k, j, i] = 1.0, -1.0
+        assert search._accept(not_jacobi, cfg, stats) is None  # Jacobi residual 2
+        assert (stats.rejected_invalid, stats.rejected_jacobi) == (1, 1)

@@ -138,7 +138,15 @@ class TestCyclicSum3:
         with pytest.raises(ValueError):
             cyclic_sum3(np.zeros((3, 3, 3)), (0, 0, 1))
         with pytest.raises(ValueError):
+            cyclic_sum3(np.zeros((3, 3, 3)), (0, -3, 1))
+        with pytest.raises(ValueError):
             cyclic_sum3(np.zeros((3, 3)))
+
+    def test_negative_slots_count_from_the_end(self):
+        arr = np.random.default_rng(15).standard_normal((2, 3, 3, 3, 3))
+        assert np.array_equal(cyclic_sum3(arr, (-4, -3, -2)), cyclic_sum3(arr, (1, 2, 3)))
+        with pytest.raises(ValueError, match="out of range"):
+            cyclic_sum3(arr, (-6, 0, 1))
 
 
 class TestResidual:
