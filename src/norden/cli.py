@@ -177,7 +177,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             dim=args.dim,
             seed=args.seed,
             max_candidates=args.max_candidates,
-            jacobi_tolerance=args.jacobi_tolerance,
             target=SearchTarget(args.target),
             max_results=args.max_results,
             tolerance=tolerance,
@@ -241,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument("--out", default=None, help="directory for found manifests")
     p_search.add_argument("--max-results", type=int, default=10)
-    p_search.add_argument("--jacobi-tolerance", type=float, default=1e-10)
     p_search.add_argument("--tolerance", type=float, default=None)
     p_search.set_defaults(func=_cmd_search)
 

@@ -117,11 +117,7 @@ def jacobi_residual(C: NDArray) -> float:
     return float(np.max(np.abs(cyc))) if cyc.size else 0.0
 
 
-def validate_manifold(
-    m: LieFrameManifold,
-    jacobi_tolerance: float = JACOBI_TOLERANCE,
-    matrix_tolerance: float = MATRIX_TOLERANCE,
-) -> ValidationOutcome:
+def validate_manifold(m: LieFrameManifold) -> ValidationOutcome:
     """Check every geometric invariant, reporting all violations with residuals.
 
     Shape errors are raised by the LieFrameManifold constructor; this function
@@ -133,27 +129,27 @@ def validate_manifold(
     violations: list[Violation] = []
 
     r = residual(C, -C.transpose(0, 2, 1))
-    if not r <= matrix_tolerance:
+    if not r <= MATRIX_TOLERANCE:
         violations.append(Violation("bracket antisymmetry C[k][i][j]=-C[k][j][i]", r))
 
     r = jacobi_residual(C)
-    if not r <= jacobi_tolerance:
+    if not r <= JACOBI_TOLERANCE:
         violations.append(Violation("Jacobi identity", r))
 
     r = residual(J @ J, -np.eye(d))
-    if not r <= matrix_tolerance:
+    if not r <= MATRIX_TOLERANCE:
         violations.append(Violation("almost complex structure J^2=-I", r))
 
     r = residual(J.T @ g @ J, -g)
-    if not r <= matrix_tolerance:
+    if not r <= MATRIX_TOLERANCE:
         violations.append(Violation("Norden compatibility J^T g J = -g", r))
 
     r = residual(g, g.T)
-    if not r <= matrix_tolerance:
+    if not r <= MATRIX_TOLERANCE:
         violations.append(Violation("metric symmetry", r))
 
     eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
-    n_small = int(np.sum(np.abs(eigs) <= matrix_tolerance))
+    n_small = int(np.sum(np.abs(eigs) <= MATRIX_TOLERANCE))
     if n_small:
         violations.append(
             Violation("metric nondegeneracy", float(np.min(np.abs(eigs))))

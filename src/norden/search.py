@@ -3,7 +3,9 @@
 The fundamental tensor F is linear in the structure constants (through the
 Koszul formula with constant metric), so quasi-Kahler membership and bracket
 antisymmetry form a homogeneous linear system; candidates are drawn from its
-null space.  The quadratic Jacobi identity is handled two ways:
+null space.  Its matrix is built once per dimension, by one batched kernel
+evaluation over the antisymmetric basis, and every family below is a column
+subset of it.  The quadratic Jacobi identity is handled two ways:
 
 * two-step nilpotent ansatz (brackets land in a central coordinate subspace):
   Jacobi holds identically, so accepted samples are exact.  Nontrivial
@@ -58,7 +60,6 @@ class SearchConfig:
     dim: int = 4
     seed: int = 0
     max_candidates: int = 1000
-    jacobi_tolerance: float = 1e-10
     target: SearchTarget = SearchTarget.W3
     max_results: int = 10
     tolerance: float = DEFAULT_TOLERANCE
@@ -66,12 +67,11 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.max_candidates < 1:
             raise ValueError(f"max_candidates must be >= 1, got {self.max_candidates}")
-        if self.dim <= 0 or self.dim % 2 != 0:
-            raise ValueError(f"dim must be even and positive, got {self.dim}")
+        if self.dim < 4 or self.dim % 2 != 0:
+            raise ValueError(f"dim must be even and at least 4, got {self.dim}")
         if self.max_results < 1:
             raise ValueError(f"max_results must be >= 1, got {self.max_results}")
         check_tolerance(self.tolerance)
-        check_tolerance(self.jacobi_tolerance, "jacobi_tolerance")
 
 
 @dataclass
@@ -103,74 +103,64 @@ class SearchStats:
 # ---------------------------------------------------------------------------
 
 
-def _pair_index(dim: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(dim), 2))
-
-
-def _basis_matrix(dim: int, triples: list[tuple[int, int, int]]) -> NDArray:
-    """Columns are flattened antisymmetric structure-constant basis elements
-    C with C[k][i][j] = 1 = -C[k][j][i] for each (k, i, j) triple."""
-    cols = np.zeros((dim**3, len(triples)))
-    for t, (k, i, j) in enumerate(triples):
-        C = np.zeros((dim, dim, dim))
-        C[k, i, j] = 1.0
-        C[k, j, i] = -1.0
-        cols[:, t] = C.ravel()
-    return cols
-
-
 def _w3_rows(dim: int, basis: NDArray) -> NDArray:
-    """Matrix of the linear map (structure constants) -> cyclic sum of F."""
+    """Matrix of the linear map (structure constants) -> cyclic sum of F,
+    one batched kernel evaluation over the columns of `basis`."""
     g, J = canonical_norden_pair(dim)
-    g_inv = np.linalg.inv(g)
-    rows = []
-    for t in range(basis.shape[1]):
-        C = basis[:, t].reshape(dim, dim, dim)
-        F = lower(compute_nabla_J(levi_civita(C, g, g_inv), J), g)
-        rows.append(cyclic_sum3(F).ravel())
-    return np.array(rows).T
+    C = basis.T.reshape(-1, dim, dim, dim)
+    F = lower(compute_nabla_J(levi_civita(C, g, np.linalg.inv(g)), J), g)
+    return cyclic_sum3(F, (-3, -2, -1)).reshape(len(C), -1).T
 
 
 def _null_space(A: NDArray) -> NDArray:
-    if A.size == 0:
-        return np.zeros((A.shape[1], 0))
-    u, s, vt = np.linalg.svd(A)
-    smax = s[0] if s.size and s[0] > 0 else 1.0
+    """Orthonormal null-space basis of A from the reduced SVD; every matrix
+    here has d**3 rows, at least as many as its columns, so vt is square."""
+    _, s, vt = np.linalg.svd(A, full_matrices=False)
+    smax = s[0] if s[0] > 0 else 1.0
     rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * smax))
     return vt[rank:].T
+
+
+@lru_cache(maxsize=None)
+def _membership(dim: int) -> tuple[NDArray, NDArray, NDArray]:
+    """(triples, basis, membership matrix) of the full antisymmetric constant
+    space; every family below is a column subset of these.  Triple (k, i, j),
+    i < j, ordered by (i, j) and then k, is the basis column, flattened, of
+    the brackets C with C[k][i][j] = 1 = -C[k][j][i]."""
+    pairs = itertools.combinations(range(dim), 2)
+    triples = np.array([(k, i, j) for i, j in pairs for k in range(dim)])
+    k, i, j = triples.T
+    t = np.arange(len(triples))
+    basis = np.zeros((dim, dim, dim, len(triples)))
+    basis[k, i, j, t] = 1.0
+    basis[k, j, i, t] = -1.0
+    basis = basis.reshape(dim**3, -1)
+    return triples, basis, _w3_rows(dim, basis)
 
 
 @lru_cache(maxsize=None)
 def _generic_family(dim: int) -> tuple[NDArray, NDArray]:
     """(basis matrix, null-space coordinates) for the full antisymmetric
     constant space intersected with the membership condition."""
-    triples = [(k, i, j) for (i, j) in _pair_index(dim) for k in range(dim)]
-    basis = _basis_matrix(dim, triples)
-    null = _null_space(_w3_rows(dim, basis))
-    return basis, null
+    _, basis, rows = _membership(dim)
+    return basis, _null_space(rows)
 
 
 @lru_cache(maxsize=None)
 def _two_step_families(dim: int) -> tuple[tuple[NDArray, NDArray], ...]:
     """Per-partition (basis, membership null space) for two-step ansatze with
     nontrivial null space.  Brackets of the non-central indices land in the
-    centre Z; Jacobi is then automatic."""
+    centre Z, so the family is the columns (k, i, j) with k in Z and i, j not
+    in Z; Jacobi then holds automatically."""
+    triples, basis, rows = _membership(dim)
     families = []
-    indices = set(range(dim))
     for z_size in range(1, dim - 1):
         for Z in itertools.combinations(range(dim), z_size):
-            V = sorted(indices - set(Z))
-            if len(V) < 2:
-                continue
-            triples = [
-                (k, i, j) for (i, j) in itertools.combinations(V, 2) for k in Z
-            ]
-            if not triples:
-                continue
-            basis = _basis_matrix(dim, triples)
-            null = _null_space(_w3_rows(dim, basis))
+            central = np.isin(triples, Z)
+            cols = central[:, 0] & ~central[:, 1] & ~central[:, 2]
+            null = _null_space(rows[:, cols])
             if null.shape[1] > 0:
-                families.append((basis, null))
+                families.append((basis[:, cols], null))
     return tuple(families)
 
 
@@ -358,7 +348,7 @@ def _accept(
 ) -> LieFrameManifold | None:
     g, J = canonical_norden_pair(cfg.dim)
     m = LieFrameManifold(dim=cfg.dim, structure_constants=C, metric=g, J=J)
-    outcome = validate_manifold(m, jacobi_tolerance=cfg.jacobi_tolerance)
+    outcome = validate_manifold(m)
     if not outcome.ok:
         if any(v.name == "Jacobi identity" for v in outcome.violations):
             stats.rejected_jacobi += 1

@@ -164,7 +164,7 @@ class TestToleranceRange:
         assert code == 2
         assert "NORDEN_TOLERANCE" in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("flag", ("--tolerance", "--jacobi-tolerance"))
+    @pytest.mark.parametrize("flag", ("--tolerance",))
     @pytest.mark.parametrize("value", ("nan", "inf", "-1"))
     def test_search_exit_two(self, capsys, flag, value):
         code, out, err = run_cli(
@@ -228,6 +228,13 @@ class TestSearchCommand:
         code, _, err = run_cli(capsys, "search", "--max-candidates", "0")
         assert code == 2
         assert "max_candidates" in err
+
+    def test_search_dim_two_exit_two(self, capsys):
+        # the dim-2 membership null space is trivial: nothing to search
+        code, out, err = run_cli(capsys, "search", "--dim", "2")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "at least 4" in err
 
     def test_search_without_outdir_lists_ids(self, capsys):
         code, out, _ = run_cli(

@@ -1,7 +1,11 @@
-"""Seeded example search: reproducibility, classification of hits, targets,
-the Gauss-Newton quadratic form and the failure counters."""
+"""Seeded example search: the membership matrix and its families,
+reproducibility, classification of hits, targets, the Gauss-Newton quadratic
+form and the failure counters."""
 
+import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,9 @@ from norden import (
 from norden import search
 from norden.curvature import riemann
 from norden.geometry import q_array
+from norden.manifests import manifest_to_json
 from norden.manifolds import jacobi_array, levi_civita
+from norden.tensors import lower
 
 from test_manifolds import gamma_of
 
@@ -33,7 +39,7 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="max_candidates"):
             SearchConfig(dim=4, seed=1, max_candidates=0)
 
-    @pytest.mark.parametrize("field", ("tolerance", "jacobi_tolerance"))
+    @pytest.mark.parametrize("field", ("tolerance",))
     @pytest.mark.parametrize("value", (float("nan"), float("inf"), -1.0, 0.0, 1.0))
     def test_tolerance_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -42,6 +48,98 @@ class TestSearchConfig:
     def test_odd_dim_rejected(self):
         with pytest.raises(ValueError, match="dim"):
             SearchConfig(dim=5, seed=1, max_candidates=10)
+
+    def test_dim_below_four_rejected(self):
+        # dim 2 has a trivial membership null space
+        with pytest.raises(ValueError, match="at least 4"):
+            SearchConfig(dim=2, seed=1)
+
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool"
+
+
+def _loop_basis(dim, triples):
+    """Basis matrix of the (k, i, j) triples, one column at a time."""
+    cols = np.zeros((dim**3, len(triples)))
+    for t, (k, i, j) in enumerate(triples):
+        C = np.zeros((dim, dim, dim))
+        C[k, i, j] = 1.0
+        C[k, j, i] = -1.0
+        cols[:, t] = C.ravel()
+    return cols
+
+
+def _loop_w3_rows(dim, basis):
+    """Membership matrix by one kernel evaluation per column: the reference
+    for the batched evaluation of `search._w3_rows`."""
+    g, J = canonical_norden_pair(dim)
+    g_inv = np.linalg.inv(g)
+    rows = []
+    for t in range(basis.shape[1]):
+        C = basis[:, t].reshape(dim, dim, dim)
+        F = lower(compute_nabla_J(levi_civita(C, g, g_inv), J), g)
+        rows.append(cyclic_sum3(F).ravel())
+    return np.array(rows).T
+
+
+class TestMembership:
+    @pytest.mark.parametrize("dim", (4, 6, 8))
+    def test_batched_rows_equal_the_per_column_loop(self, dim):
+        triples, basis, rows = search._membership(dim)
+        pairs = itertools.combinations(range(dim), 2)
+        want = [(k, i, j) for i, j in pairs for k in range(dim)]
+        assert triples.tolist() == [list(t) for t in want]
+        assert basis.tobytes() == _loop_basis(dim, want).tobytes()
+        assert rows.tobytes() == _loop_w3_rows(dim, basis).tobytes()
+
+    def test_families_equal_the_per_partition_construction(self):
+        dim, want = 6, []
+        for z_size in range(1, dim - 1):
+            for Z in itertools.combinations(range(dim), z_size):
+                V = [v for v in range(dim) if v not in Z]
+                triples = [(k, i, j) for i, j in itertools.combinations(V, 2) for k in Z]
+                basis = _loop_basis(dim, triples)
+                null = search._null_space(_loop_w3_rows(dim, basis))
+                if null.shape[1] > 0:
+                    want.append((basis, null))
+        got = search._two_step_families(dim)
+        assert len(got) == len(want)
+        for (basis, null), (want_basis, want_null) in zip(got, want):
+            assert basis.tobytes() == want_basis.tobytes()
+            assert null.tobytes() == want_null.tobytes()
+
+    @pytest.mark.parametrize(
+        "dim,generic,families,family_cols",
+        [(4, 12, 0, 0), (6, 54, 17, 32), (8, 144, 146, 512)],
+    )
+    def test_null_space_sizes(self, dim, generic, families, family_cols):
+        assert search._generic_family(dim)[1].shape[1] == generic
+        two_step = search._two_step_families(dim)
+        assert len(two_step) == families
+        assert sum(null.shape[1] for _, null in two_step) == family_cols
+
+    @pytest.mark.parametrize("dim", (6, 8))
+    def test_pool_two_step_searches_reproduce_their_manifests(self, dim):
+        entries = json.loads((POOL / "pool.json").read_text(encoding="utf-8"))
+        pool = [
+            e
+            for e in entries["manifests"]
+            if e.get("config", {}).get("dim") == dim and e["config"]["target"] == "w3"
+        ]
+        files = [e["file"] for e in pool]
+        config = pool[0]["config"]
+        cfg = SearchConfig(
+            dim=dim,
+            seed=config["seed"],
+            target=SearchTarget(config["target"]),
+            max_results=config["max_results"],
+            max_candidates=config["max_candidates"],
+        )
+        hits, _ = search_w3_examples(cfg)
+        assert [f"{hit.id}.manifest" for hit in hits] == files
+        for hit, name in zip(hits, files):
+            assert "ansatz=two_step" in hit.description
+            assert manifest_to_json(hit) == (POOL / name).read_text(encoding="utf-8")
 
 
 class TestSearch:
