@@ -10,8 +10,8 @@ from .curvature import (
     bianchi_residual,
     kahler_decomposition_dim4,
     kahler_residual,
+    metric_pairing,
     pi_forms,
-    q_pairing,
     reconstruct_R_dim4,
     ricci_and_scalars,
     riemann,
@@ -51,12 +51,10 @@ from .manifolds import (
 from .search import SearchConfig, SearchStats, SearchTarget, search_w3_examples
 from .suite import (
     CHECK_CATALOG,
-    CHECK_IDS,
     SUITE_VERSION,
     CheckResult,
     VerificationReport,
     build_context,
-    check_identity,
     run_suite,
 )
 from .tensors import (

@@ -184,6 +184,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    out_dir = Path(args.out) if args.out else None
+    if out_dir is not None and out_dir.exists() and not out_dir.is_dir():
+        print(f"error: --out {out_dir} exists and is not a directory", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     manifests, stats = search_w3_examples(cfg)
     print(
         f"search: dim={cfg.dim} seed={cfg.seed} target={cfg.target.value} "
@@ -201,15 +205,18 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if not manifests:
         print("no examples found within the candidate budget")
         return EXIT_OK
-    out_dir = Path(args.out) if args.out else None
-    if out_dir is not None:
+    if out_dir is None:
+        for manifest in manifests:
+            print(f"found: {manifest.id}")
+        return EXIT_OK
+    try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    for manifest in manifests:
-        if out_dir is not None:
+        for manifest in manifests:
             path = save_manifest(manifest, out_dir / f"{manifest.id}.manifest")
             print(f"found: {manifest.id} -> {path}")
-        else:
-            print(f"found: {manifest.id}")
+    except OSError as exc:
+        print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     return EXIT_OK
 
 

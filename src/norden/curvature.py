@@ -69,10 +69,11 @@ def ricci_and_scalars(m: LieFrameManifold, L: NDArray) -> RicciScalars:
     )
 
 
-def q_pairing(m: LieFrameManifold, q_vec: NDArray) -> NDArray:
-    """qq[x][y][z][w] = g(Q(x,y), Q(z,w)); every Q-quadratic term of R', P
-    and EQ_2_6/EQ_2_7 is a slot permutation of it."""
-    return np.einsum("mij,nkl,mn->ijkl", q_vec, q_vec, m.metric)
+def metric_pairing(m: LieFrameManifold, A: NDArray, B: NDArray) -> NDArray:
+    """L[x][y][z][w] = g(A(x,y), B(z,w)) for vector-valued A and B.  With
+    A = B = Q it is qq, of which every Q-quadratic term of R', P and
+    EQ_2_6/EQ_2_7 is a slot permutation."""
+    return np.einsum("mij,nkl,mn->ijkl", A, B, m.metric)
 
 
 def curvature_prime_from_correction(
@@ -81,8 +82,8 @@ def curvature_prime_from_correction(
     """Independent route to the skew-torsion curvature:
     R'(x,y,z,w) = R(x,y,z,w) + (nabla_x Q)(y,z,w) - (nabla_y Q)(x,z,w)
                   - g(Q(y,z),Q(x,w)) + g(Q(x,z),Q(y,w)),
-    with nabla_Q the Levi-Civita derivative of the covariant Q and qq from
-    `q_pairing`."""
+    with nabla_Q the Levi-Civita derivative of the covariant Q and
+    qq = metric_pairing(m, Q, Q)."""
     return (
         R
         + nabla_Q
@@ -94,7 +95,7 @@ def curvature_prime_from_correction(
 
 def tensor_P(qq: NDArray) -> NDArray:
     """P(x,y,z,w) = 2 g(Q(x,y),Q(z,w)) + g(Q(z,y),Q(x,w)) + g(Q(x,z),Q(y,w)),
-    with qq from `q_pairing`."""
+    with qq = metric_pairing(m, Q, Q)."""
     return 2.0 * qq + qq.transpose(2, 1, 0, 3) + qq.transpose(0, 2, 1, 3)
 
 
@@ -102,7 +103,7 @@ def tensor_H(m: LieFrameManifold, nabla_J: NDArray) -> NDArray:
     """H(x,y,z,w) = g((nabla_x J)Jy + (nabla_{Jx} J)y, (nabla_z J)Jw + (nabla_{Jz} J)w)."""
     a, b = twist_arrays(nabla_J, m.J)
     B = a + b
-    return np.einsum("mij,nkl,mn->ijkl", B, B, m.metric)
+    return metric_pairing(m, B, B)
 
 
 PiForms = tuple[NDArray, NDArray, NDArray]

@@ -167,7 +167,11 @@ def load_manifest(path: str | Path) -> ManifoldManifest:
     path = Path(path)
     if not path.is_file():
         raise ManifestNotFoundError(f"manifest file not found: {path}")
-    return parse_manifest(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestFormatError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_manifest(text)
 
 
 def bundled_manifest_path(name: str) -> Path:

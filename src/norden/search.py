@@ -71,6 +71,8 @@ class SearchConfig:
             raise ValueError(f"dim must be even and at least 4, got {self.dim}")
         if self.max_results < 1:
             raise ValueError(f"max_results must be >= 1, got {self.max_results}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         check_tolerance(self.tolerance)
 
 

@@ -1,9 +1,11 @@
 """Catalog of named identity checks and the per-manifold suite runner.
 
 Each check binds a stable id to a residual computed from a shared
-precomputation context, a tolerance and a gate.  A gated check whose gate is
-unmet reports NA (never PASS/FAIL); residuals are still logged whenever they
-are computable, so contrapositives remain observable in report data.
+precomputation context, a tolerance and a gate: the class it needs and the
+earlier checks that must PASS before it runs.  A check whose gate is unmet
+reports NA (never PASS/FAIL) with the reason; residuals are still logged
+whenever they are computable, so contrapositives remain observable in report
+data.
 """
 
 from __future__ import annotations
@@ -91,11 +93,6 @@ class GeometryContext:
     R: NDArray
     values: dict[str, float] = field(default_factory=dict)
     panel: geo.ScalarPanel | None = None
-    r_prime_kahler: bool = False
-
-    @property
-    def dim(self) -> int:
-        return self.m.dim
 
 
 def _class_independent_values(ctx: GeometryContext) -> None:
@@ -138,7 +135,7 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
         - np.einsum("ai,ck,ajcl->ijkl", J, J, Rc)
     )
     sym = nJ + nJ.transpose(0, 2, 1)
-    G = np.einsum("aij,bkl,ab->ijkl", sym, sym, g)
+    G = curv.metric_pairing(m, sym, sym)
     v["EQ_1_15"] = residual(cyclic_sum3(S), cyclic_sum3(G))
 
     q_vec, qc = geo.compute_Q(m, nJ, ctx.classification)
@@ -158,15 +155,12 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     # nabla Q and g(Q(x,y),Q(z,w)), shared by R' (correction route), P and
     # EQ_2_6/EQ_2_7
     dQ = covariant_derivative(m, ctx.gamma, qc)
-    qq = curv.q_pairing(m, q_vec)
+    qq = curv.metric_pairing(m, q_vec, q_vec)
     Rpc = curv.riemann(gamma_p, m.structure_constants, g)
     v["EQ_2_3"] = residual(Rpc, curv.curvature_prime_from_correction(Rc, dQ, qq))
     v["R_PRIME_1_10"] = curv.antisym_residual(Rpc)
     v["R_PRIME_1_12"] = curv.kahler_residual(Rpc, J)
     v["BIANCHI_R_PRIME"] = curv.bianchi_residual(Rpc)
-    ctx.r_prime_kahler = (
-        max(v["R_PRIME_1_10"], v["BIANCHI_R_PRIME"], v["R_PRIME_1_12"]) <= tol
-    )
 
     P = curv.tensor_P(qq)
     v["EQ_2_8"] = residual(3.0 * Rpc, 3.0 * Rc + P)
@@ -313,204 +307,190 @@ def build_context(
 # catalog
 # ---------------------------------------------------------------------------
 
-GATE_NONE = "none"
-GATE_CLASS = "class"
-GATE_KAHLER = "kahler"
-GATE_DIM4_KAHLER = "dim4_kahler"
-GATE_BIANCHI_PASS = "bianchi_pass"
-GATE_EQ_2_8_PASS = "eq_2_8_pass"
-GATE_EQ_2_14_PASS = "eq_2_14_pass"
+# R' is Kahlerian: both pair antisymmetries, the first Bianchi identity and
+# the J-invariance of the last two slots
+KAHLER = ("R_PRIME_1_10", "BIANCHI_R_PRIME", "R_PRIME_1_12")
 
 
 @dataclass(frozen=True)
 class CheckDef:
+    """`gate` is None for a check that runs on every class; otherwise the
+    check needs class KAHLER_W0 or QUASI_KAHLER_W3 and the earlier checks it
+    names to PASS, and with `dim4` also dimension 4."""
+
     check_id: str
     anchor: str
-    gate: str
+    gate: tuple[str, ...] | None
     value_key: str
+    dim4: bool = False
 
 
 def _defs() -> tuple[CheckDef, ...]:
     d: list[CheckDef] = []
 
-    def add(check_id: str, anchor: str, gate: str, value_key: str | None = None):
-        d.append(CheckDef(check_id, anchor, gate, value_key or check_id))
+    def add(
+        check_id: str,
+        anchor: str,
+        gate: tuple[str, ...] | None = (),
+        value_key: str | None = None,
+        dim4: bool = False,
+    ):
+        d.append(CheckDef(check_id, anchor, gate, value_key or check_id, dim4))
 
-    add("EQ_1_3_A", "F(x,y,z) = F(x,z,y)", GATE_NONE)
-    add("EQ_1_3_B", "F(x,y,z) = F(x,Jy,Jz)", GATE_NONE)
+    add("EQ_1_3_A", "F(x,y,z) = F(x,z,y)", None)
+    add("EQ_1_3_B", "F(x,y,z) = F(x,Jy,Jz)", None)
     add(
         "EQ_1_5",
         "(nabla_x F)(y,z,w) - (nabla_y F)(x,z,w) = R(x,y,Jz,w) - R(x,y,z,Jw)",
-        GATE_NONE,
+        None,
     )
     add(
         "R_CURVATURE_LIKE",
         "R has both pair antisymmetries and satisfies the first Bianchi identity",
-        GATE_NONE,
+        None,
     )
-    add("R_PAIR_SYMMETRY", "R(x,y,z,w) = R(z,w,x,y)", GATE_NONE)
-    add(
-        "EQ_1_4",
-        "cyclic sum of F vanishes (quasi-Kahler membership condition)",
-        GATE_CLASS,
-    )
-    add("EQ_1_13", "cyclic sum of F(Jx,y,z) vanishes", GATE_CLASS)
+    add("R_PAIR_SYMMETRY", "R(x,y,z,w) = R(z,w,x,y)", None)
+    add("EQ_1_4", "cyclic sum of F vanishes (quasi-Kahler membership condition)")
+    add("EQ_1_13", "cyclic sum of F(Jx,y,z) vanishes")
     add(
         "EQ_1_14",
         "(nabla_x J)Jy + (nabla_y J)Jx + (nabla_{Jx} J)y + (nabla_{Jy} J)x = 0",
-        GATE_CLASS,
     )
     add(
         "EQ_1_7",
         "||nabla J||^2 = -2 g^{ij} g^{ks} g((nabla_{e_i} J)e_k, (nabla_{e_s} J)e_j)",
-        GATE_CLASS,
     )
-    add(
-        "ASSOC_NORM_ZERO",
-        "associated square norm of nabla J vanishes on this class",
-        GATE_CLASS,
-    )
+    add("ASSOC_NORM_ZERO", "associated square norm of nabla J vanishes on this class")
     add(
         "EQ_1_15",
         "cyclic{R(x,Jy,Jz,w)-R(x,Jy,z,Jw)+R(Jx,y,z,Jw)-R(Jx,y,Jz,w)} = "
         "+cyclic{g((nabla_x J)y+(nabla_y J)x, (nabla_z J)w+(nabla_w J)z)} "
         "(sign on the right empirically corrected; see README findings)",
-        GATE_CLASS,
     )
-    add("EQ_1_19", "g(Q(y,z),w) = -1/4 cyclic sum of F(y,z,Jw)", GATE_CLASS)
-    add("Q_SKEW", "g(Q(x,y),z) is totally skew-symmetric", GATE_CLASS)
-    add("Q_TRACE", "g^{ij} Q(e_i,e_j) = 0", GATE_CLASS)
-    add("F_TRACE_A", "g^{ij} F(e_i,e_j,z) = 0", GATE_CLASS)
-    add("F_TRACE_B", "g^{ij} F(e_i,Je_j,z) = 0", GATE_CLASS)
-    add("NATURAL_G", "nabla' g = 0", GATE_CLASS)
-    add("NATURAL_J", "nabla' J = 0", GATE_CLASS)
-    add("TORSION_2Q", "torsion of nabla' equals 2Q", GATE_CLASS)
+    add("EQ_1_19", "g(Q(y,z),w) = -1/4 cyclic sum of F(y,z,Jw)")
+    add("Q_SKEW", "g(Q(x,y),z) is totally skew-symmetric")
+    add("Q_TRACE", "g^{ij} Q(e_i,e_j) = 0")
+    add("F_TRACE_A", "g^{ij} F(e_i,e_j,z) = 0")
+    add("F_TRACE_B", "g^{ij} F(e_i,Je_j,z) = 0")
+    add("NATURAL_G", "nabla' g = 0")
+    add("NATURAL_J", "nabla' J = 0")
+    add("TORSION_2Q", "torsion of nabla' equals 2Q")
     add(
         "EQ_2_3",
         "R' from its curvature formula equals R plus nabla-Q and Q-quadratic terms",
-        GATE_CLASS,
     )
-    add("R_PRIME_1_10", "R' has both pair antisymmetries", GATE_CLASS)
-    add("R_PRIME_1_12", "R'(x,y,Jz,Jw) = -R'(x,y,z,w)", GATE_CLASS)
-    add("BIANCHI_R_PRIME", "first Bianchi identity for R'", GATE_CLASS)
-    add("EQ_2_8", "3R' = 3R + P", GATE_CLASS)
+    add("R_PRIME_1_10", "R' has both pair antisymmetries")
+    add("R_PRIME_1_12", "R'(x,y,Jz,Jw) = -R'(x,y,z,w)")
+    add("BIANCHI_R_PRIME", "first Bianchi identity for R'")
+    add("EQ_2_8", "3R' = 3R + P")
     add(
         "EQ_2_14",
         "cyclic g((nabla_x J)Jy+(nabla_{Jx} J)y, (nabla_z J)Jw+(nabla_{Jz} J)w) = 0 "
         "(identically satisfied on this class; see README findings)",
-        GATE_CLASS,
     )
     add(
         "TORSION_PARALLEL",
         "nabla' Q = 0; empirically co-vanishes with BIANCHI_R_PRIME on this model class",
-        GATE_CLASS,
     )
-    add("EQ_2_6", "R' = R - (nabla_z Q)(x,y,w) + g(Q(x,y),Q(z,w))", GATE_KAHLER)
+    add("EQ_2_6", "R' = R - (nabla_z Q)(x,y,w) + g(Q(x,y),Q(z,w))", KAHLER)
     add(
         "EQ_2_7",
         "R'(x,y,z,w)+R'(z,y,x,w) = R(x,y,z,w)+R(z,y,x,w)+g(Q(x,y),Q(z,w))+g(Q(z,y),Q(x,w))",
-        GATE_KAHLER,
+        KAHLER,
     )
     add(
         "P_CURVATURE_LIKE",
         "P has both pair antisymmetries and satisfies the first Bianchi identity",
-        GATE_CLASS,
     )
-    add("H_1_10", "H has both pair antisymmetries", GATE_CLASS)
-    add("H_1_12", "H(x,y,Jz,Jw) = -H(x,y,z,w)", GATE_CLASS)
-    add("COR_2_2", "P is Kahler iff R is Kahler (statuses agree)", GATE_KAHLER)
+    add("H_1_10", "H has both pair antisymmetries")
+    add("H_1_12", "H(x,y,Jz,Jw) = -H(x,y,z,w)")
+    add("COR_2_2", "P is Kahler iff R is Kahler (statuses agree)", KAHLER)
     add(
         "COR_2_4",
         "R' satisfies the first Bianchi identity iff H is a Kahler tensor (statuses agree)",
-        GATE_CLASS,
     )
-    add("THM_2_1_FWD", "R' Bianchi holds => 3R' = 3R + P", GATE_BIANCHI_PASS, "EQ_2_8")
+    add(
+        "THM_2_1_FWD",
+        "R' Bianchi holds => 3R' = 3R + P",
+        ("BIANCHI_R_PRIME",),
+        "EQ_2_8",
+    )
     add(
         "THM_2_1_REV",
         "3R' = 3R + P => R' Bianchi holds",
-        GATE_EQ_2_8_PASS,
+        ("EQ_2_8",),
         "BIANCHI_R_PRIME",
     )
     add(
         "THM_2_3_FWD",
         "R' Bianchi holds => the cyclic nabla-J condition of EQ_2_14",
-        GATE_BIANCHI_PASS,
+        ("BIANCHI_R_PRIME",),
         "EQ_2_14",
     )
     add(
         "THM_2_3_REV",
         "the cyclic nabla-J condition of EQ_2_14 => R' Bianchi holds",
-        GATE_EQ_2_14_PASS,
+        ("EQ_2_14",),
         "BIANCHI_R_PRIME",
     )
-    add("EQ_3_1", "3 tau' = 3 tau + tau(P)", GATE_KAHLER)
-    add("EQ_3_2", "3 tau'* = 3 tau* + tau*(P)", GATE_KAHLER)
-    add("EQ_3_3", "tau(P) = 3 g^{ij} g^{ks} g(Q(e_i,e_k), Q(e_s,e_j))", GATE_CLASS)
-    add("EQ_3_4", "tau(P) = (9/8) ||nabla J||^2", GATE_CLASS)
-    add("EQ_3_5", "tau' = tau + (3/8) ||nabla J||^2", GATE_KAHLER)
-    add("EQ_3_6", "tau*(P) = -(3/8) ||nabla J||^2", GATE_CLASS)
-    add("EQ_3_7", "tau'* = tau* - (1/8) ||nabla J||^2", GATE_KAHLER)
-    add("EQ_3_8", "tau' + 3 tau'* = tau + 3 tau*", GATE_KAHLER)
-    add("EQ_3_9_A", "tau(H) = 2 ||nabla J||^2", GATE_CLASS)
-    add("EQ_3_9_B", "tau*(H) = 2 ||nabla J||^2", GATE_CLASS)
-    add("EQ_3_10", "tau' = tau + (3/16) tau(H)", GATE_KAHLER)
-    add("EQ_3_11", "tau'* = tau* - (1/16) tau(H)", GATE_KAHLER)
+    add("EQ_3_1", "3 tau' = 3 tau + tau(P)", KAHLER)
+    add("EQ_3_2", "3 tau'* = 3 tau* + tau*(P)", KAHLER)
+    add("EQ_3_3", "tau(P) = 3 g^{ij} g^{ks} g(Q(e_i,e_k), Q(e_s,e_j))")
+    add("EQ_3_4", "tau(P) = (9/8) ||nabla J||^2")
+    add("EQ_3_5", "tau' = tau + (3/8) ||nabla J||^2", KAHLER)
+    add("EQ_3_6", "tau*(P) = -(3/8) ||nabla J||^2")
+    add("EQ_3_7", "tau'* = tau* - (1/8) ||nabla J||^2", KAHLER)
+    add("EQ_3_8", "tau' + 3 tau'* = tau + 3 tau*", KAHLER)
+    add("EQ_3_9_A", "tau(H) = 2 ||nabla J||^2")
+    add("EQ_3_9_B", "tau*(H) = 2 ||nabla J||^2")
+    add("EQ_3_10", "tau' = tau + (3/16) tau(H)", KAHLER)
+    add("EQ_3_11", "tau'* = tau* - (1/16) tau(H)", KAHLER)
     add(
         "THM_3_1",
         "||nabla J||^2 = 0 iff each of tau-tau', tau*-tau'*, tau(P), tau*(P), "
         "tau(H), tau*(H) is 0 (statuses agree)",
-        GATE_KAHLER,
+        KAHLER,
     )
-    add("EQ_3_12", "R' = (tau'/8)(pi_1 - pi_2) + (tau'*/8) pi_3", GATE_DIM4_KAHLER)
+    add("EQ_3_12", "R' = (tau'/8)(pi_1 - pi_2) + (tau'*/8) pi_3", KAHLER, dim4=True)
     add(
         "EQ_3_13",
         "R = (1/8){(tau + (3/8)||nabla J||^2)(pi_1-pi_2) + "
         "(tau* - (1/8)||nabla J||^2) pi_3} - (1/3)P",
-        GATE_DIM4_KAHLER,
+        KAHLER,
+        dim4=True,
     )
     add(
         "THM_3_2",
         "||nabla J||^2 = 0 iff R = (1/8){tau (pi_1-pi_2) + tau* pi_3} - (1/3)P "
         "(statuses agree)",
-        GATE_DIM4_KAHLER,
+        KAHLER,
+        dim4=True,
     )
     add(
         "THM_3_3",
         "R = (1/128){(16 tau + tau(H))(pi_1-pi_2) + (16 tau* - tau(H)) pi_3} - (1/3)P",
-        GATE_DIM4_KAHLER,
+        KAHLER,
+        dim4=True,
     )
     return tuple(d)
 
 
 CHECK_CATALOG: tuple[CheckDef, ...] = _defs()
-CHECK_IDS: tuple[str, ...] = tuple(c.check_id for c in CHECK_CATALOG)
 
 
 def _gate_reason(defn: CheckDef, ctx: GeometryContext) -> str | None:
     """None when the gate is met, else the NA reason."""
-    cls_ok = ctx.classification.is_w3_or_kahler
-    if defn.gate == GATE_NONE:
+    if defn.gate is None:
         return None
-    if not cls_ok:
+    if not ctx.classification.is_w3_or_kahler:
         return "class OTHER"
-    if defn.gate == GATE_CLASS:
-        return None
-    if defn.gate == GATE_KAHLER:
-        return None if ctx.r_prime_kahler else "R' not Kahler within tolerance"
-    if defn.gate == GATE_DIM4_KAHLER:
-        if ctx.dim != 4:
-            return "dimension != 4"
-        return None if ctx.r_prime_kahler else "R' not Kahler within tolerance"
-    if defn.gate == GATE_BIANCHI_PASS:
-        ok = ctx.values.get("BIANCHI_R_PRIME")
-        return None if ok is not None and ok <= ctx.tolerance else "R' Bianchi fails"
-    if defn.gate == GATE_EQ_2_8_PASS:
-        ok = ctx.values.get("EQ_2_8")
-        return None if ok is not None and ok <= ctx.tolerance else "3R' = 3R + P fails"
-    if defn.gate == GATE_EQ_2_14_PASS:
-        ok = ctx.values.get("EQ_2_14")
-        return None if ok is not None and ok <= ctx.tolerance else "EQ_2_14 fails"
-    raise ValueError(f"unknown gate {defn.gate!r}")
+    if defn.dim4 and ctx.m.dim != 4:
+        return "dimension != 4"
+    for key in defn.gate:
+        res = ctx.values[key]
+        if res > ctx.tolerance:
+            return f"{key} fails (residual {res:.2e})"
+    return None
 
 
 def _run_one(defn: CheckDef, ctx: GeometryContext) -> CheckResult:
@@ -551,20 +531,3 @@ def run_suite(
         scalar_panel=ctx.panel,
         checks=checks,
     )
-
-
-def check_identity(
-    check_id: str,
-    m: LieFrameManifold,
-    context: GeometryContext | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> CheckResult:
-    """Run a single catalog check, reusing a shared context when given."""
-    for defn in CHECK_CATALOG:
-        if defn.check_id == check_id:
-            break
-    else:
-        raise ValueError(f"unknown check id {check_id!r}")
-    if context is None:
-        context = build_context(m, tolerance)
-    return _run_one(defn, context)

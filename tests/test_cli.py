@@ -98,6 +98,14 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == 2
 
+    def test_non_utf8_manifest_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "latin1.manifest"
+        path.write_bytes('{"id": "caf\u00e9"}'.encode("latin-1"))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "not UTF-8" in err
+
 
 class TestToleranceResolution:
     def test_env_override(self, capsys, monkeypatch):
@@ -235,6 +243,33 @@ class TestSearchCommand:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "at least 4" in err
+
+    def test_search_negative_seed_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "seed" in err
+
+    def test_search_out_is_a_file_exit_two_before_searching(self, capsys, tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "search", "--dim", "6", "--seed", "3", "--out", str(path)
+        )
+        assert code == 2
+        assert out == ""  # no search ran
+        assert err.count("\n") == 1 and "not a directory" in err
+
+    def test_search_unwritable_out_exit_two(self, capsys, tmp_path):
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        out_dir = tmp_path / "taken" / "found"
+        code, out, err = run_cli(
+            capsys, "search", "--dim", "6", "--seed", "3",
+            "--max-candidates", "60", "--max-results", "1", "--out", str(out_dir),
+        )
+        assert code == 2
+        assert "stats:" in out
+        assert err.count("\n") == 1 and err.startswith("error: cannot write to ")
 
     def test_search_without_outdir_lists_ids(self, capsys):
         code, out, _ = run_cli(

@@ -13,8 +13,8 @@ from norden import (
     covariant_derivative,
     kahler_decomposition_dim4,
     kahler_residual,
+    metric_pairing,
     pi_forms,
-    q_pairing,
     reconstruct_R_dim4,
     ricci_and_scalars,
     riemann,
@@ -86,7 +86,8 @@ class TestRiemann:
             R = riemann(gamma, m.structure_constants, m.metric)
             R_prime = riemann(gamma + q_vec, m.structure_constants, m.metric)
             dQ = covariant_derivative(m, gamma, q_cov)
-            R_prime2 = curvature_prime_from_correction(R, dQ, q_pairing(m, q_vec))
+            qq = metric_pairing(m, q_vec, q_vec)
+            R_prime2 = curvature_prime_from_correction(R, dQ, qq)
             assert residual(R_prime, R_prime2) <= 1e-9
 
     def test_skew_torsion_curvature_structure(self, w3_pool):
@@ -134,14 +135,15 @@ class TestRicciScalars:
 
 class TestTensorP:
     def test_zero_potential(self, flat4):
-        P = tensor_P(q_pairing(flat4, np.zeros((4, 4, 4))))
+        zero = np.zeros((4, 4, 4))
+        P = tensor_P(metric_pairing(flat4, zero, zero))
         assert np.max(np.abs(P)) == 0.0
 
     def test_curvature_like_on_class(self, w3_pool):
         for m in list(w3_pool)[:8]:
             gamma = gamma_of(m)
             q_vec, _ = q_of(m, compute_nabla_J(gamma, m.J))
-            P = tensor_P(q_pairing(m, q_vec))
+            P = tensor_P(metric_pairing(m, q_vec, q_vec))
             assert antisym_residual(P) <= 1e-9
             assert bianchi_residual(P) <= 1e-9
 
@@ -154,7 +156,7 @@ class TestTensorP:
             nJ = compute_nabla_J(gamma, m.J)
             q_vec, _ = q_of(m, nJ)
             sq, _ = square_norms(m, nJ)
-            sc = ricci_and_scalars(m, tensor_P(q_pairing(m, q_vec)))
+            sc = ricci_and_scalars(m, tensor_P(metric_pairing(m, q_vec, q_vec)))
             assert scalar_residual(sc.tau, 9.0 / 8.0 * sq) <= 1e-9
 
 
@@ -246,7 +248,7 @@ class TestReconstruction:
         sq, assoc = square_norms(m, nJ)
         R = riemann(gamma, m.structure_constants, m.metric)
         R_prime = riemann(gamma + q_vec, m.structure_constants, m.metric)
-        P = tensor_P(q_pairing(m, q_vec))
+        P = tensor_P(metric_pairing(m, q_vec, q_vec))
         H = tensor_H(m, nJ)
         sc = {k: ricci_and_scalars(m, v) for k, v in
               (("R", R), ("Rp", R_prime), ("P", P), ("H", H))}

@@ -138,9 +138,9 @@ class TestSquareNorms:
             nJ = compute_nabla_J(gamma, m.J)
             sq, assoc = square_norms(m, nJ)
             q_vec, _ = q_of(m, nJ)
-            from norden import q_pairing, ricci_and_scalars
+            from norden import metric_pairing, ricci_and_scalars
 
-            tau_P = ricci_and_scalars(m, tensor_P(q_pairing(m, q_vec))).tau
+            tau_P = ricci_and_scalars(m, tensor_P(metric_pairing(m, q_vec, q_vec))).tau
             assert scalar_residual(tau_P, 3.0 / 8.0 * (3.0 * sq + 2.0 * assoc)) <= 1e-9
             assert scalar_residual(tau_P, 3.0 / 8.0 * (3.0 * sq + assoc)) <= 1e-9
 

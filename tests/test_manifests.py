@@ -44,6 +44,12 @@ class TestLoadManifest:
         with pytest.raises(ManifestFormatError):
             load_manifest(path)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.manifest"
+        path.write_bytes(b'{"id": "caf\xe9"}')
+        with pytest.raises(ManifestFormatError, match="not UTF-8"):
+            load_manifest(path)
+
     def test_shape_mismatch(self):
         doc = {
             "id": "broken",

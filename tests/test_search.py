@@ -49,6 +49,10 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="dim"):
             SearchConfig(dim=5, seed=1, max_candidates=10)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SearchConfig(dim=4, seed=-1)
+
     def test_dim_below_four_rejected(self):
         # dim 2 has a trivial membership null space
         with pytest.raises(ValueError, match="at least 4"):

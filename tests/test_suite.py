@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from norden import (
-    CHECK_IDS,
+    CHECK_CATALOG,
     ClassLabel,
     InvalidManifoldError,
     LieFrameManifold,
-    build_context,
     canonical_norden_pair,
-    check_identity,
     run_suite,
 )
 from norden.cli import emit_report
+from norden.suite import KAHLER
 
 TOL = 1e-9
 
@@ -38,8 +37,19 @@ class TestRunSuite:
     def test_catalog_complete_and_unique(self, flat4):
         report = run_suite(flat4)
         ids = [c.check_id for c in report.checks]
-        assert ids == list(CHECK_IDS)
+        assert ids == [c.check_id for c in CHECK_CATALOG]
         assert len(ids) == len(set(ids))
+
+    def test_gates_name_earlier_class_gated_checks(self):
+        """Every prerequisite is an earlier check gated on the class alone, so
+        once the class is met, its residual within tolerance is its PASS."""
+        gate_of = {}
+        for defn in CHECK_CATALOG:
+            for key in defn.gate or ():
+                assert gate_of.get(key) == (), (defn.check_id, key)
+            gate_of[defn.check_id] = defn.gate
+        structural = {c.check_id for c in CHECK_CATALOG if c.gate is None}
+        assert structural == CLASS_INDEPENDENT
 
     def test_quasi_kahler_example_statuses(self, two_step_6):
         """Frozen expected statuses for the exact integer-bracket example:
@@ -186,25 +196,25 @@ class TestEquivalences:
 
 class TestCheckIdentity:
     def test_single_check_flat(self, flat4):
-        result = check_identity("EQ_1_7", flat4)
+        result = run_suite(flat4).check("EQ_1_7")
         assert result.status == "PASS"
         assert result.residual == 0.0
 
-    def test_reuses_context(self, two_step_6):
-        ctx = build_context(two_step_6)
-        r1 = check_identity("EQ_3_4", two_step_6, context=ctx)
-        r2 = check_identity("EQ_3_4", two_step_6)
-        assert r1.residual == r2.residual
-        assert r1.status == "PASS"
-
     def test_dim_gate_reason(self, two_step_6):
-        result = check_identity("EQ_3_12", two_step_6)
+        result = run_suite(two_step_6).check("EQ_3_12")
         assert result.status == "NA"
         assert result.reason == "dimension != 4"
 
-    def test_unknown_id_rejected(self, flat4):
-        with pytest.raises(ValueError, match="unknown check id"):
-            check_identity("EQ_9_9", flat4)
+    def test_prerequisite_reason_names_failing_check(self, generic_w3_4):
+        """The Kahler gate names the first of its checks that fails, with its
+        residual; on this model only the Bianchi identity of R' can fail."""
+        report = run_suite(generic_w3_4)
+        assert [report.check(k).status for k in KAHLER] == ["PASS", "FAIL", "PASS"]
+        bianchi = report.check("BIANCHI_R_PRIME")
+        result = report.check("EQ_2_6")
+        assert result.status == "NA"
+        expected = f"BIANCHI_R_PRIME fails (residual {bianchi.residual:.2e})"
+        assert result.reason == expected == "BIANCHI_R_PRIME fails (residual 1.27e-01)"
 
 
 class TestDeterminism:
