@@ -73,7 +73,8 @@ def metric_pairing(m: LieFrameManifold, A: NDArray, B: NDArray) -> NDArray:
     """L[x][y][z][w] = g(A(x,y), B(z,w)) for vector-valued A and B.  With
     A = B = Q it is qq, of which every Q-quadratic term of R', P and
     EQ_2_6/EQ_2_7 is a slot permutation."""
-    return np.einsum("mij,nkl,mn->ijkl", A, B, m.metric)
+    gB = np.einsum("mn,nkl->mkl", m.metric, B)
+    return np.einsum("mij,mkl->ijkl", A, gB)
 
 
 def curvature_prime_from_correction(

@@ -88,7 +88,7 @@ def q_array(nJ: NDArray, J: NDArray) -> NDArray:
     """Q(x,y) = 1/4 { (nabla_x J)Jy - (nabla_{Jx} J)y - 2 (nabla_y J)Jx }, mixed;
     leading batch axes of nJ are kept."""
     a, b = twist_arrays(nJ, J)
-    return 0.25 * (a - b - 2.0 * a.swapaxes(-1, -2))
+    return (a - b - 2 * a.swapaxes(-1, -2)) / 4
 
 
 def compute_F(m: LieFrameManifold, nabla_J: NDArray) -> NDArray:
@@ -133,6 +133,22 @@ def classify(
     )
 
 
+def metric_trace(g_inv: NDArray, A: NDArray, G: NDArray, cross: bool = False):
+    """g^{ij} g^{ks} G(A(e_i,e_k), A(e_j,e_s)) for a vector-valued A stored
+    [a][x][y] and a bilinear form G; with `cross` the second argument is
+    A(e_s,e_j).
+
+    Two matrix products and one dot product, O(d^4); the entries' dtype is
+    kept, so the result is a numpy scalar (exact for Fraction entries).
+    """
+    d = A.shape[0]
+    x = g_inv.T @ A @ g_inv  # x[a][j][s] = g^{ij} g^{ks} A(e_i,e_k)^a
+    if cross:
+        A = A.swapaxes(1, 2)
+    y = G @ A.reshape(d, -1)
+    return x.reshape(-1) @ y.reshape(-1)
+
+
 def square_norms(m: LieFrameManifold, nabla_J: NDArray) -> tuple[float, float]:
     """Square norm of nabla J and its associated variant.
 
@@ -140,10 +156,11 @@ def square_norms(m: LieFrameManifold, nabla_J: NDArray) -> tuple[float, float]:
     associated variant replaces the innermost pairing g by the associated
     metric g~(x,y) = g(x,Jy).
     """
-    g, g_inv, nJ = m.metric, m.metric_inv, nabla_J
-    sq = float(np.einsum("ij,ks,aik,bjs,ab->", g_inv, g_inv, nJ, nJ, g))
-    assoc = float(np.einsum("ij,ks,aik,bjs,ab->", g_inv, g_inv, nJ, nJ, g @ m.J))
-    return sq, assoc
+    g, g_inv = m.metric, m.metric_inv
+    return (
+        float(metric_trace(g_inv, nabla_J, g)),
+        float(metric_trace(g_inv, nabla_J, g @ m.J)),
+    )
 
 
 def sq_norm_cross_form(m: LieFrameManifold, nabla_J: NDArray) -> float:
@@ -152,8 +169,7 @@ def sq_norm_cross_form(m: LieFrameManifold, nabla_J: NDArray) -> float:
     Equals the square norm of nabla J on quasi-Kahler manifolds; used as an
     independent route for the square-norm identity check.
     """
-    g, g_inv, nJ = m.metric, m.metric_inv, nabla_J
-    return float(-2.0 * np.einsum("ij,ks,aik,bsj,ab->", g_inv, g_inv, nJ, nJ, g))
+    return float(-2 * metric_trace(m.metric_inv, nabla_J, m.metric, cross=True))
 
 
 def compute_Q(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +82,7 @@ def emit_json(value, indent: int = 0) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
+        return encode_basestring(value)
     if isinstance(value, (int, float, np.integer, np.floating)):
         return _format_number(float(value) if isinstance(value, np.floating) else value)
     if isinstance(value, np.ndarray):
@@ -97,7 +98,7 @@ def emit_json(value, indent: int = 0) -> str:
         if not value:
             return "{}"
         inner = ",\n".join(
-            pad + "  " + json.dumps(str(k)) + ": " + emit_json(v, indent + 2)
+            pad + "  " + encode_basestring_ascii(str(k)) + ": " + emit_json(v, indent + 2)
             for k, v in value.items()
         )
         return "{\n" + inner + "\n" + pad + "}"

@@ -177,7 +177,7 @@ def levi_civita(C: NDArray, g: NDArray, g_inv: NDArray) -> NDArray:
     """
     b = lower(C, g)  # b[i][j][k] = g([e_i,e_j],e_k)
     b_kij = b.swapaxes(-3, -2).swapaxes(-2, -1)  # b_kij[i][j][k] = b[k][i][j]
-    low = 0.5 * (b + b_kij + b.swapaxes(-3, -1))
+    low = (b + b_kij + b.swapaxes(-3, -1)) / 2
     return np.einsum("km,...ijm->...kij", g_inv, low)
 
 

@@ -100,7 +100,7 @@ def _class_independent_values(ctx: GeometryContext) -> None:
     J = m.J
     v = ctx.values
     v["EQ_1_3_A"] = residual(F, F.transpose(0, 2, 1))
-    v["EQ_1_3_B"] = residual(F, np.einsum("iab,aj,bk->ijk", F, J, J))
+    v["EQ_1_3_B"] = residual(F, J.T @ F @ J)
 
     v["R_CURVATURE_LIKE"] = max(curv.antisym_residual(Rc), curv.bianchi_residual(Rc))
     v["R_PAIR_SYMMETRY"] = residual(Rc, Rc.transpose(2, 3, 0, 1))
@@ -128,12 +128,10 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
 
     # J-twisted curvature identity, with the empirically validated (+) sign
     # on the Gram side of symmetrized nabla J.
-    S = (
-        np.einsum("bj,ck,ibcl->ijkl", J, J, Rc)
-        - np.einsum("bj,dl,ibkd->ijkl", J, J, Rc)
-        + np.einsum("ai,dl,ajkd->ijkl", J, J, Rc)
-        - np.einsum("ai,ck,ajcl->ijkl", J, J, Rc)
-    )
+    # RJ2 = R(x,Jy,z,w) and RJ1 = R(Jx,y,z,w); J.T @ and @ J twist z and w
+    RJ2 = np.einsum("bj,ibcl->ijcl", J, Rc)
+    RJ1 = np.einsum("ai,ajcl->ijcl", J, Rc)
+    S = J.T @ RJ2 - RJ2 @ J + RJ1 @ J - J.T @ RJ1
     sym = nJ + nJ.transpose(0, 2, 1)
     G = curv.metric_pairing(m, sym, sym)
     v["EQ_1_15"] = residual(cyclic_sum3(S), cyclic_sum3(G))
@@ -200,9 +198,7 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     v["EQ_3_2"] = scalar_residual(
         3.0 * panel.tau_prime_star, 3.0 * panel.tau_star + panel.tau_star_P
     )
-    trace_qq = float(
-        3.0 * np.einsum("ij,ks,mik,nsj,mn->", g_inv, g_inv, q_vec, q_vec, g)
-    )
+    trace_qq = float(3.0 * geo.metric_trace(g_inv, q_vec, g, cross=True))
     v["EQ_3_3"] = scalar_residual(panel.tau_P, trace_qq)
     v["EQ_3_4"] = scalar_residual(panel.tau_P, 9.0 / 8.0 * sq)
     v["EQ_3_5"] = scalar_residual(panel.tau_prime, panel.tau + 3.0 / 8.0 * sq)

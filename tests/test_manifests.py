@@ -101,6 +101,13 @@ class TestSerialization:
         manifest = load_manifest(bundled_manifest_path("w3_generic_4"))
         assert manifest_to_json(manifest) == manifest_to_json(manifest)
 
+    def test_strings_escaped_like_json_dumps(self):
+        """Values keep non-ASCII text and keys escape it, as json.dumps would."""
+        for s in ("plain", 'quo"te\\', "tab\tnl\n\x01", "Kähler ∇′ 𝔤", ""):
+            assert emit_json(s) == json.dumps(s, ensure_ascii=False)
+            key_line = emit_json({s: 1}).splitlines()[1]
+            assert key_line == "  " + json.dumps(s) + ": 1"
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             emit_json(float("nan"))
