@@ -18,13 +18,15 @@ import argparse
 import os
 import sys
 import time
+from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
+from .geometry import ScalarPanel
 from .manifests import (
     ManifestError,
     ManifoldManifest,
     bundled_manifest_path,
-    emit_json,
+    json_number,
     load_manifest,
     save_manifest,
 )
@@ -48,23 +50,42 @@ def _panel_dict(report: VerificationReport) -> dict | None:
     return {name: getattr(panel, name) for name in panel.FIELDS}
 
 
-def report_to_dict(report: VerificationReport) -> dict:
-    return {
-        "manifold_id": report.manifold_id,
-        "suite_version": report.suite_version,
-        "class": report.class_label.label.value,
-        "scalars": _panel_dict(report),
-        "checks": [
-            {
-                "id": c.check_id,
-                "anchor": c.anchor,
-                "residual": c.residual,
-                "tolerance": c.tolerance,
-                "status": c.status,
-            }
-            for c in report.checks
-        ],
-    }
+# the JSON report as `emit_json` lays out its dict (keys in this order, two
+# spaces per level), written with one format string per check
+_SCALAR_KEYS = tuple(encode_basestring_ascii(name) for name in ScalarPanel.FIELDS)
+_CHECK_JSON = (
+    '    {{\n      "id": {},\n      "anchor": {},\n      "residual": {},\n'
+    '      "tolerance": {},\n      "status": {}\n    }}'
+)
+
+
+def _json_report(report: VerificationReport) -> str:
+    panel = report.scalar_panel
+    if panel is None:
+        scalars = "null"
+    else:
+        scalars = "{\n" + ",\n".join(
+            f"    {key}: {json_number(getattr(panel, name))}"
+            for key, name in zip(_SCALAR_KEYS, panel.FIELDS)
+        ) + "\n  }"
+    checks = ",\n".join(
+        _CHECK_JSON.format(
+            encode_basestring(c.check_id),
+            encode_basestring(c.anchor),
+            json_number(c.residual),
+            json_number(c.tolerance),
+            encode_basestring(c.status),
+        )
+        for c in report.checks
+    )
+    checks = "[\n" + checks + "\n  ]" if checks else "[]"
+    return (
+        f'{{\n  "manifold_id": {encode_basestring(report.manifold_id)},\n'
+        f'  "suite_version": {encode_basestring(report.suite_version)},\n'
+        f'  "class": {encode_basestring(report.class_label.label.value)},\n'
+        f'  "scalars": {scalars},\n'
+        f'  "checks": {checks}\n}}\n'
+    )
 
 
 def _format_text(report: VerificationReport, elapsed: float | None) -> str:
@@ -109,7 +130,7 @@ def emit_report(
     """Render a report deterministically; the timing line appears only in the
     text format and is the single non-reproducible output line."""
     if fmt == STRUCTURED:
-        return (emit_json(report_to_dict(report)) + "\n").encode("utf-8")
+        return _json_report(report).encode("utf-8")
     if fmt == TEXT:
         return _format_text(report, elapsed).encode("utf-8")
     raise ValueError(f"unknown report format {fmt!r}")

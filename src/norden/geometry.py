@@ -116,7 +116,7 @@ def classify(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> Classification:
     """Kahler / quasi-Kahler / other decision from the fundamental tensor."""
-    f_norm = float(np.max(np.abs(F)))
+    f_norm = float(np.abs(F).max())
     r_14, r_113, r_114 = w3_membership_residuals(m, F, nabla_J)
     if f_norm <= tolerance:
         label = ClassLabel.KAHLER_W0
@@ -196,6 +196,6 @@ class InapplicableClassError(ValueError):
     """Operation undefined for the manifold's class."""
 
 
-def q_from_cyclic_F(m: LieFrameManifold, F: NDArray) -> NDArray:
+def q_from_cyclic_F(F: NDArray, J: NDArray) -> NDArray:
     """Covariant Q by the independent route -1/4 cyclic-sum of F(y,z,Jw)."""
-    return -0.25 * cyclic_sum3(np.einsum("ija,ak->ijk", F, m.J))
+    return -cyclic_sum3(np.einsum("ija,ak->ijk", F, J)) / 4

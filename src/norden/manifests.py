@@ -59,15 +59,18 @@ class ManifoldManifest:
 # ---------------------------------------------------------------------------
 
 
-def _format_number(x: float) -> str:
+def json_number(x: float | None) -> str:
+    """`null` for None, else the number with 17 significant digits (ints as
+    they are); ValueError for NaN and the infinities."""
+    if x is None:
+        return "null"
     if isinstance(x, bool):
         raise TypeError("bool is not a JSON number here")
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError("non-finite numbers cannot be serialized")
     if isinstance(x, int):
         return str(x)
-    s = format(float(x), ".17g")
-    return s
+    return format(float(x), ".17g")
 
 
 def emit_json(value, indent: int = 0) -> str:
@@ -84,7 +87,7 @@ def emit_json(value, indent: int = 0) -> str:
     if isinstance(value, str):
         return encode_basestring(value)
     if isinstance(value, (int, float, np.integer, np.floating)):
-        return _format_number(float(value) if isinstance(value, np.floating) else value)
+        return json_number(float(value) if isinstance(value, np.floating) else value)
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, (list, tuple)):

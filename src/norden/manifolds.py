@@ -114,7 +114,7 @@ def jacobi_array(C: NDArray) -> NDArray:
 def jacobi_residual(C: NDArray) -> float:
     """Max-abs of the Jacobi cyclic sum."""
     cyc = jacobi_array(C)
-    return float(np.max(np.abs(cyc))) if cyc.size else 0.0
+    return float(np.abs(cyc).max()) if cyc.size else 0.0
 
 
 def validate_manifold(m: LieFrameManifold) -> ValidationOutcome:

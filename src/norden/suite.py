@@ -10,6 +10,7 @@ data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +138,7 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     v["EQ_1_15"] = residual(cyclic_sum3(S), cyclic_sum3(G))
 
     q_vec, qc = geo.compute_Q(m, nJ, ctx.classification)
-    v["EQ_1_19"] = residual(qc, geo.q_from_cyclic_F(m, F))
+    v["EQ_1_19"] = residual(qc, geo.q_from_cyclic_F(F, J))
     v["Q_SKEW"] = max(
         residual(qc, -qc.transpose(1, 0, 2)), residual(qc, -qc.transpose(0, 2, 1))
     )
@@ -260,7 +261,7 @@ def _non_finite(ctx: GeometryContext) -> list[Violation]:
     return [
         Violation(f"finite value of {name}", x)
         for name, x in values.items()
-        if not np.isfinite(x)
+        if not math.isfinite(x)
     ]
 
 

@@ -90,7 +90,8 @@ def residual(a: NDArray, b: NDArray) -> float:
     """Scaled max-abs deviation: max|a-b| / (1 + max(max|a|, max|b|)).
 
     Zero iff the tensors are equal; bounded by 1 for wildly different inputs,
-    so a fixed tolerance is meaningful across curvature magnitudes.
+    so a fixed tolerance is meaningful across curvature magnitudes.  A NaN or
+    infinite entry gives NaN.
     """
     arr_a = np.asarray(a, dtype=float)
     arr_b = np.asarray(b, dtype=float)
@@ -98,14 +99,18 @@ def residual(a: NDArray, b: NDArray) -> float:
         raise ValueError(f"shape mismatch: {arr_a.shape} vs {arr_b.shape}")
     if arr_a.size == 0:
         return 0.0
-    scale = 1.0 + max(np.max(np.abs(arr_a)), np.max(np.abs(arr_b)))
-    return float(np.max(np.abs(arr_a - arr_b)) / scale)
+    scale = 1.0 + max(np.abs(arr_a).max(), np.abs(arr_b).max())
+    return float(np.abs(arr_a - arr_b).max() / scale)
 
 
 def zero_residual(a: NDArray) -> float:
-    """Residual of `a` against the zero tensor of the same shape."""
+    """Residual of `a` against the zero tensor of the same shape:
+    max|a| / (1 + max|a|)."""
     arr = np.asarray(a, dtype=float)
-    return residual(arr, np.zeros_like(arr))
+    if arr.size == 0:
+        return 0.0
+    top = np.abs(arr).max()
+    return float(top / (1.0 + top))
 
 
 def scalar_residual(lhs: float, rhs: float) -> float:

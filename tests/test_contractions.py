@@ -31,8 +31,15 @@ from norden import (
     square_norms,
     tensor_H,
 )
-from norden.geometry import metric_trace, q_array, sq_norm_cross_form, twist_arrays
+from norden.geometry import (
+    metric_trace,
+    q_array,
+    q_from_cyclic_F,
+    sq_norm_cross_form,
+    twist_arrays,
+)
 from norden.suite import build_context
+from norden.tensors import lower
 
 from exact_oracle import (
     inverse,
@@ -170,7 +177,8 @@ def test_trace_matches_exact_oracle():
 
 def test_kernel_runs_on_fractions():
     """gamma, nabla J, Q and ||nabla J||^2 of w3_two_step_6 from Fraction
-    object arrays: every entry equals the loop oracle's, and the norm is 60."""
+    object arrays: every entry equals the loop oracle's, the norm is 60, and
+    the EQ_1_19 route -1/4 cyclic F(y,z,Jw) gives the covariant Q exactly."""
     m = load_manifest(bundled_manifest_path("w3_two_step_6")).to_manifold()
     C, g, J = (to_fractions(a.tolist()) for a in (m.structure_constants, m.metric, m.J))
     g_inv = inverse(g)
@@ -184,6 +192,10 @@ def test_kernel_runs_on_fractions():
         assert all(isinstance(x, Fraction) for x in got.flat)
         assert got.tolist() == want
     assert metric_trace(g_inv_, nJ, g_) == 60
+    alt = q_from_cyclic_F(lower(nJ, g_), J_)
+    assert all(isinstance(x, Fraction) for x in alt.flat)
+    assert alt.tolist() == lower(Q, g_).tolist()
+    assert np.any(alt != 0)
 
 
 def _einsum_subscripts(path: Path):

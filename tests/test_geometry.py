@@ -157,7 +157,7 @@ class TestTorsionPotential:
             gamma = gamma_of(m)
             nJ = compute_nabla_J(gamma, m.J)
             _, q_cov = q_of(m, nJ)
-            alt = q_from_cyclic_F(m, compute_F(m, nJ))
+            alt = q_from_cyclic_F(compute_F(m, nJ), m.J)
             assert residual(q_cov, alt) <= 1e-9
 
     def test_total_skewness_and_trace(self, w3_pool):

@@ -1,11 +1,23 @@
 """Tensor arithmetic against independent nested-loop oracles."""
 
 import itertools
+import math
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from norden.tensors import contract, cyclic_sum3, residual, scalar_residual
+from norden.tensors import (
+    contract,
+    cyclic_sum3,
+    residual,
+    scalar_residual,
+    zero_residual,
+)
 
 
 def loop_contract(arr, slot_a, slot_b, metric_inv):
@@ -187,3 +199,92 @@ class TestResidual:
         assert scalar_residual(0.5, 0.5) == 0.0
         assert scalar_residual(100.0, 104.0) == pytest.approx(4.0 / 104.0)
         assert scalar_residual(0.0, 0.5) == pytest.approx(0.5)
+
+
+def three_max_residual(a, b) -> float:
+    """The residual as first written: three np.max calls on float copies."""
+    arr_a = np.asarray(a, dtype=float)
+    arr_b = np.asarray(b, dtype=float)
+    if arr_a.shape != arr_b.shape:
+        raise ValueError(f"shape mismatch: {arr_a.shape} vs {arr_b.shape}")
+    if arr_a.size == 0:
+        return 0.0
+    scale = 1.0 + max(np.max(np.abs(arr_a)), np.max(np.abs(arr_b)))
+    return float(np.max(np.abs(arr_a - arr_b)) / scale)
+
+
+def three_max_zero_residual(a) -> float:
+    arr = np.asarray(a, dtype=float)
+    return three_max_residual(arr, np.zeros_like(arr))
+
+
+def same_bits(x: float, y: float) -> bool:
+    """Equal bit patterns; any two NaNs count as equal."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return struct.pack("<d", x) == struct.pack("<d", y)
+
+
+ENTRIES = st.floats(allow_nan=True, allow_infinity=True, width=64) | st.sampled_from(
+    (0.0, -0.0, 1.0, -1.0)
+)
+
+
+@st.composite
+def array_pairs(draw):
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=4, min_side=0, max_side=4))
+    a = draw(hnp.arrays(np.float64, shape, elements=ENTRIES))
+    b = draw(hnp.arrays(np.float64, shape, elements=ENTRIES))
+    return a, b
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, overflow
+class TestResidualBits:
+    """`residual` and `zero_residual` keep every bit of the three-max formula:
+    a max does not depend on the order it visits the entries."""
+
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(array_pairs())
+    def test_residual_matches_three_max_formula(self, pair):
+        a, b = pair
+        assert same_bits(residual(a, b), three_max_residual(a, b))
+        assert same_bits(residual(b, a), three_max_residual(b, a))
+
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(array_pairs())
+    def test_zero_residual_matches_three_max_formula(self, pair):
+        for a in pair:
+            assert same_bits(zero_residual(a), three_max_zero_residual(a))
+
+    def test_empty_arrays(self):
+        for shape in ((0, 3), (2, 0, 2), (0, 0, 0, 0)):
+            assert same_bits(residual(np.zeros(shape), np.ones(shape)), 0.0)
+            assert same_bits(zero_residual(np.zeros(shape)), 0.0)
+
+    def test_negative_zero(self):
+        neg = np.full((2, 2), -0.0)
+        for got in (residual(neg, np.zeros((2, 2))), residual(neg, neg), zero_residual(neg)):
+            assert same_bits(got, 0.0)
+
+    def test_fraction_arrays_are_cast_to_float(self):
+        a = np.array([[Fraction(1, 3), Fraction(-2, 7)], [Fraction(0), Fraction(5, 2)]])
+        b = np.array([[Fraction(1, 3), Fraction(1, 7)], [Fraction(0), Fraction(5, 2)]])
+        got = residual(a, b)
+        assert type(got) is float
+        assert same_bits(got, three_max_residual(a, b))
+        assert same_bits(got, (3 / 7) / (1.0 + 2.5))
+        assert same_bits(zero_residual(a), 2.5 / 3.5)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_entries_give_nan(self, bad):
+        a = np.ones((3, 3))
+        b = a.copy()
+        b[1, 2] = bad
+        assert math.isnan(residual(a, b))
+        assert math.isnan(residual(b, a))
+        assert math.isnan(residual(b, b))
+        assert math.isnan(zero_residual(b))
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            residual(np.zeros((2, 3)), np.zeros((3, 2)))
