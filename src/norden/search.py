@@ -18,7 +18,9 @@ subset of it.  The quadratic Jacobi identity is handled two ways:
   they are precomputed once per (dim, target) as a symmetric form Q with
   phi(z) = Q[z, z] (`QuadraticForm`).  An iteration is one product Qz (the
   residual and the Jacobian), one small least-squares solve, and one product
-  Q step that prices every line-search trial.
+  Q step that prices every line-search trial.  A candidate whose residual
+  settles at a rounding floor above the convergence threshold is dropped
+  early (`GN_FLOOR`) rather than run to the iteration cap.
 
 Both paths are driven by one seeded generator, so searches are reproducible.
 """
@@ -48,6 +50,11 @@ from .tensors import DEFAULT_TOLERANCE, check_tolerance, cyclic_sum3, lower, zer
 
 GN_MAX_ITERATIONS = 120
 GN_CONVERGENCE = 1e-13
+# a candidate ends as `at_floor` once max|phi| was already <= GN_FLOOR
+# GN_FLOOR_WINDOW iterations ago and has not halved since: it sits at a
+# rounding floor above GN_CONVERGENCE and would run to the cap
+GN_FLOOR = 1e-10
+GN_FLOOR_WINDOW = 10
 
 
 class SearchTarget(enum.Enum):
@@ -81,7 +88,8 @@ class SearchStats:
     """Counts of one search.  Every candidate either converges or fails for
     one reason, and every converged candidate is a hit or one rejection:
 
-    candidates = converged + flat_slope + stalled + iteration_cap + collapsed
+    candidates = converged + flat_slope + stalled + iteration_cap + at_floor
+                 + collapsed
     converged  = hits + rejected_class + rejected_jacobi + rejected_invalid
     """
 
@@ -94,6 +102,7 @@ class SearchStats:
     flat_slope: int = 0  # slice direction nearly orthogonal to the start point
     stalled: int = 0  # line search found no decrease
     iteration_cap: int = 0  # GN_MAX_ITERATIONS without convergence
+    at_floor: int = 0  # max|phi| stuck at a rounding floor (GN_FLOOR)
     collapsed: int = 0  # brackets converged to (near) zero, the abelian algebra
     gn_iterations: int = 0  # Gauss-Newton steps, one least-squares solve each
     elapsed: float = 0.0
@@ -291,12 +300,19 @@ def _gauss_newton_candidate(
         return None
     z = z / slope
 
+    history = []  # max|phi| at the start of each iteration
     for _ in range(GN_MAX_ITERATIONS):
         qz = form.qz(z)
         f = z @ qz
         norm_inf = np.max(np.abs(f))
         if norm_inf < GN_CONVERGENCE:
             break
+        if len(history) >= GN_FLOOR_WINDOW:
+            old = history[-GN_FLOOR_WINDOW]
+            if old <= GN_FLOOR and norm_inf > 0.5 * old:
+                stats.at_floor += 1
+                return None
+        history.append(norm_inf)
         stats.gn_iterations += 1
         step = form.step(z, qz, direction)
         # phi(z - lam step) = phi(z) - 2 lam Q[z, step] + lam^2 Q[step, step]

@@ -292,8 +292,28 @@ class TestQuadraticForm:
         assert set(cutoffs) == {np.finfo(float).eps * (4**4 + 1)}
 
 
+class FixedDraws:
+    """Stands in for the generator: normal() draws e_0, uniform() draws
+    `offset` e_0 + `scale` e_1."""
+
+    def __init__(self, scale, offset=0.0):
+        self.scale, self.offset = scale, offset
+
+    def normal(self, size):
+        return np.eye(size)[0]
+
+    def uniform(self, low, high, size):
+        return self.offset * np.eye(size)[0] + self.scale * np.eye(size)[1]
+
+
 def _failures(stats):
-    return stats.flat_slope + stats.stalled + stats.iteration_cap + stats.collapsed
+    return (
+        stats.flat_slope
+        + stats.stalled
+        + stats.iteration_cap
+        + stats.at_floor
+        + stats.collapsed
+    )
 
 
 def _rejections(stats):
@@ -324,21 +344,9 @@ class TestSearchStats:
         _, stats = search_w3_examples(cfg)
         assert stats.candidates > stats.converged > stats.hits
         assert _failures(stats) > 0 and stats.rejected_class > 0
+        assert stats.at_floor > 0
 
     def test_flat_slope_and_collapse(self):
-        class FixedDraws:
-            """Stands in for the generator: normal() draws e_0, uniform()
-            draws `scale` e_1."""
-
-            def __init__(self, scale):
-                self.scale = scale
-
-            def normal(self, size):
-                return np.eye(size)[0]
-
-            def uniform(self, low, high, size):
-                return self.scale * np.eye(size)[1]
-
         stats = SearchStats()
         form = search._quadratic_form(4, False)
         # slice direction e_0 against start point e_1: slope 0
@@ -359,3 +367,78 @@ class TestSearchStats:
             not_jacobi[k, i, j], not_jacobi[k, j, i] = 1.0, -1.0
         assert search._accept(not_jacobi, cfg, stats) is None  # Jacobi residual 2
         assert (stats.rejected_invalid, stats.rejected_jacobi) == (1, 1)
+
+
+def _root_form():
+    """phi(z) = z_1**2, one row, with brackets z_0 (a 1 x 1 x 1 array): on
+    the slice z_0 = 1 the root z_1 = 0 is singular, and the plain
+    Gauss-Newton step halves z_1."""
+    q = np.zeros((2, 2, 1))
+    q[1, 1, 0] = 1.0
+    return search.QuadraticForm(
+        dim=1,
+        basis=np.ones((1, 1)),
+        null=np.array([[1.0, 0.0]]),
+        rows=np.arange(1),
+        full_rows=1,
+        q=q,
+    )
+
+
+class _ScaledSteps:
+    """`form` with every Gauss-Newton step scaled so that the full step
+    multiplies phi(z) = z_1**2 by `rate`."""
+
+    def __init__(self, form, rate):
+        self.form, self.factor = form, 2.0 * (1.0 - math.sqrt(rate))
+
+    def __getattr__(self, name):
+        return getattr(self.form, name)
+
+    def step(self, z, qz, direction):
+        return self.factor * self.form.step(z, qz, direction)
+
+
+class TestFloorStop:
+    """A candidate ends as at_floor once max|phi| was <= GN_FLOOR
+    GN_FLOOR_WINDOW iterations ago and has not halved since."""
+
+    def _run(self, form, phi_start):
+        stats = SearchStats()
+        draws = FixedDraws(math.sqrt(phi_start), offset=1.0)  # slice z_0 = 1
+        return search._gauss_newton_candidate(draws, form, stats), stats
+
+    def test_rounding_floor_ends_as_at_floor(self):
+        # max|phi| about 5e-11, falling 0.2% per iteration: a rounding floor
+        C, stats = self._run(_ScaledSteps(_root_form(), 0.998), 5e-11)
+        assert C is None
+        assert stats.at_floor == 1
+        assert stats.gn_iterations == search.GN_FLOOR_WINDOW
+        assert stats.iteration_cap == stats.stalled == stats.collapsed == 0
+
+    def test_creeping_above_the_floor_runs_to_the_cap(self):
+        # the same creep at max|phi| about 1e-6 never reaches GN_FLOOR
+        C, stats = self._run(_ScaledSteps(_root_form(), 0.998), 1e-6)
+        assert C is None
+        assert (stats.iteration_cap, stats.at_floor) == (1, 0)
+        assert stats.gn_iterations == search.GN_MAX_ITERATIONS
+
+    @pytest.mark.parametrize("rate,cut", [(0.93, False), (0.94, True)])
+    def test_window_must_halve_max_phi(self, rate, cut):
+        # 0.93**10 = 0.48 halves max|phi| within the window, 0.94**10 = 0.54
+        # does not: that root is cut, although from 5e-11 it would converge
+        # in 101 steps, within GN_MAX_ITERATIONS
+        C, stats = self._run(_ScaledSteps(_root_form(), rate), 5e-11)
+        assert (C is None, stats.at_floor) == (cut, int(cut))
+        assert stats.iteration_cap == 0
+        if not cut:
+            assert stats.gn_iterations > search.GN_FLOOR_WINDOW
+
+    @pytest.mark.parametrize("phi_start", [1.0, 1e-10])
+    def test_singular_root_converges(self, phi_start):
+        # the plain step halves z_1, so max|phi| falls fourfold per iteration
+        C, stats = self._run(_root_form(), phi_start)
+        assert C is not None and C.shape == (1, 1, 1)
+        assert stats.at_floor == stats.iteration_cap == stats.stalled == 0
+        expected = math.ceil(math.log(phi_start / search.GN_CONVERGENCE, 4))
+        assert stats.gn_iterations == expected
