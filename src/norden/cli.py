@@ -219,7 +219,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         f"rejected_class={stats.rejected_class} rejected_jacobi={stats.rejected_jacobi} "
         f"rejected_invalid={stats.rejected_invalid} flat_slope={stats.flat_slope} "
         f"stalled={stats.stalled} iteration_cap={stats.iteration_cap} "
-        f"at_floor={stats.at_floor} collapsed={stats.collapsed} "
+        f"collapsed={stats.collapsed} "
         f"gn_iterations={stats.gn_iterations} by_ansatz={stats.by_ansatz}"
     )
     print(f"time: {stats.elapsed:.2f} s")

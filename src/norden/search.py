@@ -18,9 +18,10 @@ subset of it.  The quadratic Jacobi identity is handled two ways:
   they are precomputed once per (dim, target) as a symmetric form Q with
   phi(z) = Q[z, z] (`QuadraticForm`).  An iteration is one product Qz (the
   residual and the Jacobian), one small least-squares solve, and one product
-  Q step that prices every line-search trial.  A candidate whose residual
-  settles at a rounding floor above the convergence threshold is dropped
-  early (`GN_FLOOR`) rather than run to the iteration cap.
+  Q step that prices every line-search trial.  The solve drops singular
+  values below `GN_RANK_CUTOFF` times the largest, so near the singular roots
+  the search meets, the Jacobian it inverts has locally constant rank and
+  convergence stays quadratic where that rank is constant.
 
 Both paths are driven by one seeded generator, so searches are reproducible.
 """
@@ -50,11 +51,8 @@ from .tensors import DEFAULT_TOLERANCE, check_tolerance, cyclic_sum3, lower, zer
 
 GN_MAX_ITERATIONS = 120
 GN_CONVERGENCE = 1e-13
-# a candidate ends as `at_floor` once max|phi| was already <= GN_FLOOR
-# GN_FLOOR_WINDOW iterations ago and has not halved since: it sits at a
-# rounding floor above GN_CONVERGENCE and would run to the cap
-GN_FLOOR = 1e-10
-GN_FLOOR_WINDOW = 10
+# relative singular-value cutoff of the Gauss-Newton least-squares step
+GN_RANK_CUTOFF = 1e-10
 
 
 class SearchTarget(enum.Enum):
@@ -88,8 +86,7 @@ class SearchStats:
     """Counts of one search.  Every candidate either converges or fails for
     one reason, and every converged candidate is a hit or one rejection:
 
-    candidates = converged + flat_slope + stalled + iteration_cap + at_floor
-                 + collapsed
+    candidates = converged + flat_slope + stalled + iteration_cap + collapsed
     converged  = hits + rejected_class + rejected_jacobi + rejected_invalid
     """
 
@@ -102,7 +99,6 @@ class SearchStats:
     flat_slope: int = 0  # slice direction nearly orthogonal to the start point
     stalled: int = 0  # line search found no decrease
     iteration_cap: int = 0  # GN_MAX_ITERATIONS without convergence
-    at_floor: int = 0  # max|phi| stuck at a rounding floor (GN_FLOOR)
     collapsed: int = 0  # brackets converged to (near) zero, the abelian algebra
     gn_iterations: int = 0  # Gauss-Newton steps, one least-squares solve each
     elapsed: float = 0.0
@@ -207,15 +203,14 @@ class QuadraticForm:
     first Bianchi sum of R' (order [i][j][k][l], cyclic in i, j, k).  Both are
     totally antisymmetric in their three cyclic slots, so only the rows with
     increasing cyclic indices are kept (`rows`, flat indices into the stacked
-    full map of `full_rows` rows): they carry its max-abs and 1/6 of its sum
-    of squares.  q[a, b, :] = Q[e_a, e_b].
+    full map): they carry its max-abs and 1/6 of its sum of squares.
+    q[a, b, :] = Q[e_a, e_b].
     """
 
     dim: int
     basis: NDArray
     null: NDArray
     rows: NDArray
-    full_rows: int
     q: NDArray
 
     def brackets(self, z: NDArray) -> NDArray:
@@ -231,12 +226,14 @@ class QuadraticForm:
     def step(self, z: NDArray, qz: NDArray, direction: NDArray) -> NDArray:
         """Gauss-Newton step for phi(z) = 0 on the slice direction @ z = 1,
         with qz = self.qz(z).  The kept rows, weighted by sqrt(6), give the
-        normal equations of the full map; the singular-value cutoff is the
-        one lstsq(rcond=None) applies to the full map plus the slice row."""
+        normal equations of the full map.  Directions whose singular value is
+        below GN_RANK_CUTOFF times the largest are dropped: near a singular
+        root they are rounding noise, and a cutoff at the rounding level
+        (eps times the row count, about 6e-13 in dim 6) keeps some of them
+        and slows convergence to linear."""
         A = np.vstack([_ROW_WEIGHT * 2.0 * qz.T, direction[None, :]])
         b = np.concatenate([_ROW_WEIGHT * (z @ qz), [direction @ z - 1.0]])
-        rcond = np.finfo(float).eps * (self.full_rows + 1)
-        return np.linalg.lstsq(A, b, rcond=rcond)[0]
+        return np.linalg.lstsq(A, b, rcond=GN_RANK_CUTOFF)[0]
 
 
 def _phi_kept(
@@ -263,11 +260,9 @@ def _quadratic_form(dim: int, want_kahler: bool) -> QuadraticForm:
     g, J = canonical_norden_pair(dim)
     D = (basis @ null).T.reshape(r, dim, dim, dim)
     rows = _kept_rows(dim, (1, 2, 3))
-    blocks = 1
     conn = None
     if want_kahler:
         rows = np.concatenate([rows, dim**4 + _kept_rows(dim, (0, 1, 2))])
-        blocks = 2
         gamma = levi_civita(D, g, np.linalg.inv(g))
         conn = gamma + q_array(compute_nabla_J(gamma, J), J)
     diag = _phi_kept(D, conn, g, rows)
@@ -277,7 +272,7 @@ def _quadratic_form(dim: int, want_kahler: bool) -> QuadraticForm:
         pair_conn = None if conn is None else conn[a] + conn[a + 1 :]
         pair = _phi_kept(D[a] + D[a + 1 :], pair_conn, g, rows)
         q[a, a + 1 :] = q[a + 1 :, a] = 0.5 * (pair - diag[a] - diag[a + 1 :])
-    return QuadraticForm(dim, basis, null, rows, blocks * dim**4, q)
+    return QuadraticForm(dim, basis, null, rows, q)
 
 
 def _gauss_newton_candidate(
@@ -300,19 +295,12 @@ def _gauss_newton_candidate(
         return None
     z = z / slope
 
-    history = []  # max|phi| at the start of each iteration
     for _ in range(GN_MAX_ITERATIONS):
         qz = form.qz(z)
         f = z @ qz
         norm_inf = np.max(np.abs(f))
         if norm_inf < GN_CONVERGENCE:
             break
-        if len(history) >= GN_FLOOR_WINDOW:
-            old = history[-GN_FLOOR_WINDOW]
-            if old <= GN_FLOOR and norm_inf > 0.5 * old:
-                stats.at_floor += 1
-                return None
-        history.append(norm_inf)
         stats.gn_iterations += 1
         step = form.step(z, qz, direction)
         # phi(z - lam step) = phi(z) - 2 lam Q[z, step] + lam^2 Q[step, step]

@@ -19,6 +19,7 @@ import sys
 import time
 from collections.abc import Sequence
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +101,17 @@ def _isotropic(sq_norm: float) -> bool:
     return scalar_residual(sq_norm, 0.0) <= TOL
 
 
+# a frozen dim-6 Kahler-R' search hit of perfbench/pool/ (read in place):
+# isotropic with tau*(P) = 0.37, criterion 7's witness whatever the seeded
+# searches below return
+FROZEN_WITNESS = (
+    Path(__file__).resolve().parents[1]
+    / "perfbench"
+    / "pool"
+    / "w3_d6_seed0_w3_kahler_rprime_0001.manifest"
+)
+
+
 @pytest.fixture(scope="module")
 def kahler_examples(flat4):
     pool = [("flat_kahler_4", flat4)]
@@ -113,6 +125,8 @@ def kahler_examples(flat4):
         )
         hits, _ = search_w3_examples(cfg)
         pool += [(mf.id, mf.to_manifold()) for mf in hits]
+    frozen = load_manifest(FROZEN_WITNESS)
+    pool.append((frozen.id, frozen.to_manifold()))
     assert len(pool) >= 3
     return pool
 
