@@ -16,12 +16,14 @@ subset of it.  The quadratic Jacobi identity is handled two ways:
   random affine slice to avoid collapse onto the abelian solution.  Both
   residual maps are homogeneous quadratic in the null-space coordinates z, so
   they are precomputed once per (dim, target) as a symmetric form Q with
-  phi(z) = Q[z, z] (`QuadraticForm`).  An iteration is one product Qz (the
-  residual and the Jacobian), one small least-squares solve, and one product
-  Q step that prices every line-search trial.  The solve drops singular
-  values below `GN_RANK_CUTOFF` times the largest, so near the singular roots
-  the search meets, the Jacobian it inverts has locally constant rank and
-  convergence stays quadratic where that rank is constant.
+  phi(z) = Q[z, z] (`QuadraticForm`).  Qz gives the residual and the
+  Jacobian and is linear in z: an iteration is one small least-squares solve
+  and one product Q step, which prices every line-search trial and carries Qz
+  to the next iterate (convergence is confirmed on a direct product).  The
+  solve drops singular values below `GN_RANK_CUTOFF` times the largest (by
+  SVD, only where a QR-based bound cannot rule them out), so near the
+  singular roots the search meets, the Jacobian it inverts has locally
+  constant rank and convergence stays quadratic where that rank is constant.
 
 Both paths are driven by one seeded generator, so searches are reproducible.
 """
@@ -53,6 +55,10 @@ GN_MAX_ITERATIONS = 120
 GN_CONVERGENCE = 1e-13
 # relative singular-value cutoff of the Gauss-Newton least-squares step
 GN_RANK_CUTOFF = 1e-10
+# line-search step lengths lam = 1, 1/2, ..., 2**-15, and 2 lam and lam**2,
+# as columns
+_HALVINGS = 0.5 ** np.arange(16)[:, None]
+_TWICE_HALVINGS, _SQUARED_HALVINGS = 2.0 * _HALVINGS, _HALVINGS * _HALVINGS
 
 
 class SearchTarget(enum.Enum):
@@ -100,7 +106,8 @@ class SearchStats:
     stalled: int = 0  # line search found no decrease
     iteration_cap: int = 0  # GN_MAX_ITERATIONS without convergence
     collapsed: int = 0  # brackets converged to (near) zero, the abelian algebra
-    gn_iterations: int = 0  # Gauss-Newton steps, one least-squares solve each
+    gn_iterations: int = 0  # Gauss-Newton steps
+    svd_steps: int = 0  # steps whose rank certificate failed, solved by SVD
     elapsed: float = 0.0
     by_ansatz: dict = field(default_factory=dict)
 
@@ -223,17 +230,36 @@ class QuadraticForm:
         r = z.size
         return (z @ self.q.reshape(r, -1)).reshape(r, -1)
 
-    def step(self, z: NDArray, qz: NDArray, direction: NDArray) -> NDArray:
+    def step(
+        self, z: NDArray, qz: NDArray, direction: NDArray, stats: SearchStats | None = None
+    ) -> NDArray:
         """Gauss-Newton step for phi(z) = 0 on the slice direction @ z = 1,
-        with qz = self.qz(z).  The kept rows, weighted by sqrt(6), give the
-        normal equations of the full map.  Directions whose singular value is
-        below GN_RANK_CUTOFF times the largest are dropped: near a singular
-        root they are rounding noise, and a cutoff at the rounding level
-        (eps times the row count, about 6e-13 in dim 6) keeps some of them
-        and slows convergence to linear."""
-        A = np.vstack([_ROW_WEIGHT * 2.0 * qz.T, direction[None, :]])
-        b = np.concatenate([_ROW_WEIGHT * (z @ qz), [direction @ z - 1.0]])
-        return np.linalg.lstsq(A, b, rcond=GN_RANK_CUTOFF)[0]
+        with qz = Q z.  The kept rows, weighted by sqrt(6), give the normal
+        equations of the full map.  Directions whose singular value is below
+        GN_RANK_CUTOFF times the largest are dropped: near a singular root
+        they are rounding noise, and a cutoff at the rounding level (eps times
+        the row count, about 6e-13 in dim 6) keeps some of them and slows
+        convergence to linear.  [A b] = QR [R c], and R has the singular
+        values of A: when ||R||_F ||R^-1||_F, a bound on their ratio,
+        certifies that none is dropped, the step is R^-1 c; else an SVD
+        solves on R (counted in stats.svd_steps)."""
+        r = z.size
+        Ab = np.empty((qz.shape[1] + 1, r + 1))
+        Ab[:-1, :r] = _ROW_WEIGHT * 2.0 * qz.T
+        Ab[:-1, r] = _ROW_WEIGHT * (z @ qz)
+        Ab[-1, :r] = direction
+        Ab[-1, r] = direction @ z - 1.0
+        Rc = np.linalg.qr(Ab, mode="r")
+        R, c = Rc[:r, :r], Rc[:r, r]
+        try:
+            R_inv = np.linalg.inv(R)  # raises if R is singular or not square
+            if np.vdot(R, R) * np.vdot(R_inv, R_inv) < GN_RANK_CUTOFF**-2:
+                return R_inv @ c
+        except np.linalg.LinAlgError:
+            pass
+        if stats is not None:
+            stats.svd_steps += 1
+        return np.linalg.lstsq(R, c, rcond=GN_RANK_CUTOFF)[0]
 
 
 def _phi_kept(
@@ -295,26 +321,30 @@ def _gauss_newton_candidate(
         return None
     z = z / slope
 
+    qz = form.qz(z)
     for _ in range(GN_MAX_ITERATIONS):
-        qz = form.qz(z)
         f = z @ qz
-        norm_inf = np.max(np.abs(f))
-        if norm_inf < GN_CONVERGENCE:
-            break
-        stats.gn_iterations += 1
-        step = form.step(z, qz, direction)
-        # phi(z - lam step) = phi(z) - 2 lam Q[z, step] + lam^2 Q[step, step]
-        cross, quad = step @ qz, step @ form.qz(step)
-        lam, next_z = 1.0, None
-        for _ in range(16):
-            if np.max(np.abs(f - 2.0 * lam * cross + lam * lam * quad)) < norm_inf:
-                next_z = z - lam * step
+        norm_inf = np.abs(f).max()
+        if norm_inf < GN_CONVERGENCE:  # qz was carried: confirm directly
+            qz = form.qz(z)
+            f = z @ qz
+            norm_inf = np.abs(f).max()
+            if norm_inf < GN_CONVERGENCE:
                 break
-            lam *= 0.5
-        if next_z is None:
+        stats.gn_iterations += 1
+        step = form.step(z, qz, direction, stats)
+        # one product Q step prices every halving lam at once, as
+        # phi(z - lam step) = phi(z) - 2 lam Q[z, step] + lam^2 Q[step, step],
+        # and carries qz by linearity; the first trial that lowers max|phi| wins
+        q_step = form.qz(step)
+        trials = f - _TWICE_HALVINGS * (step @ qz) + _SQUARED_HALVINGS * (step @ q_step)
+        lower = np.abs(trials).max(axis=1) < norm_inf
+        k = np.argmax(lower)
+        if not lower[k]:
             stats.stalled += 1
             return None
-        z = next_z
+        z = z - _HALVINGS[k] * step
+        qz = qz - _HALVINGS[k] * q_step
     else:
         stats.iteration_cap += 1
         return None

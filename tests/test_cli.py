@@ -227,10 +227,11 @@ class TestSearchCommand:
         n = {key: int(value) for key, value in (kv.split("=") for kv in head)}
         failures = ("flat_slope", "stalled", "iteration_cap", "collapsed")
         rejections = ("rejected_class", "rejected_jacobi", "rejected_invalid")
-        assert set(n) == {"converged", "hits", "gn_iterations", *failures, *rejections}
+        steps = ("gn_iterations", "svd_steps")
+        assert set(n) == {"converged", "hits", *steps, *failures, *rejections}
         assert candidates == n["converged"] + sum(n[k] for k in failures)
         assert n["converged"] == n["hits"] + sum(n[k] for k in rejections)
-        assert n["gn_iterations"] > 0
+        assert n["gn_iterations"] > n["svd_steps"] > 0
 
     def test_search_bad_arguments_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "search", "--max-candidates", "0")

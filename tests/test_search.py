@@ -280,51 +280,123 @@ class TestQuadraticForm:
         step = form.step(z, form.qz(z), direction)
         assert np.linalg.norm(step - full_step) <= 1e-8 * np.linalg.norm(full_step)
 
-    def test_one_least_squares_solve_per_iteration(self, monkeypatch):
-        cutoffs = []
-        lstsq = np.linalg.lstsq
+    def test_step_is_the_truncated_least_squares_solution(self, form_case):
+        # a generic point: the rank certificate holds and no SVD runs
+        form, _, z, direction = form_case
+        direction = direction / np.linalg.norm(direction)
+        stats = SearchStats()
+        step = form.step(z, form.qz(z), direction, stats)
+        reference = np.linalg.lstsq(*_weighted_system(form, z, direction), rcond=1e-10)[0]
+        assert stats.svd_steps == 0
+        assert np.linalg.norm(step - reference) <= 1e-12 * np.linalg.norm(reference)
 
-        def counting(A, b, rcond):
-            cutoffs.append(rcond)
-            return lstsq(A, b, rcond=rcond)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counting)
-        cfg = SearchConfig(dim=4, seed=42, max_candidates=40, max_results=3)
-        _, stats = search_w3_examples(cfg)
-        assert stats.gn_iterations > 0
-        assert len(cutoffs) == stats.gn_iterations
-        assert set(cutoffs) == {search.GN_RANK_CUTOFF} == {1e-10}
+    def test_uncertified_step_is_the_truncated_least_squares_solution(self):
+        form, z = _cutoff_stub()
+        stats = SearchStats()
+        step = form.step(z, form.qz(z), z, stats)
+        reference = np.linalg.lstsq(*_weighted_system(form, z, z), rcond=1e-10)[0]
+        assert stats.svd_steps == 1
+        assert np.linalg.norm(step - reference) <= 1e-12 * np.linalg.norm(reference)
 
     def test_step_drops_directions_below_the_rank_cutoff(self):
-        # at z = e_0 on the slice z_0 = 1 the weighted Jacobian rows are
-        # (h, 1, 0) and (h, 0, eps2), the right-hand side is (h, h) / 2, and
-        # with the slice row (1, 0, 0) the smallest singular value is about
-        # eps2, along about e_2: between the rounding-level cutoff of the
-        # dim-6 Kahler map (eps * 2593, about 6e-13) and GN_RANK_CUTOFF
-        eps2, h = 1e-11, 1e-3
-        q = np.zeros((3, 3, 2))
-        q[0, 0] = [h, h]
-        q[0, 1, 0] = q[1, 0, 0] = 1.0
-        q[0, 2, 1] = q[2, 0, 1] = eps2
-        form = search.QuadraticForm(
-            dim=1,
-            basis=np.ones((1, 1)),
-            null=np.array([[1.0, 0.0, 0.0]]),
-            rows=np.arange(2),
-            q=q / (2.0 * np.sqrt(6.0)),
-        )
-        z = direction = np.eye(3)[0]
+        form, z = _cutoff_stub()
+        direction = z
         qz = form.qz(z)
-        A = np.vstack([np.sqrt(6.0) * 2.0 * qz.T, direction[None, :]])
+        A, b = _weighted_system(form, z, direction)
         _, s, vt = np.linalg.svd(A)
         assert np.finfo(float).eps * 2593 < s[-1] / s[0] < search.GN_RANK_CUTOFF
         step = form.step(z, qz, direction)
         assert abs(vt[-1] @ step) < 1e-15 * np.linalg.norm(step)
-        assert step[1] == pytest.approx(h / 2, rel=1e-6)
+        assert step[1] == pytest.approx(1e-3 / 2, rel=1e-6)
         # a rounding-level cutoff keeps that direction and steps far along it
-        b = np.concatenate([np.sqrt(6.0) * (z @ qz), [0.0]])
         kept = np.linalg.lstsq(A, b, rcond=None)[0]
         assert abs(vt[-1] @ kept) > 1e6 * np.linalg.norm(step)
+
+    def test_one_form_product_per_iteration(self):
+        # each candidate: one product Q z at its start, one product Q s per
+        # step s, and one direct Q z whenever the carried residual reads
+        # converged; that confirmation either passes and ends the candidate
+        # or fails and the iteration goes on
+        form = _LoggingForm(search._quadratic_form(6, True))
+        rng, stats = np.random.default_rng(42), SearchStats()
+        products = entered = confirmations = converged = 0
+        for _ in range(12):
+            form.log = []
+            iterations, collapsed = stats.gn_iterations, stats.collapsed
+            C = search._gauss_newton_candidate(rng, form, stats)
+            iterations = stats.gn_iterations - iterations
+            ended = C is not None or stats.collapsed > collapsed
+            direct = [phi for kind, phi in form.log if kind == "z"]
+            assert len(form.log) - len(direct) == iterations
+            if direct:
+                entered += 1
+                # the start, the failed confirmations, the passing one
+                failed = sum(phi >= search.GN_CONVERGENCE for phi in direct[1:])
+                assert len(direct) == 1 + failed + ended
+                assert ended == (direct[-1] < search.GN_CONVERGENCE)
+                confirmations += len(direct) - 1
+            converged += ended
+            products += len(form.log)
+        assert converged > 0
+        assert products == stats.gn_iterations + entered + confirmations
+
+
+def _weighted_system(form, z, direction):
+    """The weighted Gauss-Newton system (A, b) of `form` at z on the slice
+    direction @ z = 1, written out."""
+    qz = form.qz(z)
+    A = np.vstack([np.sqrt(6.0) * 2.0 * qz.T, direction[None, :]])
+    b = np.concatenate([np.sqrt(6.0) * (z @ qz), [direction @ z - 1.0]])
+    return A, b
+
+
+def _cutoff_stub():
+    """(form, z): at z = e_0 on the slice z_0 = 1 the weighted Jacobian rows
+    are (h, 1, 0) and (h, 0, eps2), the right-hand side is (h, h) / 2, and
+    with the slice row (1, 0, 0) the smallest singular value is about eps2,
+    along about e_2: between the rounding-level cutoff of the dim-6 Kahler
+    map (eps * 2593, about 6e-13) and GN_RANK_CUTOFF."""
+    eps2, h = 1e-11, 1e-3
+    q = np.zeros((3, 3, 2))
+    q[0, 0] = [h, h]
+    q[0, 1, 0] = q[1, 0, 0] = 1.0
+    q[0, 2, 1] = q[2, 0, 1] = eps2
+    form = search.QuadraticForm(
+        dim=1,
+        basis=np.ones((1, 1)),
+        null=np.array([[1.0, 0.0, 0.0]]),
+        rows=np.arange(2),
+        q=q / (2.0 * np.sqrt(6.0)),
+    )
+    return form, np.eye(3)[0]
+
+
+class _LoggingForm:
+    """`form` that logs its products, ("step", None) for Q s with the step s
+    it last returned and ("z", max|phi(z)|) for any other product Q z, and
+    keeps every z it turns into brackets (the converged points)."""
+
+    def __init__(self, form):
+        self.form, self.log, self.last_step, self.converged = form, [], None, []
+
+    def brackets(self, z):
+        self.converged.append(z)
+        return self.form.brackets(z)
+
+    def __getattr__(self, name):
+        return getattr(self.form, name)
+
+    def step(self, z, qz, direction, stats=None):
+        self.last_step = self.form.step(z, qz, direction, stats)
+        return self.last_step
+
+    def qz(self, z):
+        qz = self.form.qz(z)
+        if z is self.last_step:
+            self.log.append(("step", None))
+        else:
+            self.log.append(("z", np.max(np.abs(z @ qz))))
+        return qz
 
 
 class FixedDraws:
@@ -427,8 +499,8 @@ class _ScaledSteps:
     def __getattr__(self, name):
         return getattr(self.form, name)
 
-    def step(self, z, qz, direction):
-        return self.factor * self.form.step(z, qz, direction)
+    def step(self, z, qz, direction, stats=None):
+        return self.factor * self.form.step(z, qz, direction, stats)
 
 
 class TestFloorStop:
@@ -465,3 +537,52 @@ class TestFloorStop:
         assert stats.iteration_cap == stats.stalled == 0
         expected = math.ceil(math.log(phi_start / search.GN_CONVERGENCE, 4))
         assert stats.gn_iterations == expected
+
+
+class _BiasedStepProducts(_LoggingForm):
+    """`form` whose products Q s with its own steps s come back `factor`
+    times too large, so that the residual carried by linearity drifts from
+    the direct one."""
+
+    def __init__(self, form, factor):
+        super().__init__(form)
+        self.factor = factor
+
+    def qz(self, z):
+        bias = self.factor if z is self.last_step else 1.0
+        return bias * super().qz(z)
+
+
+class TestCarriedResidual:
+    """Q z is carried by linearity from step to step; convergence is judged
+    on a direct product."""
+
+    def test_converged_candidates_meet_the_threshold_directly(self, monkeypatch):
+        form = _LoggingForm(search._quadratic_form(6, True))
+        monkeypatch.setattr(search, "_quadratic_form", lambda dim, kahler: form)
+        cfg = SearchConfig(
+            dim=6,
+            seed=42,
+            max_candidates=240,
+            max_results=3,
+            target=SearchTarget.W3_RPRIME_KAHLER,
+        )
+        hits, stats = search_w3_examples(cfg)
+        assert len(hits) == 3
+        assert len(form.converged) == stats.converged + stats.collapsed
+        for z in form.converged:
+            assert np.max(np.abs(z @ form.form.qz(z))) < search.GN_CONVERGENCE
+
+    def test_a_failed_confirmation_keeps_iterating(self):
+        # phi(z) = z_1**2 from 1e-12, and each step halves z_1; with the step
+        # products 1.8 times too large the carried max|phi| reads 5e-14 after
+        # the first step, the direct one 2.5e-13, and the second step
+        # converges (6.25e-14 directly)
+        form = _BiasedStepProducts(_root_form(), 1.8)
+        stats = SearchStats()
+        draws = FixedDraws(1e-6, offset=1.0)  # slice z_0 = 1
+        assert search._gauss_newton_candidate(draws, form, stats) is not None
+        assert stats.gn_iterations == 2
+        assert [kind for kind, _ in form.log] == ["z", "step", "z", "step", "z"]
+        direct = [phi for kind, phi in form.log if kind == "z"]
+        assert direct == pytest.approx([1e-12, 2.5e-13, 6.25e-14], rel=1e-12)
