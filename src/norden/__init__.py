@@ -12,7 +12,6 @@ from .curvature import (
     kahler_residual,
     metric_pairing,
     pi_forms,
-    reconstruct_R_dim4,
     ricci_and_scalars,
     riemann,
     tensor_H,
@@ -21,13 +20,9 @@ from .curvature import (
 from .geometry import (
     ClassLabel,
     Classification,
-    InapplicableClassError,
     ScalarPanel,
     classify,
-    compute_F,
     compute_nabla_J,
-    compute_Q,
-    square_norms,
 )
 from .manifests import (
     ManifestError,

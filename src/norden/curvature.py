@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import ScalarPanel, twist_arrays
+from .geometry import twist_arrays
 from .manifolds import LieFrameManifold
 from .tensors import contract, cyclic_sum3, residual, zero_residual
 
@@ -136,39 +136,14 @@ def kahler_form(pis: PiForms, a: float, b: float) -> NDArray:
     return a * (pi1 - pi2) + b * pi3
 
 
-def _require_dim4(pis: PiForms, what: str) -> None:
-    dim = pis[0].shape[0]
-    if dim != 4:
-        raise ValueError(f"{what} is specific to dimension 4, got {dim}")
-
-
 def kahler_decomposition_dim4(
     pis: PiForms, R_prime: NDArray, tau_prime: float, tau_prime_star: float
 ) -> float:
     """Residual of R' = (tau'/8)(pi_1 - pi_2) + (tau'*/8) pi_3 in dimension 4,
     with pis from `pi_forms`.  The decomposition is a theorem for a Kahler R';
     for any other R' the residual measures how far it is from that form."""
-    _require_dim4(pis, "decomposition")
+    dim = pis[0].shape[0]
+    if dim != 4:
+        raise ValueError(f"decomposition is specific to dimension 4, got {dim}")
     rhs = kahler_form(pis, tau_prime / 8.0, tau_prime_star / 8.0)
     return residual(R_prime, rhs)
-
-
-def reconstruct_R_dim4(
-    pis: PiForms, panel: ScalarPanel, P: NDArray, R: NDArray
-) -> tuple[float, float]:
-    """Residuals of the two dimension-4 reconstructions of the Levi-Civita
-    curvature from scalars and P, with pis from `pi_forms`:
-
-    residual_thm32: R = (1/8){ tau (pi_1 - pi_2) + tau* pi_3 } - (1/3) P
-    residual_thm33: R = (1/128){ (16 tau + tau(H))(pi_1 - pi_2)
-                                 + (16 tau* - tau(H)) pi_3 } - (1/3) P
-    """
-    _require_dim4(pis, "reconstruction")
-    base = P / 3.0
-    rhs32 = kahler_form(pis, panel.tau / 8.0, panel.tau_star / 8.0) - base
-    rhs33 = kahler_form(
-        pis,
-        (16.0 * panel.tau + panel.tau_H) / 128.0,
-        (16.0 * panel.tau_star - panel.tau_H) / 128.0,
-    ) - base
-    return residual(R, rhs32), residual(R, rhs33)

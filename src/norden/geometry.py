@@ -1,21 +1,24 @@
-"""Norden-specific tensors: nabla J, the fundamental tensor F, class membership,
-square norms of nabla J and the torsion potential Q of the skew-torsion
-connection nabla' = nabla + Q (coefficients gamma + Q).
+"""Norden-specific tensors: nabla J, class membership from the fundamental
+tensor F = g((nabla_x J)y, z), the torsion potential Q of the skew-torsion
+connection nabla' = nabla + Q (coefficients gamma + Q), and the metric trace
+that the suite's square norms of nabla J and Q are made of.
 
-Conventions: nabla J is stored mixed, (nabla_{e_i} J)e_j = (nablaJ)[k][i][j] e_k.
-F and the covariant form of Q are fully covariant rank-3 tensors.
+Conventions: nabla J and Q are stored mixed, (nabla_{e_i} J)e_j =
+(nablaJ)[k][i][j] e_k.  F and the covariant form of Q, both `tensors.lower`
+of the mixed arrays, are fully covariant rank-3 tensors.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .manifolds import LieFrameManifold
-from .tensors import DEFAULT_TOLERANCE, cyclic_sum3, lower, zero_residual
+from .tensors import DEFAULT_TOLERANCE, cyclic_sum3, zero_residual
 
 
 class ClassLabel(enum.Enum):
@@ -59,18 +62,11 @@ class ScalarPanel:
     sq_norm_nablaJ: float
     assoc_sq_norm_nablaJ: float
 
-    FIELDS = (
-        "tau",
-        "tau_star",
-        "tau_prime",
-        "tau_prime_star",
-        "tau_P",
-        "tau_star_P",
-        "tau_H",
-        "tau_star_H",
-        "sq_norm_nablaJ",
-        "assoc_sq_norm_nablaJ",
-    )
+    # the field names in declaration order: the order of report keys and lines
+    FIELDS: ClassVar[tuple[str, ...]]
+
+
+ScalarPanel.FIELDS = tuple(f.name for f in fields(ScalarPanel))
 
 
 def compute_nabla_J(gamma: NDArray, J: NDArray) -> NDArray:
@@ -91,33 +87,20 @@ def q_array(nJ: NDArray, J: NDArray) -> NDArray:
     return (a - b - 2 * a.swapaxes(-1, -2)) / 4
 
 
-def compute_F(m: LieFrameManifold, nabla_J: NDArray) -> NDArray:
-    """Fundamental tensor F(x,y,z) = g((nabla_x J)y, z), fully covariant."""
-    return lower(nabla_J, m.metric)
-
-
-def w3_membership_residuals(
-    m: LieFrameManifold, F: NDArray, nabla_J: NDArray
-) -> tuple[float, float, float]:
-    """Residuals of the three equivalent quasi-Kahler membership conditions."""
-    J = m.J
-    r_14 = zero_residual(cyclic_sum3(F))
-    FJ = np.einsum("ai,ajk->ijk", J, F)
-    r_113 = zero_residual(cyclic_sum3(FJ))
-    a, b = twist_arrays(nabla_J, J)
-    r_114 = zero_residual(a + a.transpose(0, 2, 1) + b + b.transpose(0, 2, 1))
-    return r_14, r_113, r_114
-
-
 def classify(
     m: LieFrameManifold,
     F: NDArray,
     nabla_J: NDArray,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> Classification:
-    """Kahler / quasi-Kahler / other decision from the fundamental tensor."""
+    """Kahler / quasi-Kahler / other decision from the fundamental tensor, with
+    the residuals of the three equivalent membership conditions."""
+    J = m.J
     f_norm = float(np.abs(F).max())
-    r_14, r_113, r_114 = w3_membership_residuals(m, F, nabla_J)
+    r_14 = zero_residual(cyclic_sum3(F))
+    r_113 = zero_residual(cyclic_sum3(np.einsum("ai,ajk->ijk", J, F)))
+    a, b = twist_arrays(nabla_J, J)
+    r_114 = zero_residual(a + a.transpose(0, 2, 1) + b + b.transpose(0, 2, 1))
     if f_norm <= tolerance:
         label = ClassLabel.KAHLER_W0
     elif r_14 <= tolerance:
@@ -147,53 +130,6 @@ def metric_trace(g_inv: NDArray, A: NDArray, G: NDArray, cross: bool = False):
         A = A.swapaxes(1, 2)
     y = G @ A.reshape(d, -1)
     return x.reshape(-1) @ y.reshape(-1)
-
-
-def square_norms(m: LieFrameManifold, nabla_J: NDArray) -> tuple[float, float]:
-    """Square norm of nabla J and its associated variant.
-
-    sq_norm = g^{ij} g^{ks} g((nabla_{e_i} J)e_k, (nabla_{e_j} J)e_s); the
-    associated variant replaces the innermost pairing g by the associated
-    metric g~(x,y) = g(x,Jy).
-    """
-    g, g_inv = m.metric, m.metric_inv
-    return (
-        float(metric_trace(g_inv, nabla_J, g)),
-        float(metric_trace(g_inv, nabla_J, g @ m.J)),
-    )
-
-
-def sq_norm_cross_form(m: LieFrameManifold, nabla_J: NDArray) -> float:
-    """The cross-contracted form -2 g^{ij} g^{ks} g((nabla_i J)e_k, (nabla_s J)e_j).
-
-    Equals the square norm of nabla J on quasi-Kahler manifolds; used as an
-    independent route for the square-norm identity check.
-    """
-    return float(-2 * metric_trace(m.metric_inv, nabla_J, m.metric, cross=True))
-
-
-def compute_Q(
-    m: LieFrameManifold, nabla_J: NDArray, classification: Classification
-) -> tuple[NDArray, NDArray]:
-    """Torsion potential of the skew-torsion connection, vector and covariant:
-    Q(x,y) as in `q_array`, and Q(y,z,w) = g(Q(y,z), w).
-
-    Refuses manifolds outside the Kahler/quasi-Kahler classes: total skewness
-    of the covariant form is a class fact, and the connection built from Q is
-    only natural there.
-    """
-    if not classification.is_w3_or_kahler:
-        raise InapplicableClassError(
-            f"torsion potential requires class KAHLER_W0 or QUASI_KAHLER_W3, "
-            f"got {classification.label.value} "
-            f"(cyclic-F residual {classification.w3_residual:.3e})"
-        )
-    q_vec = q_array(nabla_J, m.J)
-    return q_vec, lower(q_vec, m.metric)
-
-
-class InapplicableClassError(ValueError):
-    """Operation undefined for the manifold's class."""
 
 
 def q_from_cyclic_F(F: NDArray, J: NDArray) -> NDArray:

@@ -39,8 +39,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .curvature import riemann
-from .geometry import ClassLabel, classify, compute_F, compute_nabla_J, q_array
+from .curvature import bianchi_residual, riemann
+from .geometry import ClassLabel, classify, compute_nabla_J, q_array
 from .manifests import ManifoldManifest
 from .manifolds import (
     LieFrameManifold,
@@ -49,7 +49,7 @@ from .manifolds import (
     levi_civita,
     validate_manifold,
 )
-from .tensors import DEFAULT_TOLERANCE, check_tolerance, cyclic_sum3, lower, zero_residual
+from .tensors import DEFAULT_TOLERANCE, check_tolerance, cyclic_sum3, lower
 
 GN_MAX_ITERATIONS = 120
 GN_CONVERGENCE = 1e-13
@@ -188,12 +188,6 @@ def _two_step_families(dim: int) -> tuple[tuple[NDArray, NDArray], ...]:
 _ROW_WEIGHT = np.sqrt(6.0)
 
 
-def _r_prime_bianchi(C: NDArray, g: NDArray, conn: NDArray) -> NDArray:
-    """First Bianchi cyclic sum of the curvature of the frame connection conn;
-    R' for the natural connection gamma + Q.  Leading batch axes are kept."""
-    return cyclic_sum3(riemann(conn, C, g), (-4, -3, -2))
-
-
 def _kept_rows(dim: int, slots: tuple[int, int, int]) -> NDArray:
     """Flat indices of the rank-4 entries whose `slots` indices increase."""
     i, j, k = np.indices((dim,) * 4).reshape(4, -1)[list(slots)]
@@ -266,11 +260,12 @@ def _phi_kept(
     C: NDArray, conn: NDArray | None, g: NDArray, rows: NDArray
 ) -> NDArray:
     """Kept rows of the residual map for a batch of brackets C and, for the
-    Kahler target, their natural connections conn; one row per batch entry."""
+    Kahler target, their natural connections conn (the first Bianchi sum of
+    R'); one row per batch entry."""
     n = C.shape[0]
     parts = [jacobi_array(C).reshape(n, -1)]
     if conn is not None:
-        parts.append(_r_prime_bianchi(C, g, conn).reshape(n, -1))
+        parts.append(cyclic_sum3(riemann(conn, C, g), (-4, -3, -2)).reshape(n, -1))
     return np.concatenate(parts, axis=1)[:, rows]
 
 
@@ -393,13 +388,13 @@ def _accept(
         return None
     gamma = levi_civita(C, g, m.metric_inv)
     nabla_J = compute_nabla_J(gamma, J)
-    cls = classify(m, compute_F(m, nabla_J), nabla_J, cfg.tolerance)
+    cls = classify(m, lower(nabla_J, g), nabla_J, cfg.tolerance)
     if cls.label is not ClassLabel.QUASI_KAHLER_W3:
         stats.rejected_class += 1
         return None
     if cfg.target is SearchTarget.W3_RPRIME_KAHLER:
-        bianchi = _r_prime_bianchi(C, g, gamma + q_array(nabla_J, J))
-        if zero_residual(bianchi) > cfg.tolerance:
+        r_prime = riemann(gamma + q_array(nabla_J, J), C, g)
+        if bianchi_residual(r_prime) > cfg.tolerance:
             stats.rejected_class += 1
             return None
     return m

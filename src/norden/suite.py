@@ -32,6 +32,7 @@ from .tensors import (
     DEFAULT_TOLERANCE,
     check_tolerance,
     cyclic_sum3,
+    lower,
     residual,
     scalar_residual,
     zero_residual,
@@ -123,8 +124,12 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     tol = ctx.tolerance
     v = ctx.values
 
-    sq, assoc = geo.square_norms(m, nJ)
-    v["EQ_1_7"] = scalar_residual(sq, geo.sq_norm_cross_form(m, nJ))
+    # ||nabla J||^2, its associated variant (g~(x,y) = g(x,Jy) in the inner
+    # pairing) and the cross form of EQ_1_7
+    sq = float(geo.metric_trace(g_inv, nJ, g))
+    assoc = float(geo.metric_trace(g_inv, nJ, g @ J))
+    cross = float(-2 * geo.metric_trace(g_inv, nJ, g, cross=True))
+    v["EQ_1_7"] = scalar_residual(sq, cross)
     v["ASSOC_NORM_ZERO"] = scalar_residual(assoc, 0.0)
 
     # J-twisted curvature identity, with the empirically validated (+) sign
@@ -137,7 +142,8 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     G = curv.metric_pairing(m, sym, sym)
     v["EQ_1_15"] = residual(cyclic_sum3(S), cyclic_sum3(G))
 
-    q_vec, qc = geo.compute_Q(m, nJ, ctx.classification)
+    q_vec = geo.q_array(nJ, J)
+    qc = lower(q_vec, g)
     v["EQ_1_19"] = residual(qc, geo.q_from_cyclic_F(F, J))
     v["Q_SKEW"] = max(
         residual(qc, -qc.transpose(1, 0, 2)), residual(qc, -qc.transpose(0, 2, 1))
@@ -241,14 +247,20 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
         v["EQ_3_12"] = curv.kahler_decomposition_dim4(
             pis, Rpc, panel.tau_prime, panel.tau_prime_star
         )
+        # the reconstructions of R from scalars and P
+        P3 = P / 3.0
         rhs13 = curv.kahler_form(
             pis, (panel.tau + 3.0 / 8.0 * sq) / 8.0, (panel.tau_star - sq / 8.0) / 8.0
         )
-        v["EQ_3_13"] = residual(Rc, rhs13 - P / 3.0)
-        r32, r33 = curv.reconstruct_R_dim4(pis, panel, P, Rc)
-        v["THM_3_2"] = float(indicator(r32) != iso)
-        v["THM_3_2_RESIDUAL"] = r32
-        v["THM_3_3"] = r33
+        v["EQ_3_13"] = residual(Rc, rhs13 - P3)
+        rhs32 = curv.kahler_form(pis, panel.tau / 8.0, panel.tau_star / 8.0)
+        v["THM_3_2"] = float(indicator(residual(Rc, rhs32 - P3)) != iso)
+        rhs33 = curv.kahler_form(
+            pis,
+            (16.0 * panel.tau + panel.tau_H) / 128.0,
+            (16.0 * panel.tau_star - panel.tau_H) / 128.0,
+        )
+        v["THM_3_3"] = residual(Rc, rhs33 - P3)
 
 
 def _non_finite(ctx: GeometryContext) -> list[Violation]:
@@ -281,7 +293,7 @@ def build_context(
             raise InvalidManifoldError(outcome)
         gamma = levi_civita(m.structure_constants, m.metric, m.metric_inv)
         nabla_J = geo.compute_nabla_J(gamma, m.J)
-        F = geo.compute_F(m, nabla_J)
+        F = lower(nabla_J, m.metric)
         ctx = GeometryContext(
             m=m,
             tolerance=tolerance,

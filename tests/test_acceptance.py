@@ -34,7 +34,6 @@ from norden import (
     bundled_manifest_path,
     canonical_norden_pair,
     classify,
-    compute_F,
     compute_nabla_J,
     contract,
     covariant_derivative,
@@ -50,6 +49,7 @@ from norden import (
 )
 from norden.cli import emit_report, main
 from norden.manifolds import JACOBI_TOLERANCE
+from norden.tensors import lower
 
 from exact_oracle import loop_panel, loop_tau_star_P, to_fractions
 from test_manifolds import gamma_of, loop_covariant_derivative
@@ -229,7 +229,7 @@ def test_criterion_3_w3_discovery(tmp_path):
     for path in manifests:
         m = load_manifest(path).to_manifold()
         nJ = compute_nabla_J(gamma_of(m), m.J)
-        cls = classify(m, compute_F(m, nJ), nJ)
+        cls = classify(m, lower(nJ, m.metric), nJ)
         if cls.label is not ClassLabel.QUASI_KAHLER_W3 or cls.f_norm <= TOL:
             failures.append(f"{path.name} is not a non-flat quasi-Kahler example")
     _verdict(3, "quasi-Kahler discovery", failures)

@@ -28,14 +28,13 @@ from norden import (
     metric_pairing,
     residual,
     run_suite,
-    square_norms,
+    scalar_residual,
     tensor_H,
 )
 from norden.geometry import (
     metric_trace,
     q_array,
     q_from_cyclic_F,
-    sq_norm_cross_form,
     twist_arrays,
 )
 from norden.suite import build_context
@@ -110,17 +109,19 @@ class TestAgainstSixLabelEinsum:
                 )
 
     def test_square_norms_and_cross_form(self, general):
-        m, nJ = general.m, general.nabla_J
+        """The panel's two norms of nabla J, and EQ_1_7 against the cross
+        form from the old string; a scalar residual is scaled, so an absolute
+        bound on its difference bounds the relative change."""
+        m, nJ, panel = general.m, general.nabla_J, general.panel
         g, g_inv = m.metric, m.metric_inv
-        sq, assoc = square_norms(m, nJ)
-        _assert_close(sq, np.einsum("ij,ks,aik,bjs,ab->", g_inv, g_inv, nJ, nJ, g))
+        sq = np.einsum("ij,ks,aik,bjs,ab->", g_inv, g_inv, nJ, nJ, g)
+        _assert_close(panel.sq_norm_nablaJ, sq)
         _assert_close(
-            assoc, np.einsum("ij,ks,aik,bjs,ab->", g_inv, g_inv, nJ, nJ, g @ m.J)
+            panel.assoc_sq_norm_nablaJ,
+            np.einsum("ij,ks,aik,bjs,ab->", g_inv, g_inv, nJ, nJ, g @ m.J),
         )
-        _assert_close(
-            sq_norm_cross_form(m, nJ),
-            -2.0 * np.einsum("ij,ks,aik,bsj,ab->", g_inv, g_inv, nJ, nJ, g),
-        )
+        cross = -2.0 * np.einsum("ij,ks,aik,bsj,ab->", g_inv, g_inv, nJ, nJ, g)
+        assert abs(general.values["EQ_1_7"] - scalar_residual(sq, cross)) <= REL
 
     def test_metric_pairing(self, general):
         m, nJ = general.m, general.nabla_J

@@ -15,18 +15,18 @@ from norden import (
     kahler_residual,
     metric_pairing,
     pi_forms,
-    reconstruct_R_dim4,
     ricci_and_scalars,
     riemann,
     tensor_H,
     tensor_P,
 )
 from norden.curvature import curvature_prime_from_correction
-from norden.geometry import ScalarPanel, q_array
+from norden.geometry import q_array
 from norden.manifolds import jacobi_array, levi_civita
+from norden.suite import build_context, run_suite
 from norden.tensors import residual, scalar_residual
 
-from test_geometry import q_of
+from test_geometry import norms_of, q_of
 from test_manifolds import gamma_of
 
 
@@ -149,13 +149,11 @@ class TestTensorP:
 
     def test_tau_P_value(self, w3_pool):
         """tau(P) = (9/8) ||nabla J||^2 holds on every quasi-Kahler sample."""
-        from norden import square_norms
-
         for m in list(w3_pool)[:8]:
             gamma = gamma_of(m)
             nJ = compute_nabla_J(gamma, m.J)
             q_vec, _ = q_of(m, nJ)
-            sq, _ = square_norms(m, nJ)
+            sq, _ = norms_of(m, nJ)
             sc = ricci_and_scalars(m, tensor_P(metric_pairing(m, q_vec, q_vec)))
             assert scalar_residual(sc.tau, 9.0 / 8.0 * sq) <= 1e-9
 
@@ -175,12 +173,10 @@ class TestTensorH:
         """tau(H) = 2 ||nabla J||^2 on every quasi-Kahler sample (the analogous
         statement for the associated scalar curvature of H is false; see the
         findings section of the README)."""
-        from norden import square_norms
-
         for m in list(w3_pool)[:8]:
             gamma = gamma_of(m)
             nJ = compute_nabla_J(gamma, m.J)
-            sq, _ = square_norms(m, nJ)
+            sq, _ = norms_of(m, nJ)
             sc = ricci_and_scalars(m, tensor_H(m, nJ))
             assert scalar_residual(sc.tau, 2.0 * sq) <= 1e-9
 
@@ -238,53 +234,30 @@ class TestDim4Decomposition:
 
 
 class TestReconstruction:
-    @staticmethod
-    def _panel(m):
-        from norden import square_norms
-
-        gamma = gamma_of(m)
-        nJ = compute_nabla_J(gamma, m.J)
-        q_vec, _ = q_of(m, nJ)
-        sq, assoc = square_norms(m, nJ)
-        R = riemann(gamma, m.structure_constants, m.metric)
-        R_prime = riemann(gamma + q_vec, m.structure_constants, m.metric)
-        P = tensor_P(metric_pairing(m, q_vec, q_vec))
-        H = tensor_H(m, nJ)
-        sc = {k: ricci_and_scalars(m, v) for k, v in
-              (("R", R), ("Rp", R_prime), ("P", P), ("H", H))}
-        panel = ScalarPanel(
-            tau=sc["R"].tau,
-            tau_star=sc["R"].tau_star,
-            tau_prime=sc["Rp"].tau,
-            tau_prime_star=sc["Rp"].tau_star,
-            tau_P=sc["P"].tau,
-            tau_star_P=sc["P"].tau_star,
-            tau_H=sc["H"].tau,
-            tau_star_H=sc["H"].tau_star,
-            sq_norm_nablaJ=sq,
-            assoc_sq_norm_nablaJ=assoc,
-        )
-        return panel, P, R
+    """The dimension-4 reconstructions of R from scalars and P, as the suite
+    states them."""
 
     def test_flat_both_zero(self, flat4):
-        panel, P, R = self._panel(flat4)
-        r32, r33 = reconstruct_R_dim4(pi_forms(flat4), panel, P, R)
-        assert r32 == 0.0
-        assert r33 == 0.0
+        ctx = build_context(flat4)
+        assert ctx.values["THM_3_3"] == 0.0
+        assert run_suite(flat4).check("THM_3_2").status == "PASS"
 
     def test_nonisotropic_kahler_example(self, kahler_rprime_4):
         """With a Kahlerian skew-torsion curvature but a nonzero square norm,
         the isotropy-gated reconstruction must fail (the negative direction of
-        its biconditional)."""
-        panel, P, R = self._panel(kahler_rprime_4)
-        assert abs(panel.sq_norm_nablaJ) > 1e-9
-        r32, r33 = reconstruct_R_dim4(pi_forms(kahler_rprime_4), panel, P, R)
-        assert r32 > 1e-9
+        its biconditional), so THM_3_2 PASSes."""
+        ctx = build_context(kahler_rprime_4)
+        assert abs(ctx.panel.sq_norm_nablaJ) > 1e-9
+        assert run_suite(kahler_rprime_4).check("THM_3_2").status == "PASS"
 
     def test_wrong_dimension_rejected(self, two_step_6):
-        panel, P, R = self._panel(two_step_6)
-        with pytest.raises(ValueError, match="dimension 4"):
-            reconstruct_R_dim4(pi_forms(two_step_6), panel, P, R)
+        """Outside dimension 4 the reconstructions are not computed, and their
+        checks are NA."""
+        assert {"THM_3_2", "THM_3_3"}.isdisjoint(build_context(two_step_6).values)
+        report = run_suite(two_step_6)
+        for check_id in ("THM_3_2", "THM_3_3"):
+            assert report.check(check_id).status == "NA"
+            assert report.check(check_id).reason == "dimension != 4"
 
 
 class TestJTwistedCurvatureIdentity:

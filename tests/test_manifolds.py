@@ -198,11 +198,12 @@ class TestCovariantDerivative:
         assert np.max(np.abs(covariant_derivative(flat4, gamma, t))) == 0.0
 
     def test_matches_loop_oracle(self, generic_w3_4):
-        from norden import compute_F, compute_nabla_J
+        from norden import compute_nabla_J
+        from norden.tensors import lower
 
         m = generic_w3_4
         gamma = gamma_of(m)
-        F = compute_F(m, compute_nabla_J(gamma, m.J))
+        F = lower(compute_nabla_J(gamma, m.J), m.metric)
         got = covariant_derivative(m, gamma, F)
         want = loop_covariant_derivative(gamma, F)
         assert np.max(np.abs(got - want)) <= 1e-12

@@ -17,7 +17,6 @@ from norden import (
     SearchTarget,
     canonical_norden_pair,
     classify,
-    compute_F,
     compute_nabla_J,
     cyclic_sum3,
     run_suite,
@@ -164,7 +163,7 @@ class TestSearch:
             m = manifest.to_manifold()
             assert validate_manifold(m).ok
             nJ = compute_nabla_J(gamma_of(m), m.J)
-            cls = classify(m, compute_F(m, nJ), nJ)
+            cls = classify(m, lower(nJ, m.metric), nJ)
             assert cls.label is ClassLabel.QUASI_KAHLER_W3
             assert cls.f_norm > 1e-9
             assert np.max(np.abs(m.structure_constants)) == pytest.approx(1.0)
