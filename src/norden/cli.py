@@ -220,7 +220,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         f"rejected_invalid={stats.rejected_invalid} flat_slope={stats.flat_slope} "
         f"stalled={stats.stalled} iteration_cap={stats.iteration_cap} "
         f"collapsed={stats.collapsed} "
-        f"gn_iterations={stats.gn_iterations} svd_steps={stats.svd_steps} "
+        f"gn_iterations={stats.gn_iterations} gn_rounds={stats.gn_rounds} "
+        f"svd_steps={stats.svd_steps} "
         f"by_ansatz={stats.by_ansatz}"
     )
     print(f"time: {stats.elapsed:.2f} s")

@@ -24,6 +24,8 @@ subset of it.  The quadratic Jacobi identity is handled two ways:
   SVD, only where a QR-based bound cannot rule them out), so near the
   singular roots the search meets, the Jacobian it inverts has locally
   constant rank and convergence stays quadratic where that rank is constant.
+  The candidates run in lockstep (`_Lockstep`), each bit for bit as it would
+  alone, and the search runs exactly those that one at a time would run.
 
 Both paths are driven by one seeded generator, so searches are reproducible.
 """
@@ -107,6 +109,7 @@ class SearchStats:
     iteration_cap: int = 0  # GN_MAX_ITERATIONS without convergence
     collapsed: int = 0  # brackets converged to (near) zero, the abelian algebra
     gn_iterations: int = 0  # Gauss-Newton steps
+    gn_rounds: int = 0  # lockstep rounds, each one stacked step of the active candidates
     svd_steps: int = 0  # steps whose rank certificate failed, solved by SVD
     elapsed: float = 0.0
     by_ansatz: dict = field(default_factory=dict)
@@ -219,41 +222,55 @@ class QuadraticForm:
         return (self.basis @ (self.null @ z)).reshape(d, d, d)
 
     def qz(self, z: NDArray) -> NDArray:
-        """(Q z)[b, k] = Q[z, e_b] on kept row k: phi(z) = z @ qz(z), and the
-        Jacobian of phi is 2 qz(z).T."""
-        r = z.size
-        return (z @ self.q.reshape(r, -1)).reshape(r, -1)
+        """(Q z)[n, b, k] = Q[z_n, e_b] on kept row k, for each candidate z_n
+        (a row of z): phi(z_n) = z_n @ qz(z)[n], and the Jacobian of phi at
+        z_n is 2 qz(z)[n].T."""
+        n, r = z.shape
+        return np.vecmat(z, self.q.reshape(r, -1)).reshape(n, r, -1)
 
     def step(
         self, z: NDArray, qz: NDArray, direction: NDArray, stats: SearchStats | None = None
     ) -> NDArray:
-        """Gauss-Newton step for phi(z) = 0 on the slice direction @ z = 1,
-        with qz = Q z.  The kept rows, weighted by sqrt(6), give the normal
-        equations of the full map.  Directions whose singular value is below
-        GN_RANK_CUTOFF times the largest are dropped: near a singular root
-        they are rounding noise, and a cutoff at the rounding level (eps times
-        the row count, about 6e-13 in dim 6) keeps some of them and slows
-        convergence to linear.  [A b] = QR [R c], and R has the singular
-        values of A: when ||R||_F ||R^-1||_F, a bound on their ratio,
-        certifies that none is dropped, the step is R^-1 c; else an SVD
-        solves on R (counted in stats.svd_steps)."""
-        r = z.size
-        Ab = np.empty((qz.shape[1] + 1, r + 1))
-        Ab[:-1, :r] = _ROW_WEIGHT * 2.0 * qz.T
-        Ab[:-1, r] = _ROW_WEIGHT * (z @ qz)
-        Ab[-1, :r] = direction
-        Ab[-1, r] = direction @ z - 1.0
+        """Gauss-Newton step for phi(z_n) = 0 on the slice direction_n @ z_n
+        = 1, for each row n, with qz = Q z.  The kept rows, weighted by sqrt(6),
+        give the normal equations of the full map.  Directions whose singular
+        value is below GN_RANK_CUTOFF times the largest are dropped: near a
+        singular root they are rounding noise, and a cutoff at the rounding
+        level (eps times the row count, about 6e-13 in dim 6) keeps some of
+        them and slows convergence to linear.  [A b] = QR [R c], and R has the
+        singular values of A: when ||R||_F ||R^-1||_F, a bound on their ratio,
+        certifies that none is dropped, the step is R^-1 c; else an SVD solves
+        on R (counted in stats.svd_steps)."""
+        n, r = z.shape
+        Ab = np.empty((n, qz.shape[2] + 1, r + 1))
+        Ab[:, :-1, :r] = _ROW_WEIGHT * 2.0 * qz.transpose(0, 2, 1)
+        Ab[:, :-1, r] = _ROW_WEIGHT * np.vecmat(z, qz)
+        Ab[:, -1, :r] = direction
+        Ab[:, -1, r] = np.vecdot(direction, z) - 1.0
         Rc = np.linalg.qr(Ab, mode="r")
-        R, c = Rc[:r, :r], Rc[:r, r]
+        R, c = Rc[:, :r, :r], Rc[:, :r, r]
         try:
-            R_inv = np.linalg.inv(R)  # raises if R is singular or not square
-            if np.vdot(R, R) * np.vdot(R_inv, R_inv) < GN_RANK_CUTOFF**-2:
-                return R_inv @ c
+            R_inv = np.linalg.inv(R)  # raises if any R is singular or not square
         except np.linalg.LinAlgError:
-            pass
-        if stats is not None:
-            stats.svd_steps += 1
-        return np.linalg.lstsq(R, c, rcond=GN_RANK_CUTOFF)[0]
+            R_inv = np.array([_inverse_or_nan(R_k) for R_k in R])
+        R_flat, R_inv_flat = R.reshape(n, -1), R_inv.reshape(n, -1)
+        bound = np.vecdot(R_flat, R_flat) * np.vecdot(R_inv_flat, R_inv_flat)
+        steps = np.matvec(R_inv, c)
+        for k, bound_k in enumerate(bound.tolist()):
+            if not bound_k < GN_RANK_CUTOFF**-2:  # also NaN: R singular or not square
+                if stats is not None:
+                    stats.svd_steps += 1
+                steps[k] = np.linalg.lstsq(R[k], c[k], rcond=GN_RANK_CUTOFF)[0]
+        return steps
+
+
+def _inverse_or_nan(R: NDArray) -> NDArray:
+    """R^-1, or NaN in the shape of R.T where R is singular or not square,
+    which fails the rank certificate."""
+    try:
+        return np.linalg.inv(R)
+    except np.linalg.LinAlgError:
+        return np.full(R.shape[::-1], np.nan)
 
 
 def _phi_kept(
@@ -296,59 +313,97 @@ def _quadratic_form(dim: int, want_kahler: bool) -> QuadraticForm:
     return QuadraticForm(dim, basis, null, rows, q)
 
 
-def _gauss_newton_candidate(
-    rng: np.random.Generator, form: QuadraticForm, stats: SearchStats
-) -> NDArray | None:
-    """One slice-constrained damped Gauss-Newton attempt; returns structure
-    constants with max-abs 1 on convergence, else None after counting the
-    failure in `stats`."""
-    r = form.null.shape[1]
-    direction = rng.normal(size=r)
-    norm = np.linalg.norm(direction)
-    if norm < 1e-12:
-        stats.flat_slope += 1
-        return None
-    direction /= norm
-    z = rng.uniform(-1.0, 1.0, r)
-    slope = direction @ z
-    if abs(slope) < 1e-3:
-        stats.flat_slope += 1
-        return None
-    z = z / slope
+class _Lockstep:
+    """Slice-constrained damped Gauss-Newton candidates of one form, run in
+    lockstep: a round judges every candidate's residual and makes one stacked
+    step and one stacked product Q step for those that go on.  Stacked BLAS
+    and LAPACK calls work row by row, so each candidate computes bit for bit
+    what it would alone."""
 
-    qz = form.qz(z)
-    for _ in range(GN_MAX_ITERATIONS):
-        f = z @ qz
-        norm_inf = np.abs(f).max()
-        if norm_inf < GN_CONVERGENCE:  # qz was carried: confirm directly
-            qz = form.qz(z)
-            f = z @ qz
-            norm_inf = np.abs(f).max()
-            if norm_inf < GN_CONVERGENCE:
-                break
-        stats.gn_iterations += 1
-        step = form.step(z, qz, direction, stats)
+    def __init__(self, form: QuadraticForm) -> None:
+        r = form.null.shape[1]
+        self.form, self.tags = form, []
+        self.z, self.direction = np.empty((0, r)), np.empty((0, r))
+        self.qz = np.empty((0, r, form.rows.size))
+        # steps per candidate, most for the first: candidates keep their order
+        self.steps = np.empty(0, dtype=int)
+
+    def __len__(self) -> int:
+        return len(self.tags)
+
+    def add(self, tag, rng: np.random.Generator, stats: SearchStats) -> None:
+        """Draw candidate `tag`'s slice direction and start point, and enter
+        it unless the slope is flat (counted in `stats`)."""
+        direction = rng.normal(size=self.z.shape[1])
+        norm = np.linalg.norm(direction)
+        if norm < 1e-12:
+            stats.flat_slope += 1
+            return
+        direction /= norm
+        z = rng.uniform(-1.0, 1.0, direction.size)
+        slope = direction @ z
+        if abs(slope) < 1e-3:
+            stats.flat_slope += 1
+            return
+        z = (z / slope)[None]
+        self.tags.append(tag)
+        self.z = np.concatenate([self.z, z])
+        self.qz = np.concatenate([self.qz, self.form.qz(z)])
+        self.direction = np.concatenate([self.direction, direction[None]])
+        self.steps = np.append(self.steps, 0)
+
+    def round(self, stats: SearchStats) -> list[tuple[object, NDArray | None]]:
+        """One round; returns (tag, brackets with max-abs 1, or None after
+        counting the failure in `stats`) for each candidate that ended."""
+        f = np.vecmat(self.z, self.qz)
+        norm_inf = np.abs(f).max(axis=1)
+        ended = []
+        if norm_inf.min() < GN_CONVERGENCE:  # qz was carried: confirm directly
+            low = norm_inf < GN_CONVERGENCE
+            self.qz[low] = self.form.qz(self.z[low])
+            f[low] = np.vecmat(self.z[low], self.qz[low])
+            norm_inf[low] = np.abs(f[low]).max(axis=1)
+            converged = norm_inf < GN_CONVERGENCE
+            if converged.any():
+                ended = [(tag, _unit(self.form.brackets(z), 1e-8, stats))
+                         for tag, z in self._end(converged)]
+                f, norm_inf = f[~converged], norm_inf[~converged]
+        if not self.tags:
+            return ended
+        stats.gn_rounds += 1
+        stats.gn_iterations += len(self.tags)
+        self.steps += 1
+        z, qz = self.z, self.qz
+        step = self.form.step(z, qz, self.direction, stats)
         # one product Q step prices every halving lam at once, as
         # phi(z - lam step) = phi(z) - 2 lam Q[z, step] + lam^2 Q[step, step],
         # and carries qz by linearity; the first trial that lowers max|phi| wins
-        q_step = form.qz(step)
-        trials = f - _TWICE_HALVINGS * (step @ qz) + _SQUARED_HALVINGS * (step @ q_step)
-        lower = np.abs(trials).max(axis=1) < norm_inf
-        k = np.argmax(lower)
-        if not lower[k]:
-            stats.stalled += 1
-            return None
-        z = z - _HALVINGS[k] * step
-        qz = qz - _HALVINGS[k] * q_step
-    else:
-        stats.iteration_cap += 1
-        return None
-    C = form.brackets(z)
-    max_abs = np.max(np.abs(C))
-    if max_abs < 1e-8:
-        stats.collapsed += 1
-        return None
-    return C / max_abs
+        q_step = self.form.qz(step)
+        trials = (
+            f[:, None]
+            - _TWICE_HALVINGS * np.vecmat(step, qz)[:, None]
+            + _SQUARED_HALVINGS * np.vecmat(step, q_step)[:, None]
+        )
+        lower = np.abs(trials).max(axis=2) < norm_inf[:, None]
+        lam = _HALVINGS[lower.argmax(axis=1)]
+        self.z = z - lam * step
+        qz -= lam[:, :, None] * q_step  # in place: self.qz
+        went_on = lower.any(axis=1)
+        if not went_on.all() or self.steps[0] == GN_MAX_ITERATIONS:
+            capped = went_on & (self.steps == GN_MAX_ITERATIONS)
+            stats.stalled += int((~went_on).sum())
+            stats.iteration_cap += int(capped.sum())
+            ended += [(tag, None) for tag, _ in self._end(~went_on | capped)]
+        return ended
+
+    def _end(self, ended: NDArray) -> list[tuple[object, NDArray]]:
+        """Remove the candidates flagged in `ended`; returns their (tag, z)."""
+        out = [(self.tags[k], self.z[k]) for k in np.flatnonzero(ended)]
+        self.tags = [tag for tag, gone in zip(self.tags, ended) if not gone]
+        keep = ~ended
+        self.z, self.qz = self.z[keep], self.qz[keep]
+        self.direction, self.steps = self.direction[keep], self.steps[keep]
+        return out
 
 
 def _two_step_candidate(
@@ -359,9 +414,14 @@ def _two_step_candidate(
     stats: SearchStats,
 ) -> NDArray | None:
     coeff = null @ rng.uniform(-1.0, 1.0, null.shape[1])
-    C = (basis @ coeff).reshape(dim, dim, dim)
+    return _unit((basis @ coeff).reshape(dim, dim, dim), 1e-10, stats)
+
+
+def _unit(C: NDArray, floor: float, stats: SearchStats) -> NDArray | None:
+    """C scaled to max-abs 1, or None after counting a collapse in `stats`
+    when max|C| < floor (the abelian algebra)."""
     max_abs = np.max(np.abs(C))
-    if max_abs < 1e-10:
+    if max_abs < floor:
         stats.collapsed += 1
         return None
     return C / max_abs
@@ -421,28 +481,48 @@ def search_w3_examples(
             plan.append(("two_step", basis, null))
     plan.append(("gauss_newton", None, None))
 
-    manifests: list[ManifoldManifest] = []
-    index = 0
-    while stats.candidates < cfg.max_candidates and len(manifests) < cfg.max_results:
-        kind, basis, null = plan[index % len(plan)]
-        index += 1
-        stats.candidates += 1
-        stats.by_ansatz[kind] = stats.by_ansatz.get(kind, 0) + 1
-        if kind == "two_step":
-            C = _two_step_candidate(rng, cfg.dim, basis, null, stats)
-        else:
-            form = _quadratic_form(cfg.dim, want_kahler)
-            C = _gauss_newton_candidate(rng, form, stats)
+    found: dict[int, tuple[str, LieFrameManifold]] = {}
+
+    def finish(j: int, kind: str, C: NDArray | None) -> None:
         if C is None:
-            continue
+            return
         stats.converged += 1
         m = _accept(C, cfg, stats)
-        if m is None:
-            continue
-        stats.hits += 1
+        if m is not None:
+            stats.hits += 1
+            found[j] = (kind, m)
+
+    # candidate j enters while j < max_candidates and the hits so far plus
+    # the active candidates fall short of max_results: every candidate that
+    # enters is one that running them one at a time would run, drawing in
+    # the same order
+    batch: _Lockstep | None = None
+    while True:
+        while (
+            stats.candidates < cfg.max_candidates
+            and stats.hits + (len(batch) if batch else 0) < cfg.max_results
+        ):
+            j = stats.candidates
+            kind, basis, null = plan[j % len(plan)]
+            stats.candidates += 1
+            stats.by_ansatz[kind] = stats.by_ansatz.get(kind, 0) + 1
+            if kind == "two_step":
+                finish(j, kind, _two_step_candidate(rng, cfg.dim, basis, null, stats))
+            else:
+                if batch is None:
+                    batch = _Lockstep(_quadratic_form(cfg.dim, want_kahler))
+                batch.add(j, rng, stats)
+        if not batch:
+            break
+        for j, C in batch.round(stats):
+            finish(j, "gauss_newton", C)
+
+    manifests = []
+    for n, j in enumerate(sorted(found), 1):
+        kind, m = found[j]
         name = (
             f"w3_d{cfg.dim}_seed{cfg.seed}_{cfg.target.value.replace('-', '_')}"
-            f"_{stats.hits:04d}"
+            f"_{n:04d}"
         )
         manifests.append(
             ManifoldManifest(

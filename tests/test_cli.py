@@ -227,11 +227,21 @@ class TestSearchCommand:
         n = {key: int(value) for key, value in (kv.split("=") for kv in head)}
         failures = ("flat_slope", "stalled", "iteration_cap", "collapsed")
         rejections = ("rejected_class", "rejected_jacobi", "rejected_invalid")
-        steps = ("gn_iterations", "svd_steps")
+        steps = ("gn_iterations", "gn_rounds", "svd_steps")
         assert set(n) == {"converged", "hits", *steps, *failures, *rejections}
         assert candidates == n["converged"] + sum(n[k] for k in failures)
         assert n["converged"] == n["hits"] + sum(n[k] for k in rejections)
         assert n["gn_iterations"] > n["svd_steps"] > 0
+        assert 0 < n["gn_rounds"] <= n["gn_iterations"]
+
+    def test_one_hit_search_steps_one_candidate_per_round(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "search", "--dim", "4", "--seed", "5", "--max-results", "1",
+        )
+        assert code == 0
+        stats_line = next(l for l in out.splitlines() if l.startswith("stats:"))
+        n = dict(kv.split("=") for kv in stats_line.split("by_ansatz=")[0].split()[1:])
+        assert int(n["gn_rounds"]) == int(n["gn_iterations"]) > 0
 
     def test_search_bad_arguments_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "search", "--max-candidates", "0")

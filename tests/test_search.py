@@ -1,10 +1,11 @@
 """Seeded example search: the membership matrix and its families,
 reproducibility, classification of hits, targets, the Gauss-Newton quadratic
-form and the failure counters."""
+form, the lockstep batch and the failure counters."""
 
 import itertools
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -194,10 +195,7 @@ class TestSearch:
     def test_empty_result_is_not_an_error(self, monkeypatch):
         # this seed's single candidate converges to a hit, so every
         # Gauss-Newton attempt is made to run to the cap instead
-        def capped(rng, form, stats):
-            stats.iteration_cap += 1
-
-        monkeypatch.setattr(search, "_gauss_newton_candidate", capped)
+        monkeypatch.setattr(search, "GN_MAX_ITERATIONS", 1)
         cfg = SearchConfig(
             dim=6,
             seed=1,
@@ -252,7 +250,7 @@ class TestQuadraticForm:
     def test_form_equals_the_kernel_map_on_the_kept_rows(self, form_case):
         form, kahler, z, _ = form_case
         kept = _kernel_map(form.brackets(z), kahler)[form.rows]
-        err = np.max(np.abs(z @ form.qz(z) - kept))
+        err = np.max(np.abs(z @ _qz(form, z) - kept))
         assert err <= 1e-13 * (1.0 + np.max(np.abs(kept)))
 
     def test_kept_rows_carry_max_abs_and_a_sixth_of_the_squares(self, form_case):
@@ -276,7 +274,7 @@ class TestQuadraticForm:
         A = np.vstack([np.array(cols).T, direction[None, :]])
         b = np.concatenate([_kernel_map(C, kahler), [direction @ z - 1.0]])
         full_step = np.linalg.lstsq(A, b, rcond=None)[0]
-        step = form.step(z, form.qz(z), direction)
+        step = _step(form, z, _qz(form, z), direction)
         assert np.linalg.norm(step - full_step) <= 1e-8 * np.linalg.norm(full_step)
 
     def test_step_is_the_truncated_least_squares_solution(self, form_case):
@@ -284,7 +282,7 @@ class TestQuadraticForm:
         form, _, z, direction = form_case
         direction = direction / np.linalg.norm(direction)
         stats = SearchStats()
-        step = form.step(z, form.qz(z), direction, stats)
+        step = _step(form, z, _qz(form, z), direction, stats)
         reference = np.linalg.lstsq(*_weighted_system(form, z, direction), rcond=1e-10)[0]
         assert stats.svd_steps == 0
         assert np.linalg.norm(step - reference) <= 1e-12 * np.linalg.norm(reference)
@@ -292,19 +290,33 @@ class TestQuadraticForm:
     def test_uncertified_step_is_the_truncated_least_squares_solution(self):
         form, z = _cutoff_stub()
         stats = SearchStats()
-        step = form.step(z, form.qz(z), z, stats)
+        step = _step(form, z, _qz(form, z), z, stats)
         reference = np.linalg.lstsq(*_weighted_system(form, z, z), rcond=1e-10)[0]
+        assert stats.svd_steps == 1
+        assert np.linalg.norm(step - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    def test_underdetermined_step_is_the_least_squares_solution(self):
+        # one row and the slice against three unknowns: R is 2 x 3, so no
+        # inverse exists and the minimum-norm least-squares step is taken
+        q = np.zeros((3, 3, 1))
+        q[1, 1, 0] = q[2, 2, 0] = 1.0
+        form = search.QuadraticForm(
+            dim=1, basis=np.ones((1, 1)), null=np.eye(3)[:1], rows=np.arange(1), q=q
+        )
+        z, stats = np.array([1.0, 0.5, 0.25]), SearchStats()
+        step = _step(form, z, _qz(form, z), np.eye(3)[0], stats)
+        reference = np.linalg.lstsq(*_weighted_system(form, z, np.eye(3)[0]), rcond=1e-10)[0]
         assert stats.svd_steps == 1
         assert np.linalg.norm(step - reference) <= 1e-12 * np.linalg.norm(reference)
 
     def test_step_drops_directions_below_the_rank_cutoff(self):
         form, z = _cutoff_stub()
         direction = z
-        qz = form.qz(z)
+        qz = _qz(form, z)
         A, b = _weighted_system(form, z, direction)
         _, s, vt = np.linalg.svd(A)
         assert np.finfo(float).eps * 2593 < s[-1] / s[0] < search.GN_RANK_CUTOFF
-        step = form.step(z, qz, direction)
+        step = _step(form, z, qz, direction)
         assert abs(vt[-1] @ step) < 1e-15 * np.linalg.norm(step)
         assert step[1] == pytest.approx(1e-3 / 2, rel=1e-6)
         # a rounding-level cutoff keeps that direction and steps far along it
@@ -312,38 +324,67 @@ class TestQuadraticForm:
         assert abs(vt[-1] @ kept) > 1e6 * np.linalg.norm(step)
 
     def test_one_form_product_per_iteration(self):
-        # each candidate: one product Q z at its start, one product Q s per
-        # step s, and one direct Q z whenever the carried residual reads
-        # converged; that confirmation either passes and ends the candidate
-        # or fails and the iteration goes on
+        # rows multiplied: one Q z per candidate that enters, at its start,
+        # one Q s per step s, and one direct Q z whenever the carried residual
+        # reads converged; that confirmation either passes and ends the
+        # candidate or fails and the iteration goes on
         form = _LoggingForm(search._quadratic_form(6, True))
-        rng, stats = np.random.default_rng(42), SearchStats()
-        products = entered = confirmations = converged = 0
-        for _ in range(12):
-            form.log = []
-            iterations, collapsed = stats.gn_iterations, stats.collapsed
-            C = search._gauss_newton_candidate(rng, form, stats)
-            iterations = stats.gn_iterations - iterations
-            ended = C is not None or stats.collapsed > collapsed
-            direct = [phi for kind, phi in form.log if kind == "z"]
-            assert len(form.log) - len(direct) == iterations
-            if direct:
-                entered += 1
-                # the start, the failed confirmations, the passing one
-                failed = sum(phi >= search.GN_CONVERGENCE for phi in direct[1:])
-                assert len(direct) == 1 + failed + ended
-                assert ended == (direct[-1] < search.GN_CONVERGENCE)
-                confirmations += len(direct) - 1
-            converged += ended
-            products += len(form.log)
+        stats = SearchStats()
+        ended, _ = _run_batch(form, [np.random.default_rng(42)] * 12, stats)
+        entered = 12 - stats.flat_slope
+        assert len(ended) == entered
+        direct = [phi for kind, phi in form.log if kind == "z"]
+        assert len(form.log) - len(direct) == stats.gn_iterations
+        # the starts come first: every candidate enters before the first round
+        assert [kind for kind, _ in form.log[:entered]] == ["z"] * entered
+        confirmations = direct[entered:]
+        failed = sum(phi >= search.GN_CONVERGENCE for phi in confirmations)
+        converged = sum(C is not None for C, _ in ended.values())
+        assert len(confirmations) == failed + converged + stats.collapsed
         assert converged > 0
-        assert products == stats.gn_iterations + entered + confirmations
+        assert len(form.log) == stats.gn_iterations + entered + len(confirmations)
+
+
+def _qz(form, z):
+    """Q z of the single candidate z, as a batch of one."""
+    return form.qz(z[None])[0]
+
+
+def _step(form, z, qz, direction, stats=None):
+    """The Gauss-Newton step of the single candidate z, as a batch of one."""
+    return form.step(z[None], qz[None], direction[None], stats)[0]
+
+
+_COUNTERS = ("gn_iterations", "svd_steps", "stalled", "iteration_cap", "collapsed")
+
+
+def _run_batch(form, draws, stats):
+    """Runs one Gauss-Newton candidate per generator of `draws` (drawn in
+    order) as one lockstep batch.  Returns {tag: (brackets or None, the round
+    it ended in)} for the candidates that entered, and the `_COUNTERS` that
+    each round added."""
+    batch = search._Lockstep(form)
+    for tag, rng in enumerate(draws):
+        batch.add(tag, rng, stats)
+    ended, added = {}, []
+    while batch:
+        before = [getattr(stats, name) for name in _COUNTERS]
+        for tag, C in batch.round(stats):
+            ended[tag] = (C, len(added) + 1)
+        added.append(np.subtract([getattr(stats, name) for name in _COUNTERS], before))
+    return ended, added
+
+
+def _alone(rng, form, stats):
+    """Brackets of one candidate run alone, or None."""
+    ended, _ = _run_batch(form, [rng], stats)
+    return ended.get(0, (None, 0))[0]
 
 
 def _weighted_system(form, z, direction):
     """The weighted Gauss-Newton system (A, b) of `form` at z on the slice
     direction @ z = 1, written out."""
-    qz = form.qz(z)
+    qz = _qz(form, z)
     A = np.vstack([np.sqrt(6.0) * 2.0 * qz.T, direction[None, :]])
     b = np.concatenate([np.sqrt(6.0) * (z @ qz), [direction @ z - 1.0]])
     return A, b
@@ -371,8 +412,9 @@ def _cutoff_stub():
 
 
 class _LoggingForm:
-    """`form` that logs its products, ("step", None) for Q s with the step s
-    it last returned and ("z", max|phi(z)|) for any other product Q z, and
+    """`form` that logs its products row by row, ("step", None) for Q s with
+    the steps s it last returned and ("z", max|phi(z)|) for any other
+    product Q z, and
     keeps every z it turns into brackets (the converged points)."""
 
     def __init__(self, form):
@@ -390,11 +432,12 @@ class _LoggingForm:
         return self.last_step
 
     def qz(self, z):
+        """Logs one entry per row (candidate) of the batch z."""
         qz = self.form.qz(z)
         if z is self.last_step:
-            self.log.append(("step", None))
+            self.log += [("step", None)] * len(z)
         else:
-            self.log.append(("z", np.max(np.abs(z @ qz))))
+            self.log += [("z", np.max(np.abs(z_n @ qz_n))) for z_n, qz_n in zip(z, qz)]
         return qz
 
 
@@ -454,7 +497,7 @@ class TestSearchStats:
         stats = SearchStats()
         form = search._quadratic_form(4, False)
         # slice direction e_0 against start point e_1: slope 0
-        assert search._gauss_newton_candidate(FixedDraws(1.0), form, stats) is None
+        assert _alone(FixedDraws(1.0), form, stats) is None
         basis, null = search._two_step_families(6)[0]
         assert search._two_step_candidate(FixedDraws(0.0), 6, basis, null, stats) is None
         assert (stats.flat_slope, stats.collapsed) == (1, 1)
@@ -509,7 +552,7 @@ class TestFloorStop:
     def _run(self, form, phi_start):
         stats = SearchStats()
         draws = FixedDraws(math.sqrt(phi_start), offset=1.0)  # slice z_0 = 1
-        return search._gauss_newton_candidate(draws, form, stats), stats
+        return _alone(draws, form, stats), stats
 
     def test_creeping_above_the_floor_runs_to_the_cap(self):
         # max|phi| about 1e-6, falling 0.2% per iteration
@@ -570,7 +613,7 @@ class TestCarriedResidual:
         assert len(hits) == 3
         assert len(form.converged) == stats.converged + stats.collapsed
         for z in form.converged:
-            assert np.max(np.abs(z @ form.form.qz(z))) < search.GN_CONVERGENCE
+            assert np.max(np.abs(z @ _qz(form.form, z))) < search.GN_CONVERGENCE
 
     def test_a_failed_confirmation_keeps_iterating(self):
         # phi(z) = z_1**2 from 1e-12, and each step halves z_1; with the step
@@ -580,8 +623,97 @@ class TestCarriedResidual:
         form = _BiasedStepProducts(_root_form(), 1.8)
         stats = SearchStats()
         draws = FixedDraws(1e-6, offset=1.0)  # slice z_0 = 1
-        assert search._gauss_newton_candidate(draws, form, stats) is not None
+        assert _alone(draws, form, stats) is not None
         assert stats.gn_iterations == 2
         assert [kind for kind, _ in form.log] == ["z", "step", "z", "step", "z"]
         direct = [phi for kind, phi in form.log if kind == "z"]
         assert direct == pytest.approx([1e-12, 2.5e-13, 6.25e-14], rel=1e-12)
+
+
+class TestLockstep:
+    """A candidate does the same arithmetic alone and in a batch: the same
+    brackets bit for bit, the same end round, and in every round the
+    counters of the batch are the sums of its candidates' counters alone."""
+
+    def _compare(self, form, draws_alone, draws_together):
+        alone, alone_stats = [], SearchStats()
+        for tag, rng in enumerate(draws_alone):
+            ended, added = _run_batch(form, [rng], alone_stats)
+            alone.append((ended.get(0), added))
+        stats = SearchStats()
+        ended, added = _run_batch(form, draws_together, stats)
+        assert stats.flat_slope == alone_stats.flat_slope
+        assert sorted(ended) == [tag for tag, (outcome, _) in enumerate(alone) if outcome]
+        for tag, (C, end) in ended.items():
+            C_alone, end_alone = alone[tag][0]
+            assert end == end_alone
+            assert (C is None) == (C_alone is None)
+            assert C is None or C.tobytes() == C_alone.tobytes()
+        for t, counters in enumerate(added):
+            per_candidate = [rounds[t] for _, rounds in alone if t < len(rounds)]
+            assert counters.tolist() == np.sum(per_candidate, axis=0).tolist()
+        # a round counts when some candidate steps in it
+        assert stats.gn_rounds == sum(counters[0] > 0 for counters in added)
+        assert stats.gn_rounds < stats.gn_iterations  # the batch ran wide
+        return stats
+
+    def test_stub_mates_that_converge_early_or_hit_the_cap(self):
+        # 86 steps, the cap (222 would be needed), converged at the start,
+        # and a flat slope that never enters
+        form = _ScaledSteps(_root_form(), 0.93)
+        draws = [FixedDraws(math.sqrt(phi), offset=1.0) for phi in (5e-11, 1e-6, 0.0)]
+        draws.append(FixedDraws(1.0))
+        stats = self._compare(form, draws, draws)
+        assert (stats.iteration_cap, stats.flat_slope) == (1, 1)
+        assert stats.gn_iterations == 86 + search.GN_MAX_ITERATIONS
+
+    @pytest.mark.parametrize(
+        "kahler,seed,n,failure",
+        [(False, 201, 32, "iteration_cap"), (True, 103, 13, "stalled")],
+    )
+    def test_dim4_mates_that_stall_or_hit_the_cap(self, kahler, seed, n, failure):
+        # the candidates of these searches, drawn in the same order
+        form = search._quadratic_form(4, kahler)
+        alone = [np.random.default_rng(seed)] * n
+        stats = self._compare(form, alone, [np.random.default_rng(seed)] * n)
+        assert getattr(stats, failure) > 0 and stats.svd_steps > 0
+
+
+class TestSequentialSemantics:
+    """The lockstep search runs exactly the candidates that a search running
+    one candidate at a time runs, and returns their hits in candidate order."""
+
+    def _search(self, **kw):
+        return search_w3_examples(SearchConfig(dim=4, seed=42, **kw))
+
+    def test_fewer_results_are_a_prefix_of_more(self):
+        short, stats = self._search(max_results=3, max_candidates=120)
+        long, _ = self._search(max_results=8, max_candidates=320)
+        assert len(short) == 3 and len(long) == 8
+        assert [manifest_to_json(h) for h in short] == [
+            manifest_to_json(h) for h in long[:3]
+        ]
+        # the last candidate made the last hit: one fewer yields one fewer
+        fewer, _ = self._search(max_results=3, max_candidates=stats.candidates - 1)
+        assert [manifest_to_json(h) for h in fewer] == [
+            manifest_to_json(h) for h in short[:2]
+        ]
+
+    def test_no_candidate_past_the_budget(self, monkeypatch):
+        tags = []
+        add = search._Lockstep.add
+
+        def logged(self, tag, rng, stats):
+            tags.append(tag)
+            add(self, tag, rng, stats)
+
+        monkeypatch.setattr(search._Lockstep, "add", logged)
+        cfg = SearchConfig(dim=4, seed=201, max_results=16, max_candidates=10)
+        hits, stats = search_w3_examples(cfg)
+        assert tags == list(range(10))
+        assert stats.candidates == 10 == stats.converged + _failures(stats)
+        full, _ = search_w3_examples(replace(cfg, max_candidates=640))
+        assert 0 < len(hits) < len(full)
+        assert [manifest_to_json(h) for h in hits] == [
+            manifest_to_json(h) for h in full[: len(hits)]
+        ]
