@@ -217,7 +217,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     print(
         f"stats: converged={stats.converged} hits={stats.hits} "
         f"rejected_class={stats.rejected_class} rejected_jacobi={stats.rejected_jacobi} "
-        f"rejected_invalid={stats.rejected_invalid} flat_slope={stats.flat_slope} "
+        f"rejected_invalid={stats.rejected_invalid} "
         f"stalled={stats.stalled} iteration_cap={stats.iteration_cap} "
         f"collapsed={stats.collapsed} "
         f"gn_iterations={stats.gn_iterations} gn_rounds={stats.gn_rounds} "

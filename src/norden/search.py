@@ -12,14 +12,15 @@ subset of it.  The quadratic Jacobi identity is handled two ways:
   null spaces exist only for dimension >= 6.
 * Gauss-Newton projection: a damped Gauss-Newton iteration drives the Jacobi
   residual (and, for the Kahler target, the first Bianchi residual of the
-  skew-torsion curvature) to zero inside the membership null space, on a
-  random affine slice to avoid collapse onto the abelian solution.  Both
-  residual maps are homogeneous quadratic in the null-space coordinates z, so
+  skew-torsion curvature) to zero inside the membership null space, on the
+  unit sphere ||z|| = 1 of the null-space coordinates z, which keeps it off
+  the abelian solution.  Both residual maps are homogeneous quadratic in z, so
   they are precomputed once per (dim, target) as a symmetric form Q with
   phi(z) = Q[z, z] (`QuadraticForm`).  Qz gives the residual and the
   Jacobian and is linear in z: an iteration is one small least-squares solve
   and one product Q step, which prices every line-search trial and carries Qz
-  to the next iterate (convergence is confirmed on a direct product).  The
+  to the next iterate; the iterate is then scaled back onto the sphere, and
+  Qz with it (convergence is confirmed on a direct product).  The
   solve drops singular values below `GN_RANK_CUTOFF` times the largest (by
   SVD, only where a QR-based bound cannot rule them out), so near the
   singular roots the search meets, the Jacobian it inverts has locally
@@ -94,7 +95,7 @@ class SearchStats:
     """Counts of one search.  Every candidate either converges or fails for
     one reason, and every converged candidate is a hit or one rejection:
 
-    candidates = converged + flat_slope + stalled + iteration_cap + collapsed
+    candidates = converged + stalled + iteration_cap + collapsed
     converged  = hits + rejected_class + rejected_jacobi + rejected_invalid
     """
 
@@ -104,10 +105,9 @@ class SearchStats:
     rejected_class: int = 0  # valid, but not quasi-Kahler (or R' not Kahler)
     rejected_jacobi: int = 0  # failed validation on the Jacobi identity
     rejected_invalid: int = 0  # failed validation on another invariant only
-    flat_slope: int = 0  # slice direction nearly orthogonal to the start point
     stalled: int = 0  # line search found no decrease
     iteration_cap: int = 0  # GN_MAX_ITERATIONS without convergence
-    collapsed: int = 0  # brackets converged to (near) zero, the abelian algebra
+    collapsed: int = 0  # two-step brackets drawn (near) zero, the abelian algebra
     gn_iterations: int = 0  # Gauss-Newton steps
     gn_rounds: int = 0  # lockstep rounds, each one stacked step of the active candidates
     svd_steps: int = 0  # steps whose rank certificate failed, solved by SVD
@@ -229,11 +229,12 @@ class QuadraticForm:
         return np.vecmat(z, self.q.reshape(r, -1)).reshape(n, r, -1)
 
     def step(
-        self, z: NDArray, qz: NDArray, direction: NDArray, stats: SearchStats | None = None
+        self, z: NDArray, qz: NDArray, f: NDArray, stats: SearchStats | None = None
     ) -> NDArray:
-        """Gauss-Newton step for phi(z_n) = 0 on the slice direction_n @ z_n
-        = 1, for each row n, with qz = Q z.  The kept rows, weighted by sqrt(6),
-        give the normal equations of the full map.  Directions whose singular
+        """Gauss-Newton step for phi(z_n) = 0 on the sphere ||z_n|| = 1, for
+        each row n, with qz = Q z and f = phi(z) = z @ qz; the last row
+        linearises ||z_n||**2 = 1.  The kept rows, weighted by sqrt(6), give
+        the normal equations of the full map.  Directions whose singular
         value is below GN_RANK_CUTOFF times the largest are dropped: near a
         singular root they are rounding noise, and a cutoff at the rounding
         level (eps times the row count, about 6e-13 in dim 6) keeps some of
@@ -244,9 +245,9 @@ class QuadraticForm:
         n, r = z.shape
         Ab = np.empty((n, qz.shape[2] + 1, r + 1))
         Ab[:, :-1, :r] = _ROW_WEIGHT * 2.0 * qz.transpose(0, 2, 1)
-        Ab[:, :-1, r] = _ROW_WEIGHT * np.vecmat(z, qz)
-        Ab[:, -1, :r] = direction
-        Ab[:, -1, r] = np.vecdot(direction, z) - 1.0
+        Ab[:, :-1, r] = _ROW_WEIGHT * f
+        Ab[:, -1, :r] = 2.0 * z
+        Ab[:, -1, r] = np.vecdot(z, z) - 1.0
         Rc = np.linalg.qr(Ab, mode="r")
         R, c = Rc[:, :r, :r], Rc[:, :r, r]
         try:
@@ -314,7 +315,7 @@ def _quadratic_form(dim: int, want_kahler: bool) -> QuadraticForm:
 
 
 class _Lockstep:
-    """Slice-constrained damped Gauss-Newton candidates of one form, run in
+    """Sphere-constrained damped Gauss-Newton candidates of one form, run in
     lockstep: a round judges every candidate's residual and makes one stacked
     step and one stacked product Q step for those that go on.  Stacked BLAS
     and LAPACK calls work row by row, so each candidate computes bit for bit
@@ -323,7 +324,7 @@ class _Lockstep:
     def __init__(self, form: QuadraticForm) -> None:
         r = form.null.shape[1]
         self.form, self.tags = form, []
-        self.z, self.direction = np.empty((0, r)), np.empty((0, r))
+        self.z = np.empty((0, r))
         self.qz = np.empty((0, r, form.rows.size))
         # steps per candidate, most for the first: candidates keep their order
         self.steps = np.empty(0, dtype=int)
@@ -331,25 +332,13 @@ class _Lockstep:
     def __len__(self) -> int:
         return len(self.tags)
 
-    def add(self, tag, rng: np.random.Generator, stats: SearchStats) -> None:
-        """Draw candidate `tag`'s slice direction and start point, and enter
-        it unless the slope is flat (counted in `stats`)."""
-        direction = rng.normal(size=self.z.shape[1])
-        norm = np.linalg.norm(direction)
-        if norm < 1e-12:
-            stats.flat_slope += 1
-            return
-        direction /= norm
-        z = rng.uniform(-1.0, 1.0, direction.size)
-        slope = direction @ z
-        if abs(slope) < 1e-3:
-            stats.flat_slope += 1
-            return
-        z = (z / slope)[None]
+    def add(self, tag, rng: np.random.Generator) -> None:
+        """Draw candidate `tag`'s start point on the sphere and enter it."""
+        z = rng.uniform(-1.0, 1.0, self.z.shape[1])
+        z = (z / np.linalg.norm(z))[None]
         self.tags.append(tag)
         self.z = np.concatenate([self.z, z])
         self.qz = np.concatenate([self.qz, self.form.qz(z)])
-        self.direction = np.concatenate([self.direction, direction[None]])
         self.steps = np.append(self.steps, 0)
 
     def round(self, stats: SearchStats) -> list[tuple[object, NDArray | None]]:
@@ -365,8 +354,10 @@ class _Lockstep:
             norm_inf[low] = np.abs(f[low]).max(axis=1)
             converged = norm_inf < GN_CONVERGENCE
             if converged.any():
-                ended = [(tag, _unit(self.form.brackets(z), 1e-8, stats))
-                         for tag, z in self._end(converged)]
+                # on the sphere max|C| >= sqrt(2 / d**3): never the abelian point
+                for tag, z in self._end(converged):
+                    C = self.form.brackets(z)
+                    ended.append((tag, C / np.max(np.abs(C))))
                 f, norm_inf = f[~converged], norm_inf[~converged]
         if not self.tags:
             return ended
@@ -374,10 +365,11 @@ class _Lockstep:
         stats.gn_iterations += len(self.tags)
         self.steps += 1
         z, qz = self.z, self.qz
-        step = self.form.step(z, qz, self.direction, stats)
+        step = self.form.step(z, qz, f, stats)
         # one product Q step prices every halving lam at once, as
         # phi(z - lam step) = phi(z) - 2 lam Q[z, step] + lam^2 Q[step, step],
-        # and carries qz by linearity; the first trial that lowers max|phi| wins
+        # and carries qz by linearity; the first trial that lowers max|phi|
+        # wins, and the retraction onto the sphere scales qz with z
         q_step = self.form.qz(step)
         trials = (
             f[:, None]
@@ -386,8 +378,11 @@ class _Lockstep:
         )
         lower = np.abs(trials).max(axis=2) < norm_inf[:, None]
         lam = _HALVINGS[lower.argmax(axis=1)]
-        self.z = z - lam * step
+        z = z - lam * step
+        norm = np.sqrt(np.vecdot(z, z))[:, None]
+        self.z = z / norm
         qz -= lam[:, :, None] * q_step  # in place: self.qz
+        qz /= norm[:, :, None]
         went_on = lower.any(axis=1)
         if not went_on.all() or self.steps[0] == GN_MAX_ITERATIONS:
             capped = went_on & (self.steps == GN_MAX_ITERATIONS)
@@ -401,8 +396,7 @@ class _Lockstep:
         out = [(self.tags[k], self.z[k]) for k in np.flatnonzero(ended)]
         self.tags = [tag for tag, gone in zip(self.tags, ended) if not gone]
         keep = ~ended
-        self.z, self.qz = self.z[keep], self.qz[keep]
-        self.direction, self.steps = self.direction[keep], self.steps[keep]
+        self.z, self.qz, self.steps = self.z[keep], self.qz[keep], self.steps[keep]
         return out
 
 
@@ -413,15 +407,13 @@ def _two_step_candidate(
     null: NDArray,
     stats: SearchStats,
 ) -> NDArray | None:
+    """Brackets of a random point of the family scaled to max-abs 1, or None
+    after counting a collapse in `stats` when they are (near) zero, the
+    abelian algebra."""
     coeff = null @ rng.uniform(-1.0, 1.0, null.shape[1])
-    return _unit((basis @ coeff).reshape(dim, dim, dim), 1e-10, stats)
-
-
-def _unit(C: NDArray, floor: float, stats: SearchStats) -> NDArray | None:
-    """C scaled to max-abs 1, or None after counting a collapse in `stats`
-    when max|C| < floor (the abelian algebra)."""
+    C = (basis @ coeff).reshape(dim, dim, dim)
     max_abs = np.max(np.abs(C))
-    if max_abs < floor:
+    if max_abs < 1e-10:
         stats.collapsed += 1
         return None
     return C / max_abs
@@ -511,7 +503,7 @@ def search_w3_examples(
             else:
                 if batch is None:
                     batch = _Lockstep(_quadratic_form(cfg.dim, want_kahler))
-                batch.add(j, rng, stats)
+                batch.add(j, rng)
         if not batch:
             break
         for j, C in batch.round(stats):

@@ -225,7 +225,7 @@ class TestSearchCommand:
         stats_line = next(l for l in lines if l.startswith("stats:"))
         head = stats_line.split("by_ansatz=")[0].split()[1:]
         n = {key: int(value) for key, value in (kv.split("=") for kv in head)}
-        failures = ("flat_slope", "stalled", "iteration_cap", "collapsed")
+        failures = ("stalled", "iteration_cap", "collapsed")
         rejections = ("rejected_class", "rejected_jacobi", "rejected_invalid")
         steps = ("gn_iterations", "gn_rounds", "svd_steps")
         assert set(n) == {"converged", "hits", *steps, *failures, *rejections}

@@ -242,19 +242,19 @@ def form_case(request):
     dim, kahler = request.param
     form = search._quadratic_form(dim, kahler)
     rng = np.random.default_rng(100 * dim + kahler)
-    r = form.null.shape[1]
-    return form, kahler, rng.uniform(-2.0, 2.0, r), rng.normal(size=r)
+    # off the sphere, so that the sphere row has a residual too
+    return form, kahler, rng.uniform(-2.0, 2.0, form.null.shape[1])
 
 
 class TestQuadraticForm:
     def test_form_equals_the_kernel_map_on_the_kept_rows(self, form_case):
-        form, kahler, z, _ = form_case
+        form, kahler, z = form_case
         kept = _kernel_map(form.brackets(z), kahler)[form.rows]
         err = np.max(np.abs(z @ _qz(form, z) - kept))
         assert err <= 1e-13 * (1.0 + np.max(np.abs(kept)))
 
     def test_kept_rows_carry_max_abs_and_a_sixth_of_the_squares(self, form_case):
-        form, kahler, z, _ = form_case
+        form, kahler, z = form_case
         d, blocks = form.dim, 2 if kahler else 1
         full = _kernel_map(form.brackets(z), kahler)
         kept = full[form.rows]
@@ -264,59 +264,57 @@ class TestQuadraticForm:
         assert 6.0 * np.sum(kept**2) == pytest.approx(np.sum(full**2), rel=1e-12)
 
     def test_reduced_step_equals_the_central_difference_step(self, form_case):
-        form, kahler, z, direction = form_case
-        direction = direction / np.linalg.norm(direction)
+        # the sphere row is the linearisation of ||z||**2 = 1, (2 z, ||z||**2 - 1)
+        form, kahler, z = form_case
         C = form.brackets(z)
         cols = []
         for e in np.eye(z.size):
             D = form.brackets(e)
             cols.append(0.5 * (_kernel_map(C + D, kahler) - _kernel_map(C - D, kahler)))
-        A = np.vstack([np.array(cols).T, direction[None, :]])
-        b = np.concatenate([_kernel_map(C, kahler), [direction @ z - 1.0]])
+        A = np.vstack([np.array(cols).T, 2.0 * z[None, :]])
+        b = np.concatenate([_kernel_map(C, kahler), [z @ z - 1.0]])
         full_step = np.linalg.lstsq(A, b, rcond=None)[0]
-        step = _step(form, z, _qz(form, z), direction)
+        step = _step(form, z, _qz(form, z))
         assert np.linalg.norm(step - full_step) <= 1e-8 * np.linalg.norm(full_step)
 
     def test_step_is_the_truncated_least_squares_solution(self, form_case):
         # a generic point: the rank certificate holds and no SVD runs
-        form, _, z, direction = form_case
-        direction = direction / np.linalg.norm(direction)
+        form, _, z = form_case
         stats = SearchStats()
-        step = _step(form, z, _qz(form, z), direction, stats)
-        reference = np.linalg.lstsq(*_weighted_system(form, z, direction), rcond=1e-10)[0]
+        step = _step(form, z, _qz(form, z), stats)
+        reference = np.linalg.lstsq(*_weighted_system(form, z), rcond=1e-10)[0]
         assert stats.svd_steps == 0
         assert np.linalg.norm(step - reference) <= 1e-12 * np.linalg.norm(reference)
 
     def test_uncertified_step_is_the_truncated_least_squares_solution(self):
         form, z = _cutoff_stub()
         stats = SearchStats()
-        step = _step(form, z, _qz(form, z), z, stats)
-        reference = np.linalg.lstsq(*_weighted_system(form, z, z), rcond=1e-10)[0]
+        step = _step(form, z, _qz(form, z), stats)
+        reference = np.linalg.lstsq(*_weighted_system(form, z), rcond=1e-10)[0]
         assert stats.svd_steps == 1
         assert np.linalg.norm(step - reference) <= 1e-12 * np.linalg.norm(reference)
 
     def test_underdetermined_step_is_the_least_squares_solution(self):
-        # one row and the slice against three unknowns: R is 2 x 3, so no
-        # inverse exists and the minimum-norm least-squares step is taken
+        # one row and the sphere row against three unknowns: R is 2 x 3, so
+        # no inverse exists and the minimum-norm least-squares step is taken
         q = np.zeros((3, 3, 1))
         q[1, 1, 0] = q[2, 2, 0] = 1.0
         form = search.QuadraticForm(
             dim=1, basis=np.ones((1, 1)), null=np.eye(3)[:1], rows=np.arange(1), q=q
         )
         z, stats = np.array([1.0, 0.5, 0.25]), SearchStats()
-        step = _step(form, z, _qz(form, z), np.eye(3)[0], stats)
-        reference = np.linalg.lstsq(*_weighted_system(form, z, np.eye(3)[0]), rcond=1e-10)[0]
+        step = _step(form, z, _qz(form, z), stats)
+        reference = np.linalg.lstsq(*_weighted_system(form, z), rcond=1e-10)[0]
         assert stats.svd_steps == 1
         assert np.linalg.norm(step - reference) <= 1e-12 * np.linalg.norm(reference)
 
     def test_step_drops_directions_below_the_rank_cutoff(self):
         form, z = _cutoff_stub()
-        direction = z
         qz = _qz(form, z)
-        A, b = _weighted_system(form, z, direction)
+        A, b = _weighted_system(form, z)
         _, s, vt = np.linalg.svd(A)
         assert np.finfo(float).eps * 2593 < s[-1] / s[0] < search.GN_RANK_CUTOFF
-        step = _step(form, z, qz, direction)
+        step = _step(form, z, qz)
         assert abs(vt[-1] @ step) < 1e-15 * np.linalg.norm(step)
         assert step[1] == pytest.approx(1e-3 / 2, rel=1e-6)
         # a rounding-level cutoff keeps that direction and steps far along it
@@ -330,8 +328,8 @@ class TestQuadraticForm:
         # candidate or fails and the iteration goes on
         form = _LoggingForm(search._quadratic_form(6, True))
         stats = SearchStats()
-        ended, _ = _run_batch(form, [np.random.default_rng(42)] * 12, stats)
-        entered = 12 - stats.flat_slope
+        entered = 12
+        ended, _ = _run_batch(form, [np.random.default_rng(42)] * entered, stats)
         assert len(ended) == entered
         direct = [phi for kind, phi in form.log if kind == "z"]
         assert len(form.log) - len(direct) == stats.gn_iterations
@@ -340,7 +338,7 @@ class TestQuadraticForm:
         confirmations = direct[entered:]
         failed = sum(phi >= search.GN_CONVERGENCE for phi in confirmations)
         converged = sum(C is not None for C, _ in ended.values())
-        assert len(confirmations) == failed + converged + stats.collapsed
+        assert len(confirmations) == failed + converged
         assert converged > 0
         assert len(form.log) == stats.gn_iterations + entered + len(confirmations)
 
@@ -350,12 +348,12 @@ def _qz(form, z):
     return form.qz(z[None])[0]
 
 
-def _step(form, z, qz, direction, stats=None):
+def _step(form, z, qz, stats=None):
     """The Gauss-Newton step of the single candidate z, as a batch of one."""
-    return form.step(z[None], qz[None], direction[None], stats)[0]
+    return form.step(z[None], qz[None], (z @ qz)[None], stats)[0]
 
 
-_COUNTERS = ("gn_iterations", "svd_steps", "stalled", "iteration_cap", "collapsed")
+_COUNTERS = ("gn_iterations", "svd_steps", "stalled", "iteration_cap")
 
 
 def _run_batch(form, draws, stats):
@@ -365,7 +363,7 @@ def _run_batch(form, draws, stats):
     each round added."""
     batch = search._Lockstep(form)
     for tag, rng in enumerate(draws):
-        batch.add(tag, rng, stats)
+        batch.add(tag, rng)
     ended, added = {}, []
     while batch:
         before = [getattr(stats, name) for name in _COUNTERS]
@@ -381,19 +379,19 @@ def _alone(rng, form, stats):
     return ended.get(0, (None, 0))[0]
 
 
-def _weighted_system(form, z, direction):
-    """The weighted Gauss-Newton system (A, b) of `form` at z on the slice
-    direction @ z = 1, written out."""
+def _weighted_system(form, z):
+    """The weighted Gauss-Newton system (A, b) of `form` at z on the sphere
+    ||z|| = 1, written out."""
     qz = _qz(form, z)
-    A = np.vstack([np.sqrt(6.0) * 2.0 * qz.T, direction[None, :]])
-    b = np.concatenate([np.sqrt(6.0) * (z @ qz), [direction @ z - 1.0]])
+    A = np.vstack([np.sqrt(6.0) * 2.0 * qz.T, 2.0 * z[None, :]])
+    b = np.concatenate([np.sqrt(6.0) * (z @ qz), [z @ z - 1.0]])
     return A, b
 
 
 def _cutoff_stub():
-    """(form, z): at z = e_0 on the slice z_0 = 1 the weighted Jacobian rows
-    are (h, 1, 0) and (h, 0, eps2), the right-hand side is (h, h) / 2, and
-    with the slice row (1, 0, 0) the smallest singular value is about eps2,
+    """(form, z): at z = e_0 on the sphere the weighted Jacobian rows are
+    (h, 1, 0) and (h, 0, eps2), the right-hand side is (h, h) / 2, and with
+    the sphere row (2, 0, 0) the smallest singular value is about eps2,
     along about e_2: between the rounding-level cutoff of the dim-6 Kahler
     map (eps * 2593, about 6e-13) and GN_RANK_CUTOFF."""
     eps2, h = 1e-11, 1e-3
@@ -427,8 +425,8 @@ class _LoggingForm:
     def __getattr__(self, name):
         return getattr(self.form, name)
 
-    def step(self, z, qz, direction, stats=None):
-        self.last_step = self.form.step(z, qz, direction, stats)
+    def step(self, z, qz, f, stats=None):
+        self.last_step = self.form.step(z, qz, f, stats)
         return self.last_step
 
     def qz(self, z):
@@ -442,26 +440,18 @@ class _LoggingForm:
 
 
 class FixedDraws:
-    """Stands in for the generator: normal() draws e_0, uniform() draws
-    `offset` e_0 + `scale` e_1."""
+    """Stands in for the generator: uniform() draws `offset` e_0 + `scale`
+    e_1."""
 
     def __init__(self, scale, offset=0.0):
         self.scale, self.offset = scale, offset
-
-    def normal(self, size):
-        return np.eye(size)[0]
 
     def uniform(self, low, high, size):
         return self.offset * np.eye(size)[0] + self.scale * np.eye(size)[1]
 
 
 def _failures(stats):
-    return (
-        stats.flat_slope
-        + stats.stalled
-        + stats.iteration_cap
-        + stats.collapsed
-    )
+    return stats.stalled + stats.iteration_cap + stats.collapsed
 
 
 def _rejections(stats):
@@ -487,21 +477,20 @@ class TestSearchStats:
         assert stats.candidates == stats.converged + _failures(stats)
         assert stats.converged == stats.hits + _rejections(stats)
 
-    def test_counters_name_the_failures(self):
+    def test_counters_name_the_failures(self, monkeypatch):
+        # no candidate of this search stalls or reaches the cap of 120 steps;
+        # with the cap at 8 steps the slower ones reach it
+        monkeypatch.setattr(search, "GN_MAX_ITERATIONS", 8)
         cfg = SearchConfig(dim=4, seed=201, max_candidates=640, max_results=16)
         _, stats = search_w3_examples(cfg)
         assert stats.candidates > stats.converged > stats.hits
-        assert _failures(stats) > 0 and stats.rejected_class > 0
+        assert _failures(stats) == stats.iteration_cap > 0 and stats.rejected_class > 0
 
-    def test_flat_slope_and_collapse(self):
+    def test_two_step_collapse(self):
         stats = SearchStats()
-        form = search._quadratic_form(4, False)
-        # slice direction e_0 against start point e_1: slope 0
-        assert _alone(FixedDraws(1.0), form, stats) is None
         basis, null = search._two_step_families(6)[0]
         assert search._two_step_candidate(FixedDraws(0.0), 6, basis, null, stats) is None
-        assert (stats.flat_slope, stats.collapsed) == (1, 1)
-        assert stats.gn_iterations == 0
+        assert stats.collapsed == 1
 
     def test_validation_failures_are_split_by_invariant(self):
         cfg = SearchConfig(dim=4)
@@ -518,8 +507,8 @@ class TestSearchStats:
 
 def _root_form():
     """phi(z) = z_1**2, one row, with brackets z_0 (a 1 x 1 x 1 array): on
-    the slice z_0 = 1 the root z_1 = 0 is singular, and the plain
-    Gauss-Newton step halves z_1."""
+    the unit circle the root z_1 = 0 is singular, and the plain Gauss-Newton
+    step and the retraction map the slope t = z_1 / z_0 to t / (2 + t**2)."""
     q = np.zeros((2, 2, 1))
     q[1, 1, 0] = 1.0
     return search.QuadraticForm(
@@ -533,7 +522,8 @@ def _root_form():
 
 class _ScaledSteps:
     """`form` with every Gauss-Newton step scaled so that the full step
-    multiplies phi(z) = z_1**2 by `rate`."""
+    multiplies z_1 by sqrt(`rate`), and so phi(z) = z_1**2 by `rate` up to
+    the retraction's factor 1 + O(phi)."""
 
     def __init__(self, form, rate):
         self.form, self.factor = form, 2.0 * (1.0 - math.sqrt(rate))
@@ -541,8 +531,8 @@ class _ScaledSteps:
     def __getattr__(self, name):
         return getattr(self.form, name)
 
-    def step(self, z, qz, direction, stats=None):
-        return self.factor * self.form.step(z, qz, direction, stats)
+    def step(self, z, qz, f, stats=None):
+        return self.factor * self.form.step(z, qz, f, stats)
 
 
 class TestFloorStop:
@@ -550,8 +540,10 @@ class TestFloorStop:
     converges or runs to GN_MAX_ITERATIONS, like any other candidate."""
 
     def _run(self, form, phi_start):
+        # start (1, sqrt(phi_start)) on the unit circle: max|phi| =
+        # phi_start / (1 + phi_start)
         stats = SearchStats()
-        draws = FixedDraws(math.sqrt(phi_start), offset=1.0)  # slice z_0 = 1
+        draws = FixedDraws(math.sqrt(phi_start), offset=1.0)
         return _alone(draws, form, stats), stats
 
     def test_creeping_above_the_floor_runs_to_the_cap(self):
@@ -573,11 +565,14 @@ class TestFloorStop:
 
     @pytest.mark.parametrize("phi_start", [1.0, 1e-10])
     def test_singular_root_converges(self, phi_start):
-        # the plain step halves z_1, so max|phi| falls fourfold per iteration
+        # the plain step maps the slope t to t / (2 + t**2), so max|phi| =
+        # t**2 / (1 + t**2) falls about fourfold per iteration
         C, stats = self._run(_root_form(), phi_start)
         assert C is not None and C.shape == (1, 1, 1)
         assert stats.iteration_cap == stats.stalled == 0
-        expected = math.ceil(math.log(phi_start / search.GN_CONVERGENCE, 4))
+        t, expected = math.sqrt(phi_start), 0
+        while t * t / (1.0 + t * t) >= search.GN_CONVERGENCE:
+            t, expected = t / (2.0 + t * t), expected + 1
         assert stats.gn_iterations == expected
 
 
@@ -611,18 +606,18 @@ class TestCarriedResidual:
         )
         hits, stats = search_w3_examples(cfg)
         assert len(hits) == 3
-        assert len(form.converged) == stats.converged + stats.collapsed
+        assert len(form.converged) == stats.converged
         for z in form.converged:
             assert np.max(np.abs(z @ _qz(form.form, z))) < search.GN_CONVERGENCE
 
     def test_a_failed_confirmation_keeps_iterating(self):
-        # phi(z) = z_1**2 from 1e-12, and each step halves z_1; with the step
-        # products 1.8 times too large the carried max|phi| reads 5e-14 after
-        # the first step, the direct one 2.5e-13, and the second step
-        # converges (6.25e-14 directly)
+        # phi(z) = z_1**2 from 1e-12, and each step halves z_1 (to within
+        # 1e-12); with the step products 1.8 times too large the carried
+        # max|phi| reads 5e-14 after the first step, the direct one 2.5e-13,
+        # and the second step converges (6.25e-14 directly)
         form = _BiasedStepProducts(_root_form(), 1.8)
         stats = SearchStats()
-        draws = FixedDraws(1e-6, offset=1.0)  # slice z_0 = 1
+        draws = FixedDraws(1e-6, offset=1.0)  # (1, 1e-6) on the unit circle
         assert _alone(draws, form, stats) is not None
         assert stats.gn_iterations == 2
         assert [kind for kind, _ in form.log] == ["z", "step", "z", "step", "z"]
@@ -642,7 +637,6 @@ class TestLockstep:
             alone.append((ended.get(0), added))
         stats = SearchStats()
         ended, added = _run_batch(form, draws_together, stats)
-        assert stats.flat_slope == alone_stats.flat_slope
         assert sorted(ended) == [tag for tag, (outcome, _) in enumerate(alone) if outcome]
         for tag, (C, end) in ended.items():
             C_alone, end_alone = alone[tag][0]
@@ -655,28 +649,77 @@ class TestLockstep:
         # a round counts when some candidate steps in it
         assert stats.gn_rounds == sum(counters[0] > 0 for counters in added)
         assert stats.gn_rounds < stats.gn_iterations  # the batch ran wide
-        return stats
+        return stats, sum(C is not None for C, _ in ended.values())
 
     def test_stub_mates_that_converge_early_or_hit_the_cap(self):
-        # 86 steps, the cap (222 would be needed), converged at the start,
-        # and a flat slope that never enters
+        # 86 steps, the cap (222 would be needed) and converged at the start
         form = _ScaledSteps(_root_form(), 0.93)
         draws = [FixedDraws(math.sqrt(phi), offset=1.0) for phi in (5e-11, 1e-6, 0.0)]
-        draws.append(FixedDraws(1.0))
-        stats = self._compare(form, draws, draws)
-        assert (stats.iteration_cap, stats.flat_slope) == (1, 1)
+        stats, converged = self._compare(form, draws, draws)
+        assert (stats.iteration_cap, converged) == (1, 2)
         assert stats.gn_iterations == 86 + search.GN_MAX_ITERATIONS
 
     @pytest.mark.parametrize(
         "kahler,seed,n,failure",
         [(False, 201, 32, "iteration_cap"), (True, 103, 13, "stalled")],
     )
-    def test_dim4_mates_that_stall_or_hit_the_cap(self, kahler, seed, n, failure):
-        # the candidates of these searches, drawn in the same order
+    def test_dim4_mates_that_stall_or_hit_the_cap(
+        self, kahler, seed, n, failure, monkeypatch
+    ):
+        # the first n candidates of these seeds, drawn in the same order; on
+        # the sphere none of them stalls or reaches the cap of 120 steps, so
+        # the cap is set to 8 steps, which the slower ones reach while the
+        # others converge, or the candidates with z_1 < 0 step uphill
         form = search._quadratic_form(4, kahler)
+        if failure == "iteration_cap":
+            monkeypatch.setattr(search, "GN_MAX_ITERATIONS", 8)
+        else:
+            form = _UphillBelowAxis(form)
         alone = [np.random.default_rng(seed)] * n
-        stats = self._compare(form, alone, [np.random.default_rng(seed)] * n)
-        assert getattr(stats, failure) > 0 and stats.svd_steps > 0
+        stats, converged = self._compare(form, alone, [np.random.default_rng(seed)] * n)
+        assert getattr(stats, failure) > 0 and converged > 0 and stats.svd_steps > 0
+
+
+class _UphillBelowAxis:
+    """`form` whose candidates with z_1 < 0 take the reversed step, which
+    raises max|phi| to first order, so they stall."""
+
+    def __init__(self, form):
+        self.form = form
+
+    def __getattr__(self, name):
+        return getattr(self.form, name)
+
+    def step(self, z, qz, f, stats=None):
+        return np.where(z[:, 1:2] < 0.0, -1.0, 1.0) * self.form.step(z, qz, f, stats)
+
+
+class TestSphere:
+    """Every Gauss-Newton candidate stays on the unit sphere ||z|| = 1,
+    where ||C(z)||_F**2 = 2, and the retraction keeps the carried Q z equal
+    to a direct product."""
+
+    @pytest.mark.parametrize(
+        "dim,kahler,seed,n", [(4, False, 201, 23), (4, True, 103, 6), (6, True, 42, 3)]
+    )
+    def test_every_round_leaves_its_candidates_on_the_sphere(self, dim, kahler, seed, n):
+        # the candidates of these searches, drawn in the same order
+        form = search._quadratic_form(dim, kahler)
+        batch, stats = search._Lockstep(form), SearchStats()
+        rng = np.random.default_rng(seed)
+        for tag in range(n):
+            batch.add(tag, rng)
+        checked = 0
+        while batch:
+            for z, qz in zip(batch.z, batch.qz):
+                assert abs(np.linalg.norm(z) - 1.0) <= 1e-14
+                direct = _qz(form, z)
+                assert np.max(np.abs(qz - direct)) <= 1e-13 * np.max(np.abs(direct))
+                C = form.brackets(z)
+                assert np.sum(C * C) == pytest.approx(2.0, rel=1e-13)
+                checked += 1
+            batch.round(stats)
+        assert checked == stats.gn_iterations + n
 
 
 class TestSequentialSemantics:
@@ -703,9 +746,9 @@ class TestSequentialSemantics:
         tags = []
         add = search._Lockstep.add
 
-        def logged(self, tag, rng, stats):
+        def logged(self, tag, rng):
             tags.append(tag)
-            add(self, tag, rng, stats)
+            add(self, tag, rng)
 
         monkeypatch.setattr(search._Lockstep, "add", logged)
         cfg = SearchConfig(dim=4, seed=201, max_results=16, max_candidates=10)
