@@ -24,10 +24,11 @@ def antisym_residual(L: NDArray) -> float:
     )
 
 
-def bianchi_residual(L: NDArray) -> float:
+def bianchi_residual(L: NDArray) -> float | NDArray:
     """Residual of the first Bianchi identity: the cyclic sum over the first
-    three slots of L vanishes."""
-    return zero_residual(cyclic_sum3(L))
+    three slots of L vanishes.  Leading batch axes of L index a stack: one
+    residual per entry, else a float."""
+    return zero_residual(cyclic_sum3(L, (-4, -3, -2)), L.ndim - 4)
 
 
 def kahler_residual(L: NDArray, J: NDArray) -> float:

@@ -17,7 +17,6 @@ from typing import ClassVar
 import numpy as np
 from numpy.typing import NDArray
 
-from .manifolds import LieFrameManifold
 from .tensors import DEFAULT_TOLERANCE, cyclic_sum3, zero_residual
 
 
@@ -88,19 +87,34 @@ def q_array(nJ: NDArray, J: NDArray) -> NDArray:
 
 
 def classify(
-    m: LieFrameManifold,
+    J: NDArray,
     F: NDArray,
     nabla_J: NDArray,
     tolerance: float = DEFAULT_TOLERANCE,
-) -> Classification:
+) -> Classification | list[Classification]:
     """Kahler / quasi-Kahler / other decision from the fundamental tensor, with
-    the residuals of the three equivalent membership conditions."""
-    J = m.J
-    f_norm = float(np.abs(F).max())
-    r_14 = zero_residual(cyclic_sum3(F))
-    r_113 = zero_residual(cyclic_sum3(np.einsum("ai,ajk->ijk", J, F)))
+    the residuals of the three equivalent membership conditions.  For a stack
+    of F and nabla_J, (K, d, d, d) each, one Classification per entry."""
+    batch = F.ndim - 3
+    cyclic = (-3, -2, -1)
+    f_norm = np.abs(F).max(axis=cyclic)
+    r_14 = zero_residual(cyclic_sum3(F, cyclic), batch)
+    r_113 = zero_residual(
+        cyclic_sum3(np.einsum("ai,...ajk->...ijk", J, F), cyclic), batch
+    )
     a, b = twist_arrays(nabla_J, J)
-    r_114 = zero_residual(a + a.transpose(0, 2, 1) + b + b.transpose(0, 2, 1))
+    r_114 = zero_residual(a + a.swapaxes(-1, -2) + b + b.swapaxes(-1, -2), batch)
+    if not batch:
+        return _classification(float(f_norm), r_14, r_113, r_114, tolerance)
+    return [
+        _classification(*entry, tolerance)
+        for entry in zip(f_norm.tolist(), r_14.tolist(), r_113.tolist(), r_114.tolist())
+    ]
+
+
+def _classification(
+    f_norm: float, r_14: float, r_113: float, r_114: float, tolerance: float
+) -> Classification:
     if f_norm <= tolerance:
         label = ClassLabel.KAHLER_W0
     elif r_14 <= tolerance:

@@ -111,12 +111,6 @@ def jacobi_array(C: NDArray) -> NDArray:
     return cyclic_sum3(np.einsum("...mij,...pml->...pijl", C, C), (-3, -2, -1))
 
 
-def jacobi_residual(C: NDArray) -> float:
-    """Max-abs of the Jacobi cyclic sum."""
-    cyc = jacobi_array(C)
-    return float(np.abs(cyc).max()) if cyc.size else 0.0
-
-
 def validate_manifold(m: LieFrameManifold) -> ValidationOutcome:
     """Check every geometric invariant, reporting all violations with residuals.
 
@@ -124,17 +118,36 @@ def validate_manifold(m: LieFrameManifold) -> ValidationOutcome:
     only judges the geometry of well-shaped data.  A residual that is not
     finite (an overflow in the Jacobi sum, say) is a violation.
     """
-    C, g, J = m.structure_constants, m.metric, m.J
-    d = m.dim
+    return validate_brackets(m.structure_constants[None], m.metric, m.J)[0]
+
+
+def validate_brackets(C: NDArray, g: NDArray, J: NDArray) -> list[ValidationOutcome]:
+    """`validate_manifold` for a stack of brackets C (K, d, d, d) on one pair
+    (g, J): one outcome per entry.  The bracket checks run on each entry, the
+    checks of the pair once for the stack."""
+    pair = _pair_violations(g, J)
+    outcomes = []
+    antisymmetry = residual(C, -C.swapaxes(-1, -2), batch=1).tolist()
+    jacobi = np.abs(jacobi_array(C)).max(axis=(-4, -3, -2, -1)).tolist()  # max-abs
+    for r_anti, r_jacobi in zip(antisymmetry, jacobi):
+        violations: list[Violation] = []
+        if not r_anti <= MATRIX_TOLERANCE:
+            violations.append(
+                Violation("bracket antisymmetry C[k][i][j]=-C[k][j][i]", r_anti)
+            )
+        if not r_jacobi <= JACOBI_TOLERANCE:
+            violations.append(Violation("Jacobi identity", r_jacobi))
+        violations += pair
+        outcomes.append(
+            ValidationOutcome(ok=not violations, violations=tuple(violations))
+        )
+    return outcomes
+
+
+def _pair_violations(g: NDArray, J: NDArray) -> list[Violation]:
+    """Violations of the invariants that read only the metric and J."""
+    d = len(g)
     violations: list[Violation] = []
-
-    r = residual(C, -C.transpose(0, 2, 1))
-    if not r <= MATRIX_TOLERANCE:
-        violations.append(Violation("bracket antisymmetry C[k][i][j]=-C[k][j][i]", r))
-
-    r = jacobi_residual(C)
-    if not r <= JACOBI_TOLERANCE:
-        violations.append(Violation("Jacobi identity", r))
 
     r = residual(J @ J, -np.eye(d))
     if not r <= MATRIX_TOLERANCE:
@@ -164,7 +177,7 @@ def validate_manifold(m: LieFrameManifold) -> ValidationOutcome:
                 )
             )
 
-    return ValidationOutcome(ok=not violations, violations=tuple(violations))
+    return violations
 
 
 def levi_civita(C: NDArray, g: NDArray, g_inv: NDArray) -> NDArray:

@@ -28,6 +28,13 @@ subset of it.  The quadratic Jacobi identity is handled two ways:
   The candidates run in lockstep (`_Lockstep`), each bit for bit as it would
   alone, and the search runs exactly those that one at a time would run.
 
+Acceptance judges a stack: the two-step brackets drawn since the last round
+wait and are judged together with the Gauss-Newton candidates that converge
+in the next one (`_accept`).  Every entry gets its bracket checks
+(antisymmetry, Jacobi), its class label and, for the Kahler target, the first
+Bianchi gate of R', through the engine's batched kernels; the checks that read
+only (g, J), g^-1 and the canonical pair itself are made once per stack.
+
 Both paths are driven by one seeded generator, so searches are reproducible.
 """
 
@@ -50,7 +57,7 @@ from .manifolds import (
     canonical_norden_pair,
     jacobi_array,
     levi_civita,
-    validate_manifold,
+    validate_brackets,
 )
 from .tensors import DEFAULT_TOLERANCE, check_tolerance, cyclic_sum3, lower
 
@@ -428,28 +435,41 @@ def _accept(
     C: NDArray,
     cfg: SearchConfig,
     stats: SearchStats,
-) -> LieFrameManifold | None:
+) -> list[LieFrameManifold | None]:
+    """Judge a stack of brackets C (K, d, d, d) on the canonical pair: one
+    hit, or None after counting the rejection in `stats`, per entry.  Each
+    entry gets its bracket checks, its class label and, for the Kahler target,
+    the first Bianchi gate of R'; the checks of the pair run once."""
     g, J = canonical_norden_pair(cfg.dim)
-    m = LieFrameManifold(dim=cfg.dim, structure_constants=C, metric=g, J=J)
-    outcome = validate_manifold(m)
-    if not outcome.ok:
-        if any(v.name == "Jacobi identity" for v in outcome.violations):
+    valid = []
+    for k, outcome in enumerate(validate_brackets(C, g, J)):
+        if outcome.ok:
+            valid.append(k)
+        elif any(v.name == "Jacobi identity" for v in outcome.violations):
             stats.rejected_jacobi += 1
         else:
             stats.rejected_invalid += 1
-        return None
-    gamma = levi_civita(C, g, m.metric_inv)
+    hits: list[LieFrameManifold | None] = [None] * len(C)
+    if not valid:
+        return hits
+    C = C[valid]
+    gamma = levi_civita(C, g, np.linalg.inv(g))
     nabla_J = compute_nabla_J(gamma, J)
-    cls = classify(m, lower(nabla_J, g), nabla_J, cfg.tolerance)
-    if cls.label is not ClassLabel.QUASI_KAHLER_W3:
-        stats.rejected_class += 1
-        return None
-    if cfg.target is SearchTarget.W3_RPRIME_KAHLER:
-        r_prime = riemann(gamma + q_array(nabla_J, J), C, g)
-        if bianchi_residual(r_prime) > cfg.tolerance:
+    labels = classify(J, lower(nabla_J, g), nabla_J, cfg.tolerance)
+    accepted = [cls.label is ClassLabel.QUASI_KAHLER_W3 for cls in labels]
+    if cfg.target is SearchTarget.W3_RPRIME_KAHLER and any(accepted):
+        w3 = np.flatnonzero(accepted)
+        r_prime = riemann(gamma[w3] + q_array(nabla_J[w3], J), C[w3], g)
+        for k, r in zip(w3, bianchi_residual(r_prime).tolist()):
+            accepted[k] = not r > cfg.tolerance
+    for k, C_k, ok in zip(valid, C, accepted):
+        if ok:
+            hits[k] = LieFrameManifold(
+                dim=cfg.dim, structure_constants=C_k, metric=g, J=J
+            )
+        else:
             stats.rejected_class += 1
-            return None
-    return m
+    return hits
 
 
 def search_w3_examples(
@@ -475,39 +495,46 @@ def search_w3_examples(
 
     found: dict[int, tuple[str, LieFrameManifold]] = {}
 
-    def finish(j: int, kind: str, C: NDArray | None) -> None:
-        if C is None:
-            return
-        stats.converged += 1
-        m = _accept(C, cfg, stats)
-        if m is not None:
-            stats.hits += 1
-            found[j] = (kind, m)
-
     # candidate j enters while j < max_candidates and the hits so far plus
-    # the active candidates fall short of max_results: every candidate that
-    # enters is one that running them one at a time would run, drawing in
-    # the same order
+    # the candidates not yet judged fall short of max_results: every
+    # candidate that enters is one that running them one at a time would
+    # run, drawing in the same order.  Two-step brackets wait in `pending`
+    # and are judged as one stack with the Gauss-Newton candidates that
+    # converge in the next round.
     batch: _Lockstep | None = None
+    pending: list[tuple[int, str, NDArray]] = []
     while True:
         while (
             stats.candidates < cfg.max_candidates
-            and stats.hits + (len(batch) if batch else 0) < cfg.max_results
+            and stats.hits + len(pending) + (len(batch) if batch else 0)
+            < cfg.max_results
         ):
             j = stats.candidates
             kind, basis, null = plan[j % len(plan)]
             stats.candidates += 1
             stats.by_ansatz[kind] = stats.by_ansatz.get(kind, 0) + 1
             if kind == "two_step":
-                finish(j, kind, _two_step_candidate(rng, cfg.dim, basis, null, stats))
+                C = _two_step_candidate(rng, cfg.dim, basis, null, stats)
+                if C is not None:
+                    pending.append((j, kind, C))
             else:
                 if batch is None:
                     batch = _Lockstep(_quadratic_form(cfg.dim, want_kahler))
                 batch.add(j, rng)
-        if not batch:
+        if not batch and not pending:
             break
-        for j, C in batch.round(stats):
-            finish(j, "gauss_newton", C)
+        if batch:
+            pending += [
+                (j, "gauss_newton", C) for j, C in batch.round(stats) if C is not None
+            ]
+        if pending:
+            stats.converged += len(pending)
+            stack = np.stack([C for _, _, C in pending])
+            for (j, kind, _), m in zip(pending, _accept(stack, cfg, stats)):
+                if m is not None:
+                    stats.hits += 1
+                    found[j] = (kind, m)
+            pending = []
 
     manifests = []
     for n, j in enumerate(sorted(found), 1):

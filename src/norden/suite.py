@@ -300,7 +300,7 @@ def build_context(
             gamma=gamma,
             nabla_J=nabla_J,
             F=F,
-            classification=geo.classify(m, F, nabla_J, tolerance),
+            classification=geo.classify(m.J, F, nabla_J, tolerance),
             R=curv.riemann(gamma, m.structure_constants, m.metric),
         )
         _class_independent_values(ctx)

@@ -86,31 +86,40 @@ def lower(t: NDArray, g: NDArray) -> NDArray:
     return np.einsum("...mij,mk->...ijk", t, g)
 
 
-def residual(a: NDArray, b: NDArray) -> float:
+def residual(a: NDArray, b: NDArray, batch: int = 0) -> float | NDArray:
     """Scaled max-abs deviation: max|a-b| / (1 + max(max|a|, max|b|)).
 
     Zero iff the tensors are equal; bounded by 1 for wildly different inputs,
     so a fixed tolerance is meaningful across curvature magnitudes.  A NaN or
-    infinite entry gives NaN.
+    infinite entry gives NaN.  The first `batch` axes index a stack: the
+    result is then one residual per entry, an array of their shape, and
+    otherwise a float.
     """
     arr_a = np.asarray(a, dtype=float)
     arr_b = np.asarray(b, dtype=float)
     if arr_a.shape != arr_b.shape:
         raise ValueError(f"shape mismatch: {arr_a.shape} vs {arr_b.shape}")
     if arr_a.size == 0:
-        return 0.0
-    scale = 1.0 + max(np.abs(arr_a).max(), np.abs(arr_b).max())
-    return float(np.abs(arr_a - arr_b).max() / scale)
+        return np.zeros(arr_a.shape[:batch]) if batch else 0.0
+    axes = tuple(range(batch, arr_a.ndim)) if batch else None
+    top_a, top_b = np.abs(arr_a).max(axes), np.abs(arr_b).max(axes)
+    # one entry's two scalars take the builtin max, cheaper per call; a NaN
+    # gives NaN either way, through max|a - b|
+    scale = 1.0 + (np.maximum(top_a, top_b) if batch else max(top_a, top_b))
+    out = np.abs(arr_a - arr_b).max(axes) / scale
+    return out if batch else float(out)
 
 
-def zero_residual(a: NDArray) -> float:
+def zero_residual(a: NDArray, batch: int = 0) -> float | NDArray:
     """Residual of `a` against the zero tensor of the same shape:
-    max|a| / (1 + max|a|)."""
+    max|a| / (1 + max|a|); per entry of the first `batch` axes, as in
+    `residual`."""
     arr = np.asarray(a, dtype=float)
     if arr.size == 0:
-        return 0.0
-    top = np.abs(arr).max()
-    return float(top / (1.0 + top))
+        return np.zeros(arr.shape[:batch]) if batch else 0.0
+    top = np.abs(arr).max(tuple(range(batch, arr.ndim)) if batch else None)
+    out = top / (1.0 + top)
+    return out if batch else float(out)
 
 
 def scalar_residual(lhs: float, rhs: float) -> float:

@@ -72,7 +72,7 @@ class TestFundamentalTensor:
 class TestClassify:
     def test_flat_is_kahler(self, flat4):
         nJ = compute_nabla_J(gamma_of(flat4), flat4.J)
-        cls = classify(flat4, lower(nJ, flat4.metric), nJ)
+        cls = classify(flat4.J, lower(nJ, flat4.metric), nJ)
         assert cls.label is ClassLabel.KAHLER_W0
         assert cls.f_norm == 0.0
         assert cls.w3_residual == 0.0
@@ -80,7 +80,7 @@ class TestClassify:
     def test_derived_example_is_quasi_kahler(self, two_step_6):
         m = two_step_6
         nJ = compute_nabla_J(gamma_of(m), m.J)
-        cls = classify(m, lower(nJ, m.metric), nJ)
+        cls = classify(m.J, lower(nJ, m.metric), nJ)
         assert cls.label is ClassLabel.QUASI_KAHLER_W3
         assert cls.f_norm > 1e-9
         assert cls.w3_residual <= 1e-9
@@ -91,7 +91,7 @@ class TestClassify:
         tol = 1e-9
         for m in list(w3_pool)[:8] + [other_class_4, other_class_6]:
             nJ = compute_nabla_J(gamma_of(m), m.J)
-            cls = classify(m, lower(nJ, m.metric), nJ)
+            cls = classify(m.J, lower(nJ, m.metric), nJ)
             statuses = {
                 cls.w3_residual <= tol,
                 cls.w3_j_residual <= tol,
@@ -102,7 +102,7 @@ class TestClassify:
     def test_rejection_sample_is_other(self, other_class_6):
         m = other_class_6
         nJ = compute_nabla_J(gamma_of(m), m.J)
-        cls = classify(m, lower(nJ, m.metric), nJ)
+        cls = classify(m.J, lower(nJ, m.metric), nJ)
         assert cls.label is ClassLabel.OTHER
         assert cls.w3_residual > 1e-9
 

@@ -13,13 +13,17 @@ import pytest
 
 from norden import (
     ClassLabel,
+    LieFrameManifold,
     SearchConfig,
     SearchStats,
     SearchTarget,
+    bianchi_residual,
+    bundled_manifest_path,
     canonical_norden_pair,
     classify,
     compute_nabla_J,
     cyclic_sum3,
+    load_manifest,
     run_suite,
     search_w3_examples,
     validate_manifold,
@@ -164,7 +168,7 @@ class TestSearch:
             m = manifest.to_manifold()
             assert validate_manifold(m).ok
             nJ = compute_nabla_J(gamma_of(m), m.J)
-            cls = classify(m, lower(nJ, m.metric), nJ)
+            cls = classify(m.J, lower(nJ, m.metric), nJ)
             assert cls.label is ClassLabel.QUASI_KAHLER_W3
             assert cls.f_norm > 1e-9
             assert np.max(np.abs(m.structure_constants)) == pytest.approx(1.0)
@@ -497,12 +501,89 @@ class TestSearchStats:
         stats = SearchStats()
         not_antisymmetric = np.zeros((4, 4, 4))
         not_antisymmetric[1, 0, 0] = 1.0  # C[m][1][l] = 0, so the Jacobi sum vanishes
-        assert search._accept(not_antisymmetric, cfg, stats) is None
-        not_jacobi = np.zeros((4, 4, 4))
+        not_jacobi = np.zeros((4, 4, 4))  # Jacobi residual 2
         for k, i, j in ((1, 0, 1), (2, 1, 2), (0, 2, 0), (0, 1, 2)):
             not_jacobi[k, i, j], not_jacobi[k, j, i] = 1.0, -1.0
-        assert search._accept(not_jacobi, cfg, stats) is None  # Jacobi residual 2
+        stack = np.stack([not_antisymmetric, not_jacobi])
+        assert search._accept(stack, cfg, stats) == [None, None]
         assert (stats.rejected_invalid, stats.rejected_jacobi) == (1, 1)
+
+
+def _judge_alone(C, cfg, stats):
+    """The verdict on brackets C alone through the single-manifold path of
+    the engine (`validate_manifold`, `classify`, `bianchi_residual`): the
+    manifold, or None after counting the rejection in `stats`."""
+    g, J = canonical_norden_pair(cfg.dim)
+    m = LieFrameManifold(dim=cfg.dim, structure_constants=C, metric=g, J=J)
+    outcome = validate_manifold(m)
+    if not outcome.ok:
+        if any(v.name == "Jacobi identity" for v in outcome.violations):
+            stats.rejected_jacobi += 1
+        else:
+            stats.rejected_invalid += 1
+        return None
+    gamma = levi_civita(C, g, m.metric_inv)
+    nJ = compute_nabla_J(gamma, J)
+    cls = classify(J, lower(nJ, g), nJ, cfg.tolerance)
+    if cls.label is not ClassLabel.QUASI_KAHLER_W3:
+        stats.rejected_class += 1
+        return None
+    if cfg.target is SearchTarget.W3_RPRIME_KAHLER:
+        if bianchi_residual(riemann(gamma + q_array(nJ, J), C, g)) > cfg.tolerance:
+            stats.rejected_class += 1
+            return None
+    return m
+
+
+def _bundled_brackets(name):
+    return load_manifest(bundled_manifest_path(name)).structure_constants
+
+
+class TestStackedAcceptance:
+    """`_accept` judges a stack of brackets as judging each entry alone
+    through the single-manifold path would."""
+
+    def _mixed_stack_4(self, other_class_4):
+        not_antisymmetric = np.zeros((4, 4, 4))
+        not_antisymmetric[1, 0, 0] = 1.0
+        not_jacobi = np.zeros((4, 4, 4))  # Jacobi residual 2
+        for k, i, j in ((1, 0, 1), (2, 1, 2), (0, 2, 0), (0, 1, 2)):
+            not_jacobi[k, i, j], not_jacobi[k, j, i] = 1.0, -1.0
+        return np.stack(
+            [
+                not_antisymmetric,
+                not_jacobi,
+                _bundled_brackets("flat_kahler_4"),  # W0
+                other_class_4.structure_constants,  # OTHER
+                _bundled_brackets("w3_generic_4"),  # W3, R' Bianchi residual 0.13
+                _bundled_brackets("w3_kahler_rprime_4"),  # W3, Kahler R'
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "target,hits",
+        [
+            (SearchTarget.W3, [4, 5]),
+            (SearchTarget.W3_RPRIME_KAHLER, [5]),
+        ],
+    )
+    def test_mixed_stack_equals_one_by_one(self, other_class_4, target, hits):
+        cfg = SearchConfig(dim=4, target=target)
+        stack = self._mixed_stack_4(other_class_4)
+        alone_stats = SearchStats()
+        alone = [_judge_alone(C, cfg, alone_stats) for C in stack]
+        stats = SearchStats()
+        stacked = search._accept(stack, cfg, stats)
+        assert [k for k, m in enumerate(stacked) if m is not None] == hits
+        assert [m is None for m in stacked] == [m is None for m in alone]
+        for m, m_alone in zip(stacked, alone):
+            if m is not None:
+                for field in ("structure_constants", "metric", "J"):
+                    got, want = getattr(m, field), getattr(m_alone, field)
+                    assert got.tobytes() == want.tobytes()
+        assert stats == alone_stats
+        assert (stats.rejected_invalid, stats.rejected_jacobi) == (1, 1)
+        assert stats.rejected_class == 6 - 2 - len(hits)
 
 
 def _root_form():
@@ -722,25 +803,121 @@ class TestSphere:
         assert checked == stats.gn_iterations + n
 
 
+class _OtherAt:
+    """Stands in for `_two_step_candidate`: it draws as that does, but for
+    the candidates in `at` returns the class-OTHER brackets `other` in place
+    of the draw, and it logs the candidates it is called for (the driver
+    counts a candidate before drawing it)."""
+
+    def __init__(self, at, other):
+        self.at, self.other, self.entered = set(at), other, []
+        self.draw = search._two_step_candidate
+
+    def __call__(self, rng, dim, basis, null, stats):
+        j = stats.candidates - 1
+        self.entered.append(j)
+        C = self.draw(rng, dim, basis, null, stats)
+        return self.other if j in self.at else C
+
+
+def _one_at_a_time(cfg, two_step):
+    """Reference search that runs one candidate at a time, in the search's
+    plan and draw order, and judges each alone as soon as it ends.  Returns
+    (the Gauss-Newton candidates entered, the hits' brackets, stats)."""
+    rng = np.random.default_rng(cfg.seed)
+    stats = SearchStats()
+    families = search._two_step_families(cfg.dim)
+    plan = [("two_step", basis, null) for basis, null in families]
+    plan.append(("gauss_newton", None, None))
+    gauss_newton, hits = [], []
+    while stats.candidates < cfg.max_candidates and stats.hits < cfg.max_results:
+        j = stats.candidates
+        kind, basis, null = plan[j % len(plan)]
+        stats.candidates += 1
+        stats.by_ansatz[kind] = stats.by_ansatz.get(kind, 0) + 1
+        if kind == "two_step":
+            C = two_step(rng, cfg.dim, basis, null, stats)
+        else:
+            gauss_newton.append(j)
+            C = _alone(rng, search._quadratic_form(cfg.dim, False), stats)
+        if C is None:
+            continue
+        stats.converged += 1
+        m = _judge_alone(C, cfg, stats)
+        if m is not None:
+            stats.hits += 1
+            hits.append(m.structure_constants)
+    return gauss_newton, hits, stats
+
+
 class TestSequentialSemantics:
     """The lockstep search runs exactly the candidates that a search running
     one candidate at a time runs, and returns their hits in candidate order."""
 
-    def _search(self, **kw):
-        return search_w3_examples(SearchConfig(dim=4, seed=42, **kw))
+    def _search(self, dim=4, seed=42, **kw):
+        return search_w3_examples(SearchConfig(dim=dim, seed=seed, **kw))
 
-    def test_fewer_results_are_a_prefix_of_more(self):
-        short, stats = self._search(max_results=3, max_candidates=120)
-        long, _ = self._search(max_results=8, max_candidates=320)
+    def _assert_prefix(self, dim, seed):
+        short, stats = self._search(dim, seed, max_results=3, max_candidates=120)
+        long, _ = self._search(dim, seed, max_results=8, max_candidates=320)
         assert len(short) == 3 and len(long) == 8
         assert [manifest_to_json(h) for h in short] == [
             manifest_to_json(h) for h in long[:3]
         ]
         # the last candidate made the last hit: one fewer yields one fewer
-        fewer, _ = self._search(max_results=3, max_candidates=stats.candidates - 1)
+        fewer, _ = self._search(
+            dim, seed, max_results=3, max_candidates=stats.candidates - 1
+        )
         assert [manifest_to_json(h) for h in fewer] == [
             manifest_to_json(h) for h in short[:2]
         ]
+
+    def test_fewer_results_are_a_prefix_of_more(self):
+        self._assert_prefix(4, 42)
+
+    def test_fewer_two_step_results_are_a_prefix_of_more(self):
+        # dim 6 draws two-step candidates only (17 families come before the
+        # first Gauss-Newton candidate); they wait to be judged as a stack
+        self._assert_prefix(6, 202)
+
+    @pytest.mark.parametrize(
+        "rejected", [(1, 2, 5), tuple(j for j in range(17) if j != 3)]
+    )
+    def test_deferred_two_step_entry(self, rejected, other_class_6, monkeypatch):
+        # no real two-step candidate is rejected, so the stub turns the
+        # candidates `rejected` into class-OTHER brackets; with the second
+        # set the search reaches candidate 17, a Gauss-Newton one, and judges
+        # two-step mates while it runs
+        cfg = SearchConfig(dim=6, seed=7, max_candidates=100, max_results=5)
+        other = other_class_6.structure_constants
+        ref_two_step = _OtherAt(rejected, other)
+        ref_gauss_newton, ref_hits, ref_stats = _one_at_a_time(cfg, ref_two_step)
+
+        two_step = _OtherAt(rejected, other)
+        monkeypatch.setattr(search, "_two_step_candidate", two_step)
+        gauss_newton = []
+        add = search._Lockstep.add
+
+        def logged(self, tag, rng):
+            gauss_newton.append(tag)
+            add(self, tag, rng)
+
+        monkeypatch.setattr(search._Lockstep, "add", logged)
+        hits, stats = search_w3_examples(cfg)
+
+        assert two_step.entered == ref_two_step.entered
+        assert gauss_newton == ref_gauss_newton
+        assert [h.structure_constants.tobytes() for h in hits] == [
+            C.tobytes() for C in ref_hits
+        ]
+        # lockstep rounds may hold several candidates; every other counter
+        # is a sum over candidates
+        assert stats.gn_rounds <= stats.gn_iterations
+        stats.gn_rounds = ref_stats.gn_rounds
+        stats.elapsed = ref_stats.elapsed
+        assert stats == ref_stats
+        assert stats.rejected_class == len(rejected)
+        assert gauss_newton == ([17] if len(rejected) > 3 else [])
 
     def test_no_candidate_past_the_budget(self, monkeypatch):
         tags = []

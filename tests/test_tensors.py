@@ -256,6 +256,16 @@ class TestResidualBits:
         for a in pair:
             assert same_bits(zero_residual(a), three_max_zero_residual(a))
 
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(array_pairs())
+    def test_batched_residuals_are_the_residuals_of_the_entries(self, pair):
+        a, b = pair
+        stacked, zero = residual(a, b, batch=1), zero_residual(a, batch=1)
+        assert stacked.shape == zero.shape == a.shape[:1]
+        for k in range(len(a)):
+            assert same_bits(stacked[k], residual(a[k], b[k]))
+            assert same_bits(zero[k], zero_residual(a[k]))
+
     def test_empty_arrays(self):
         for shape in ((0, 3), (2, 0, 2), (0, 0, 0, 0)):
             assert same_bits(residual(np.zeros(shape), np.ones(shape)), 0.0)
