@@ -1,16 +1,19 @@
 """Manifold manifest files and deterministic JSON emission.
 
-Manifests are UTF-8 JSON with fixed key order (id, dim, structure_constants,
-metric, J, description).  Numbers are printed with 17 significant digits so a
-double survives the text round trip bit-exactly; emission is deterministic,
-which makes reports and emitted examples diffable across runs.
+A manifest is a `LieFrameManifold` that also carries an id and a description,
+so parsing a file validates its manifold data once and the result goes
+straight to `run_suite`.  Manifests are UTF-8 JSON with fixed key order (id,
+dim, structure_constants, metric, J, description).  Numbers are printed with
+17 significant digits so a double survives the text round trip bit-exactly;
+emission is deterministic, which makes reports and emitted examples diffable
+across runs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
@@ -37,21 +40,17 @@ class ManifestShapeError(ManifestError):
 
 
 @dataclass(frozen=True)
-class ManifoldManifest:
+class ManifoldManifest(LieFrameManifold):
+    """A manifold with its id and description; construction checks and copies
+    the arrays as `LieFrameManifold` does (ValueError for bad data)."""
+
     id: str
-    dim: int
-    structure_constants: NDArray = field(repr=False)
-    metric: NDArray = field(repr=False)
-    J: NDArray = field(repr=False)
     description: str = ""
 
     def to_manifold(self) -> LieFrameManifold:
-        return LieFrameManifold(
-            dim=self.dim,
-            structure_constants=self.structure_constants,
-            metric=self.metric,
-            J=self.J,
-        )
+        """The manifest itself, which is already the manifold; kept for the
+        callers that convert explicitly (the benchmark's workloads)."""
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +160,13 @@ def parse_manifest(text: str) -> ManifoldManifest:
     description = doc.get("description", "")
     if not isinstance(description, str):
         raise ManifestFormatError("field 'description' must be a string")
-    return ManifoldManifest(
-        id=doc["id"], dim=dim, structure_constants=C, metric=g, J=J,
-        description=description,
-    )
+    try:
+        return ManifoldManifest(
+            id=doc["id"], dim=dim, structure_constants=C, metric=g, J=J,
+            description=description,
+        )
+    except ValueError as exc:  # odd dim, non-finite entries
+        raise ManifestFormatError(f"bad manifold data: {exc}") from None
 
 
 def load_manifest(path: str | Path) -> ManifoldManifest:

@@ -118,14 +118,14 @@ def validate_manifold(m: LieFrameManifold) -> ValidationOutcome:
     only judges the geometry of well-shaped data.  A residual that is not
     finite (an overflow in the Jacobi sum, say) is a violation.
     """
-    return validate_brackets(m.structure_constants[None], m.metric, m.J)[0]
+    brackets = validate_brackets(m.structure_constants[None])[0]
+    violations = brackets.violations + tuple(_pair_violations(m.metric, m.J))
+    return ValidationOutcome(ok=not violations, violations=violations)
 
 
-def validate_brackets(C: NDArray, g: NDArray, J: NDArray) -> list[ValidationOutcome]:
-    """`validate_manifold` for a stack of brackets C (K, d, d, d) on one pair
-    (g, J): one outcome per entry.  The bracket checks run on each entry, the
-    checks of the pair once for the stack."""
-    pair = _pair_violations(g, J)
+def validate_brackets(C: NDArray) -> list[ValidationOutcome]:
+    """The bracket checks of `validate_manifold` (antisymmetry, Jacobi) for a
+    stack of brackets C (K, d, d, d): one outcome per entry."""
     outcomes = []
     antisymmetry = residual(C, -C.swapaxes(-1, -2), batch=1).tolist()
     jacobi = np.abs(jacobi_array(C)).max(axis=(-4, -3, -2, -1)).tolist()  # max-abs
@@ -137,7 +137,6 @@ def validate_brackets(C: NDArray, g: NDArray, J: NDArray) -> list[ValidationOutc
             )
         if not r_jacobi <= JACOBI_TOLERANCE:
             violations.append(Violation("Jacobi identity", r_jacobi))
-        violations += pair
         outcomes.append(
             ValidationOutcome(ok=not violations, violations=tuple(violations))
         )

@@ -32,8 +32,10 @@ Acceptance judges a stack: the two-step brackets drawn since the last round
 wait and are judged together with the Gauss-Newton candidates that converge
 in the next one (`_accept`).  Every entry gets its bracket checks
 (antisymmetry, Jacobi), its class label and, for the Kahler target, the first
-Bianchi gate of R', through the engine's batched kernels; the checks that read
-only (g, J), g^-1 and the canonical pair itself are made once per stack.
+Bianchi gate of R', through the engine's batched kernels.  The canonical pair
+(g, J) is not checked again: it validates in every dimension.  Each hit is
+written straight into a `ManifoldManifest`, whose construction is the one
+place its arrays are checked and copied.
 
 Both paths are driven by one seeded generator, so searches are reproducible.
 """
@@ -53,7 +55,6 @@ from .curvature import bianchi_residual, riemann
 from .geometry import ClassLabel, classify, compute_nabla_J, q_array
 from .manifests import ManifoldManifest
 from .manifolds import (
-    LieFrameManifold,
     canonical_norden_pair,
     jacobi_array,
     levi_civita,
@@ -431,25 +432,21 @@ def _two_step_candidate(
 # ---------------------------------------------------------------------------
 
 
-def _accept(
-    C: NDArray,
-    cfg: SearchConfig,
-    stats: SearchStats,
-) -> list[LieFrameManifold | None]:
-    """Judge a stack of brackets C (K, d, d, d) on the canonical pair: one
-    hit, or None after counting the rejection in `stats`, per entry.  Each
-    entry gets its bracket checks, its class label and, for the Kahler target,
-    the first Bianchi gate of R'; the checks of the pair run once."""
+def _accept(C: NDArray, cfg: SearchConfig, stats: SearchStats) -> list[bool]:
+    """Judge a stack of brackets C (K, d, d, d) on the canonical pair: True
+    for a hit, or False after counting the rejection in `stats`, per entry.
+    Each entry gets its bracket checks, its class label and, for the Kahler
+    target, the first Bianchi gate of R'."""
     g, J = canonical_norden_pair(cfg.dim)
     valid = []
-    for k, outcome in enumerate(validate_brackets(C, g, J)):
+    for k, outcome in enumerate(validate_brackets(C)):
         if outcome.ok:
             valid.append(k)
         elif any(v.name == "Jacobi identity" for v in outcome.violations):
             stats.rejected_jacobi += 1
         else:
             stats.rejected_invalid += 1
-    hits: list[LieFrameManifold | None] = [None] * len(C)
+    hits = [False] * len(C)
     if not valid:
         return hits
     C = C[valid]
@@ -462,13 +459,9 @@ def _accept(
         r_prime = riemann(gamma[w3] + q_array(nabla_J[w3], J), C[w3], g)
         for k, r in zip(w3, bianchi_residual(r_prime).tolist()):
             accepted[k] = not r > cfg.tolerance
-    for k, C_k, ok in zip(valid, C, accepted):
-        if ok:
-            hits[k] = LieFrameManifold(
-                dim=cfg.dim, structure_constants=C_k, metric=g, J=J
-            )
-        else:
-            stats.rejected_class += 1
+    for k, ok in zip(valid, accepted):
+        hits[k] = ok
+    stats.rejected_class += accepted.count(False)
     return hits
 
 
@@ -493,7 +486,7 @@ def search_w3_examples(
             plan.append(("two_step", basis, null))
     plan.append(("gauss_newton", None, None))
 
-    found: dict[int, tuple[str, LieFrameManifold]] = {}
+    found: dict[int, tuple[str, NDArray]] = {}
 
     # candidate j enters while j < max_candidates and the hits so far plus
     # the candidates not yet judged fall short of max_results: every
@@ -530,15 +523,16 @@ def search_w3_examples(
         if pending:
             stats.converged += len(pending)
             stack = np.stack([C for _, _, C in pending])
-            for (j, kind, _), m in zip(pending, _accept(stack, cfg, stats)):
-                if m is not None:
+            for (j, kind, C), hit in zip(pending, _accept(stack, cfg, stats)):
+                if hit:
                     stats.hits += 1
-                    found[j] = (kind, m)
+                    found[j] = (kind, C)
             pending = []
 
+    g, J = canonical_norden_pair(cfg.dim)
     manifests = []
     for n, j in enumerate(sorted(found), 1):
-        kind, m = found[j]
+        kind, C = found[j]
         name = (
             f"w3_d{cfg.dim}_seed{cfg.seed}_{cfg.target.value.replace('-', '_')}"
             f"_{n:04d}"
@@ -547,9 +541,9 @@ def search_w3_examples(
             ManifoldManifest(
                 id=name,
                 dim=cfg.dim,
-                structure_constants=m.structure_constants,
-                metric=m.metric,
-                J=m.J,
+                structure_constants=C,
+                metric=g,
+                J=J,
                 description=(
                     f"seeded null-space search hit (ansatz={kind}, "
                     f"target={cfg.target.value}, seed={cfg.seed})"

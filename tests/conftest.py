@@ -57,6 +57,26 @@ def other_class_4() -> LieFrameManifold:
     return LieFrameManifold(dim=4, structure_constants=C, metric=g, J=J)
 
 
+@pytest.fixture(params=["odd_dim", "nan_entry"])
+def bad_manifold_doc(request) -> dict:
+    """Manifest fields that pass the parser's field and shape checks but not
+    the manifold's own: an odd dimension, or a NaN among the brackets."""
+    if request.param == "odd_dim":
+        C, g, J = np.zeros((3, 3, 3)), np.eye(3), np.eye(3)
+    else:
+        g, J = canonical_norden_pair(4)
+        C = np.zeros((4, 4, 4))
+        C[2, 0, 1] = np.nan
+    return {
+        "id": request.param,
+        "dim": len(g),
+        "structure_constants": C.tolist(),
+        "metric": g.tolist(),
+        "J": J.tolist(),
+        "description": "",
+    }
+
+
 def _search_pool(dim: int, seed: int, n: int, target=SearchTarget.W3):
     cfg = SearchConfig(
         dim=dim, seed=seed, max_candidates=40 * n, max_results=n, target=target

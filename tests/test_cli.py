@@ -92,6 +92,15 @@ class TestVerify:
         assert err.count("\n") == 1
         assert cause in err
 
+    def test_bad_manifold_data_exit_two(self, capsys, tmp_path, bad_manifold_doc):
+        path = tmp_path / "bad.manifest"
+        path.write_text(json.dumps(bad_manifold_doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad manifold data: ")
+        assert err.count("\n") == 1
+
     def test_malformed_manifest_exit_two(self, capsys, tmp_path):
         path = tmp_path / "junk.manifest"
         path.write_text("...", encoding="utf-8")

@@ -74,6 +74,16 @@ class TestLoadManifest:
             }))
 
 
+class TestBadManifoldData:
+    def test_parse_raises_format_error(self, bad_manifold_doc):
+        with pytest.raises(ManifestFormatError, match="^bad manifold data: "):
+            parse_manifest(json.dumps(bad_manifold_doc))
+
+    def test_construction_raises_value_error(self, bad_manifold_doc):
+        with pytest.raises(ValueError):
+            ManifoldManifest(**bad_manifold_doc)
+
+
 class TestSerialization:
     def test_seventeen_digit_round_trip(self):
         rng = np.random.default_rng(77)

@@ -63,6 +63,16 @@ class TestValidation:
         # J^T I J = I vs -I: max deviation 2 over scale 1+1
         assert norden[0].residual == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("dim", [4, 6, 8, 10])
+    def test_canonical_pair_validates(self, dim):
+        """The search checks only the brackets of its candidates: it relies on
+        the canonical pair passing every check that reads (g, J)."""
+        g, J = canonical_norden_pair(dim)
+        m = LieFrameManifold(
+            dim=dim, structure_constants=np.zeros((dim,) * 3), metric=g, J=J
+        )
+        assert validate_manifold(m).ok
+
     def test_search_output_validates(self, generic_w3_4, kahler_rprime_4):
         assert validate_manifold(generic_w3_4).ok
         assert validate_manifold(kahler_rprime_4).ok
