@@ -161,7 +161,7 @@ def _resolve_tolerance(arg_value: float | None) -> float:
 def _verify_manifest(manifest: ManifoldManifest, tolerance: float, fmt: str) -> int:
     start = time.perf_counter()
     try:
-        report = run_suite(manifest, tolerance, manifold_id=manifest.id)
+        report = run_suite(manifest, tolerance)
     except InvalidManifoldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -2,6 +2,8 @@
 auxiliary tensors P and H, the symmetry residuals of a rank-4 tensor,
 Ricci/scalar contractions, and the dimension-4 decomposition into the
 standard Kahler basis tensors pi_1, pi_2, pi_3.
+Every function takes the arrays it reads (data, then g, g^{-1}, J) and
+returns arrays.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .geometry import twist_arrays
-from .manifolds import LieFrameManifold
 from .tensors import contract, cyclic_sum3, residual, zero_residual
 
 
@@ -58,23 +59,22 @@ class RicciScalars:
     tau_star: float
 
 
-def ricci_and_scalars(m: LieFrameManifold, L: NDArray) -> RicciScalars:
+def ricci_and_scalars(L: NDArray, g_inv: NDArray, J: NDArray) -> RicciScalars:
     """rho(x,y) = g^{ij} L(e_i,x,y,e_j); tau = g^{ij} rho(e_i,e_j);
     tau_star = g^{ij} rho(e_i,Je_j)."""
-    g_inv = m.metric_inv
     rho = contract(L, 0, 3, g_inv)
     return RicciScalars(
         rho=rho,
         tau=float(contract(rho, 0, 1, g_inv)),
-        tau_star=float(np.einsum("ab,am,mb->", g_inv, rho, m.J)),
+        tau_star=float(np.einsum("ab,am,mb->", g_inv, rho, J)),
     )
 
 
-def metric_pairing(m: LieFrameManifold, A: NDArray, B: NDArray) -> NDArray:
+def metric_pairing(A: NDArray, B: NDArray, g: NDArray) -> NDArray:
     """L[x][y][z][w] = g(A(x,y), B(z,w)) for vector-valued A and B.  With
     A = B = Q it is qq, of which every Q-quadratic term of R', P and
     EQ_2_6/EQ_2_7 is a slot permutation."""
-    gB = np.einsum("mn,nkl->mkl", m.metric, B)
+    gB = np.einsum("mn,nkl->mkl", g, B)
     return np.einsum("mij,mkl->ijkl", A, gB)
 
 
@@ -85,7 +85,7 @@ def curvature_prime_from_correction(
     R'(x,y,z,w) = R(x,y,z,w) + (nabla_x Q)(y,z,w) - (nabla_y Q)(x,z,w)
                   - g(Q(y,z),Q(x,w)) + g(Q(x,z),Q(y,w)),
     with nabla_Q the Levi-Civita derivative of the covariant Q and
-    qq = metric_pairing(m, Q, Q)."""
+    qq = metric_pairing(Q, Q, g)."""
     return (
         R
         + nabla_Q
@@ -97,29 +97,28 @@ def curvature_prime_from_correction(
 
 def tensor_P(qq: NDArray) -> NDArray:
     """P(x,y,z,w) = 2 g(Q(x,y),Q(z,w)) + g(Q(z,y),Q(x,w)) + g(Q(x,z),Q(y,w)),
-    with qq = metric_pairing(m, Q, Q)."""
+    with qq = metric_pairing(Q, Q, g)."""
     return 2.0 * qq + qq.transpose(2, 1, 0, 3) + qq.transpose(0, 2, 1, 3)
 
 
-def tensor_H(m: LieFrameManifold, nabla_J: NDArray) -> NDArray:
+def tensor_H(nabla_J: NDArray, J: NDArray, g: NDArray) -> NDArray:
     """H(x,y,z,w) = g((nabla_x J)Jy + (nabla_{Jx} J)y, (nabla_z J)Jw + (nabla_{Jz} J)w)."""
-    a, b = twist_arrays(nabla_J, m.J)
+    a, b = twist_arrays(nabla_J, J)
     B = a + b
-    return metric_pairing(m, B, B)
+    return metric_pairing(B, B, g)
 
 
 PiForms = tuple[NDArray, NDArray, NDArray]
 
 
-def pi_forms(m: LieFrameManifold) -> PiForms:
+def pi_forms(g: NDArray, J: NDArray) -> PiForms:
     """The three rank-4 tensors built from g and the associated metric:
 
     pi_1(x,y,z,w) = g(y,z)g(x,w) - g(x,z)g(y,w)
     pi_2(x,y,z,w) = g(y,Jz)g(x,Jw) - g(x,Jz)g(y,Jw)
     pi_3(x,y,z,w) = -g(y,z)g(x,Jw) + g(x,z)g(y,Jw) - g(y,Jz)g(x,w) + g(x,Jz)g(y,w)
     """
-    g = m.metric
-    gt = g @ m.J
+    gt = g @ J
     pi1 = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
     pi2 = np.einsum("jk,il->ijkl", gt, gt) - np.einsum("ik,jl->ijkl", gt, gt)
     pi3 = (

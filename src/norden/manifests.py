@@ -39,7 +39,7 @@ class ManifestShapeError(ManifestError):
     """Arrays inconsistent with the declared dimension."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ManifoldManifest(LieFrameManifold):
     """A manifold with its id and description; construction checks and copies
     the arrays as `LieFrameManifold` does (ValueError for bad data)."""

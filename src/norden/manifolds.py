@@ -27,9 +27,10 @@ def _as_readonly(arr: NDArray) -> NDArray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieFrameManifold:
-    """Structure constants, metric and almost complex structure in one frame."""
+    """Structure constants, metric and almost complex structure in one frame;
+    equality and hashing are by identity."""
 
     dim: int
     structure_constants: NDArray = field(repr=False)
@@ -118,64 +119,47 @@ def validate_manifold(m: LieFrameManifold) -> ValidationOutcome:
     only judges the geometry of well-shaped data.  A residual that is not
     finite (an overflow in the Jacobi sum, say) is a violation.
     """
-    brackets = validate_brackets(m.structure_constants[None])[0]
-    violations = brackets.violations + tuple(_pair_violations(m.metric, m.J))
-    return ValidationOutcome(ok=not violations, violations=violations)
-
-
-def validate_brackets(C: NDArray) -> list[ValidationOutcome]:
-    """The bracket checks of `validate_manifold` (antisymmetry, Jacobi) for a
-    stack of brackets C (K, d, d, d): one outcome per entry."""
-    outcomes = []
-    antisymmetry = residual(C, -C.swapaxes(-1, -2), batch=1).tolist()
-    jacobi = np.abs(jacobi_array(C)).max(axis=(-4, -3, -2, -1)).tolist()  # max-abs
-    for r_anti, r_jacobi in zip(antisymmetry, jacobi):
-        violations: list[Violation] = []
-        if not r_anti <= MATRIX_TOLERANCE:
-            violations.append(
-                Violation("bracket antisymmetry C[k][i][j]=-C[k][j][i]", r_anti)
-            )
-        if not r_jacobi <= JACOBI_TOLERANCE:
-            violations.append(Violation("Jacobi identity", r_jacobi))
-        outcomes.append(
-            ValidationOutcome(ok=not violations, violations=tuple(violations))
+    anti, jacobi = bracket_residuals(m.structure_constants[None])
+    violations = [
+        Violation(name, float(r[0]))
+        for name, r, tol in (
+            ("bracket antisymmetry C[k][i][j]=-C[k][j][i]", anti, MATRIX_TOLERANCE),
+            ("Jacobi identity", jacobi, JACOBI_TOLERANCE),
         )
-    return outcomes
+        if not r[0] <= tol
+    ]
+    violations += _pair_violations(m.metric, m.J)
+    return ValidationOutcome(ok=not violations, violations=tuple(violations))
+
+
+def bracket_residuals(C: NDArray) -> tuple[NDArray, NDArray]:
+    """The residuals of the bracket checks of `validate_manifold` for a stack
+    of brackets C (K, d, d, d), one entry per bracket: antisymmetry (judged
+    against MATRIX_TOLERANCE) and the max-abs Jacobi sum (JACOBI_TOLERANCE)."""
+    antisymmetry = residual(C, -C.swapaxes(-1, -2), batch=1)
+    return antisymmetry, np.abs(jacobi_array(C)).max(axis=(-4, -3, -2, -1))
 
 
 def _pair_violations(g: NDArray, J: NDArray) -> list[Violation]:
     """Violations of the invariants that read only the metric and J."""
     d = len(g)
-    violations: list[Violation] = []
-
-    r = residual(J @ J, -np.eye(d))
-    if not r <= MATRIX_TOLERANCE:
-        violations.append(Violation("almost complex structure J^2=-I", r))
-
-    r = residual(J.T @ g @ J, -g)
-    if not r <= MATRIX_TOLERANCE:
-        violations.append(Violation("Norden compatibility J^T g J = -g", r))
-
-    r = residual(g, g.T)
-    if not r <= MATRIX_TOLERANCE:
-        violations.append(Violation("metric symmetry", r))
-
+    residuals = {
+        "almost complex structure J^2=-I": residual(J @ J, -np.eye(d)),
+        "Norden compatibility J^T g J = -g": residual(J.T @ g @ J, -g),
+        "metric symmetry": residual(g, g.T),
+    }
+    violations = [
+        Violation(name, r) for name, r in residuals.items() if not r <= MATRIX_TOLERANCE
+    ]
     eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
-    n_small = int(np.sum(np.abs(eigs) <= MATRIX_TOLERANCE))
-    if n_small:
+    smallest, n_pos = float(np.min(np.abs(eigs))), int(np.sum(eigs > 0))
+    if smallest <= MATRIX_TOLERANCE:
+        violations.append(Violation("metric nondegeneracy", smallest))
+    elif n_pos != d // 2:
+        signature = f"({n_pos},{d-n_pos}) != ({d//2},{d//2})"
         violations.append(
-            Violation("metric nondegeneracy", float(np.min(np.abs(eigs))))
+            Violation(f"metric signature {signature}", float(abs(n_pos - d // 2)))
         )
-    else:
-        n_pos = int(np.sum(eigs > 0))
-        if n_pos != d // 2:
-            violations.append(
-                Violation(
-                    f"metric signature ({n_pos},{d-n_pos}) != ({d//2},{d//2})",
-                    float(abs(n_pos - d // 2)),
-                )
-            )
-
     return violations
 
 
@@ -193,7 +177,7 @@ def levi_civita(C: NDArray, g: NDArray, g_inv: NDArray) -> NDArray:
     return np.einsum("km,...ijm->...kij", g_inv, low)
 
 
-def covariant_derivative(m: LieFrameManifold, gamma: NDArray, t: NDArray) -> NDArray:
+def covariant_derivative(gamma: NDArray, t: NDArray) -> NDArray:
     """Covariant derivative of an all-covariant left-invariant tensor along
     the frame connection gamma.
 
@@ -201,21 +185,19 @@ def covariant_derivative(m: LieFrameManifold, gamma: NDArray, t: NDArray) -> NDA
     survive: (nabla t)[i][a_1..a_r] = -sum_s gamma[m][i][a_s] t[a_1..m..a_r].
     The derivative direction is slot 0 of the result.
     """
-    rank = t.ndim
-    if rank == 0:
-        return np.zeros(m.dim)
-    if t.shape != (m.dim,) * rank:
-        raise ValueError(f"tensor shape {t.shape} does not match manifold dim {m.dim}")
+    d, rank = gamma.shape[-1], t.ndim
+    if t.shape != (d,) * rank:
+        raise ValueError(f"tensor shape {t.shape} does not match frame dim {d}")
     if rank > 8:
         raise ValueError("covariant_derivative supports rank <= 8")
     letters = "abcdefgh"[:rank]
-    out = np.zeros((m.dim,) * (rank + 1))
+    out = np.zeros((d,) * (rank + 1))
     for s in range(rank):
         t_letters = letters[:s] + "m" + letters[s + 1 :]
         out -= np.einsum(f"mi{letters[s]},{t_letters}->i{letters}", gamma, t)
     return out
 
 
-def torsion(m: LieFrameManifold, gamma: NDArray) -> NDArray:
+def torsion(gamma: NDArray, C: NDArray) -> NDArray:
     """Torsion T[k][i][j] of a frame connection: gamma[k][i][j]-gamma[k][j][i]-C[k][i][j]."""
-    return gamma - gamma.transpose(0, 2, 1) - m.structure_constants
+    return gamma - gamma.transpose(0, 2, 1) - C

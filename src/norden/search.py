@@ -55,10 +55,12 @@ from .curvature import bianchi_residual, riemann
 from .geometry import ClassLabel, classify, compute_nabla_J, q_array
 from .manifests import ManifoldManifest
 from .manifolds import (
+    JACOBI_TOLERANCE,
+    MATRIX_TOLERANCE,
+    bracket_residuals,
     canonical_norden_pair,
     jacobi_array,
     levi_civita,
-    validate_brackets,
 )
 from .tensors import DEFAULT_TOLERANCE, check_tolerance, cyclic_sum3, lower
 
@@ -435,17 +437,19 @@ def _two_step_candidate(
 def _accept(C: NDArray, cfg: SearchConfig, stats: SearchStats) -> list[bool]:
     """Judge a stack of brackets C (K, d, d, d) on the canonical pair: True
     for a hit, or False after counting the rejection in `stats`, per entry.
-    Each entry gets its bracket checks, its class label and, for the Kahler
-    target, the first Bianchi gate of R'."""
+    Each entry gets the bracket residuals of `validate_manifold` against its
+    tolerances (a NaN fails; a Jacobi failure is `rejected_jacobi`), then its
+    class label and, for the Kahler target, the first Bianchi gate of R'."""
     g, J = canonical_norden_pair(cfg.dim)
+    antisymmetry, jacobi = bracket_residuals(C)
     valid = []
-    for k, outcome in enumerate(validate_brackets(C)):
-        if outcome.ok:
-            valid.append(k)
-        elif any(v.name == "Jacobi identity" for v in outcome.violations):
+    for k, (r_anti, r_jacobi) in enumerate(zip(antisymmetry.tolist(), jacobi.tolist())):
+        if not r_jacobi <= JACOBI_TOLERANCE:
             stats.rejected_jacobi += 1
-        else:
+        elif not r_anti <= MATRIX_TOLERANCE:
             stats.rejected_invalid += 1
+        else:
+            valid.append(k)
     hits = [False] * len(C)
     if not valid:
         return hits

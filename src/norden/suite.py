@@ -98,8 +98,7 @@ class GeometryContext:
 
 
 def _class_independent_values(ctx: GeometryContext) -> None:
-    m, F, Rc = ctx.m, ctx.F, ctx.R
-    J = m.J
+    F, Rc, J = ctx.F, ctx.R, ctx.m.J
     v = ctx.values
     v["EQ_1_3_A"] = residual(F, F.transpose(0, 2, 1))
     v["EQ_1_3_B"] = residual(F, J.T @ F @ J)
@@ -107,7 +106,7 @@ def _class_independent_values(ctx: GeometryContext) -> None:
     v["R_CURVATURE_LIKE"] = max(curv.antisym_residual(Rc), curv.bianchi_residual(Rc))
     v["R_PAIR_SYMMETRY"] = residual(Rc, Rc.transpose(2, 3, 0, 1))
 
-    dF = covariant_derivative(m, ctx.gamma, F)
+    dF = covariant_derivative(ctx.gamma, F)
     lhs = dF - dF.transpose(1, 0, 2, 3)
     rhs = np.einsum("ijal,ak->ijkl", Rc, J) - np.einsum("ijka,al->ijkl", Rc, J)
     v["EQ_1_5"] = residual(lhs, rhs)
@@ -120,7 +119,7 @@ def _class_independent_values(ctx: GeometryContext) -> None:
 
 def _class_dependent_values(ctx: GeometryContext) -> None:
     m, F, nJ, Rc = ctx.m, ctx.F, ctx.nabla_J, ctx.R
-    J, g, g_inv = m.J, m.metric, m.metric_inv
+    C, g, J, g_inv = m.structure_constants, m.metric, m.J, m.metric_inv
     tol = ctx.tolerance
     v = ctx.values
 
@@ -139,7 +138,7 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     RJ1 = np.einsum("ai,ajcl->ijcl", J, Rc)
     S = J.T @ RJ2 - RJ2 @ J + RJ1 @ J - J.T @ RJ1
     sym = nJ + nJ.transpose(0, 2, 1)
-    G = curv.metric_pairing(m, sym, sym)
+    G = curv.metric_pairing(sym, sym, g)
     v["EQ_1_15"] = residual(cyclic_sum3(S), cyclic_sum3(G))
 
     q_vec = geo.q_array(nJ, J)
@@ -153,15 +152,15 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     v["F_TRACE_B"] = zero_residual(np.einsum("ij,aj,iaz->z", g_inv, J, F))
 
     gamma_p = ctx.gamma + q_vec  # the natural connection nabla' = nabla + Q
-    v["NATURAL_G"] = zero_residual(covariant_derivative(m, gamma_p, g))
+    v["NATURAL_G"] = zero_residual(covariant_derivative(gamma_p, g))
     v["NATURAL_J"] = zero_residual(geo.compute_nabla_J(gamma_p, J))
-    v["TORSION_2Q"] = residual(torsion(m, gamma_p), 2.0 * q_vec)
+    v["TORSION_2Q"] = residual(torsion(gamma_p, C), 2.0 * q_vec)
 
     # nabla Q and g(Q(x,y),Q(z,w)), shared by R' (correction route), P and
     # EQ_2_6/EQ_2_7
-    dQ = covariant_derivative(m, ctx.gamma, qc)
-    qq = curv.metric_pairing(m, q_vec, q_vec)
-    Rpc = curv.riemann(gamma_p, m.structure_constants, g)
+    dQ = covariant_derivative(ctx.gamma, qc)
+    qq = curv.metric_pairing(q_vec, q_vec, g)
+    Rpc = curv.riemann(gamma_p, C, g)
     v["EQ_2_3"] = residual(Rpc, curv.curvature_prime_from_correction(Rc, dQ, qq))
     v["R_PRIME_1_10"] = curv.antisym_residual(Rpc)
     v["R_PRIME_1_12"] = curv.kahler_residual(Rpc, J)
@@ -170,7 +169,7 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     P = curv.tensor_P(qq)
     v["EQ_2_8"] = residual(3.0 * Rpc, 3.0 * Rc + P)
 
-    H = curv.tensor_H(m, nJ)
+    H = curv.tensor_H(nJ, J, g)
     v["EQ_2_14"] = curv.bianchi_residual(H)
     v["H_1_10"] = curv.antisym_residual(H)
     v["H_1_12"] = curv.kahler_residual(H, J)
@@ -181,12 +180,12 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
         Rpc + Rpc.transpose(2, 1, 0, 3),
         Rc + Rc.transpose(2, 1, 0, 3) + qq + qq.transpose(2, 1, 0, 3),
     )
-    v["TORSION_PARALLEL"] = zero_residual(covariant_derivative(m, gamma_p, qc))
+    v["TORSION_PARALLEL"] = zero_residual(covariant_derivative(gamma_p, qc))
 
-    sc_R = curv.ricci_and_scalars(m, Rc)
-    sc_Rp = curv.ricci_and_scalars(m, Rpc)
-    sc_P = curv.ricci_and_scalars(m, P)
-    sc_H = curv.ricci_and_scalars(m, H)
+    sc_R = curv.ricci_and_scalars(Rc, g_inv, J)
+    sc_Rp = curv.ricci_and_scalars(Rpc, g_inv, J)
+    sc_P = curv.ricci_and_scalars(P, g_inv, J)
+    sc_H = curv.ricci_and_scalars(H, g_inv, J)
     panel = geo.ScalarPanel(
         tau=sc_R.tau,
         tau_star=sc_R.tau_star,
@@ -243,7 +242,7 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     v["THM_3_1"] = float(any(indicator(s) != iso for s in six))
 
     if m.dim == 4:
-        pis = curv.pi_forms(m)
+        pis = curv.pi_forms(g, J)
         v["EQ_3_12"] = curv.kahler_decomposition_dim4(
             pis, Rpc, panel.tau_prime, panel.tau_prime_star
         )
@@ -291,17 +290,18 @@ def build_context(
         outcome = validate_manifold(m)
         if not outcome.ok:
             raise InvalidManifoldError(outcome)
-        gamma = levi_civita(m.structure_constants, m.metric, m.metric_inv)
-        nabla_J = geo.compute_nabla_J(gamma, m.J)
-        F = lower(nabla_J, m.metric)
+        C, g, J = m.structure_constants, m.metric, m.J
+        gamma = levi_civita(C, g, m.metric_inv)
+        nabla_J = geo.compute_nabla_J(gamma, J)
+        F = lower(nabla_J, g)
         ctx = GeometryContext(
             m=m,
             tolerance=tolerance,
             gamma=gamma,
             nabla_J=nabla_J,
             F=F,
-            classification=geo.classify(m.J, F, nabla_J, tolerance),
-            R=curv.riemann(gamma, m.structure_constants, m.metric),
+            classification=geo.classify(J, F, nabla_J, tolerance),
+            R=curv.riemann(gamma, C, g),
         )
         _class_independent_values(ctx)
         if ctx.classification.is_w3_or_kahler:
@@ -524,14 +524,17 @@ def _run_one(defn: CheckDef, ctx: GeometryContext) -> CheckResult:
 def run_suite(
     m: LieFrameManifold,
     tolerance: float = DEFAULT_TOLERANCE,
-    manifold_id: str = "manifold",
+    manifold_id: str | None = None,
 ) -> VerificationReport:
     """Run every catalog check on one manifold.
 
-    Raises InvalidManifoldError (carrying the validation outcome) if the
-    manifold fails validation.  For class OTHER only the class-independent
-    checks run; the rest are NA.
+    `manifold_id` defaults to the manifold's `id` (a manifest's), else
+    "manifold".  Raises InvalidManifoldError (carrying the validation outcome)
+    if the manifold fails validation.  For class OTHER only the
+    class-independent checks run; the rest are NA.
     """
+    if manifold_id is None:
+        manifold_id = getattr(m, "id", "manifold")
     ctx = build_context(m, tolerance)
     checks = tuple(_run_one(defn, ctx) for defn in CHECK_CATALOG)
     return VerificationReport(

@@ -15,7 +15,7 @@ from norden import (
 
 
 def _bundled(name: str) -> LieFrameManifold:
-    return load_manifest(bundled_manifest_path(name)).to_manifold()
+    return load_manifest(bundled_manifest_path(name))
 
 
 @pytest.fixture(scope="session")
@@ -82,7 +82,7 @@ def _search_pool(dim: int, seed: int, n: int, target=SearchTarget.W3):
         dim=dim, seed=seed, max_candidates=40 * n, max_results=n, target=target
     )
     manifests, _ = search_w3_examples(cfg)
-    return [mf.to_manifold() for mf in manifests]
+    return manifests
 
 
 @pytest.fixture(scope="session")

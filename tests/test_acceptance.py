@@ -32,7 +32,6 @@ from norden import (
     antisym_residual,
     bianchi_residual,
     bundled_manifest_path,
-    canonical_norden_pair,
     classify,
     compute_nabla_J,
     contract,
@@ -84,7 +83,7 @@ def discovered_examples(two_step_6):
     for dim, seed, n in ((4, 42, 8), (6, 42, 6)):
         cfg = SearchConfig(dim=dim, seed=seed, max_candidates=40 * n, max_results=n)
         hits, _ = search_w3_examples(cfg)
-        pool += [(mf.id, mf.to_manifold()) for mf in hits]
+        pool += [(mf.id, mf) for mf in hits]
     assert len(pool) >= 10
     return pool
 
@@ -124,9 +123,9 @@ def kahler_examples(flat4):
             target=SearchTarget.W3_RPRIME_KAHLER,
         )
         hits, _ = search_w3_examples(cfg)
-        pool += [(mf.id, mf.to_manifold()) for mf in hits]
+        pool += [(mf.id, mf) for mf in hits]
     frozen = load_manifest(FROZEN_WITNESS)
-    pool.append((frozen.id, frozen.to_manifold()))
+    pool.append((frozen.id, frozen))
     assert len(pool) >= 3
     return pool
 
@@ -140,7 +139,6 @@ def test_criterion_1_oracle_equivalence():
     failures: list[str] = []
     start = time.perf_counter()
     for (dim, rank), count in plan.items():
-        g, J = canonical_norden_pair(dim)
         for k in range(count):
             arr = rng.standard_normal((dim,) * rank)
             minv = rng.standard_normal((dim, dim))
@@ -156,10 +154,7 @@ def test_criterion_1_oracle_equivalence():
                 if np.max(np.abs(got - loop_cyclic3(arr, slots))) > 1e-13:
                     failures.append(f"cyclic_sum3 dim={dim} rank={rank} sample={k}")
             gamma = rng.standard_normal((dim, dim, dim))
-            m = LieFrameManifold(
-                dim=dim, structure_constants=np.zeros((dim,) * 3), metric=g, J=J
-            )
-            got = covariant_derivative(m, gamma, arr)
+            got = covariant_derivative(gamma, arr)
             want = loop_covariant_derivative(gamma, arr)
             if np.max(np.abs(got - want)) > 1e-13:
                 failures.append(f"covariant_derivative dim={dim} rank={rank} sample={k}")
@@ -227,7 +222,7 @@ def test_criterion_3_w3_discovery(tmp_path):
     if not manifests:
         failures.append("no manifest produced")
     for path in manifests:
-        m = load_manifest(path).to_manifold()
+        m = load_manifest(path)
         nJ = compute_nabla_J(gamma_of(m), m.J)
         cls = classify(m.J, lower(nJ, m.metric), nJ)
         if cls.label is not ClassLabel.QUASI_KAHLER_W3 or cls.f_norm <= TOL:
@@ -582,15 +577,15 @@ def test_criterion_8_synthetic_decomposition():
     """R' := 3(pi_1 - pi_2) + 5 pi_3 in dimension 4 yields nu'=3, nu'*=5 and
     decomposition residual <= 1e-12."""
     failures: list[str] = []
-    m = load_manifest(bundled_manifest_path("flat_kahler_4")).to_manifold()
-    pi1, pi2, pi3 = pi_forms(m)
+    m = load_manifest(bundled_manifest_path("flat_kahler_4"))
+    pi1, pi2, pi3 = pi_forms(m.metric, m.J)
     synth = 3.0 * (pi1 - pi2) + 5.0 * pi3
     kahler_defect = max(
         antisym_residual(synth), bianchi_residual(synth), kahler_residual(synth, m.J)
     )
     if kahler_defect > TOL:
         failures.append("synthetic tensor is not Kahler")
-    sc = ricci_and_scalars(m, synth)
+    sc = ricci_and_scalars(synth, m.metric_inv, m.J)
     if abs(sc.tau / 8.0 - 3.0) > 1e-12:
         failures.append(f"nu' = {sc.tau / 8.0!r} != 3")
     if abs(sc.tau_star / 8.0 - 5.0) > 1e-12:
@@ -630,10 +625,10 @@ def test_criterion_9_determinism_and_round_trip(tmp_path, capsys):
         from norden import save_manifest
 
         manifest = hits[0]
-        report1 = run_suite(manifest.to_manifold(), manifold_id=manifest.id)
+        report1 = run_suite(manifest)
         saved = save_manifest(manifest, tmp_path / "roundtrip.manifest")
         reloaded = load_manifest(saved)
-        report2 = run_suite(reloaded.to_manifold(), manifold_id=reloaded.id)
+        report2 = run_suite(reloaded)
         if emit_report(report1, "json") != emit_report(report2, "json"):
             failures.append("reloaded manifest yields a different report")
     _verdict(9, "determinism and round trip", failures)

@@ -56,7 +56,7 @@ REL = 1e-12
 
 
 def _pool_manifold(name: str) -> LieFrameManifold:
-    return load_manifest(POOL / f"{name}.manifest").to_manifold()
+    return load_manifest(POOL / f"{name}.manifest")
 
 
 def _frame_change(m: LieFrameManifold, P: np.ndarray) -> LieFrameManifold:
@@ -127,11 +127,13 @@ class TestAgainstSixLabelEinsum:
         m, nJ = general.m, general.nabla_J
         A, B = q_array(nJ, m.J), nJ + nJ.transpose(0, 2, 1)
         _assert_close(
-            metric_pairing(m, A, B), np.einsum("mij,nkl,mn->ijkl", A, B, m.metric)
+            metric_pairing(A, B, m.metric),
+            np.einsum("mij,nkl,mn->ijkl", A, B, m.metric),
         )
         a, b = twist_arrays(nJ, m.J)
         _assert_close(
-            tensor_H(m, nJ), np.einsum("mij,nkl,mn->ijkl", a + b, a + b, m.metric)
+            tensor_H(nJ, m.J, m.metric),
+            np.einsum("mij,nkl,mn->ijkl", a + b, a + b, m.metric),
         )
 
     def test_twisted_residuals(self, general):
@@ -180,7 +182,7 @@ def test_kernel_runs_on_fractions():
     """gamma, nabla J, Q and ||nabla J||^2 of w3_two_step_6 from Fraction
     object arrays: every entry equals the loop oracle's, the norm is 60, and
     the EQ_1_19 route -1/4 cyclic F(y,z,Jw) gives the covariant Q exactly."""
-    m = load_manifest(bundled_manifest_path("w3_two_step_6")).to_manifold()
+    m = load_manifest(bundled_manifest_path("w3_two_step_6"))
     C, g, J = (to_fractions(a.tolist()) for a in (m.structure_constants, m.metric, m.J))
     g_inv = inverse(g)
     C_, g_, g_inv_, J_ = (np.array(x, dtype=object) for x in (C, g, g_inv, J))

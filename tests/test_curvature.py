@@ -85,8 +85,8 @@ class TestRiemann:
             q_vec, q_cov = q_of(m, nJ)
             R = riemann(gamma, m.structure_constants, m.metric)
             R_prime = riemann(gamma + q_vec, m.structure_constants, m.metric)
-            dQ = covariant_derivative(m, gamma, q_cov)
-            qq = metric_pairing(m, q_vec, q_vec)
+            dQ = covariant_derivative(gamma, q_cov)
+            qq = metric_pairing(q_vec, q_vec, m.metric)
             R_prime2 = curvature_prime_from_correction(R, dQ, qq)
             assert residual(R_prime, R_prime2) <= 1e-9
 
@@ -103,14 +103,14 @@ class TestRiemann:
 
 class TestRicciScalars:
     def test_zero_tensor(self, flat4):
-        sc = ricci_and_scalars(flat4, np.zeros((4, 4, 4, 4)))
+        sc = ricci_and_scalars(np.zeros((4, 4, 4, 4)), flat4.metric_inv, flat4.J)
         assert sc.tau == sc.tau_star == 0.0
         assert np.max(np.abs(sc.rho)) == 0.0
 
     def test_pi1_scalar_curvature_is_12(self, flat4, generic_w3_4):
         for m in (flat4, generic_w3_4):
-            pi1, _, _ = pi_forms(m)
-            sc = ricci_and_scalars(m, pi1)
+            pi1, _, _ = pi_forms(m.metric, m.J)
+            sc = ricci_and_scalars(pi1, m.metric_inv, m.J)
             assert sc.tau == pytest.approx(12.0, abs=1e-12)
             oracle = loop_tau(pi1, np.linalg.inv(m.metric))
             assert sc.tau == pytest.approx(oracle, abs=1e-12)
@@ -118,7 +118,7 @@ class TestRicciScalars:
     def test_tau_matches_loop_oracle(self, two_step_6):
         m = two_step_6
         R = riemann(gamma_of(m), m.structure_constants, m.metric)
-        sc = ricci_and_scalars(m, R)
+        sc = ricci_and_scalars(R, m.metric_inv, m.J)
         assert sc.tau == pytest.approx(loop_tau(R, np.linalg.inv(m.metric)), abs=1e-10)
 
     def test_tau_star_variants_agree_for_pair_symmetric(self, w3_pool):
@@ -126,7 +126,7 @@ class TestRicciScalars:
         associated Ricci tensor coincide for pair-symmetric rank-4 tensors."""
         for m in list(w3_pool)[:6]:
             R = riemann(gamma_of(m), m.structure_constants, m.metric)
-            sc = ricci_and_scalars(m, R)
+            sc = ricci_and_scalars(R, m.metric_inv, m.J)
             g_inv = np.linalg.inv(m.metric)
             rho_star = np.einsum("ij,iabm,mj->ab", g_inv, R, m.J)
             tau_star_alt = float(np.einsum("ab,ab->", g_inv, rho_star))
@@ -136,14 +136,14 @@ class TestRicciScalars:
 class TestTensorP:
     def test_zero_potential(self, flat4):
         zero = np.zeros((4, 4, 4))
-        P = tensor_P(metric_pairing(flat4, zero, zero))
+        P = tensor_P(metric_pairing(zero, zero, flat4.metric))
         assert np.max(np.abs(P)) == 0.0
 
     def test_curvature_like_on_class(self, w3_pool):
         for m in list(w3_pool)[:8]:
             gamma = gamma_of(m)
             q_vec, _ = q_of(m, compute_nabla_J(gamma, m.J))
-            P = tensor_P(metric_pairing(m, q_vec, q_vec))
+            P = tensor_P(metric_pairing(q_vec, q_vec, m.metric))
             assert antisym_residual(P) <= 1e-9
             assert bianchi_residual(P) <= 1e-9
 
@@ -154,18 +154,19 @@ class TestTensorP:
             nJ = compute_nabla_J(gamma, m.J)
             q_vec, _ = q_of(m, nJ)
             sq, _ = norms_of(m, nJ)
-            sc = ricci_and_scalars(m, tensor_P(metric_pairing(m, q_vec, q_vec)))
+            P = tensor_P(metric_pairing(q_vec, q_vec, m.metric))
+            sc = ricci_and_scalars(P, m.metric_inv, m.J)
             assert scalar_residual(sc.tau, 9.0 / 8.0 * sq) <= 1e-9
 
 
 class TestTensorH:
     def test_zero_nabla_J(self, flat4):
-        H = tensor_H(flat4, np.zeros((4, 4, 4)))
+        H = tensor_H(np.zeros((4, 4, 4)), flat4.J, flat4.metric)
         assert np.max(np.abs(H)) == 0.0
 
     def test_structural_properties(self, w3_pool):
         for m in list(w3_pool)[:8]:
-            H = tensor_H(m, compute_nabla_J(gamma_of(m), m.J))
+            H = tensor_H(compute_nabla_J(gamma_of(m), m.J), m.J, m.metric)
             assert antisym_residual(H) <= 1e-9
             assert kahler_residual(H, m.J) <= 1e-9
 
@@ -177,20 +178,20 @@ class TestTensorH:
             gamma = gamma_of(m)
             nJ = compute_nabla_J(gamma, m.J)
             sq, _ = norms_of(m, nJ)
-            sc = ricci_and_scalars(m, tensor_H(m, nJ))
+            sc = ricci_and_scalars(tensor_H(nJ, m.J, m.metric), m.metric_inv, m.J)
             assert scalar_residual(sc.tau, 2.0 * sq) <= 1e-9
 
 
 class TestPiForms:
     def test_component_example(self, flat4):
-        pi1, _, _ = pi_forms(flat4)
+        pi1, _, _ = pi_forms(flat4.metric, flat4.J)
         # arguments (e1,e2,e2,e1) with g = diag(1,1,-1,-1):
         # g(y,z)g(x,w) - g(x,z)g(y,w) = g(e2,e2)g(e1,e1) - 0 = 1
         assert pi1[0, 1, 1, 0] == pytest.approx(1.0)
 
     def test_kahler_combinations(self, w3_pool, other_class_6):
         for m in list(w3_pool)[:6] + [other_class_6]:
-            pi1, pi2, pi3 = pi_forms(m)
+            pi1, pi2, pi3 = pi_forms(m.metric, m.J)
             assert kahler_defect(pi1 - pi2, m.J) <= 1e-9
             assert kahler_residual(pi1 - pi2, m.J) <= 1e-10
             assert kahler_defect(pi3, m.J) <= 1e-9
@@ -202,18 +203,20 @@ class TestDim4Decomposition:
         gamma = gamma_of(flat4)
         q_vec, _ = q_of(flat4, compute_nabla_J(gamma, flat4.J))
         R_prime = riemann(gamma + q_vec, flat4.structure_constants, flat4.metric)
-        res = kahler_decomposition_dim4(pi_forms(flat4), R_prime, 0.0, 0.0)
+        pis = pi_forms(flat4.metric, flat4.J)
+        res = kahler_decomposition_dim4(pis, R_prime, 0.0, 0.0)
         assert res == 0.0
 
     def test_synthetic_decomposition(self, flat4):
         """R' := 3(pi_1 - pi_2) + 5 pi_3 must reproduce nu' = 3, nu'* = 5."""
-        pi1, pi2, pi3 = pi_forms(flat4)
+        pis = pi_forms(flat4.metric, flat4.J)
+        pi1, pi2, pi3 = pis
         synth = 3.0 * (pi1 - pi2) + 5.0 * pi3
         assert kahler_defect(synth, flat4.J) <= 1e-9
-        sc = ricci_and_scalars(flat4, synth)
+        sc = ricci_and_scalars(synth, flat4.metric_inv, flat4.J)
         assert sc.tau / 8.0 == pytest.approx(3.0, abs=1e-12)
         assert sc.tau_star / 8.0 == pytest.approx(5.0, abs=1e-12)
-        res = kahler_decomposition_dim4(pi_forms(flat4), synth, sc.tau, sc.tau_star)
+        res = kahler_decomposition_dim4(pis, synth, sc.tau, sc.tau_star)
         assert res <= 1e-12
 
     def test_real_kahler_example(self, kahler_rprime_4):
@@ -222,15 +225,16 @@ class TestDim4Decomposition:
         q_vec, _ = q_of(m, compute_nabla_J(gamma, m.J))
         R_prime = riemann(gamma + q_vec, m.structure_constants, m.metric)
         assert kahler_defect(R_prime, m.J) <= 1e-9
-        sc = ricci_and_scalars(m, R_prime)
-        res = kahler_decomposition_dim4(pi_forms(m), R_prime, sc.tau, sc.tau_star)
+        sc = ricci_and_scalars(R_prime, m.metric_inv, m.J)
+        pis = pi_forms(m.metric, m.J)
+        res = kahler_decomposition_dim4(pis, R_prime, sc.tau, sc.tau_star)
         assert res <= 1e-9
 
     def test_wrong_dimension_rejected(self, two_step_6):
         m = two_step_6
         R_prime = riemann(gamma_of(m), m.structure_constants, m.metric)
         with pytest.raises(ValueError, match="dimension 4"):
-            kahler_decomposition_dim4(pi_forms(m), R_prime, 0.0, 0.0)
+            kahler_decomposition_dim4(pi_forms(m.metric, m.J), R_prime, 0.0, 0.0)
 
 
 class TestReconstruction:

@@ -138,7 +138,8 @@ class TestSquareNorms:
             q_vec, _ = q_of(m, nJ)
             from norden import metric_pairing, ricci_and_scalars
 
-            tau_P = ricci_and_scalars(m, tensor_P(metric_pairing(m, q_vec, q_vec))).tau
+            P = tensor_P(metric_pairing(q_vec, q_vec, m.metric))
+            tau_P = ricci_and_scalars(P, m.metric_inv, m.J).tau
             assert scalar_residual(tau_P, 3.0 / 8.0 * (3.0 * sq + 2.0 * assoc)) <= 1e-9
             assert scalar_residual(tau_P, 3.0 / 8.0 * (3.0 * sq + assoc)) <= 1e-9
 
@@ -205,7 +206,7 @@ class TestConnectionPrime:
             gamma = gamma_of(m)
             q_vec, _ = q_of(m, compute_nabla_J(gamma, m.J))
             gamma_p = gamma + q_vec
-            dg = covariant_derivative(m, gamma_p, m.metric)
+            dg = covariant_derivative(gamma_p, m.metric)
             assert np.max(np.abs(dg)) <= 1e-9
             nJp = compute_nabla_J(gamma_p, m.J)
             assert np.max(np.abs(nJp)) <= 1e-9
@@ -215,5 +216,5 @@ class TestConnectionPrime:
             gamma = gamma_of(m)
             q_vec, _ = q_of(m, compute_nabla_J(gamma, m.J))
             gamma_p = gamma + q_vec
-            T = torsion(m, gamma_p)
+            T = torsion(gamma_p, m.structure_constants)
             assert residual(T, 2.0 * q_vec) <= 1e-10

@@ -84,6 +84,14 @@ class TestBadManifoldData:
             ManifoldManifest(**bad_manifold_doc)
 
 
+def test_models_compare_and_hash_by_identity():
+    path = bundled_manifest_path("flat_kahler_4")
+    a, b = load_manifest(path), load_manifest(path)
+    assert a == a
+    assert a != b
+    assert len({a, b}) == 2
+
+
 class TestSerialization:
     def test_seventeen_digit_round_trip(self):
         rng = np.random.default_rng(77)
@@ -126,13 +134,13 @@ class TestSerialization:
 class TestRoundTrip:
     def test_save_load_rerun_identical_report(self, tmp_path):
         manifest = load_manifest(bundled_manifest_path("w3_generic_4"))
-        report1 = run_suite(manifest.to_manifold(), manifold_id=manifest.id)
+        report1 = run_suite(manifest)
         path = save_manifest(manifest, tmp_path / "copy.manifest")
         reloaded = load_manifest(path)
         assert np.array_equal(
             reloaded.structure_constants, manifest.structure_constants
         )
-        report2 = run_suite(reloaded.to_manifold(), manifold_id=reloaded.id)
+        report2 = run_suite(reloaded)
         assert emit_report(report1, "json") == emit_report(report2, "json")
 
     def test_reemission_byte_identical(self, tmp_path):

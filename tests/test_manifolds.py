@@ -198,14 +198,14 @@ class TestLeviCivita:
 class TestCovariantDerivative:
     def test_metric_is_parallel(self, w3_pool):
         for m in list(w3_pool)[:6]:
-            dg = covariant_derivative(m, gamma_of(m), m.metric)
+            dg = covariant_derivative(gamma_of(m), m.metric)
             assert np.max(np.abs(dg)) <= 1e-12
 
     def test_flat_connection_annihilates_everything(self, flat4):
         rng = np.random.default_rng(3)
         gamma = gamma_of(flat4)
         t = rng.standard_normal((4, 4, 4))
-        assert np.max(np.abs(covariant_derivative(flat4, gamma, t))) == 0.0
+        assert np.max(np.abs(covariant_derivative(gamma, t))) == 0.0
 
     def test_matches_loop_oracle(self, generic_w3_4):
         from norden import compute_nabla_J
@@ -214,13 +214,13 @@ class TestCovariantDerivative:
         m = generic_w3_4
         gamma = gamma_of(m)
         F = lower(compute_nabla_J(gamma, m.J), m.metric)
-        got = covariant_derivative(m, gamma, F)
+        got = covariant_derivative(gamma, F)
         want = loop_covariant_derivative(gamma, F)
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_rank0_gives_zero_rank1(self, generic_w3_4):
         gamma = gamma_of(generic_w3_4)
-        out = covariant_derivative(generic_w3_4, gamma, np.array(2.5))
+        out = covariant_derivative(gamma, np.array(2.5))
         assert out.ndim == 1 and np.max(np.abs(out)) == 0.0
 
     def test_linearity(self, two_step_6):
@@ -229,7 +229,7 @@ class TestCovariantDerivative:
         gamma = gamma_of(m)
         a = rng.standard_normal((6, 6))
         b = rng.standard_normal((6, 6))
-        da = covariant_derivative(m, gamma, a)
-        db = covariant_derivative(m, gamma, b)
-        dab = covariant_derivative(m, gamma, 2.0 * a - 3.0 * b)
+        da = covariant_derivative(gamma, a)
+        db = covariant_derivative(gamma, b)
+        dab = covariant_derivative(gamma, 2.0 * a - 3.0 * b)
         assert residual(dab, 2.0 * da - 3.0 * db) <= 1e-12

@@ -69,7 +69,7 @@ def two_step_other(dim: int, seed: int) -> LieFrameManifold:
 def test_manifests_match_oracle(name):
     path = bundled_manifest_path(name) if name in BUNDLED else POOL / f"{name}.manifest"
     manifest = load_manifest(path)
-    report = run_suite(manifest.to_manifold(), manifold_id=manifest.id)
+    report = run_suite(manifest)
     assert emit_report(report, "json") == oracle(report)
 
 

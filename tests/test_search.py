@@ -164,8 +164,7 @@ class TestSearch:
         cfg = SearchConfig(dim=4, seed=42, max_candidates=500, max_results=4)
         hits, stats = search_w3_examples(cfg)
         assert stats.hits == len(hits) >= 1
-        for manifest in hits:
-            m = manifest.to_manifold()
+        for m in hits:
             assert validate_manifold(m).ok
             nJ = compute_nabla_J(gamma_of(m), m.J)
             cls = classify(m.J, lower(nJ, m.metric), nJ)
@@ -190,7 +189,7 @@ class TestSearch:
         hits, _ = search_w3_examples(cfg)
         assert len(hits) >= 1
         for manifest in hits:
-            report = run_suite(manifest.to_manifold(), manifold_id=manifest.id)
+            report = run_suite(manifest)
             assert report.check("BIANCHI_R_PRIME").status == "PASS"
             assert report.check("EQ_2_8").status == "PASS"
             assert report.check("EQ_2_14").status == "PASS"
@@ -219,10 +218,10 @@ class TestSearch:
         hits, _ = search_w3_examples(cfg)
         assert hits
         manifest = hits[0]
-        report1 = run_suite(manifest.to_manifold(), manifold_id=manifest.id)
+        report1 = run_suite(manifest)
         path = save_manifest(manifest, tmp_path / "hit.manifest")
         reloaded = load_manifest(path)
-        report2 = run_suite(reloaded.to_manifold(), manifold_id=reloaded.id)
+        report2 = run_suite(reloaded)
         assert emit_report(report1, "json") == emit_report(report2, "json")
 
 

@@ -117,6 +117,21 @@ class TestRunSuite:
         assert not err.value.outcome.ok
         assert any("Norden" in v.name for v in err.value.outcome.violations)
 
+    def test_report_label(self, flat4):
+        """A manifest reports its own id, a plain manifold "manifold", and an
+        explicit id wins over both."""
+        assert flat4.id == "flat_kahler_4"
+        assert run_suite(flat4).manifold_id == "flat_kahler_4"
+        plain = LieFrameManifold(
+            dim=4,
+            structure_constants=flat4.structure_constants,
+            metric=flat4.metric,
+            J=flat4.J,
+        )
+        assert run_suite(plain).manifold_id == "manifold"
+        assert run_suite(flat4, manifold_id="x").manifold_id == "x"
+        assert run_suite(plain, manifold_id="x").manifold_id == "x"
+
     @pytest.mark.parametrize("tolerance", (float("nan"), float("inf"), -1.0, 0.0, 1.0))
     def test_tolerance_out_of_range_rejected(self, flat4, tolerance):
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
