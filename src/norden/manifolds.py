@@ -108,8 +108,13 @@ def canonical_norden_pair(dim: int) -> tuple[NDArray, NDArray]:
 
 def jacobi_array(C: NDArray) -> NDArray:
     """Cyclic sum of [[e_i,e_j],e_l] in frame components, index order [p][i][j][l];
-    leading batch axes of C are kept."""
-    return cyclic_sum3(np.einsum("...mij,...pml->...pijl", C, C), (-3, -2, -1))
+    leading batch axes of C are kept.  The products sum_m C[m][i][j] C[p][m][l]
+    are one stacked matmul, (ij, m) @ (m, pl)."""
+    d = C.shape[-1]
+    flat = C.shape[:-3] + (d, d * d)
+    ijpl = C.reshape(flat).swapaxes(-1, -2) @ C.swapaxes(-3, -2).reshape(flat)
+    ijpl = ijpl.reshape(C.shape + (d,))  # [i][j][p][l]
+    return np.moveaxis(cyclic_sum3(ijpl, (-4, -3, -1)), -2, -4)
 
 
 def validate_manifold(m: LieFrameManifold) -> ValidationOutcome:
@@ -183,7 +188,8 @@ def covariant_derivative(gamma: NDArray, t: NDArray) -> NDArray:
 
     Component functions are constant in the frame, so only connection terms
     survive: (nabla t)[i][a_1..a_r] = -sum_s gamma[m][i][a_s] t[a_1..m..a_r].
-    The derivative direction is slot 0 of the result.
+    The derivative direction is slot 0 of the result, whose dtype is that of
+    gamma and t (object for `Fraction` entries).
     """
     d, rank = gamma.shape[-1], t.ndim
     if t.shape != (d,) * rank:
@@ -191,7 +197,7 @@ def covariant_derivative(gamma: NDArray, t: NDArray) -> NDArray:
     if rank > 8:
         raise ValueError("covariant_derivative supports rank <= 8")
     letters = "abcdefgh"[:rank]
-    out = np.zeros((d,) * (rank + 1))
+    out = np.zeros((d,) * (rank + 1), dtype=np.result_type(gamma, t))
     for s in range(rank):
         t_letters = letters[:s] + "m" + letters[s + 1 :]
         out -= np.einsum(f"mi{letters[s]},{t_letters}->i{letters}", gamma, t)

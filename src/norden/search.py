@@ -16,17 +16,20 @@ subset of it.  The quadratic Jacobi identity is handled two ways:
   unit sphere ||z|| = 1 of the null-space coordinates z, which keeps it off
   the abelian solution.  Both residual maps are homogeneous quadratic in z, so
   they are precomputed once per (dim, target) as a symmetric form Q with
-  phi(z) = Q[z, z] (`QuadraticForm`).  Qz gives the residual and the
-  Jacobian and is linear in z: an iteration is one small least-squares solve
-  and one product Q step, which prices every line-search trial and carries Qz
-  to the next iterate; the iterate is then scaled back onto the sphere, and
-  Qz with it (convergence is confirmed on a direct product).  The
-  solve drops singular values below `GN_RANK_CUTOFF` times the largest (by
-  SVD, only where a QR-based bound cannot rule them out), so near the
-  singular roots the search meets, the Jacobian it inverts has locally
-  constant rank and convergence stays quadratic where that rank is constant.
-  The candidates run in lockstep (`_Lockstep`), each bit for bit as it would
-  alone, and the search runs exactly those that one at a time would run.
+  phi(z) = Q[z, z] (`QuadraticForm`).  Each entry of Q is a symmetrised
+  bilinear product of two null-space directions, computed only on the kept
+  rows, a chunk of rows per batched matmul (`_quadratic_form`).  Qz gives
+  the residual and the Jacobian and is linear in z: an iteration is one small
+  least-squares solve and one product Q step, which prices every line-search
+  trial and carries Qz to the next iterate; the iterate is then scaled back
+  onto the sphere, and Qz with it (convergence is confirmed on a direct
+  product).  The solve drops singular values below `GN_RANK_CUTOFF` times
+  the largest (by SVD, only where a QR-based bound cannot rule them out), so
+  near the singular roots the search meets, the Jacobian it inverts has
+  locally constant rank and convergence stays quadratic where that rank is
+  constant.  The candidates run in lockstep (`_Lockstep`), each bit for bit
+  as it would alone, and the search runs exactly those that one at a time
+  would run.
 
 Acceptance judges a stack: the two-step brackets drawn since the last round
 wait and are judged together with the Gauss-Newton candidates that converge
@@ -59,7 +62,6 @@ from .manifolds import (
     MATRIX_TOLERANCE,
     bracket_residuals,
     canonical_norden_pair,
-    jacobi_array,
     levi_civita,
 )
 from .tensors import DEFAULT_TOLERANCE, check_tolerance, cyclic_sum3, lower
@@ -284,43 +286,51 @@ def _inverse_or_nan(R: NDArray) -> NDArray:
         return np.full(R.shape[::-1], np.nan)
 
 
-def _phi_kept(
-    C: NDArray, conn: NDArray | None, g: NDArray, rows: NDArray
-) -> NDArray:
-    """Kept rows of the residual map for a batch of brackets C and, for the
-    Kahler target, their natural connections conn (the first Bianchi sum of
-    R'); one row per batch entry."""
-    n = C.shape[0]
-    parts = [jacobi_array(C).reshape(n, -1)]
-    if conn is not None:
-        parts.append(cyclic_sum3(riemann(conn, C, g), (-4, -3, -2)).reshape(n, -1))
-    return np.concatenate(parts, axis=1)[:, rows]
+# kept rows per batched product of the form build: a chunk's factors and
+# products take about 5 MB in dim 8, against 149 MB for q
+_FORM_CHUNK = 8
 
 
 @lru_cache(maxsize=None)
 def _quadratic_form(dim: int, want_kahler: bool) -> QuadraticForm:
-    """Q of the generic family by polarisation of the kernel maps,
-    Q[e_a, e_b] = (phi(D_a + D_b) - phi(D_a) - phi(D_b)) / 2 for the
-    null-space directions D_a.  The natural connection gamma + Q is linear
-    in C, so it is built once per direction and summed per pair; the pairs
-    are batched one row a at a time."""
+    """Q of the generic family from the bilinear map B with phi(C) = B(C, C):
+    q[a, b, k] = (B(D_a, D_b) + B(D_b, D_a))[k] / 2 for the null-space
+    directions D_a, on the kept rows k only.  Row k of B(A, A') is a sum of
+    products x_t(A) y_t(A') over 3 cyclic terms times d values of m (Jacobi),
+    or 3 cyclic times 3 Riemann terms times d (R', g folded into the
+    connection factor); a chunk of rows is one batched matmul of the gathered
+    factors, (K, r, T) @ (K, T, r), written straight into q."""
     basis, null = _generic_family(dim)
     r = null.shape[1]
-    g, J = canonical_norden_pair(dim)
-    D = (basis @ null).T.reshape(r, dim, dim, dim)
-    rows = _kept_rows(dim, (1, 2, 3))
-    conn = None
+    D = (basis @ null).reshape(dim, dim, dim, r)  # [m][i][j][a]
+    blocks = [_kept_rows(dim, (1, 2, 3))]
     if want_kahler:
-        rows = np.concatenate([rows, dim**4 + _kept_rows(dim, (0, 1, 2))])
-        gamma = levi_civita(D, g, np.linalg.inv(g))
+        g, J = canonical_norden_pair(dim)
+        gamma = levi_civita(D.transpose(3, 0, 1, 2), g, np.linalg.inv(g))
         conn = gamma + q_array(compute_nabla_J(gamma, J), J)
-    diag = _phi_kept(D, conn, g, rows)
+        low = lower(conn, g).transpose(1, 2, 3, 0)  # [i][m][l][a]
+        conn = conn.transpose(1, 2, 3, 0)  # [m][i][j][a]
+        blocks.append(_kept_rows(dim, (0, 1, 2)))
+    rows = np.concatenate([block + n * dim**4 for n, block in enumerate(blocks)])
     q = np.empty((r, r, rows.size))
-    q[np.arange(r), np.arange(r)] = diag
-    for a in range(r - 1):
-        pair_conn = None if conn is None else conn[a] + conn[a + 1 :]
-        pair = _phi_kept(D[a] + D[a + 1 :], pair_conn, g, rows)
-        q[a, a + 1 :] = q[a + 1 :, a] = 0.5 * (pair - diag[a] - diag[a + 1 :])
+    m, col = np.arange(dim)[None], 0
+    for n, block in enumerate(blocks):
+        for chunk in np.split(block, range(_FORM_CHUNK, block.size, _FORM_CHUNK)):
+            w, x, y, z = (t[:, None] for t in np.unravel_index(chunk, (dim,) * 4))
+            pairs = []
+            if n == 0:  # Jacobi [w][i][j][k], cyclic in (i, j, k) = (x, y, z)
+                for i, j, k in ((x, y, z), (y, z, x), (z, x, y)):
+                    pairs.append((D[m, i, j], D[w, m, k]))
+            else:  # R' [i][j][k][z], cyclic in (i, j, k) = (w, x, y)
+                for i, j, k in ((w, x, y), (x, y, w), (y, w, x)):
+                    pairs.append((low[i, m, z], conn[m, j, k]))
+                    pairs.append((-low[j, m, z], conn[m, i, k]))
+                    pairs.append((-D[m, i, j], low[m, k, z]))
+            xs, ys = (np.concatenate(f, axis=1) for f in zip(*pairs))
+            half = (0.5 * xs).transpose(0, 2, 1) @ ys  # exact: 0.5 is a power of 2
+            out = q[:, :, col : col + chunk.size]
+            np.add(half.transpose(1, 2, 0), half.transpose(2, 1, 0), out=out)
+            col += chunk.size
     return QuadraticForm(dim, basis, null, rows, q)
 
 

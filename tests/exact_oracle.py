@@ -79,6 +79,31 @@ def loop_nabla_J(G, J):
     return N
 
 
+def loop_covariant_derivative(G, t, rank):
+    """(nabla t)[i][a_1..a_r] = -sum_s G[m][i][a_s] t[a_1..m..a_r] of a
+    covariant tensor t of the given rank, as nested lists."""
+    d = len(G)
+
+    def entry(idx):
+        total = 0
+        for s in range(1, rank + 1):
+            for m in range(d):
+                x = G[m][idx[0]][idx[s]]
+                if x:
+                    sub = t
+                    for a in idx[1:s] + (m,) + idx[s + 1 :]:
+                        sub = sub[a]
+                    total -= x * sub
+        return total
+
+    def table(prefix):
+        if len(prefix) == rank + 1:
+            return entry(prefix)
+        return [table(prefix + (a,)) for a in range(d)]
+
+    return table(())
+
+
 def loop_Q(N, J):
     """Q(x,y) = 1/4 {(nabla_x J)Jy - (nabla_{Jx} J)y - 2 (nabla_y J)Jx}."""
     d = len(J)

@@ -22,6 +22,7 @@ from norden import (
     LieFrameManifold,
     bundled_manifest_path,
     compute_nabla_J,
+    covariant_derivative,
     cyclic_sum3,
     levi_civita,
     load_manifest,
@@ -42,6 +43,7 @@ from norden.tensors import lower
 
 from exact_oracle import (
     inverse,
+    loop_covariant_derivative,
     loop_koszul,
     loop_nabla_J,
     loop_panel,
@@ -199,6 +201,32 @@ def test_kernel_runs_on_fractions():
     assert all(isinstance(x, Fraction) for x in alt.flat)
     assert alt.tolist() == lower(Q, g_).tolist()
     assert np.any(alt != 0)
+
+
+def test_covariant_derivative_runs_on_fractions():
+    """nabla F and nabla g along the Levi-Civita connection of w3_two_step_6,
+    from the kernel's Fraction gamma and nabla J: every entry equals the loop
+    oracle's exactly, and nabla g vanishes exactly."""
+    m = load_manifest(bundled_manifest_path("w3_two_step_6"))
+    C, g, J = (to_fractions(a.tolist()) for a in (m.structure_constants, m.metric, m.J))
+    g_inv = inverse(g)
+    C_, g_, g_inv_, J_ = (np.array(x, dtype=object) for x in (C, g, g_inv, J))
+    gamma = levi_civita(C_, g_, g_inv_)
+    F = lower(compute_nabla_J(gamma, J_), g_)
+    G = loop_koszul(C, g, g_inv)
+    N = loop_nabla_J(G, J)
+    d = m.dim
+    want_F = [
+        [[sum(N[a][i][j] * g[a][k] for a in range(d)) for k in range(d)] for j in range(d)]
+        for i in range(d)
+    ]
+    for t, want_t, rank in ((F, want_F, 3), (g_, g, 2)):
+        got = covariant_derivative(gamma, t)
+        assert got.dtype == object
+        assert all(isinstance(x, Fraction) for x in got.flat)
+        assert got.tolist() == loop_covariant_derivative(G, want_t, rank)
+    assert not np.any(covariant_derivative(gamma, g_))
+    assert np.any(covariant_derivative(gamma, F))
 
 
 def _einsum_subscripts(path: Path):

@@ -1,6 +1,7 @@
 """Manifold validation, the Levi-Civita connection and covariant derivatives."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from norden import (
     levi_civita,
     validate_manifold,
 )
+from norden.manifolds import jacobi_array
 from norden.tensors import residual
 
 
@@ -45,6 +47,35 @@ def loop_covariant_derivative(gamma, arr):
                 acc -= gamma[mm][i][rest[s]] * arr[tuple(idx)]
         out[full] = acc
     return out
+
+
+def loop_jacobi(C):
+    """Term-by-term loop oracle of the cyclic Jacobi sum, order [p][i][j][l]:
+    sum_m C[m][i][j] C[p][m][l] + C[m][j][l] C[p][m][i] + C[m][l][i] C[p][m][j]."""
+    d = len(C)
+    out = [[[[0] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    for p, i, j, l in itertools.product(range(d), repeat=4):
+        out[p][i][j][l] = sum(
+            C[m][i][j] * C[p][m][l] + C[m][j][l] * C[p][m][i] + C[m][l][i] * C[p][m][j]
+            for m in range(d)
+        )
+    return out
+
+
+class TestJacobiArray:
+    def test_matches_loop_oracle(self):
+        C = np.random.default_rng(8).standard_normal((2, 4, 4, 4))
+        got = jacobi_array(C)
+        want = np.array([loop_jacobi(c.tolist()) for c in C])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_fraction_brackets_are_exact(self):
+        ints = np.random.default_rng(9).integers(-3, 4, (4, 4, 4)).tolist()
+        C = [[[Fraction(x, 3) for x in row] for row in M] for M in ints]
+        got = jacobi_array(np.array(C, dtype=object))
+        assert all(isinstance(x, Fraction) for x in got.flat)
+        assert got.tolist() == loop_jacobi(C)
 
 
 class TestValidation:

@@ -237,6 +237,38 @@ def _kernel_map(C, kahler):
     return np.concatenate(parts)
 
 
+def _polarised_form(dim, kahler):
+    """(rows, q) of the generic family by polarisation of the kernel maps:
+    q[a, b] = (phi(D_a + D_b) - phi(D_a) - phi(D_b)) / 2 on the rows whose
+    cyclic indices increase, one batched kernel call per direction a."""
+    basis, null = search._generic_family(dim)
+    r = null.shape[1]
+    g, J = canonical_norden_pair(dim)
+    D = (basis @ null).T.reshape(r, dim, dim, dim)
+    index = list(itertools.product(range(dim), repeat=4))
+    rows = [n for n, (p, i, j, l) in enumerate(index) if i < j < l]
+    conn = None
+    if kahler:
+        rows += [dim**4 + n for n, (i, j, k, l) in enumerate(index) if i < j < k]
+        gamma = levi_civita(D, g, np.linalg.inv(g))
+        conn = gamma + q_array(compute_nabla_J(gamma, J), J)
+
+    def phi(C, conn):
+        parts = [jacobi_array(C).reshape(len(C), -1)]
+        if conn is not None:
+            parts.append(cyclic_sum3(riemann(conn, C, g), (-4, -3, -2)).reshape(len(C), -1))
+        return np.concatenate(parts, axis=1)[:, rows]
+
+    diag = phi(D, conn)
+    q = np.empty((r, r, len(rows)))
+    q[np.arange(r), np.arange(r)] = diag
+    for a in range(r - 1):
+        pair_conn = None if conn is None else conn[a] + conn[a + 1 :]
+        pair = phi(D[a] + D[a + 1 :], pair_conn)
+        q[a, a + 1 :] = q[a + 1 :, a] = 0.5 * (pair - diag[a] - diag[a + 1 :])
+    return np.array(rows), q
+
+
 FORMS = [(dim, kahler) for dim in (4, 6) for kahler in (False, True)]
 
 
@@ -255,6 +287,13 @@ class TestQuadraticForm:
         kept = _kernel_map(form.brackets(z), kahler)[form.rows]
         err = np.max(np.abs(z @ _qz(form, z) - kept))
         assert err <= 1e-13 * (1.0 + np.max(np.abs(kept)))
+
+    def test_form_equals_the_polarised_kernel_maps(self, form_case):
+        form, kahler, _ = form_case
+        rows, q = _polarised_form(form.dim, kahler)
+        assert np.array_equal(form.rows, rows)
+        assert np.max(np.abs(form.q - q)) <= 1e-15
+        assert np.array_equal(form.q, form.q.transpose(1, 0, 2))
 
     def test_kept_rows_carry_max_abs_and_a_sixth_of_the_squares(self, form_case):
         form, kahler, z = form_case
