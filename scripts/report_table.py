@@ -12,7 +12,9 @@ markdown row: the exit code and sha256 prefixes of both reports.  The last
 line gives a sha256 prefix of all the reports concatenated, in table order.
 `--json` writes the rows; `--baseline` reads such a file (of another tree,
 say) and prints each cell as `baseline → same`, or `baseline → this` where
-the two differ.  Run it in each tree to compare two trees.
+the two differ.  Run it in each tree to compare two trees.  With
+`--baseline`, the exit code is 1 when a cell or the digest differs or a
+manifest has no baseline row, and 0 when everything reads `same`.
 """
 
 from __future__ import annotations
@@ -108,7 +110,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\nsha256 of all reports: {cell(base['digest'], doc['digest'])}")
     if args.json is not None:
         args.json.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    return 0
+    if args.baseline is None:
+        return 0
+    base_rows = {r["manifest"]: r for r in base["rows"]}
+    same = all(base_rows.get(r["manifest"]) == r for r in rows)
+    return 0 if same and base["digest"] == doc["digest"] else 1
 
 
 if __name__ == "__main__":

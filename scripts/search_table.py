@@ -18,7 +18,9 @@ as one markdown row: hits, candidates, `gn_iterations`, `gn_rounds`,
 manifests' JSON.  `--json` writes the rows with every `SearchStats` counter;
 `--baseline` reads such a file (of another tree, say) and prints each cell
 as `baseline → this` where the two differ, and in a last column the other
-counters that differ.  Run it in each tree to compare two trees.
+counters that differ.  Run it in each tree to compare two trees.  With
+`--baseline`, the exit code is 1 when a counter or a hits digest differs or
+a configuration has no baseline row, and 0 when everything reads the same.
 """
 
 from __future__ import annotations
@@ -183,7 +185,14 @@ def main(argv: list[str] | None = None) -> int:
     print(table(rows, baseline))
     if args.json is not None:
         args.json.write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
-    return 0
+    if baseline is None:
+        return 0
+    same = all(
+        (base := baseline.get(key(row))) is not None
+        and (base["stats"], base["sha256"]) == (row["stats"], row["sha256"])
+        for row in rows
+    )
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

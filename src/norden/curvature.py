@@ -16,6 +16,15 @@ from numpy.typing import NDArray
 from .geometry import twist_arrays
 from .tensors import contract, cyclic_sum3, residual, zero_residual
 
+# g(R(e_i,e_j)e_k, e_l) as signed products of two factors (name, index letters)
+# summed over m: the brackets C, the connection gamma and its lowered form
+# L[i][m][l] = g(nabla_{e_i} e_m, e_l).  `riemann` and the search's form read it.
+RIEMANN_TERMS = (
+    (1, ("L", "iml"), ("gamma", "mjk")),
+    (-1, ("L", "jml"), ("gamma", "mik")),
+    (-1, ("C", "mij"), ("L", "mkl")),
+)
+
 
 def antisym_residual(L: NDArray) -> float:
     """Residual of both pair antisymmetries L(x,y,z,w) = -L(y,x,z,w) = -L(x,y,w,z)."""
@@ -39,15 +48,15 @@ def kahler_residual(L: NDArray, J: NDArray) -> float:
 
 
 def riemann(gamma: NDArray, C: NDArray, g: NDArray) -> NDArray:
-    """Curvature R(x,y)z = nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z
-    of the frame connection gamma, lowered to the (0,4) form g(R(x,y)z, w);
-    leading batch axes of gamma and C are kept."""
-    r_vec = (
-        np.einsum("...lim,...mjk->...lijk", gamma, gamma)
-        - np.einsum("...ljm,...mik->...lijk", gamma, gamma)
-        - np.einsum("...mij,...lmk->...lijk", C, gamma)
-    )
-    return np.einsum("...mijk,ml->...ijkl", r_vec, g)
+    """Curvature g(R(x,y)z, w) of the frame connection gamma, R(x,y)z =
+    nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z: one einsum per term of
+    `RIEMANN_TERMS`, leading batch axes kept; L stored [l][i][m] runs faster."""
+    L = np.einsum("ml,...mik->...lik", g, gamma).swapaxes(-3, -2).swapaxes(-2, -1)
+    factors, R = {"C": C, "gamma": gamma, "L": L}, 0
+    for sign, (a, x), (b, y) in RIEMANN_TERMS:
+        t = np.einsum(f"...{x},...{y}->...ijkl", factors[a], factors[b])
+        R = R + t if sign > 0 else R - t
+    return R
 
 
 @dataclass(frozen=True)

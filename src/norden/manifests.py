@@ -126,14 +126,16 @@ def save_manifest(manifest: ManifoldManifest, path: str | Path) -> Path:
 
 
 def _as_float_array(doc: dict, key: str, shape: tuple[int, ...]) -> NDArray:
+    entries = np.asarray(doc[key], dtype=object)
+    # a JSON boolean or string would convert to a float, but is no number
+    if entries.shape == shape and not set(map(type, entries.flat)) <= {int, float}:
+        raise ManifestFormatError(f"field {key!r} has entries that are not numbers")
     try:
-        arr = np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = entries.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge int
         raise ManifestFormatError(f"field {key!r} is not a numeric array: {exc}")
     if arr.shape != shape:
-        raise ManifestShapeError(
-            f"field {key!r} has shape {arr.shape}, expected {shape}"
-        )
+        raise ManifestShapeError(f"field {key!r} has shape {arr.shape}, expected {shape}")
     return arr
 
 

@@ -19,6 +19,14 @@ from .tensors import cyclic_sum3, lower, residual
 
 JACOBI_TOLERANCE = 1e-10
 MATRIX_TOLERANCE = 1e-12
+# [[e_i,e_j],e_l] in frame components [p][i][j][l] as signed products of two
+# factors (name, index letters) summed over m; the Jacobi sum is its cyclic sum
+# in (i, j, l).  The search's quadratic form reads it, and so, once, do the axes
+# of jacobi_array's matmul (ij, m) @ (m, pl).
+JACOBI_TERMS = ((1, ("C", "mij"), ("C", "pml")),)
+[(_SIGN, (_, _X), (_, _Y))] = JACOBI_TERMS
+_X_AXES = tuple(_X.index(c) - 3 for c in "ijm")
+_Y_AXES = tuple(_Y.index(c) - 3 for c in "mpl")
 
 
 def _as_readonly(arr: NDArray) -> NDArray:
@@ -107,14 +115,14 @@ def canonical_norden_pair(dim: int) -> tuple[NDArray, NDArray]:
 
 
 def jacobi_array(C: NDArray) -> NDArray:
-    """Cyclic sum of [[e_i,e_j],e_l] in frame components, index order [p][i][j][l];
-    leading batch axes of C are kept.  The products sum_m C[m][i][j] C[p][m][l]
-    are one stacked matmul, (ij, m) @ (m, pl)."""
-    d = C.shape[-1]
-    flat = C.shape[:-3] + (d, d * d)
-    ijpl = C.reshape(flat).swapaxes(-1, -2) @ C.swapaxes(-3, -2).reshape(flat)
-    ijpl = ijpl.reshape(C.shape + (d,))  # [i][j][p][l]
-    return np.moveaxis(cyclic_sum3(ijpl, (-4, -3, -1)), -2, -4)
+    """The Jacobi sum of `JACOBI_TERMS`, index order [p][i][j][l]; leading
+    batch axes of C are kept.  The products are one stacked matmul, and the
+    copy that reshaping (m, pl) takes applies the sign."""
+    d, lead = C.shape[-1], tuple(range(C.ndim - 3))
+    x = C.transpose(lead + _X_AXES).reshape(C.shape[:-3] + (d * d, d))
+    y = np.multiply(_SIGN, C.transpose(lead + _Y_AXES), order="C")
+    ijpl = (x @ y.reshape(C.shape[:-3] + (d, d * d))).reshape(C.shape + (d,))
+    return cyclic_sum3(ijpl, (-4, -3, -1)).transpose(lead + (-2, -4, -3, -1))
 
 
 def validate_manifold(m: LieFrameManifold) -> ValidationOutcome:

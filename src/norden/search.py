@@ -14,22 +14,15 @@ subset of it.  The quadratic Jacobi identity is handled two ways:
   residual (and, for the Kahler target, the first Bianchi residual of the
   skew-torsion curvature) to zero inside the membership null space, on the
   unit sphere ||z|| = 1 of the null-space coordinates z, which keeps it off
-  the abelian solution.  Both residual maps are homogeneous quadratic in z, so
-  they are precomputed once per (dim, target) as a symmetric form Q with
-  phi(z) = Q[z, z] (`QuadraticForm`).  Each entry of Q is a symmetrised
-  bilinear product of two null-space directions, computed only on the kept
-  rows, a chunk of rows per batched matmul (`_quadratic_form`).  Qz gives
-  the residual and the Jacobian and is linear in z: an iteration is one small
-  least-squares solve and one product Q step, which prices every line-search
-  trial and carries Qz to the next iterate; the iterate is then scaled back
-  onto the sphere, and Qz with it (convergence is confirmed on a direct
-  product).  The solve drops singular values below `GN_RANK_CUTOFF` times
-  the largest (by SVD, only where a QR-based bound cannot rule them out), so
-  near the singular roots the search meets, the Jacobian it inverts has
-  locally constant rank and convergence stays quadratic where that rank is
-  constant.  The candidates run in lockstep (`_Lockstep`), each bit for bit
-  as it would alone, and the search runs exactly those that one at a time
-  would run.
+  the abelian solution.  Both residual maps are homogeneous quadratic in z,
+  so they are precomputed once per (dim, target) as a symmetric form Q with
+  phi(z) = Q[z, z] (`QuadraticForm`), from the product tables that the
+  kernels evaluate (`_quadratic_form`).  Qz gives the residual and the
+  Jacobian and is linear in z: an iteration is one small rank-revealing
+  least-squares solve (`QuadraticForm.step`) and one product Q step, which
+  prices every line-search trial and carries Qz to the next iterate on the
+  sphere.  The candidates run in lockstep (`_Lockstep`), each bit for bit as
+  alone, and exactly those that a one-at-a-time search would run.
 
 Acceptance judges a stack: the two-step brackets drawn since the last round
 wait and are judged together with the Gauss-Newton candidates that converge
@@ -54,10 +47,11 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .curvature import bianchi_residual, riemann
+from .curvature import RIEMANN_TERMS, bianchi_residual, riemann
 from .geometry import ClassLabel, classify, compute_nabla_J, q_array
 from .manifests import ManifoldManifest
 from .manifolds import (
+    JACOBI_TERMS,
     JACOBI_TOLERANCE,
     MATRIX_TOLERANCE,
     bracket_residuals,
@@ -203,24 +197,18 @@ def _two_step_families(dim: int) -> tuple[tuple[NDArray, NDArray], ...]:
 _ROW_WEIGHT = np.sqrt(6.0)
 
 
-def _kept_rows(dim: int, slots: tuple[int, int, int]) -> NDArray:
-    """Flat indices of the rank-4 entries whose `slots` indices increase."""
-    i, j, k = np.indices((dim,) * 4).reshape(4, -1)[list(slots)]
-    return np.flatnonzero((i < j) & (j < k))
-
-
 @dataclass(frozen=True)
 class QuadraticForm:
     """The Gauss-Newton residual map phi(z) of one (dim, target) as a
     symmetric form: phi(z) = Q[z, z] on the kept rows.
 
-    phi stacks the Jacobi sum of the brackets C(z) = basis @ null @ z (index
-    order [p][i][j][l], cyclic in i, j, l) and, for the Kahler target, the
-    first Bianchi sum of R' (order [i][j][k][l], cyclic in i, j, k).  Both are
-    totally antisymmetric in their three cyclic slots, so only the rows with
-    increasing cyclic indices are kept (`rows`, flat indices into the stacked
-    full map): they carry its max-abs and 1/6 of its sum of squares.
-    q[a, b, :] = Q[e_a, e_b].
+    phi stacks the Jacobi sum of the brackets C(z) = basis @ null @ z
+    (`JACOBI_TERMS`, order [p][i][j][l], cyclic in i, j, l) and, for the
+    Kahler target, the first Bianchi sum of R' (`RIEMANN_TERMS`, order
+    [i][j][k][l], cyclic in i, j, k).  Both are totally antisymmetric in their
+    three cyclic slots, so only the rows with increasing cyclic indices are
+    kept (`rows`, flat indices into the stacked full map): they carry its
+    max-abs and 1/6 of its sum of squares.  q[a, b, :] = Q[e_a, e_b].
     """
 
     dim: int
@@ -295,42 +283,45 @@ _FORM_CHUNK = 8
 def _quadratic_form(dim: int, want_kahler: bool) -> QuadraticForm:
     """Q of the generic family from the bilinear map B with phi(C) = B(C, C):
     q[a, b, k] = (B(D_a, D_b) + B(D_b, D_a))[k] / 2 for the null-space
-    directions D_a, on the kept rows k only.  Row k of B(A, A') is a sum of
-    products x_t(A) y_t(A') over 3 cyclic terms times d values of m (Jacobi),
-    or 3 cyclic times 3 Riemann terms times d (R', g folded into the
-    connection factor); a chunk of rows is one batched matmul of the gathered
-    factors, (K, r, T) @ (K, T, r), written straight into q."""
+    directions D_a, on the kept rows k only.  Row k of B(A, A') sums the
+    products sign x(A) y(A') over m, the terms of its map's table and the three
+    cyclic shifts of its cyclic letters; a chunk of rows gathers its factors by
+    flat index and is one batched matmul, (K, r, T) @ (K, T, r), written into q."""
     basis, null = _generic_family(dim)
     r = null.shape[1]
     D = (basis @ null).reshape(dim, dim, dim, r)  # [m][i][j][a]
-    blocks = [_kept_rows(dim, (1, 2, 3))]
+    factors, maps = {"C": D.transpose(3, 0, 1, 2)}, [(JACOBI_TERMS, "pijl", "ijl")]
     if want_kahler:
         g, J = canonical_norden_pair(dim)
-        gamma = levi_civita(D.transpose(3, 0, 1, 2), g, np.linalg.inv(g))
-        conn = gamma + q_array(compute_nabla_J(gamma, J), J)
-        low = lower(conn, g).transpose(1, 2, 3, 0)  # [i][m][l][a]
-        conn = conn.transpose(1, 2, 3, 0)  # [m][i][j][a]
-        blocks.append(_kept_rows(dim, (0, 1, 2)))
-    rows = np.concatenate([block + n * dim**4 for n, block in enumerate(blocks)])
-    q = np.empty((r, r, rows.size))
-    m, col = np.arange(dim)[None], 0
-    for n, block in enumerate(blocks):
-        for chunk in np.split(block, range(_FORM_CHUNK, block.size, _FORM_CHUNK)):
-            w, x, y, z = (t[:, None] for t in np.unravel_index(chunk, (dim,) * 4))
-            pairs = []
-            if n == 0:  # Jacobi [w][i][j][k], cyclic in (i, j, k) = (x, y, z)
-                for i, j, k in ((x, y, z), (y, z, x), (z, x, y)):
-                    pairs.append((D[m, i, j], D[w, m, k]))
-            else:  # R' [i][j][k][z], cyclic in (i, j, k) = (w, x, y)
-                for i, j, k in ((w, x, y), (x, y, w), (y, w, x)):
-                    pairs.append((low[i, m, z], conn[m, j, k]))
-                    pairs.append((-low[j, m, z], conn[m, i, k]))
-                    pairs.append((-D[m, i, j], low[m, k, z]))
-            xs, ys = (np.concatenate(f, axis=1) for f in zip(*pairs))
-            half = (0.5 * xs).transpose(0, 2, 1) @ ys  # exact: 0.5 is a power of 2
-            out = q[:, :, col : col + chunk.size]
-            np.add(half.transpose(1, 2, 0), half.transpose(2, 1, 0), out=out)
-            col += chunk.size
+        gamma = levi_civita(factors["C"], g, np.linalg.inv(g))
+        factors["gamma"] = conn = gamma + q_array(compute_nabla_J(gamma, J), J)
+        factors["L"] = lower(conn, g)
+        maps.append((RIEMANN_TERMS, "ijkl", "ijk"))
+    names, shape = list(factors), (len(factors),) + (dim,) * 3
+    flat = np.stack(list(factors.values()), -1).transpose(4, 1, 2, 3, 0).reshape(-1, r)
+    rows, chunks = [], []
+    for n, (terms, row, cyc) in enumerate(maps):
+        grid = dict(zip(row + "m", np.indices((dim,) * 5).reshape(5, dim**4, dim)))
+        a, b, c = (grid[letter][:, 0] for letter in cyc)
+        kept = np.flatnonzero((a < b) & (b < c))
+        grid, xy = {letter: index[kept] for letter, index in grid.items()}, ([], [])
+        for shift in range(3):  # letter cyc[t] reads the row index of cyc[t + shift]
+            turn = str.maketrans(cyc, cyc[shift:] + cyc[:shift])
+            for _, *pair in terms:
+                for ind, (name, idx) in zip(xy, pair):
+                    multi = [names.index(name)] + [grid[i] for i in idx.translate(turn)]
+                    ind.append(np.ravel_multi_index(multi, shape))
+        x, y = (np.concatenate(ind, axis=1) for ind in xy)
+        w = np.repeat([0.5 * sign for sign, *_ in terms] * 3, dim)[:, None]  # exact
+        for k in range(0, kept.size, _FORM_CHUNK):
+            chunks.append((x[k : k + _FORM_CHUNK], y[k : k + _FORM_CHUNK], w))
+        rows.append(kept + n * dim**4)
+    rows = np.concatenate(rows)
+    q, col = np.empty((r, r, rows.size)), 0
+    for x, y, w in chunks:  # a chunk of rows: (K, r, T) @ (K, T, r)
+        half = (w * flat[x]).transpose(0, 2, 1) @ flat[y]
+        out, col = q[:, :, col : col + len(x)], col + len(x)
+        np.add(half.transpose(1, 2, 0), half.transpose(2, 1, 0), out=out)
     return QuadraticForm(dim, basis, null, rows, q)
 
 

@@ -28,6 +28,7 @@ from norden import (
     load_manifest,
     metric_pairing,
     residual,
+    riemann,
     run_suite,
     scalar_residual,
     tensor_H,
@@ -38,12 +39,15 @@ from norden.geometry import (
     q_from_cyclic_F,
     twist_arrays,
 )
+from norden.curvature import RIEMANN_TERMS
+from norden.manifolds import JACOBI_TERMS
 from norden.suite import build_context
 from norden.tensors import lower
 
 from exact_oracle import (
     inverse,
     loop_covariant_derivative,
+    loop_curvature,
     loop_koszul,
     loop_nabla_J,
     loop_panel,
@@ -203,6 +207,29 @@ def test_kernel_runs_on_fractions():
     assert np.any(alt != 0)
 
 
+def test_riemann_runs_on_fractions():
+    """R and R' of w3_two_step_6 from the kernel's Fraction gamma and
+    gamma + Q: every entry equals the loop oracle's exactly.  The oracle
+    writes the curvature out in full, so it checks `RIEMANN_TERMS`, which the
+    kernel and the search's quadratic form both read."""
+    m = load_manifest(bundled_manifest_path("w3_two_step_6"))
+    C, g, J = (to_fractions(a.tolist()) for a in (m.structure_constants, m.metric, m.J))
+    g_inv = inverse(g)
+    C_, g_, g_inv_, J_ = (np.array(x, dtype=object) for x in (C, g, g_inv, J))
+    gamma = levi_civita(C_, g_, g_inv_)
+    conn = gamma + q_array(compute_nabla_J(gamma, J_), J_)
+    G = loop_koszul(C, g, g_inv)
+    Q = loop_Q(loop_nabla_J(G, J), J)
+    d = m.dim
+    G_prime = [[[G[k][i][j] + Q[k][i][j] for j in range(d)] for i in range(d)]
+               for k in range(d)]
+    for connection, want_connection in ((gamma, G), (conn, G_prime)):
+        got = riemann(connection, C_, g_)
+        assert all(isinstance(x, Fraction) for x in got.flat)
+        assert got.tolist() == loop_curvature(want_connection, C, g)
+        assert np.any(got != 0)
+
+
 def test_covariant_derivative_runs_on_fractions():
     """nabla F and nabla g along the Levi-Civita connection of w3_two_step_6,
     from the kernel's Fraction gamma and nabla J: every entry equals the loop
@@ -242,7 +269,9 @@ def _einsum_subscripts(path: Path):
 
 
 def test_every_einsum_has_at_most_five_labels():
-    """Subscripts built at run time (f-strings) are not seen here."""
+    """Subscripts built at run time (f-strings) are not seen here, but those
+    of `riemann` are the letters of the product tables, checked as well (a
+    term is also a gathered product of the search's quadratic form)."""
     found, wide = 0, []
     for path in sorted((ROOT / "src" / "norden").glob("*.py")):
         for line, subscripts in _einsum_subscripts(path):
@@ -250,5 +279,9 @@ def test_every_einsum_has_at_most_five_labels():
             labels = set(subscripts.replace("...", "")) - set(",-> ")
             if len(labels) > 5:
                 wide.append(f"{path.name}:{line} {subscripts}")
+    for name, table in (("JACOBI_TERMS", JACOBI_TERMS), ("RIEMANN_TERMS", RIEMANN_TERMS)):
+        for _, (_, x), (_, y) in table:
+            if len(set(x + y)) > 5:
+                wide.append(f"{name} {x},{y}")
     assert found >= 20
     assert not wide, wide

@@ -13,7 +13,7 @@ from norden import (
     run_suite,
     save_manifest,
 )
-from norden.cli import emit_report
+from norden.cli import emit_report, main
 from norden.manifests import (
     ManifestFormatError,
     ManifestNotFoundError,
@@ -72,6 +72,27 @@ class TestLoadManifest:
                 "id": "x", "dim": "four", "structure_constants": [],
                 "metric": [], "J": [],
             }))
+
+    @pytest.mark.parametrize("entry", [True, "0", "1e0"])
+    def test_non_numeric_entry(self, entry, tmp_path, capsys):
+        """A JSON boolean or string in a numeric array would convert to a
+        float; it is a format error, and `verify` exits with code 2."""
+        path = bundled_manifest_path("flat_kahler_4")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["metric"][0][0] = entry
+        with pytest.raises(ManifestFormatError, match="'metric' has entries that are not"):
+            parse_manifest(json.dumps(doc))
+        bad = tmp_path / "bad.manifest"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(bad)]) == 2
+        assert "not numbers" in capsys.readouterr().err
+
+    def test_integer_too_large_for_a_float(self):
+        path = bundled_manifest_path("flat_kahler_4")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["metric"][0][0] = 10**400
+        with pytest.raises(ManifestFormatError, match="'metric' is not a numeric array"):
+            parse_manifest(json.dumps(doc))
 
 
 class TestBadManifoldData:
