@@ -5,10 +5,8 @@ curvatures, and certifies the identity catalog numerically on left-invariant
 Lie-group models."""
 
 from .curvature import (
-    RicciScalars,
     antisym_residual,
     bianchi_residual,
-    kahler_decomposition_dim4,
     kahler_residual,
     metric_pairing,
     pi_forms,

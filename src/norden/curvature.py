@@ -1,14 +1,12 @@
 """Curvature tensors of the Levi-Civita and skew-torsion connections, the
 auxiliary tensors P and H, the symmetry residuals of a rank-4 tensor,
-Ricci/scalar contractions, and the dimension-4 decomposition into the
-standard Kahler basis tensors pi_1, pi_2, pi_3.
+the two scalar curvatures, and the standard Kahler basis tensors pi_1, pi_2,
+pi_3 with their combinations.
 Every function takes the arrays it reads (data, then g, g^{-1}, J) and
-returns arrays.
+returns arrays or numbers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -59,24 +57,11 @@ def riemann(gamma: NDArray, C: NDArray, g: NDArray) -> NDArray:
     return R
 
 
-@dataclass(frozen=True)
-class RicciScalars:
-    """Ricci tensor and the two scalar curvatures."""
-
-    rho: NDArray
-    tau: float
-    tau_star: float
-
-
-def ricci_and_scalars(L: NDArray, g_inv: NDArray, J: NDArray) -> RicciScalars:
-    """rho(x,y) = g^{ij} L(e_i,x,y,e_j); tau = g^{ij} rho(e_i,e_j);
-    tau_star = g^{ij} rho(e_i,Je_j)."""
+def ricci_and_scalars(L: NDArray, g_inv: NDArray, J: NDArray) -> tuple[float, float]:
+    """(tau, tau*) of L: tau = g^{ij} rho(e_i,e_j) and tau* = g^{ij} rho(e_i,Je_j)
+    of its Ricci tensor rho(x,y) = g^{ij} L(e_i,x,y,e_j)."""
     rho = contract(L, 0, 3, g_inv)
-    return RicciScalars(
-        rho=rho,
-        tau=float(contract(rho, 0, 1, g_inv)),
-        tau_star=float(np.einsum("ab,am,mb->", g_inv, rho, J)),
-    )
+    return float(contract(rho, 0, 1, g_inv)), float(np.einsum("ab,am,mb->", g_inv, rho, J))
 
 
 def metric_pairing(A: NDArray, B: NDArray, g: NDArray) -> NDArray:
@@ -144,15 +129,3 @@ def kahler_form(pis: PiForms, a: float, b: float) -> NDArray:
     pi1, pi2, pi3 = pis
     return a * (pi1 - pi2) + b * pi3
 
-
-def kahler_decomposition_dim4(
-    pis: PiForms, R_prime: NDArray, tau_prime: float, tau_prime_star: float
-) -> float:
-    """Residual of R' = (tau'/8)(pi_1 - pi_2) + (tau'*/8) pi_3 in dimension 4,
-    with pis from `pi_forms`.  The decomposition is a theorem for a Kahler R';
-    for any other R' the residual measures how far it is from that form."""
-    dim = pis[0].shape[0]
-    if dim != 4:
-        raise ValueError(f"decomposition is specific to dimension 4, got {dim}")
-    rhs = kahler_form(pis, tau_prime / 8.0, tau_prime_star / 8.0)
-    return residual(R_prime, rhs)

@@ -130,19 +130,16 @@ def _classification(
     )
 
 
-def metric_trace(g_inv: NDArray, A: NDArray, G: NDArray, cross: bool = False):
-    """g^{ij} g^{ks} G(A(e_i,e_k), A(e_j,e_s)) for a vector-valued A stored
-    [a][x][y] and a bilinear form G; with `cross` the second argument is
-    A(e_s,e_j).
+def metric_trace(g_inv: NDArray, A: NDArray, G: NDArray, B: NDArray):
+    """g^{ij} g^{ks} G(A(e_i,e_k), B(e_j,e_s)) for vector-valued A and B stored
+    [a][x][y] and a bilinear form G.
 
     Two matrix products and one dot product, O(d^4); the entries' dtype is
     kept, so the result is a numpy scalar (exact for Fraction entries).
     """
     d = A.shape[0]
     x = g_inv.T @ A @ g_inv  # x[a][j][s] = g^{ij} g^{ks} A(e_i,e_k)^a
-    if cross:
-        A = A.swapaxes(1, 2)
-    y = G @ A.reshape(d, -1)
+    y = G @ B.reshape(d, -1)
     return x.reshape(-1) @ y.reshape(-1)
 
 

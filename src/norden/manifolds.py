@@ -29,12 +29,6 @@ _X_AXES = tuple(_X.index(c) - 3 for c in "ijm")
 _Y_AXES = tuple(_Y.index(c) - 3 for c in "mpl")
 
 
-def _as_readonly(arr: NDArray) -> NDArray:
-    out = np.array(arr, dtype=float, copy=True, order="C")
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class LieFrameManifold:
     """Structure constants, metric and almost complex structure in one frame;
@@ -49,9 +43,11 @@ class LieFrameManifold:
         d = self.dim
         if d <= 0 or d % 2 != 0:
             raise ValueError(f"frame dimension must be even and positive, got {d}")
-        C = np.asarray(self.structure_constants, dtype=float)
-        g = np.asarray(self.metric, dtype=float)
-        J = np.asarray(self.J, dtype=float)
+        # one read-only copy per field: the caller's arrays stay theirs
+        C, g, J = (
+            np.array(a, dtype=float, order="C")
+            for a in (self.structure_constants, self.metric, self.J)
+        )
         if C.shape != (d, d, d):
             raise ValueError(f"structure constants shape {C.shape} != {(d, d, d)}")
         if g.shape != (d, d):
@@ -61,9 +57,8 @@ class LieFrameManifold:
         for name, arr in (("structure_constants", C), ("metric", g), ("J", J)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        object.__setattr__(self, "structure_constants", _as_readonly(C))
-        object.__setattr__(self, "metric", _as_readonly(g))
-        object.__setattr__(self, "J", _as_readonly(J))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @cached_property
     def metric_inv(self) -> NDArray:
@@ -84,8 +79,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationOutcome:
-    ok: bool
     violations: tuple[Violation, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def describe(self) -> str:
         if self.ok:
@@ -142,7 +140,7 @@ def validate_manifold(m: LieFrameManifold) -> ValidationOutcome:
         if not r[0] <= tol
     ]
     violations += _pair_violations(m.metric, m.J)
-    return ValidationOutcome(ok=not violations, violations=tuple(violations))
+    return ValidationOutcome(violations=tuple(violations))
 
 
 def bracket_residuals(C: NDArray) -> tuple[NDArray, NDArray]:

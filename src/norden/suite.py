@@ -125,9 +125,9 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
 
     # ||nabla J||^2, its associated variant (g~(x,y) = g(x,Jy) in the inner
     # pairing) and the cross form of EQ_1_7
-    sq = float(geo.metric_trace(g_inv, nJ, g))
-    assoc = float(geo.metric_trace(g_inv, nJ, g @ J))
-    cross = float(-2 * geo.metric_trace(g_inv, nJ, g, cross=True))
+    sq = float(geo.metric_trace(g_inv, nJ, g, nJ))
+    assoc = float(geo.metric_trace(g_inv, nJ, g @ J, nJ))
+    cross = float(-2 * geo.metric_trace(g_inv, nJ, g, nJ.swapaxes(1, 2)))
     v["EQ_1_7"] = scalar_residual(sq, cross)
     v["ASSOC_NORM_ZERO"] = scalar_residual(assoc, 0.0)
 
@@ -182,19 +182,11 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     )
     v["TORSION_PARALLEL"] = zero_residual(covariant_derivative(gamma_p, qc))
 
-    sc_R = curv.ricci_and_scalars(Rc, g_inv, J)
-    sc_Rp = curv.ricci_and_scalars(Rpc, g_inv, J)
-    sc_P = curv.ricci_and_scalars(P, g_inv, J)
-    sc_H = curv.ricci_and_scalars(H, g_inv, J)
     panel = geo.ScalarPanel(
-        tau=sc_R.tau,
-        tau_star=sc_R.tau_star,
-        tau_prime=sc_Rp.tau,
-        tau_prime_star=sc_Rp.tau_star,
-        tau_P=sc_P.tau,
-        tau_star_P=sc_P.tau_star,
-        tau_H=sc_H.tau,
-        tau_star_H=sc_H.tau_star,
+        *curv.ricci_and_scalars(Rc, g_inv, J),
+        *curv.ricci_and_scalars(Rpc, g_inv, J),
+        *curv.ricci_and_scalars(P, g_inv, J),
+        *curv.ricci_and_scalars(H, g_inv, J),
         sq_norm_nablaJ=sq,
         assoc_sq_norm_nablaJ=assoc,
     )
@@ -204,7 +196,7 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     v["EQ_3_2"] = scalar_residual(
         3.0 * panel.tau_prime_star, 3.0 * panel.tau_star + panel.tau_star_P
     )
-    trace_qq = float(3.0 * geo.metric_trace(g_inv, q_vec, g, cross=True))
+    trace_qq = float(3.0 * geo.metric_trace(g_inv, q_vec, g, q_vec.swapaxes(1, 2)))
     v["EQ_3_3"] = scalar_residual(panel.tau_P, trace_qq)
     v["EQ_3_4"] = scalar_residual(panel.tau_P, 9.0 / 8.0 * sq)
     v["EQ_3_5"] = scalar_residual(panel.tau_prime, panel.tau + 3.0 / 8.0 * sq)
@@ -242,11 +234,11 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     v["THM_3_1"] = float(any(indicator(s) != iso for s in six))
 
     if m.dim == 4:
+        # the Kahler decomposition of R', and the reconstructions of R from
+        # scalars and P
         pis = curv.pi_forms(g, J)
-        v["EQ_3_12"] = curv.kahler_decomposition_dim4(
-            pis, Rpc, panel.tau_prime, panel.tau_prime_star
-        )
-        # the reconstructions of R from scalars and P
+        rhs12 = curv.kahler_form(pis, panel.tau_prime / 8.0, panel.tau_prime_star / 8.0)
+        v["EQ_3_12"] = residual(Rpc, rhs12)
         P3 = P / 3.0
         rhs13 = curv.kahler_form(
             pis, (panel.tau + 3.0 / 8.0 * sq) / 8.0, (panel.tau_star - sq / 8.0) / 8.0
@@ -308,7 +300,7 @@ def build_context(
             _class_dependent_values(ctx)
     bad = _non_finite(ctx)
     if bad:
-        raise InvalidManifoldError(ValidationOutcome(ok=False, violations=tuple(bad)))
+        raise InvalidManifoldError(ValidationOutcome(violations=tuple(bad)))
     return ctx
 
 

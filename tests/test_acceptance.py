@@ -37,16 +37,17 @@ from norden import (
     contract,
     covariant_derivative,
     cyclic_sum3,
-    kahler_decomposition_dim4,
     kahler_residual,
     load_manifest,
     pi_forms,
+    residual,
     ricci_and_scalars,
     run_suite,
     scalar_residual,
     search_w3_examples,
 )
 from norden.cli import emit_report, main
+from norden.curvature import kahler_form
 from norden.manifolds import JACOBI_TOLERANCE
 from norden.tensors import lower
 
@@ -585,12 +586,12 @@ def test_criterion_8_synthetic_decomposition():
     )
     if kahler_defect > TOL:
         failures.append("synthetic tensor is not Kahler")
-    sc = ricci_and_scalars(synth, m.metric_inv, m.J)
-    if abs(sc.tau / 8.0 - 3.0) > 1e-12:
-        failures.append(f"nu' = {sc.tau / 8.0!r} != 3")
-    if abs(sc.tau_star / 8.0 - 5.0) > 1e-12:
-        failures.append(f"nu'* = {sc.tau_star / 8.0!r} != 5")
-    res = kahler_decomposition_dim4((pi1, pi2, pi3), synth, sc.tau, sc.tau_star)
+    tau, tau_star = ricci_and_scalars(synth, m.metric_inv, m.J)
+    if abs(tau / 8.0 - 3.0) > 1e-12:
+        failures.append(f"nu' = {tau / 8.0!r} != 3")
+    if abs(tau_star / 8.0 - 5.0) > 1e-12:
+        failures.append(f"nu'* = {tau_star / 8.0!r} != 5")
+    res = residual(synth, kahler_form((pi1, pi2, pi3), tau / 8.0, tau_star / 8.0))
     if res > 1e-12:
         failures.append(f"decomposition residual {res:.3e} > 1e-12")
     _verdict(8, "synthetic decomposition self-test", failures)

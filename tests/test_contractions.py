@@ -106,11 +106,11 @@ class TestAgainstSixLabelEinsum:
         for A in (nJ, q_vec):
             for G in (g, g @ m.J):
                 _assert_close(
-                    metric_trace(g_inv, A, G),
+                    metric_trace(g_inv, A, G, A),
                     np.einsum("ij,ks,aik,bjs,ab->", g_inv, g_inv, A, A, G),
                 )
                 _assert_close(
-                    metric_trace(g_inv, A, G, cross=True),
+                    metric_trace(g_inv, A, G, A.swapaxes(1, 2)),
                     np.einsum("ij,ks,aik,bsj,ab->", g_inv, g_inv, A, A, G),
                 )
 
@@ -186,8 +186,10 @@ def test_trace_matches_exact_oracle():
 
 def test_kernel_runs_on_fractions():
     """gamma, nabla J, Q and ||nabla J||^2 of w3_two_step_6 from Fraction
-    object arrays: every entry equals the loop oracle's, the norm is 60, and
-    the EQ_1_19 route -1/4 cyclic F(y,z,Jw) gives the covariant Q exactly."""
+    object arrays: every entry equals the loop oracle's, the norm is 60, the
+    starred norm g^{ij} g^{ks} g((nabla_{e_i} J)e_k, (nabla_{Je_j} J)e_s) is
+    32, and the EQ_1_19 route -1/4 cyclic F(y,z,Jw) gives the covariant Q
+    exactly."""
     m = load_manifest(bundled_manifest_path("w3_two_step_6"))
     C, g, J = (to_fractions(a.tolist()) for a in (m.structure_constants, m.metric, m.J))
     g_inv = inverse(g)
@@ -200,7 +202,8 @@ def test_kernel_runs_on_fractions():
     for got, want in ((gamma, want_gamma), (nJ, want_nJ), (Q, loop_Q(want_nJ, J))):
         assert all(isinstance(x, Fraction) for x in got.flat)
         assert got.tolist() == want
-    assert metric_trace(g_inv_, nJ, g_) == 60
+    assert metric_trace(g_inv_, nJ, g_, nJ) == 60
+    assert metric_trace(g_inv_, nJ, g_, twist_arrays(nJ, J_)[1]) == 32
     alt = q_from_cyclic_F(lower(nJ, g_), J_)
     assert all(isinstance(x, Fraction) for x in alt.flat)
     assert alt.tolist() == lower(Q, g_).tolist()

@@ -11,7 +11,6 @@ from norden import (
     canonical_norden_pair,
     compute_nabla_J,
     covariant_derivative,
-    kahler_decomposition_dim4,
     kahler_residual,
     metric_pairing,
     pi_forms,
@@ -20,11 +19,11 @@ from norden import (
     tensor_H,
     tensor_P,
 )
-from norden.curvature import curvature_prime_from_correction
+from norden.curvature import curvature_prime_from_correction, kahler_form
 from norden.geometry import q_array
 from norden.manifolds import jacobi_array, levi_civita
 from norden.suite import build_context, run_suite
-from norden.tensors import residual, scalar_residual
+from norden.tensors import contract, residual, scalar_residual
 
 from test_geometry import norms_of, q_of
 from test_manifolds import gamma_of
@@ -103,34 +102,35 @@ class TestRiemann:
 
 class TestRicciScalars:
     def test_zero_tensor(self, flat4):
-        sc = ricci_and_scalars(np.zeros((4, 4, 4, 4)), flat4.metric_inv, flat4.J)
-        assert sc.tau == sc.tau_star == 0.0
-        assert np.max(np.abs(sc.rho)) == 0.0
+        zero = np.zeros((4, 4, 4, 4))
+        tau, tau_star = ricci_and_scalars(zero, flat4.metric_inv, flat4.J)
+        assert tau == tau_star == 0.0
+        assert np.max(np.abs(contract(zero, 0, 3, flat4.metric_inv))) == 0.0
 
     def test_pi1_scalar_curvature_is_12(self, flat4, generic_w3_4):
         for m in (flat4, generic_w3_4):
             pi1, _, _ = pi_forms(m.metric, m.J)
-            sc = ricci_and_scalars(pi1, m.metric_inv, m.J)
-            assert sc.tau == pytest.approx(12.0, abs=1e-12)
+            tau, _ = ricci_and_scalars(pi1, m.metric_inv, m.J)
+            assert tau == pytest.approx(12.0, abs=1e-12)
             oracle = loop_tau(pi1, np.linalg.inv(m.metric))
-            assert sc.tau == pytest.approx(oracle, abs=1e-12)
+            assert tau == pytest.approx(oracle, abs=1e-12)
 
     def test_tau_matches_loop_oracle(self, two_step_6):
         m = two_step_6
         R = riemann(gamma_of(m), m.structure_constants, m.metric)
-        sc = ricci_and_scalars(R, m.metric_inv, m.J)
-        assert sc.tau == pytest.approx(loop_tau(R, np.linalg.inv(m.metric)), abs=1e-10)
+        tau, _ = ricci_and_scalars(R, m.metric_inv, m.J)
+        assert tau == pytest.approx(loop_tau(R, np.linalg.inv(m.metric)), abs=1e-10)
 
     def test_tau_star_variants_agree_for_pair_symmetric(self, w3_pool):
         """The verbatim contraction of rho against J and the trace of the
         associated Ricci tensor coincide for pair-symmetric rank-4 tensors."""
         for m in list(w3_pool)[:6]:
             R = riemann(gamma_of(m), m.structure_constants, m.metric)
-            sc = ricci_and_scalars(R, m.metric_inv, m.J)
+            _, tau_star = ricci_and_scalars(R, m.metric_inv, m.J)
             g_inv = np.linalg.inv(m.metric)
             rho_star = np.einsum("ij,iabm,mj->ab", g_inv, R, m.J)
             tau_star_alt = float(np.einsum("ab,ab->", g_inv, rho_star))
-            assert scalar_residual(sc.tau_star, tau_star_alt) <= 1e-9
+            assert scalar_residual(tau_star, tau_star_alt) <= 1e-9
 
 
 class TestTensorP:
@@ -155,8 +155,8 @@ class TestTensorP:
             q_vec, _ = q_of(m, nJ)
             sq, _ = norms_of(m, nJ)
             P = tensor_P(metric_pairing(q_vec, q_vec, m.metric))
-            sc = ricci_and_scalars(P, m.metric_inv, m.J)
-            assert scalar_residual(sc.tau, 9.0 / 8.0 * sq) <= 1e-9
+            tau_P, _ = ricci_and_scalars(P, m.metric_inv, m.J)
+            assert scalar_residual(tau_P, 9.0 / 8.0 * sq) <= 1e-9
 
 
 class TestTensorH:
@@ -178,8 +178,8 @@ class TestTensorH:
             gamma = gamma_of(m)
             nJ = compute_nabla_J(gamma, m.J)
             sq, _ = norms_of(m, nJ)
-            sc = ricci_and_scalars(tensor_H(nJ, m.J, m.metric), m.metric_inv, m.J)
-            assert scalar_residual(sc.tau, 2.0 * sq) <= 1e-9
+            tau_H, _ = ricci_and_scalars(tensor_H(nJ, m.J, m.metric), m.metric_inv, m.J)
+            assert scalar_residual(tau_H, 2.0 * sq) <= 1e-9
 
 
 class TestPiForms:
@@ -204,7 +204,7 @@ class TestDim4Decomposition:
         q_vec, _ = q_of(flat4, compute_nabla_J(gamma, flat4.J))
         R_prime = riemann(gamma + q_vec, flat4.structure_constants, flat4.metric)
         pis = pi_forms(flat4.metric, flat4.J)
-        res = kahler_decomposition_dim4(pis, R_prime, 0.0, 0.0)
+        res = residual(R_prime, kahler_form(pis, 0.0, 0.0))
         assert res == 0.0
 
     def test_synthetic_decomposition(self, flat4):
@@ -213,10 +213,10 @@ class TestDim4Decomposition:
         pi1, pi2, pi3 = pis
         synth = 3.0 * (pi1 - pi2) + 5.0 * pi3
         assert kahler_defect(synth, flat4.J) <= 1e-9
-        sc = ricci_and_scalars(synth, flat4.metric_inv, flat4.J)
-        assert sc.tau / 8.0 == pytest.approx(3.0, abs=1e-12)
-        assert sc.tau_star / 8.0 == pytest.approx(5.0, abs=1e-12)
-        res = kahler_decomposition_dim4(pis, synth, sc.tau, sc.tau_star)
+        tau, tau_star = ricci_and_scalars(synth, flat4.metric_inv, flat4.J)
+        assert tau / 8.0 == pytest.approx(3.0, abs=1e-12)
+        assert tau_star / 8.0 == pytest.approx(5.0, abs=1e-12)
+        res = residual(synth, kahler_form(pis, tau / 8.0, tau_star / 8.0))
         assert res <= 1e-12
 
     def test_real_kahler_example(self, kahler_rprime_4):
@@ -225,21 +225,15 @@ class TestDim4Decomposition:
         q_vec, _ = q_of(m, compute_nabla_J(gamma, m.J))
         R_prime = riemann(gamma + q_vec, m.structure_constants, m.metric)
         assert kahler_defect(R_prime, m.J) <= 1e-9
-        sc = ricci_and_scalars(R_prime, m.metric_inv, m.J)
+        tau, tau_star = ricci_and_scalars(R_prime, m.metric_inv, m.J)
         pis = pi_forms(m.metric, m.J)
-        res = kahler_decomposition_dim4(pis, R_prime, sc.tau, sc.tau_star)
+        res = residual(R_prime, kahler_form(pis, tau / 8.0, tau_star / 8.0))
         assert res <= 1e-9
-
-    def test_wrong_dimension_rejected(self, two_step_6):
-        m = two_step_6
-        R_prime = riemann(gamma_of(m), m.structure_constants, m.metric)
-        with pytest.raises(ValueError, match="dimension 4"):
-            kahler_decomposition_dim4(pi_forms(m.metric, m.J), R_prime, 0.0, 0.0)
 
 
 class TestReconstruction:
-    """The dimension-4 reconstructions of R from scalars and P, as the suite
-    states them."""
+    """The dimension-4 decomposition of R' and reconstructions of R from
+    scalars and P, as the suite states them."""
 
     def test_flat_both_zero(self, flat4):
         ctx = build_context(flat4)
@@ -255,11 +249,12 @@ class TestReconstruction:
         assert run_suite(kahler_rprime_4).check("THM_3_2").status == "PASS"
 
     def test_wrong_dimension_rejected(self, two_step_6):
-        """Outside dimension 4 the reconstructions are not computed, and their
-        checks are NA."""
-        assert {"THM_3_2", "THM_3_3"}.isdisjoint(build_context(two_step_6).values)
+        """Outside dimension 4 the decomposition of R' and the reconstructions
+        of R are not computed, and their checks are NA."""
+        dim4 = ("EQ_3_12", "EQ_3_13", "THM_3_2", "THM_3_3")
+        assert set(dim4).isdisjoint(build_context(two_step_6).values)
         report = run_suite(two_step_6)
-        for check_id in ("THM_3_2", "THM_3_3"):
+        for check_id in dim4:
             assert report.check(check_id).status == "NA"
             assert report.check(check_id).reason == "dimension != 4"
 
