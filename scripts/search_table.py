@@ -21,6 +21,12 @@ as `baseline → this` where the two differ, and in a last column the other
 counters that differ.  Run it in each tree to compare two trees.  With
 `--baseline`, the exit code is 1 when a counter or a hits digest differs or
 a configuration has no baseline row, and 0 when everything reads the same.
+
+A closing line gives the bytes each of the search's caches holds at the end
+(the test suite's calls included), summed over the arrays of its cached
+values, each counted once with the array that owns its memory.  The count is
+deterministic, so two trees compare cache memory in the same run as their
+hits; it is for information and does not enter the exit code.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ import norden  # noqa: E402
 from norden import SearchConfig, SearchTarget, manifests, search  # noqa: E402
 
 SHOWN = ("hits", "candidates", "gn_iterations", "gn_rounds", "svd_steps", "rejected_class")
+CACHES = ("_membership", "_generic_family", "_two_step_families", "_quadratic_form")
 
 
 class Recorder:
@@ -80,6 +87,45 @@ class Recorder:
         finally:
             for mod in holders:
                 mod.search_w3_examples = self.original
+
+
+class CacheValues:
+    """Wraps the search's cached builders where search.py looks them up, and
+    keeps each value they return by its arguments: what each cache holds."""
+
+    def __init__(self) -> None:
+        self.values: dict[str, dict] = {}
+        for name in CACHES:
+            self.values[name] = {}
+            setattr(search, name, self._wrap(getattr(search, name), self.values[name]))
+
+    @staticmethod
+    def _wrap(cached, values: dict):
+        def wrapper(*args):
+            values[args] = value = cached(*args)
+            return value
+
+        return wrapper
+
+    def nbytes(self) -> dict[str, int]:
+        return {name: held_bytes(list(values.values())) for name, values in self.values.items()}
+
+
+def held_bytes(value) -> int:
+    """Bytes of the arrays in `value` (through tuples, lists and dataclasses),
+    each counted once, by the array that owns its memory."""
+    owners, stack = {}, [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (tuple, list)):
+            stack.extend(v)
+        elif dataclasses.is_dataclass(v):
+            stack.extend(getattr(v, f.name) for f in dataclasses.fields(v))
+        elif hasattr(v, "nbytes"):
+            while getattr(v, "base", None) is not None:
+                v = v.base
+            owners[id(v)] = v.nbytes
+    return sum(owners.values())
 
 
 def collect() -> dict[SearchConfig, list[str]]:
@@ -176,6 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--json", type=Path, help="write the rows here")
     p.add_argument("--baseline", type=Path, help="rows of another run, from --json")
     args = p.parse_args(argv)
+    caches = CacheValues()
     rows = [run(cfg, sources) for cfg, sources in collect().items()]
     baseline = None
     if args.baseline is not None:
@@ -183,6 +230,8 @@ def main(argv: list[str] | None = None) -> int:
         baseline = {key(r): r for r in old}
     print(f"# {len(rows)} configurations, norden from {Path(norden.__file__).parent}")
     print(table(rows, baseline))
+    print("# search cache bytes: " + ", ".join(
+        f"{name} {n:,}" for name, n in caches.nbytes().items()))
     if args.json is not None:
         args.json.write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
     if baseline is None:

@@ -179,6 +179,8 @@ def load_manifest(path: str | Path) -> ManifoldManifest:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ManifestFormatError(f"{path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ManifestError(f"cannot read {path}: {exc.strerror or exc}") from None
     return parse_manifest(text)
 
 

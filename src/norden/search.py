@@ -4,8 +4,10 @@ The fundamental tensor F is linear in the structure constants (through the
 Koszul formula with constant metric), so quasi-Kahler membership and bracket
 antisymmetry form a homogeneous linear system; candidates are drawn from its
 null space.  Its matrix is built once per dimension, by one batched kernel
-evaluation over the antisymmetric basis, and every family below is a column
-subset of it.  The quadratic Jacobi identity is handled two ways:
+evaluation over the unit brackets of the antisymmetric triples (k, i, j), and
+every family below is a subset of those triples, kept as the flat positions
+of its entries in C (`_brackets`), never as a dense basis matrix.  The
+quadratic Jacobi identity is handled two ways:
 
 * two-step nilpotent ansatz (brackets land in a central coordinate subspace):
   Jacobi holds identically, so accepted samples are exact.  Nontrivial
@@ -126,11 +128,37 @@ class SearchStats:
 # ---------------------------------------------------------------------------
 
 
-def _w3_rows(dim: int, basis: NDArray) -> NDArray:
+# a family (pos, neg, null) is a set of triples (k, i, j), as the flat
+# positions in C of C[k][i][j] (pos) and of C[k][j][i] (neg), with the
+# orthonormal null space of its membership columns: its brackets at the
+# null-space coordinates z are _brackets(dim, pos, neg, null @ z)
+_Family = tuple[NDArray, NDArray, NDArray]
+
+
+def _positions(dim: int, triples: NDArray) -> tuple[NDArray, NDArray]:
+    """(pos, neg): the flat positions in C of C[k][i][j] and of C[k][j][i]
+    for each triple (k, i, j)."""
+    k, i, j = triples.T
+    return (k * dim + i) * dim + j, (k * dim + j) * dim + i
+
+
+def _brackets(dim: int, pos: NDArray, neg: NDArray, coeff: NDArray) -> NDArray:
+    """Brackets C[m][i][j][...] with coefficient coeff[t, ...] on triple t:
+    C[pos] = coeff and C[neg] = -coeff, zero elsewhere.  The + 0.0 and 0.0 -
+    write +0.0 where coeff holds -0.0, as a product with the 0/+-1 basis
+    matrix of the triples would, so the result is that product bit for bit."""
+    C = np.zeros((dim**3,) + coeff.shape[1:])
+    C[pos] = coeff + 0.0
+    C[neg] = 0.0 - coeff
+    return C.reshape((dim, dim, dim) + coeff.shape[1:])
+
+
+def _w3_rows(dim: int, triples: NDArray) -> NDArray:
     """Matrix of the linear map (structure constants) -> cyclic sum of F,
-    one batched kernel evaluation over the columns of `basis`."""
+    one batched kernel evaluation over the unit brackets of `triples`."""
     g, J = canonical_norden_pair(dim)
-    C = basis.T.reshape(-1, dim, dim, dim)
+    C = _brackets(dim, *_positions(dim, triples), np.eye(len(triples)))
+    C = C.transpose(3, 0, 1, 2)
     F = lower(compute_nabla_J(levi_civita(C, g, np.linalg.inv(g)), J), g)
     return cyclic_sum3(F, (-3, -2, -1)).reshape(len(C), -1).T
 
@@ -141,41 +169,35 @@ def _null_space(A: NDArray) -> NDArray:
     _, s, vt = np.linalg.svd(A, full_matrices=False)
     smax = s[0] if s[0] > 0 else 1.0
     rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * smax))
-    return vt[rank:].T
+    return vt[rank:].T.copy(order="K")  # not a view: vt would stay alive with it
 
 
 @lru_cache(maxsize=None)
-def _membership(dim: int) -> tuple[NDArray, NDArray, NDArray]:
-    """(triples, basis, membership matrix) of the full antisymmetric constant
-    space; every family below is a column subset of these.  Triple (k, i, j),
-    i < j, ordered by (i, j) and then k, is the basis column, flattened, of
-    the brackets C with C[k][i][j] = 1 = -C[k][j][i]."""
+def _membership(dim: int) -> tuple[NDArray, NDArray]:
+    """(triples, membership matrix) of the full antisymmetric constant space;
+    every family below is a subset of these triples, and of these columns.
+    Triple (k, i, j), i < j, ordered by (i, j) and then k, is column t: the
+    unit brackets with C[k][i][j] = 1 = -C[k][j][i]."""
     pairs = itertools.combinations(range(dim), 2)
     triples = np.array([(k, i, j) for i, j in pairs for k in range(dim)])
-    k, i, j = triples.T
-    t = np.arange(len(triples))
-    basis = np.zeros((dim, dim, dim, len(triples)))
-    basis[k, i, j, t] = 1.0
-    basis[k, j, i, t] = -1.0
-    basis = basis.reshape(dim**3, -1)
-    return triples, basis, _w3_rows(dim, basis)
+    return triples, _w3_rows(dim, triples)
 
 
 @lru_cache(maxsize=None)
-def _generic_family(dim: int) -> tuple[NDArray, NDArray]:
-    """(basis matrix, null-space coordinates) for the full antisymmetric
-    constant space intersected with the membership condition."""
-    _, basis, rows = _membership(dim)
-    return basis, _null_space(rows)
+def _generic_family(dim: int) -> _Family:
+    """The family of all the triples: the full antisymmetric constant space
+    intersected with the membership condition."""
+    triples, rows = _membership(dim)
+    return (*_positions(dim, triples), _null_space(rows))
 
 
 @lru_cache(maxsize=None)
-def _two_step_families(dim: int) -> tuple[tuple[NDArray, NDArray], ...]:
-    """Per-partition (basis, membership null space) for two-step ansatze with
-    nontrivial null space.  Brackets of the non-central indices land in the
-    centre Z, so the family is the columns (k, i, j) with k in Z and i, j not
-    in Z; Jacobi then holds automatically."""
-    triples, basis, rows = _membership(dim)
+def _two_step_families(dim: int) -> tuple[_Family, ...]:
+    """The two-step ansatze with nontrivial null space, one per partition.
+    Brackets of the non-central indices land in the centre Z, so the family
+    is the triples (k, i, j) with k in Z and i, j not in Z; Jacobi then holds
+    automatically."""
+    triples, rows = _membership(dim)
     families = []
     for z_size in range(1, dim - 1):
         for Z in itertools.combinations(range(dim), z_size):
@@ -183,7 +205,7 @@ def _two_step_families(dim: int) -> tuple[tuple[NDArray, NDArray], ...]:
             cols = central[:, 0] & ~central[:, 1] & ~central[:, 2]
             null = _null_space(rows[:, cols])
             if null.shape[1] > 0:
-                families.append((basis[:, cols], null))
+                families.append((*_positions(dim, triples[cols]), null))
     return tuple(families)
 
 
@@ -202,7 +224,8 @@ class QuadraticForm:
     """The Gauss-Newton residual map phi(z) of one (dim, target) as a
     symmetric form: phi(z) = Q[z, z] on the kept rows.
 
-    phi stacks the Jacobi sum of the brackets C(z) = basis @ null @ z
+    phi stacks the Jacobi sum of the brackets C(z) of the family
+    (pos, neg, null) at null @ z
     (`JACOBI_TERMS`, order [p][i][j][l], cyclic in i, j, l) and, for the
     Kahler target, the first Bianchi sum of R' (`RIEMANN_TERMS`, order
     [i][j][k][l], cyclic in i, j, k).  Both are totally antisymmetric in their
@@ -212,14 +235,14 @@ class QuadraticForm:
     """
 
     dim: int
-    basis: NDArray
+    pos: NDArray
+    neg: NDArray
     null: NDArray
     rows: NDArray
     q: NDArray
 
     def brackets(self, z: NDArray) -> NDArray:
-        d = self.dim
-        return (self.basis @ (self.null @ z)).reshape(d, d, d)
+        return _brackets(self.dim, self.pos, self.neg, self.null @ z)
 
     def qz(self, z: NDArray) -> NDArray:
         """(Q z)[n, b, k] = Q[z_n, e_b] on kept row k, for each candidate z_n
@@ -287,9 +310,9 @@ def _quadratic_form(dim: int, want_kahler: bool) -> QuadraticForm:
     products sign x(A) y(A') over m, the terms of its map's table and the three
     cyclic shifts of its cyclic letters; a chunk of rows gathers its factors by
     flat index and is one batched matmul, (K, r, T) @ (K, T, r), written into q."""
-    basis, null = _generic_family(dim)
+    pos, neg, null = _generic_family(dim)
     r = null.shape[1]
-    D = (basis @ null).reshape(dim, dim, dim, r)  # [m][i][j][a]
+    D = _brackets(dim, pos, neg, null)  # [m][i][j][a]
     factors, maps = {"C": D.transpose(3, 0, 1, 2)}, [(JACOBI_TERMS, "pijl", "ijl")]
     if want_kahler:
         g, J = canonical_norden_pair(dim)
@@ -322,7 +345,7 @@ def _quadratic_form(dim: int, want_kahler: bool) -> QuadraticForm:
         half = (w * flat[x]).transpose(0, 2, 1) @ flat[y]
         out, col = q[:, :, col : col + len(x)], col + len(x)
         np.add(half.transpose(1, 2, 0), half.transpose(2, 1, 0), out=out)
-    return QuadraticForm(dim, basis, null, rows, q)
+    return QuadraticForm(dim, pos, neg, null, rows, q)
 
 
 class _Lockstep:
@@ -414,20 +437,21 @@ class _Lockstep:
 def _two_step_candidate(
     rng: np.random.Generator,
     dim: int,
-    basis: NDArray,
-    null: NDArray,
+    family: _Family,
     stats: SearchStats,
 ) -> NDArray | None:
-    """Brackets of a random point of the family scaled to max-abs 1, or None
-    after counting a collapse in `stats` when they are (near) zero, the
-    abelian algebra."""
+    """Brackets of a random point of the family (pos, neg, null) scaled to
+    max-abs 1, or None after counting a collapse in `stats` when they are
+    (near) zero, the abelian algebra.  The entries of the brackets are the
+    coefficients, their negatives and zeros, so the coefficients are scaled
+    before they are written."""
+    pos, neg, null = family
     coeff = null @ rng.uniform(-1.0, 1.0, null.shape[1])
-    C = (basis @ coeff).reshape(dim, dim, dim)
-    max_abs = np.max(np.abs(C))
+    max_abs = np.abs(coeff).max()
     if max_abs < 1e-10:
         stats.collapsed += 1
         return None
-    return C / max_abs
+    return _brackets(dim, pos, neg, coeff / max_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +509,10 @@ def search_w3_examples(
     want_kahler = cfg.target is SearchTarget.W3_RPRIME_KAHLER
 
     # deterministic ansatz rotation: all two-step families, then one GN try
-    plan: list[tuple[str, NDArray | None, NDArray | None]] = []
+    plan: list[tuple[str, _Family | None]] = []
     if not want_kahler:
-        for basis, null in _two_step_families(cfg.dim):
-            plan.append(("two_step", basis, null))
-    plan.append(("gauss_newton", None, None))
+        plan += [("two_step", family) for family in _two_step_families(cfg.dim)]
+    plan.append(("gauss_newton", None))
 
     found: dict[int, tuple[str, NDArray]] = {}
 
@@ -508,11 +531,11 @@ def search_w3_examples(
             < cfg.max_results
         ):
             j = stats.candidates
-            kind, basis, null = plan[j % len(plan)]
+            kind, family = plan[j % len(plan)]
             stats.candidates += 1
             stats.by_ansatz[kind] = stats.by_ansatz.get(kind, 0) + 1
             if kind == "two_step":
-                C = _two_step_candidate(rng, cfg.dim, basis, null, stats)
+                C = _two_step_candidate(rng, cfg.dim, family, stats)
                 if C is not None:
                     pending.append((j, kind, C))
             else:

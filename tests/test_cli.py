@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, formats, env overrides, search output files."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +115,19 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "not UTF-8" in err
+
+    def test_unreadable_manifest_exit_two(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "locked.manifest"
+        path.write_text("{}", encoding="utf-8")
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read {path}: Permission denied\n"
 
 
 class TestToleranceResolution:

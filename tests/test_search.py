@@ -90,14 +90,22 @@ def _loop_w3_rows(dim, basis):
     return np.array(rows).T
 
 
+def _unit_brackets(dim, pos, neg):
+    """The family's unit brackets, one flattened column per triple: its
+    columns of the basis matrix."""
+    return search._brackets(dim, pos, neg, np.eye(len(pos))).reshape(dim**3, -1)
+
+
 class TestMembership:
     @pytest.mark.parametrize("dim", (4, 6, 8))
     def test_batched_rows_equal_the_per_column_loop(self, dim):
-        triples, basis, rows = search._membership(dim)
+        triples, rows = search._membership(dim)
         pairs = itertools.combinations(range(dim), 2)
         want = [(k, i, j) for i, j in pairs for k in range(dim)]
         assert triples.tolist() == [list(t) for t in want]
-        assert basis.tobytes() == _loop_basis(dim, want).tobytes()
+        basis = _loop_basis(dim, want)
+        pos, neg = search._positions(dim, triples)
+        assert _unit_brackets(dim, pos, neg).tobytes() == basis.tobytes()
         assert rows.tobytes() == _loop_w3_rows(dim, basis).tobytes()
 
     def test_families_equal_the_per_partition_construction(self):
@@ -112,19 +120,54 @@ class TestMembership:
                     want.append((basis, null))
         got = search._two_step_families(dim)
         assert len(got) == len(want)
-        for (basis, null), (want_basis, want_null) in zip(got, want):
-            assert basis.tobytes() == want_basis.tobytes()
+        for (pos, neg, null), (want_basis, want_null) in zip(got, want):
+            assert _unit_brackets(dim, pos, neg).tobytes() == want_basis.tobytes()
             assert null.tobytes() == want_null.tobytes()
+
+    def test_draws_equal_the_basis_product(self):
+        # a draw writes its coefficients onto the family's triples: bit for
+        # bit the product with the oracle's basis matrix, which turns a zero
+        # coefficient of either sign into +0.0 in both of its entries
+        dim, rng, stats = 6, np.random.default_rng(6), SearchStats()
+        for family in search._two_step_families(dim):
+            pos, neg, null = family
+            triples = np.column_stack(np.unravel_index(pos, (dim,) * 3))
+            basis = _loop_basis(dim, triples)
+            coeff = null @ rng.uniform(-1.0, 1.0, null.shape[1])
+            coeff[:2] = 0.0, -0.0
+            C = search._brackets(dim, pos, neg, coeff)
+            assert C.tobytes() == (basis @ coeff).reshape(dim, dim, dim).tobytes()
+            zeros = C.ravel()[np.concatenate([pos[:2], neg[:2]])]
+            assert zeros.tolist() == [0.0] * 4 and not np.signbit(zeros).any()
+
+            state = rng.bit_generator.state
+            got = search._two_step_candidate(rng, dim, family, stats)
+            rng.bit_generator.state = state
+            want = basis @ (null @ rng.uniform(-1.0, 1.0, null.shape[1]))
+            want = want.reshape(dim, dim, dim)
+            assert got.tobytes() == (want / np.max(np.abs(want))).tobytes()
+        assert stats.collapsed == 0
 
     @pytest.mark.parametrize(
         "dim,generic,families,family_cols",
         [(4, 12, 0, 0), (6, 54, 17, 32), (8, 144, 146, 512)],
     )
     def test_null_space_sizes(self, dim, generic, families, family_cols):
-        assert search._generic_family(dim)[1].shape[1] == generic
+        assert search._generic_family(dim)[2].shape[1] == generic
         two_step = search._two_step_families(dim)
         assert len(two_step) == families
-        assert sum(null.shape[1] for _, null in two_step) == family_cols
+        assert sum(null.shape[1] for *_, null in two_step) == family_cols
+        # no cache holds a dense basis: the one axis of length d**3 is the
+        # membership matrix's, a row per entry of the cyclic sum of F
+        triples, rows = search._membership(dim)
+        assert rows.shape == (dim**3, len(triples))
+        families = (search._generic_family(dim), *two_step)
+        assert all(dim**3 not in a.shape for a in (triples, *itertools.chain(*families)))
+        # a family's arrays own their memory (a view of null would keep the
+        # SVD's vt alive), and it names 2 entries of C per triple
+        assert all(a.base is None for a in itertools.chain(*families))
+        for pos, neg, null in families:
+            assert np.union1d(pos, neg).size == 2 * len(null)
 
     @pytest.mark.parametrize("dim", (6, 8))
     def test_pool_two_step_searches_reproduce_their_manifests(self, dim):
@@ -241,10 +284,11 @@ def _polarised_form(dim, kahler):
     """(rows, q) of the generic family by polarisation of the kernel maps:
     q[a, b] = (phi(D_a + D_b) - phi(D_a) - phi(D_b)) / 2 on the rows whose
     cyclic indices increase, one batched kernel call per direction a."""
-    basis, null = search._generic_family(dim)
+    pos, neg, null = search._generic_family(dim)
     r = null.shape[1]
     g, J = canonical_norden_pair(dim)
-    D = (basis @ null).T.reshape(r, dim, dim, dim)
+    D = _loop_basis(dim, np.column_stack(np.unravel_index(pos, (dim,) * 3))) @ null
+    D = D.T.reshape(r, dim, dim, dim)
     index = list(itertools.product(range(dim), repeat=4))
     rows = [n for n, (p, i, j, l) in enumerate(index) if i < j < l]
     conn = None
@@ -342,7 +386,12 @@ class TestQuadraticForm:
         q = np.zeros((3, 3, 1))
         q[1, 1, 0] = q[2, 2, 0] = 1.0
         form = search.QuadraticForm(
-            dim=1, basis=np.ones((1, 1)), null=np.eye(3)[:1], rows=np.arange(1), q=q
+            dim=1,
+            pos=np.arange(1),
+            neg=np.arange(0),
+            null=np.eye(3)[:1],
+            rows=np.arange(1),
+            q=q,
         )
         z, stats = np.array([1.0, 0.5, 0.25]), SearchStats()
         step = _step(form, z, _qz(form, z), stats)
@@ -443,7 +492,8 @@ def _cutoff_stub():
     q[0, 2, 1] = q[2, 0, 1] = eps2
     form = search.QuadraticForm(
         dim=1,
-        basis=np.ones((1, 1)),
+        pos=np.arange(1),
+        neg=np.arange(0),
         null=np.array([[1.0, 0.0, 0.0]]),
         rows=np.arange(2),
         q=q / (2.0 * np.sqrt(6.0)),
@@ -530,8 +580,8 @@ class TestSearchStats:
 
     def test_two_step_collapse(self):
         stats = SearchStats()
-        basis, null = search._two_step_families(6)[0]
-        assert search._two_step_candidate(FixedDraws(0.0), 6, basis, null, stats) is None
+        family = search._two_step_families(6)[0]
+        assert search._two_step_candidate(FixedDraws(0.0), 6, family, stats) is None
         assert stats.collapsed == 1
 
     def test_validation_failures_are_split_by_invariant(self):
@@ -627,7 +677,8 @@ def _root_form():
     q[1, 1, 0] = 1.0
     return search.QuadraticForm(
         dim=1,
-        basis=np.ones((1, 1)),
+        pos=np.arange(1),
+        neg=np.arange(0),
         null=np.array([[1.0, 0.0]]),
         rows=np.arange(1),
         q=q,
@@ -846,10 +897,10 @@ class _OtherAt:
         self.at, self.other, self.entered = set(at), other, []
         self.draw = search._two_step_candidate
 
-    def __call__(self, rng, dim, basis, null, stats):
+    def __call__(self, rng, dim, family, stats):
         j = stats.candidates - 1
         self.entered.append(j)
-        C = self.draw(rng, dim, basis, null, stats)
+        C = self.draw(rng, dim, family, stats)
         return self.other if j in self.at else C
 
 
@@ -860,16 +911,16 @@ def _one_at_a_time(cfg, two_step):
     rng = np.random.default_rng(cfg.seed)
     stats = SearchStats()
     families = search._two_step_families(cfg.dim)
-    plan = [("two_step", basis, null) for basis, null in families]
-    plan.append(("gauss_newton", None, None))
+    plan = [("two_step", family) for family in families]
+    plan.append(("gauss_newton", None))
     gauss_newton, hits = [], []
     while stats.candidates < cfg.max_candidates and stats.hits < cfg.max_results:
         j = stats.candidates
-        kind, basis, null = plan[j % len(plan)]
+        kind, family = plan[j % len(plan)]
         stats.candidates += 1
         stats.by_ansatz[kind] = stats.by_ansatz.get(kind, 0) + 1
         if kind == "two_step":
-            C = two_step(rng, cfg.dim, basis, null, stats)
+            C = two_step(rng, cfg.dim, family, stats)
         else:
             gauss_newton.append(j)
             C = _alone(rng, search._quadratic_form(cfg.dim, False), stats)
