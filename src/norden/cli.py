@@ -2,11 +2,12 @@
 
 Subcommands:
   verify MANIFEST [--tolerance R] [--format text|json]   run the identity suite
-  search [--dim N] [--seed S] [--max-candidates K]
+  search [--dim N] [--seed S] [--max-candidates K] [--tolerance R]
          [--target w3|w3-kahler-rprime] [--out DIR] [--max-results M]
-  demo                                                   run the bundled flat example
+  demo [--tolerance R] [--format text|json]              verify the bundled flat example
 
-Exit codes: 0 all checks PASS or NA, 1 any FAIL, 2 input error.
+Exit codes: 0 all checks PASS or NA, 1 any FAIL, 2 input error.  Every input
+error prints one `error:` line on stderr, from `main` alone.
 The env var NORDEN_TOLERANCE overrides the default tolerance; the
 --tolerance flag wins over the env var.  A tolerance must be a finite
 number in (0, 1).
@@ -25,7 +26,6 @@ from pathlib import Path
 from .geometry import ScalarPanel
 from .manifests import (
     ManifestError,
-    ManifoldManifest,
     bundled_manifest_path,
     json_number,
     load_manifest,
@@ -137,9 +137,13 @@ def emit_report(
     raise ValueError(f"unknown report format {fmt!r}")
 
 
+class _InputError(Exception):
+    """Bad input found by the CLI itself; `main` prints it and exits 2."""
+
+
 def _resolve_tolerance(arg_value: float | None) -> float:
     """The --tolerance flag, else NORDEN_TOLERANCE, else the default; a value
-    outside (0, 1) ends the command with exit code 2."""
+    outside (0, 1) is an input error."""
     source, value = "--tolerance", arg_value
     if value is None:
         env = os.environ.get("NORDEN_TOLERANCE")
@@ -149,36 +153,22 @@ def _resolve_tolerance(arg_value: float | None) -> float:
         try:
             value = float(env)
         except ValueError:
-            raise SystemExit(
-                f"error: NORDEN_TOLERANCE={env!r} is not a number"
-            ) from None
+            raise _InputError(f"NORDEN_TOLERANCE={env!r} is not a number") from None
     try:
         return check_tolerance(value, source)
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
-
-
-def _verify_manifest(manifest: ManifoldManifest, tolerance: float, fmt: str) -> int:
-    start = time.perf_counter()
-    try:
-        report = run_suite(manifest, tolerance)
-    except InvalidManifoldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    elapsed = time.perf_counter() - start
-    sys.stdout.buffer.write(emit_report(report, fmt, elapsed=elapsed))
-    sys.stdout.buffer.flush()
-    return EXIT_FAIL if report.n_fail else EXIT_OK
+        raise _InputError(exc) from None
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     tolerance = _resolve_tolerance(args.tolerance)
-    try:
-        manifest = load_manifest(args.manifest)
-    except ManifestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    return _verify_manifest(manifest, tolerance, args.format)
+    manifest = load_manifest(args.manifest)
+    start = time.perf_counter()
+    report = run_suite(manifest, tolerance)
+    elapsed = time.perf_counter() - start
+    sys.stdout.buffer.write(emit_report(report, args.format, elapsed=elapsed))
+    sys.stdout.buffer.flush()
+    return EXIT_FAIL if report.n_fail else EXIT_OK
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -193,12 +183,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
             tolerance=tolerance,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise _InputError(exc) from None
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None and out_dir.exists() and not out_dir.is_dir():
-        print(f"error: --out {out_dir} exists and is not a directory", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise _InputError(f"--out {out_dir} exists and is not a directory")
     manifests, stats = search_w3_examples(cfg)
     print(
         f"search: dim={cfg.dim} seed={cfg.seed} target={cfg.target.value} "
@@ -224,8 +212,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             path = save_manifest(manifest, out_dir / f"{manifest.id}.manifest")
             print(f"found: {manifest.id} -> {path}")
     except OSError as exc:
-        print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise _InputError(f"cannot write to {out_dir}: {exc}") from None
     return EXIT_OK
 
 
@@ -274,11 +261,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        raise
+    except (ManifestError, InvalidManifoldError, _InputError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -142,7 +142,7 @@ def _as_float_array(doc: dict, key: str, shape: tuple[int, ...]) -> NDArray:
 def parse_manifest(text: str) -> ManifoldManifest:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ManifestFormatError(f"malformed JSON: {exc}")
     if not isinstance(doc, dict):
         raise ManifestFormatError("manifest must be a JSON object")

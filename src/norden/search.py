@@ -252,7 +252,7 @@ class QuadraticForm:
         return np.vecmat(z, self.q.reshape(r, -1)).reshape(n, r, -1)
 
     def step(
-        self, z: NDArray, qz: NDArray, f: NDArray, stats: SearchStats | None = None
+        self, z: NDArray, qz: NDArray, f: NDArray, stats: SearchStats
     ) -> NDArray:
         """Gauss-Newton step for phi(z_n) = 0 on the sphere ||z_n|| = 1, for
         each row n, with qz = Q z and f = phi(z) = z @ qz; the last row
@@ -282,8 +282,7 @@ class QuadraticForm:
         steps = np.matvec(R_inv, c)
         for k, bound_k in enumerate(bound.tolist()):
             if not bound_k < GN_RANK_CUTOFF**-2:  # also NaN: R singular or not square
-                if stats is not None:
-                    stats.svd_steps += 1
+                stats.svd_steps += 1
                 steps[k] = np.linalg.lstsq(R[k], c[k], rcond=GN_RANK_CUTOFF)[0]
         return steps
 

@@ -17,6 +17,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_input_error(out, err):
+    """Nothing on stdout and one `error:` line on stderr."""
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
 class TestVerify:
     def test_flat_exits_zero_no_fail_lines(self, capsys):
         code, out, _ = run_cli(
@@ -48,9 +54,10 @@ class TestVerify:
         assert "FAIL" in out
 
     def test_missing_file_exit_two(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "/nonexistent/file.manifest")
+        code, out, err = run_cli(capsys, "verify", "/nonexistent/file.manifest")
         assert code == 2
         assert "not found" in err
+        assert_input_error(out, err)
 
     def test_invalid_manifold_exit_two(self, capsys, tmp_path):
         _, J = canonical_norden_pair(4)
@@ -62,9 +69,10 @@ class TestVerify:
             J=J,
         )
         path = save_manifest(bad, tmp_path / "bad.manifest")
-        code, _, err = run_cli(capsys, "verify", str(path))
+        code, out, err = run_cli(capsys, "verify", str(path))
         assert code == 2
         assert "Norden" in err
+        assert_input_error(out, err)
 
     @pytest.mark.parametrize(
         "name, cause",
@@ -102,11 +110,16 @@ class TestVerify:
         assert err.startswith("error: bad manifold data: ")
         assert err.count("\n") == 1
 
-    def test_malformed_manifest_exit_two(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text", ["...", "[" * 990 + "]" * 990], ids=["junk", "nested"]
+    )
+    def test_malformed_manifest_exit_two(self, capsys, tmp_path, text):
         path = tmp_path / "junk.manifest"
-        path.write_text("...", encoding="utf-8")
-        code, _, err = run_cli(capsys, "verify", str(path))
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", str(path))
         assert code == 2
+        assert_input_error(out, err)
+        assert err.startswith("error: malformed JSON: ")
 
     def test_non_utf8_manifest_exit_two(self, capsys, tmp_path):
         path = tmp_path / "latin1.manifest"
@@ -160,11 +173,12 @@ class TestToleranceResolution:
 
     def test_bad_env_value_exit_two(self, capsys, monkeypatch):
         monkeypatch.setenv("NORDEN_TOLERANCE", "soft")
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "verify", str(bundled_manifest_path("flat_kahler_4"))
         )
         assert code == 2
         assert "NORDEN_TOLERANCE" in err
+        assert_input_error(out, err)
 
 
 class TestToleranceRange:
@@ -189,11 +203,12 @@ class TestToleranceRange:
     @pytest.mark.parametrize("value", ("nan", "inf", "-1"))
     def test_env_value_exit_two(self, capsys, monkeypatch, value):
         monkeypatch.setenv("NORDEN_TOLERANCE", value)
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "verify", str(bundled_manifest_path("flat_kahler_4"))
         )
         assert code == 2
         assert "NORDEN_TOLERANCE" in err and err.count("\n") == 1
+        assert_input_error(out, err)
 
     @pytest.mark.parametrize("flag", ("--tolerance",))
     @pytest.mark.parametrize("value", ("nan", "inf", "-1"))
@@ -267,9 +282,10 @@ class TestSearchCommand:
         assert int(n["gn_rounds"]) == int(n["gn_iterations"]) > 0
 
     def test_search_bad_arguments_exit_two(self, capsys):
-        code, _, err = run_cli(capsys, "search", "--max-candidates", "0")
+        code, out, err = run_cli(capsys, "search", "--max-candidates", "0")
         assert code == 2
         assert "max_candidates" in err
+        assert_input_error(out, err)
 
     def test_search_dim_two_exit_two(self, capsys):
         # the dim-2 membership null space is trivial: nothing to search

@@ -38,9 +38,12 @@ class TestLoadManifest:
         with pytest.raises(ManifestNotFoundError):
             load_manifest(tmp_path / "nope.manifest")
 
-    def test_malformed_json(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text", ["{not json", "[" * 990 + "]" * 990], ids=["junk", "nested"]
+    )
+    def test_malformed_json(self, tmp_path, text):
         path = tmp_path / "bad.manifest"
-        path.write_text("{not json", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ManifestFormatError):
             load_manifest(path)
 

@@ -360,7 +360,7 @@ class TestQuadraticForm:
         A = np.vstack([np.array(cols).T, 2.0 * z[None, :]])
         b = np.concatenate([_kernel_map(C, kahler), [z @ z - 1.0]])
         full_step = np.linalg.lstsq(A, b, rcond=None)[0]
-        step = _step(form, z, _qz(form, z))
+        step = _step(form, z, _qz(form, z), SearchStats())
         assert np.linalg.norm(step - full_step) <= 1e-8 * np.linalg.norm(full_step)
 
     def test_step_is_the_truncated_least_squares_solution(self, form_case):
@@ -405,7 +405,7 @@ class TestQuadraticForm:
         A, b = _weighted_system(form, z)
         _, s, vt = np.linalg.svd(A)
         assert np.finfo(float).eps * 2593 < s[-1] / s[0] < search.GN_RANK_CUTOFF
-        step = _step(form, z, qz)
+        step = _step(form, z, qz, SearchStats())
         assert abs(vt[-1] @ step) < 1e-15 * np.linalg.norm(step)
         assert step[1] == pytest.approx(1e-3 / 2, rel=1e-6)
         # a rounding-level cutoff keeps that direction and steps far along it
@@ -439,7 +439,7 @@ def _qz(form, z):
     return form.qz(z[None])[0]
 
 
-def _step(form, z, qz, stats=None):
+def _step(form, z, qz, stats):
     """The Gauss-Newton step of the single candidate z, as a batch of one."""
     return form.step(z[None], qz[None], (z @ qz)[None], stats)[0]
 
