@@ -4,10 +4,12 @@
 
 The manifests are those of perfbench/pool/pool.json (the bundled ones it
 names and its frozen search hits), then any bundled manifest it does not
-name.  Each is verified in process, through `norden.cli.main`, at one BLAS
-thread and the default tolerance, once with `--format json` and once with
-`--format text`; the `time:` line of the text report is dropped, as it is the
-one line that differs between runs.  Each manifest is printed as one
+name, then two class-OTHER manifests in each of dims 4, 6 and 8: the seed-0
+ones of the verify_pool workload (`workloads.other_brackets`), written to a
+temporary directory.  Each is verified in process, through
+`norden.cli.main`, at one BLAS thread and the default tolerance, once with
+`--format json` and once with `--format text`; the `time:` line of the text
+report is dropped, as it is the one line that differs between runs.  Each manifest is printed as one
 markdown row: the exit code and sha256 prefixes of both reports.  The last
 line gives a sha256 prefix of all the reports concatenated, in table order.
 `--json` writes the rows; `--baseline` reads such a file (of another tree,
@@ -26,6 +28,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -36,18 +39,27 @@ import benchenv  # noqa: E402
 
 benchenv.prepare()  # one BLAS thread, this tree's src/ first on sys.path
 
+import numpy as np  # noqa: E402
+import workloads  # noqa: E402
+
 import norden  # noqa: E402
-from norden import bundled_manifest_path, cli  # noqa: E402
+from norden import bundled_manifest_path, cli, save_manifest  # noqa: E402
 
 FORMATS = ("json", "text")
 
 
-def manifest_paths() -> list[Path]:
+def manifest_paths(tmp: Path) -> list[Path]:
     pool = json.loads((POOL / "pool.json").read_text(encoding="utf-8"))
     paths = [bundled_manifest_path(e["bundled"]) if "bundled" in e else POOL / e["file"]
              for e in pool["manifests"]]
     data = bundled_manifest_path("flat_kahler_4").parent
-    return paths + sorted(set(data.glob("*.manifest")) - set(paths))
+    paths += sorted(set(data.glob("*.manifest")) - set(paths))
+    rng = np.random.default_rng([0, 0])  # verify_pool's class-OTHER draws at seed 0
+    for dim in (4, 6, 8):
+        for k in range(2):
+            other = workloads.other_brackets(rng, dim, f"other_d{dim}_seed0_{k}")
+            paths.append(save_manifest(other, tmp / f"{other.id}.manifest"))
+    return paths
 
 
 def verify(path: Path, fmt: str) -> tuple[int, bytes]:
@@ -96,10 +108,11 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     os.environ.pop("NORDEN_TOLERANCE", None)  # the default tolerance
     rows, digest = [], hashlib.sha256()
-    for path in manifest_paths():
-        row, reports = run(path)
-        rows.append(row)
-        digest.update(reports)
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in manifest_paths(Path(tmp)):
+            row, reports = run(path)
+            rows.append(row)
+            digest.update(reports)
     doc = {"rows": rows, "digest": digest.hexdigest()[:16]}
     base = {"rows": [], "digest": None}
     if args.baseline is not None:

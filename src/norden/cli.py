@@ -98,8 +98,8 @@ def _format_text(report: VerificationReport, elapsed: float | None) -> str:
         (
             "membership residuals: "
             f"F max-abs={cls.f_norm:.17g}, cyclic-F={cls.w3_residual:.17g}, "
-            f"cyclic-F(J.,.,.)={cls.w3_j_residual:.17g}, "
-            f"nabla-J defect={cls.w3_defect_residual:.17g}"
+            f"cyclic-F(J.,.,.)={report.check('EQ_1_13').residual:.17g}, "
+            f"nabla-J defect={report.check('EQ_1_14').residual:.17g}"
         ),
     ]
     panel = _panel_dict(report)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import twist_arrays
 from .tensors import contract, cyclic_sum3, residual, zero_residual
 
 # g(R(e_i,e_j)e_k, e_l) as signed products of two factors (name, index letters)
@@ -95,9 +94,9 @@ def tensor_P(qq: NDArray) -> NDArray:
     return 2.0 * qq + qq.transpose(2, 1, 0, 3) + qq.transpose(0, 2, 1, 3)
 
 
-def tensor_H(nabla_J: NDArray, J: NDArray, g: NDArray) -> NDArray:
-    """H(x,y,z,w) = g((nabla_x J)Jy + (nabla_{Jx} J)y, (nabla_z J)Jw + (nabla_{Jz} J)w)."""
-    a, b = twist_arrays(nabla_J, J)
+def tensor_H(a: NDArray, b: NDArray, g: NDArray) -> NDArray:
+    """H(x,y,z,w) = g((nabla_x J)Jy + (nabla_{Jx} J)y, (nabla_z J)Jw + (nabla_{Jz} J)w),
+    from the twist pair (a, b) = `geometry.twist_arrays(nabla J, J)`."""
     B = a + b
     return metric_pairing(B, B, g)
 

@@ -1,7 +1,9 @@
-"""Norden-specific tensors: nabla J, class membership from the fundamental
-tensor F = g((nabla_x J)y, z), the torsion potential Q of the skew-torsion
-connection nabla' = nabla + Q (coefficients gamma + Q), and the metric trace
-that the suite's square norms of nabla J and Q are made of.
+"""Norden-specific tensors: nabla J and its twist pair (nabla_x J)Jy and
+(nabla_{Jx} J)y, the class decision from the fundamental tensor
+F = g((nabla_x J)y, z), the torsion potential Q of the skew-torsion
+connection nabla' = nabla + Q (coefficients gamma + Q) from the twist pair,
+and the metric trace that the suite's square norms of nabla J and Q are made
+of.
 
 Conventions: nabla J and Q are stored mixed, (nabla_{e_i} J)e_j =
 (nablaJ)[k][i][j] e_k.  F and the covariant form of Q, both `tensors.lower`
@@ -28,18 +30,12 @@ class ClassLabel(enum.Enum):
 
 @dataclass(frozen=True)
 class Classification:
-    """Class decision together with the residuals it was based on.
-
-    w3_residual is the cyclic sum of F; the two companion residuals come from
-    the equivalent membership conditions (cyclic sum of F(Jx,y,z), and the
-    four-term nabla-J defect); the three co-vanish on valid input.
-    """
+    """Class decision together with the residuals it was based on: f_norm is
+    max|F|, w3_residual the residual of the cyclic sum of F."""
 
     label: ClassLabel
     f_norm: float
     w3_residual: float
-    w3_j_residual: float
-    w3_defect_residual: float
 
     @property
     def is_w3_or_kahler(self) -> bool:
@@ -79,55 +75,39 @@ def twist_arrays(nJ: NDArray, J: NDArray) -> tuple[NDArray, NDArray]:
     return np.einsum("...kia,aj->...kij", nJ, J), np.einsum("ai,...kaj->...kij", J, nJ)
 
 
-def q_array(nJ: NDArray, J: NDArray) -> NDArray:
-    """Q(x,y) = 1/4 { (nabla_x J)Jy - (nabla_{Jx} J)y - 2 (nabla_y J)Jx }, mixed;
-    leading batch axes of nJ are kept."""
-    a, b = twist_arrays(nJ, J)
+def q_array(a: NDArray, b: NDArray) -> NDArray:
+    """Q(x,y) = 1/4 { (nabla_x J)Jy - (nabla_{Jx} J)y - 2 (nabla_y J)Jx }, mixed,
+    from the twist pair (a, b) = twist_arrays(nabla J, J); leading batch axes
+    are kept."""
     return (a - b - 2 * a.swapaxes(-1, -2)) / 4
 
 
 def classify(
-    J: NDArray,
-    F: NDArray,
-    nabla_J: NDArray,
-    tolerance: float = DEFAULT_TOLERANCE,
+    F: NDArray, tolerance: float = DEFAULT_TOLERANCE
 ) -> Classification | list[Classification]:
-    """Kahler / quasi-Kahler / other decision from the fundamental tensor, with
-    the residuals of the three equivalent membership conditions.  For a stack
-    of F and nabla_J, (K, d, d, d) each, one Classification per entry."""
+    """Kahler / quasi-Kahler / other decision from the fundamental tensor:
+    Kahler when max|F| is within tolerance, else quasi-Kahler when the cyclic
+    sum of F is.  For a stack of F, (K, d, d, d), one Classification per
+    entry."""
     batch = F.ndim - 3
     cyclic = (-3, -2, -1)
     f_norm = np.abs(F).max(axis=cyclic)
-    r_14 = zero_residual(cyclic_sum3(F, cyclic), batch)
-    r_113 = zero_residual(
-        cyclic_sum3(np.einsum("ai,...ajk->...ijk", J, F), cyclic), batch
-    )
-    a, b = twist_arrays(nabla_J, J)
-    r_114 = zero_residual(a + a.swapaxes(-1, -2) + b + b.swapaxes(-1, -2), batch)
+    w3 = zero_residual(cyclic_sum3(F, cyclic), batch)
     if not batch:
-        return _classification(float(f_norm), r_14, r_113, r_114, tolerance)
+        return _classification(float(f_norm), w3, tolerance)
     return [
-        _classification(*entry, tolerance)
-        for entry in zip(f_norm.tolist(), r_14.tolist(), r_113.tolist(), r_114.tolist())
+        _classification(*entry, tolerance) for entry in zip(f_norm.tolist(), w3.tolist())
     ]
 
 
-def _classification(
-    f_norm: float, r_14: float, r_113: float, r_114: float, tolerance: float
-) -> Classification:
+def _classification(f_norm: float, w3: float, tolerance: float) -> Classification:
     if f_norm <= tolerance:
         label = ClassLabel.KAHLER_W0
-    elif r_14 <= tolerance:
+    elif w3 <= tolerance:
         label = ClassLabel.QUASI_KAHLER_W3
     else:
         label = ClassLabel.OTHER
-    return Classification(
-        label=label,
-        f_norm=f_norm,
-        w3_residual=r_14,
-        w3_j_residual=r_113,
-        w3_defect_residual=r_114,
-    )
+    return Classification(label=label, f_norm=f_norm, w3_residual=w3)
 
 
 def metric_trace(g_inv: NDArray, A: NDArray, G: NDArray, B: NDArray):

@@ -50,7 +50,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .curvature import RIEMANN_TERMS, bianchi_residual, riemann
-from .geometry import ClassLabel, classify, compute_nabla_J, q_array
+from .geometry import ClassLabel, classify, compute_nabla_J, q_array, twist_arrays
 from .manifests import ManifoldManifest
 from .manifolds import (
     JACOBI_TERMS,
@@ -95,6 +95,8 @@ class SearchConfig:
             raise ValueError(f"max_results must be >= 1, got {self.max_results}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.target, SearchTarget):
+            raise ValueError(f"target must be a SearchTarget, got {self.target!r}")
         check_tolerance(self.tolerance)
 
 
@@ -316,7 +318,8 @@ def _quadratic_form(dim: int, want_kahler: bool) -> QuadraticForm:
     if want_kahler:
         g, J = canonical_norden_pair(dim)
         gamma = levi_civita(factors["C"], g, np.linalg.inv(g))
-        factors["gamma"] = conn = gamma + q_array(compute_nabla_J(gamma, J), J)
+        nabla_J = compute_nabla_J(gamma, J)
+        factors["gamma"] = conn = gamma + q_array(*twist_arrays(nabla_J, J))
         factors["L"] = lower(conn, g)
         maps.append((RIEMANN_TERMS, "ijkl", "ijk"))
     names, shape = list(factors), (len(factors),) + (dim,) * 3
@@ -480,11 +483,12 @@ def _accept(C: NDArray, cfg: SearchConfig, stats: SearchStats) -> list[bool]:
     C = C[valid]
     gamma = levi_civita(C, g, np.linalg.inv(g))
     nabla_J = compute_nabla_J(gamma, J)
-    labels = classify(J, lower(nabla_J, g), nabla_J, cfg.tolerance)
+    labels = classify(lower(nabla_J, g), cfg.tolerance)
     accepted = [cls.label is ClassLabel.QUASI_KAHLER_W3 for cls in labels]
     if cfg.target is SearchTarget.W3_RPRIME_KAHLER and any(accepted):
         w3 = np.flatnonzero(accepted)
-        r_prime = riemann(gamma[w3] + q_array(nabla_J[w3], J), C[w3], g)
+        q = q_array(*twist_arrays(nabla_J[w3], J))
+        r_prime = riemann(gamma[w3] + q, C[w3], g)
         for k, r in zip(w3, bianchi_residual(r_prime).tolist()):
             accepted[k] = not r > cfg.tolerance
     for k, ok in zip(valid, accepted):

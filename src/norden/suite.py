@@ -97,7 +97,9 @@ class GeometryContext:
     panel: geo.ScalarPanel | None = None
 
 
-def _class_independent_values(ctx: GeometryContext) -> None:
+def _class_independent_values(ctx: GeometryContext) -> tuple[NDArray, NDArray]:
+    """Fills the values of the checks that run on every class; returns the
+    twist pair of nabla J, which the class-dependent values share."""
     F, Rc, J = ctx.F, ctx.R, ctx.m.J
     v = ctx.values
     v["EQ_1_3_A"] = residual(F, F.transpose(0, 2, 1))
@@ -111,13 +113,15 @@ def _class_independent_values(ctx: GeometryContext) -> None:
     rhs = np.einsum("ijal,ak->ijkl", Rc, J) - np.einsum("ijka,al->ijkl", Rc, J)
     v["EQ_1_5"] = residual(lhs, rhs)
 
-    cls = ctx.classification
-    v["EQ_1_4"] = cls.w3_residual
-    v["EQ_1_13"] = cls.w3_j_residual
-    v["EQ_1_14"] = cls.w3_defect_residual
+    # the three equivalent membership conditions
+    a, b = geo.twist_arrays(ctx.nabla_J, J)
+    v["EQ_1_4"] = ctx.classification.w3_residual
+    v["EQ_1_13"] = zero_residual(cyclic_sum3(np.einsum("ai,ajk->ijk", J, F)))
+    v["EQ_1_14"] = zero_residual(a + a.transpose(0, 2, 1) + b + b.transpose(0, 2, 1))
+    return a, b
 
 
-def _class_dependent_values(ctx: GeometryContext) -> None:
+def _class_dependent_values(ctx: GeometryContext, a: NDArray, b: NDArray) -> None:
     m, F, nJ, Rc = ctx.m, ctx.F, ctx.nabla_J, ctx.R
     C, g, J, g_inv = m.structure_constants, m.metric, m.J, m.metric_inv
     tol = ctx.tolerance
@@ -141,7 +145,7 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     G = curv.metric_pairing(sym, sym, g)
     v["EQ_1_15"] = residual(cyclic_sum3(S), cyclic_sum3(G))
 
-    q_vec = geo.q_array(nJ, J)
+    q_vec = geo.q_array(a, b)
     qc = lower(q_vec, g)
     v["EQ_1_19"] = residual(qc, geo.q_from_cyclic_F(F, J))
     v["Q_SKEW"] = max(
@@ -169,7 +173,7 @@ def _class_dependent_values(ctx: GeometryContext) -> None:
     P = curv.tensor_P(qq)
     v["EQ_2_8"] = residual(3.0 * Rpc, 3.0 * Rc + P)
 
-    H = curv.tensor_H(nJ, J, g)
+    H = curv.tensor_H(a, b, g)
     v["EQ_2_14"] = curv.bianchi_residual(H)
     v["H_1_10"] = curv.antisym_residual(H)
     v["H_1_12"] = curv.kahler_residual(H, J)
@@ -292,12 +296,12 @@ def build_context(
             gamma=gamma,
             nabla_J=nabla_J,
             F=F,
-            classification=geo.classify(J, F, nabla_J, tolerance),
+            classification=geo.classify(F, tolerance),
             R=curv.riemann(gamma, C, g),
         )
-        _class_independent_values(ctx)
+        twists = _class_independent_values(ctx)
         if ctx.classification.is_w3_or_kahler:
-            _class_dependent_values(ctx)
+            _class_dependent_values(ctx, *twists)
     bad = _non_finite(ctx)
     if bad:
         raise InvalidManifoldError(ValidationOutcome(violations=tuple(bad)))

@@ -225,7 +225,7 @@ def test_criterion_3_w3_discovery(tmp_path):
     for path in manifests:
         m = load_manifest(path)
         nJ = compute_nabla_J(gamma_of(m), m.J)
-        cls = classify(m.J, lower(nJ, m.metric), nJ)
+        cls = classify(lower(nJ, m.metric))
         if cls.label is not ClassLabel.QUASI_KAHLER_W3 or cls.f_norm <= TOL:
             failures.append(f"{path.name} is not a non-flat quasi-Kahler example")
     _verdict(3, "quasi-Kahler discovery", failures)

@@ -6,8 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from norden import bundled_manifest_path, canonical_norden_pair, load_manifest
-from norden.cli import main
+from norden import (
+    bundled_manifest_path,
+    canonical_norden_pair,
+    load_manifest,
+    run_suite,
+)
+from norden.cli import TEXT, emit_report, main
 from norden.manifests import ManifoldManifest, save_manifest
 
 
@@ -141,6 +146,28 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == f"error: cannot read {path}: Permission denied\n"
+
+    @pytest.mark.parametrize(
+        "fixture",
+        ("flat4", "generic_w3_4", "kahler_rprime_4", "two_step_6", "other_class_6"),
+    )
+    def test_membership_line_prints_the_reports_residuals(self, fixture, request):
+        """The text report's membership line prints max|F| and the residuals
+        of EQ_1_4, EQ_1_13 and EQ_1_14 of the same report, as .17g."""
+        report = run_suite(request.getfixturevalue(fixture))
+        residuals = ", ".join(
+            f"{name}={report.check(check_id).residual:.17g}"
+            for name, check_id in (
+                ("cyclic-F", "EQ_1_4"),
+                ("cyclic-F(J.,.,.)", "EQ_1_13"),
+                ("nabla-J defect", "EQ_1_14"),
+            )
+        )
+        line = (
+            f"membership residuals: F max-abs={report.class_label.f_norm:.17g}, "
+            f"{residuals}"
+        )
+        assert line in emit_report(report, TEXT).decode("utf-8").splitlines()
 
 
 class TestToleranceResolution:

@@ -102,7 +102,7 @@ class TestAgainstSixLabelEinsum:
     def test_metric_trace(self, general):
         m, nJ = general.m, general.nabla_J
         g, g_inv = m.metric, m.metric_inv
-        q_vec = q_array(nJ, m.J)
+        q_vec = q_array(*twist_arrays(nJ, m.J))
         for A in (nJ, q_vec):
             for G in (g, g @ m.J):
                 _assert_close(
@@ -131,14 +131,14 @@ class TestAgainstSixLabelEinsum:
 
     def test_metric_pairing(self, general):
         m, nJ = general.m, general.nabla_J
-        A, B = q_array(nJ, m.J), nJ + nJ.transpose(0, 2, 1)
+        a, b = twist_arrays(nJ, m.J)
+        A, B = q_array(a, b), nJ + nJ.transpose(0, 2, 1)
         _assert_close(
             metric_pairing(A, B, m.metric),
             np.einsum("mij,nkl,mn->ijkl", A, B, m.metric),
         )
-        a, b = twist_arrays(nJ, m.J)
         _assert_close(
-            tensor_H(nJ, m.J, m.metric),
+            tensor_H(a, b, m.metric),
             np.einsum("mij,nkl,mn->ijkl", a + b, a + b, m.metric),
         )
 
@@ -196,7 +196,7 @@ def test_kernel_runs_on_fractions():
     C_, g_, g_inv_, J_ = (np.array(x, dtype=object) for x in (C, g, g_inv, J))
     gamma = levi_civita(C_, g_, g_inv_)
     nJ = compute_nabla_J(gamma, J_)
-    Q = q_array(nJ, J_)
+    Q = q_array(*twist_arrays(nJ, J_))
     want_gamma = loop_koszul(C, g, g_inv)
     want_nJ = loop_nabla_J(want_gamma, J)
     for got, want in ((gamma, want_gamma), (nJ, want_nJ), (Q, loop_Q(want_nJ, J))):
@@ -220,7 +220,7 @@ def test_riemann_runs_on_fractions():
     g_inv = inverse(g)
     C_, g_, g_inv_, J_ = (np.array(x, dtype=object) for x in (C, g, g_inv, J))
     gamma = levi_civita(C_, g_, g_inv_)
-    conn = gamma + q_array(compute_nabla_J(gamma, J_), J_)
+    conn = gamma + q_array(*twist_arrays(compute_nabla_J(gamma, J_), J_))
     G = loop_koszul(C, g, g_inv)
     Q = loop_Q(loop_nabla_J(G, J), J)
     d = m.dim

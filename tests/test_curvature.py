@@ -20,7 +20,7 @@ from norden import (
     tensor_P,
 )
 from norden.curvature import curvature_prime_from_correction, kahler_form
-from norden.geometry import q_array
+from norden.geometry import q_array, twist_arrays
 from norden.manifolds import jacobi_array, levi_civita
 from norden.suite import build_context, run_suite
 from norden.tensors import contract, residual, scalar_residual
@@ -161,12 +161,13 @@ class TestTensorP:
 
 class TestTensorH:
     def test_zero_nabla_J(self, flat4):
-        H = tensor_H(np.zeros((4, 4, 4)), flat4.J, flat4.metric)
+        H = tensor_H(*twist_arrays(np.zeros((4, 4, 4)), flat4.J), flat4.metric)
         assert np.max(np.abs(H)) == 0.0
 
     def test_structural_properties(self, w3_pool):
         for m in list(w3_pool)[:8]:
-            H = tensor_H(compute_nabla_J(gamma_of(m), m.J), m.J, m.metric)
+            nJ = compute_nabla_J(gamma_of(m), m.J)
+            H = tensor_H(*twist_arrays(nJ, m.J), m.metric)
             assert antisym_residual(H) <= 1e-9
             assert kahler_residual(H, m.J) <= 1e-9
 
@@ -178,7 +179,8 @@ class TestTensorH:
             gamma = gamma_of(m)
             nJ = compute_nabla_J(gamma, m.J)
             sq, _ = norms_of(m, nJ)
-            tau_H, _ = ricci_and_scalars(tensor_H(nJ, m.J, m.metric), m.metric_inv, m.J)
+            H = tensor_H(*twist_arrays(nJ, m.J), m.metric)
+            tau_H, _ = ricci_and_scalars(H, m.metric_inv, m.J)
             assert scalar_residual(tau_H, 2.0 * sq) <= 1e-9
 
 
@@ -295,7 +297,7 @@ class TestBatchAxis:
         def chain(C):
             gamma = levi_civita(C, g, g_inv)
             nJ = compute_nabla_J(gamma, J)
-            conn = gamma + q_array(nJ, J)
+            conn = gamma + q_array(*twist_arrays(nJ, J))
             return gamma, nJ, conn, riemann(conn, C, g), jacobi_array(C)
 
         batched = chain(C)

@@ -4,8 +4,14 @@ import itertools
 
 import numpy as np
 
-from norden import ClassLabel, classify, compute_nabla_J, covariant_derivative
-from norden.geometry import metric_trace, q_array, q_from_cyclic_F
+from norden import (
+    ClassLabel,
+    build_context,
+    classify,
+    compute_nabla_J,
+    covariant_derivative,
+)
+from norden.geometry import metric_trace, q_array, q_from_cyclic_F, twist_arrays
 from norden.manifolds import torsion
 from norden.tensors import lower, residual, scalar_residual
 
@@ -14,7 +20,7 @@ from test_manifolds import gamma_of
 
 def q_of(m, nJ):
     """The torsion potential, mixed and covariant, as the suite builds it."""
-    q_vec = q_array(nJ, m.J)
+    q_vec = q_array(*twist_arrays(nJ, m.J))
     return q_vec, lower(q_vec, m.metric)
 
 
@@ -73,7 +79,7 @@ class TestFundamentalTensor:
 class TestClassify:
     def test_flat_is_kahler(self, flat4):
         nJ = compute_nabla_J(gamma_of(flat4), flat4.J)
-        cls = classify(flat4.J, lower(nJ, flat4.metric), nJ)
+        cls = classify(lower(nJ, flat4.metric))
         assert cls.label is ClassLabel.KAHLER_W0
         assert cls.f_norm == 0.0
         assert cls.w3_residual == 0.0
@@ -81,29 +87,31 @@ class TestClassify:
     def test_derived_example_is_quasi_kahler(self, two_step_6):
         m = two_step_6
         nJ = compute_nabla_J(gamma_of(m), m.J)
-        cls = classify(m.J, lower(nJ, m.metric), nJ)
+        cls = classify(lower(nJ, m.metric))
+        values = build_context(m).values
         assert cls.label is ClassLabel.QUASI_KAHLER_W3
         assert cls.f_norm > 1e-9
         assert cls.w3_residual <= 1e-9
-        assert cls.w3_j_residual <= 1e-9
-        assert cls.w3_defect_residual <= 1e-9
+        assert values["EQ_1_13"] <= 1e-9
+        assert values["EQ_1_14"] <= 1e-9
 
     def test_membership_conditions_covanish(self, w3_pool, other_class_4, other_class_6):
         tol = 1e-9
         for m in list(w3_pool)[:8] + [other_class_4, other_class_6]:
             nJ = compute_nabla_J(gamma_of(m), m.J)
-            cls = classify(m.J, lower(nJ, m.metric), nJ)
+            cls = classify(lower(nJ, m.metric))
+            values = build_context(m).values
             statuses = {
                 cls.w3_residual <= tol,
-                cls.w3_j_residual <= tol,
-                cls.w3_defect_residual <= tol,
+                values["EQ_1_13"] <= tol,
+                values["EQ_1_14"] <= tol,
             }
-            assert len(statuses) == 1, f"equivalent conditions disagree: {cls}"
+            assert len(statuses) == 1, f"equivalent conditions disagree: {cls}, {values}"
 
     def test_rejection_sample_is_other(self, other_class_6):
         m = other_class_6
         nJ = compute_nabla_J(gamma_of(m), m.J)
-        cls = classify(m.J, lower(nJ, m.metric), nJ)
+        cls = classify(lower(nJ, m.metric))
         assert cls.label is ClassLabel.OTHER
         assert cls.w3_residual > 1e-9
 

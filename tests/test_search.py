@@ -18,6 +18,7 @@ from norden import (
     SearchStats,
     SearchTarget,
     bianchi_residual,
+    build_context,
     bundled_manifest_path,
     canonical_norden_pair,
     classify,
@@ -28,9 +29,9 @@ from norden import (
     search_w3_examples,
     validate_manifold,
 )
-from norden import search
+from norden import geometry, search
 from norden.curvature import riemann
-from norden.geometry import q_array
+from norden.geometry import q_array, twist_arrays
 from norden.manifests import manifest_to_json
 from norden.manifolds import jacobi_array, levi_civita
 from norden.tensors import lower
@@ -61,6 +62,11 @@ class TestSearchConfig:
         # dim 2 has a trivial membership null space
         with pytest.raises(ValueError, match="at least 4"):
             SearchConfig(dim=2, seed=1)
+
+    @pytest.mark.parametrize("target", ("w3-kahler-rprime", "bogus"))
+    def test_target_not_a_member_rejected(self, target):
+        with pytest.raises(ValueError, match="target must be a SearchTarget"):
+            SearchConfig(dim=4, seed=1, target=target)
 
 
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool"
@@ -210,7 +216,7 @@ class TestSearch:
         for m in hits:
             assert validate_manifold(m).ok
             nJ = compute_nabla_J(gamma_of(m), m.J)
-            cls = classify(m.J, lower(nJ, m.metric), nJ)
+            cls = classify(lower(nJ, m.metric))
             assert cls.label is ClassLabel.QUASI_KAHLER_W3
             assert cls.f_norm > 1e-9
             assert np.max(np.abs(m.structure_constants)) == pytest.approx(1.0)
@@ -275,7 +281,7 @@ def _kernel_map(C, kahler):
     parts = [jacobi_array(C).ravel()]
     if kahler:
         gamma = levi_civita(C, g, np.linalg.inv(g))
-        conn = gamma + q_array(compute_nabla_J(gamma, J), J)
+        conn = gamma + q_array(*twist_arrays(compute_nabla_J(gamma, J), J))
         parts.append(cyclic_sum3(riemann(conn, C, g)).ravel())
     return np.concatenate(parts)
 
@@ -295,7 +301,7 @@ def _polarised_form(dim, kahler):
     if kahler:
         rows += [dim**4 + n for n, (i, j, k, l) in enumerate(index) if i < j < k]
         gamma = levi_civita(D, g, np.linalg.inv(g))
-        conn = gamma + q_array(compute_nabla_J(gamma, J), J)
+        conn = gamma + q_array(*twist_arrays(compute_nabla_J(gamma, J), J))
 
     def phi(C, conn):
         parts = [jacobi_array(C).reshape(len(C), -1)]
@@ -612,12 +618,13 @@ def _judge_alone(C, cfg, stats):
         return None
     gamma = levi_civita(C, g, m.metric_inv)
     nJ = compute_nabla_J(gamma, J)
-    cls = classify(J, lower(nJ, g), nJ, cfg.tolerance)
+    cls = classify(lower(nJ, g), cfg.tolerance)
     if cls.label is not ClassLabel.QUASI_KAHLER_W3:
         stats.rejected_class += 1
         return None
     if cfg.target is SearchTarget.W3_RPRIME_KAHLER:
-        if bianchi_residual(riemann(gamma + q_array(nJ, J), C, g)) > cfg.tolerance:
+        conn = gamma + q_array(*twist_arrays(nJ, J))
+        if bianchi_residual(riemann(conn, C, g)) > cfg.tolerance:
             stats.rejected_class += 1
             return None
     return m
@@ -667,6 +674,42 @@ class TestStackedAcceptance:
         assert stats == alone_stats
         assert (stats.rejected_invalid, stats.rejected_jacobi) == (1, 1)
         assert stats.rejected_class == 6 - 2 - len(hits)
+
+
+def test_twist_pair_computed_once(
+    monkeypatch, flat4, two_step_6, other_class_4, other_class_6
+):
+    """`build_context` computes the twist pair of nabla J once per manifold;
+    `_accept` computes it only for the R' gate of the Kahler target, once per
+    stack that holds a W3 entry."""
+    calls = []
+
+    def counted(nJ, J):
+        calls.append(nJ.shape)
+        return twist_arrays(nJ, J)
+
+    monkeypatch.setattr(geometry, "twist_arrays", counted)
+    monkeypatch.setattr(search, "twist_arrays", counted)
+    for m in (flat4, two_step_6, other_class_6):
+        calls.clear()
+        build_context(m)
+        assert len(calls) == 1, m
+    stack = np.stack(
+        [
+            _bundled_brackets("flat_kahler_4"),  # W0
+            other_class_4.structure_constants,  # OTHER
+            _bundled_brackets("w3_generic_4"),  # W3
+            _bundled_brackets("w3_kahler_rprime_4"),  # W3
+        ]
+    )
+    for target, entries, want in (
+        (SearchTarget.W3, 4, 0),
+        (SearchTarget.W3_RPRIME_KAHLER, 4, 1),
+        (SearchTarget.W3_RPRIME_KAHLER, 2, 0),  # no W3 entry
+    ):
+        calls.clear()
+        search._accept(stack[:entries], SearchConfig(dim=4, target=target), SearchStats())
+        assert len(calls) == want, (target, entries)
 
 
 def _root_form():
