@@ -53,7 +53,8 @@ import norden  # noqa: E402
 from norden import SearchConfig, SearchTarget, manifests, search  # noqa: E402
 
 SHOWN = ("hits", "candidates", "gn_iterations", "gn_rounds", "svd_steps", "rejected_class")
-CACHES = ("_membership", "_generic_family", "_two_step_families", "_quadratic_form")
+CACHES = ("_membership", "_generic_family", "_two_step_families", "_quadratic_form",
+          "_canonical_pair", "_upper_triangle")
 
 
 class Recorder:

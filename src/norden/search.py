@@ -14,17 +14,29 @@ quadratic Jacobi identity is handled two ways:
   null spaces exist only for dimension >= 6.
 * Gauss-Newton projection: a damped Gauss-Newton iteration drives the Jacobi
   residual (and, for the Kahler target, the first Bianchi residual of the
-  skew-torsion curvature) to zero inside the membership null space, on the
-  unit sphere ||z|| = 1 of the null-space coordinates z, which keeps it off
-  the abelian solution.  Both residual maps are homogeneous quadratic in z,
-  so they are precomputed once per (dim, target) as a symmetric form Q with
-  phi(z) = Q[z, z] (`QuadraticForm`), from the product tables that the
-  kernels evaluate (`_quadratic_form`).  Qz gives the residual and the
-  Jacobian and is linear in z: an iteration is one small rank-revealing
-  least-squares solve (`QuadraticForm.step`) and one product Q step, which
-  prices every line-search trial and carries Qz to the next iterate on the
-  sphere.  The candidates run in lockstep (`_Lockstep`), each bit for bit as
-  alone, and exactly those that a one-at-a-time search would run.
+  skew-torsion curvature) to zero inside the membership null space of all
+  the triples.  Its coordinates z are those of the null space's integer
+  echelon basis N (`_integer_basis`: entries 0 and +-1, the identity on the
+  free triples).  A candidate starts at a uniform draw u on the unit sphere
+  of the orthonormal SVD basis V of the same space, at z = V[free] u, so
+  that N z = V u, and stays on the sphere ||N z|| = 1 of the bracket
+  coefficients, where ||C(z)||_F**2 = 2, which keeps it off the abelian
+  solution.  Gauss-Newton is invariant under a linear change of coordinates
+  that carries the start point and the constraint along, so the iterates are
+  those of the coordinates of V, up to rounding.  Both residual maps are
+  homogeneous quadratic in z, so they are precomputed once per (dim, target)
+  as a symmetric form Q with phi(z) = Q[z, z] (`QuadraticForm`), from the
+  product tables that the kernels evaluate (`_quadratic_form`).  In the
+  coordinates of N, Q is sparse (3.3% of its entries are nonzero in dim 6,
+  1.2% in dim 8, for the Kahler target), and it is built from the supports of
+  the directions and held as the list of its nonzero entries (a dim-4 form,
+  whose product that list would slow, also dense).  Qz gives the
+  residual and the Jacobian and is linear in z: an iteration is one small
+  rank-revealing least-squares solve (`QuadraticForm.step`), one product Q
+  step, which prices every line-search trial and carries Qz to the next
+  iterate on the sphere, and one product N.T N step, which carries the
+  sphere's gradient.  The candidates run in lockstep (`_Lockstep`), each bit
+  for bit as alone, and exactly those that a one-at-a-time search would run.
 
 Acceptance judges a stack: the two-step brackets drawn since the last round
 wait and are judged together with the Gauss-Newton candidates that converge
@@ -87,6 +99,10 @@ class SearchConfig:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
+        for name in ("dim", "seed", "max_candidates", "max_results"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_candidates < 1:
             raise ValueError(f"max_candidates must be >= 1, got {self.max_candidates}")
         if self.dim < 4 or self.dim % 2 != 0:
@@ -155,13 +171,24 @@ def _brackets(dim: int, pos: NDArray, neg: NDArray, coeff: NDArray) -> NDArray:
     return C.reshape((dim, dim, dim) + coeff.shape[1:])
 
 
+@lru_cache(maxsize=None)
+def _canonical_pair(dim: int) -> tuple[NDArray, NDArray, NDArray]:
+    """(g, J, g^-1) of the canonical pair, read-only: every candidate of a
+    dimension is judged on it, and manifests copy what they are given."""
+    g, J = canonical_norden_pair(dim)
+    pair = (g, J, np.linalg.inv(g))
+    for array in pair:
+        array.flags.writeable = False
+    return pair
+
+
 def _w3_rows(dim: int, triples: NDArray) -> NDArray:
     """Matrix of the linear map (structure constants) -> cyclic sum of F,
     one batched kernel evaluation over the unit brackets of `triples`."""
-    g, J = canonical_norden_pair(dim)
+    g, J, g_inv = _canonical_pair(dim)
     C = _brackets(dim, *_positions(dim, triples), np.eye(len(triples)))
     C = C.transpose(3, 0, 1, 2)
-    F = lower(compute_nabla_J(levi_civita(C, g, np.linalg.inv(g)), J), g)
+    F = lower(compute_nabla_J(levi_civita(C, g, g_inv), J), g)
     return cyclic_sum3(F, (-3, -2, -1)).reshape(len(C), -1).T
 
 
@@ -191,6 +218,39 @@ def _generic_family(dim: int) -> _Family:
     intersected with the membership condition."""
     triples, rows = _membership(dim)
     return (*_positions(dim, triples), _null_space(rows))
+
+
+def _integer_basis(dim: int, rows: NDArray, r: int) -> tuple[NDArray, NDArray]:
+    """(N, free): the null-space basis N of the quarter-integral membership
+    matrix `rows` in reduced row-echelon form, the identity on the free
+    columns `free`.  The cyclic sum of F is totally symmetric, so the rows
+    (a, b, c) with a <= b <= c are all the distinct ones, and one Gauss-Jordan
+    elimination of them gives N.  Its entries are integers (0 and +-1 in dims
+    4 to 12); the product 4 rows @ N, exact in floating point on integers this
+    small, is zero and N has the rank r of the SVD null space, which certifies
+    it; ArithmeticError is raised where that fails."""
+    A = np.rint(4.0 * rows)
+    distinct = [(a * dim + b) * dim + c
+                for a, b, c in itertools.combinations_with_replacement(range(dim), 3)]
+    R, pivots = A[distinct], []
+    for col in range(A.shape[1]):
+        top = len(pivots)
+        below = top + np.flatnonzero(R[top:, col])
+        if below.size == 0:
+            continue
+        R[[top, below[0]]] = R[[below[0], top]]
+        R[top, col:] /= R[top, col]
+        others = np.flatnonzero(R[:, col])
+        others = others[others != top]
+        R[others, col:] -= R[others, col, None] * R[top, col:]
+        pivots.append(col)
+    free = np.delete(np.arange(A.shape[1]), pivots)
+    N = np.zeros((A.shape[1], free.size))
+    N[free, np.arange(free.size)] = 1.0
+    N[pivots] = np.rint(0.0 - R[: len(pivots), free]) + 0.0  # no -0.0
+    if free.size != r or (A @ N).any():
+        raise ArithmeticError("the membership null space has no integer echelon basis")
+    return N, free
 
 
 @lru_cache(maxsize=None)
@@ -224,56 +284,94 @@ _ROW_WEIGHT = np.sqrt(6.0)
 @dataclass(frozen=True)
 class QuadraticForm:
     """The Gauss-Newton residual map phi(z) of one (dim, target) as a
-    symmetric form: phi(z) = Q[z, z] on the kept rows.
+    symmetric form in the integer coordinates z of the generic family:
+    phi(z) = Q[z, z] on the kept rows.
 
-    phi stacks the Jacobi sum of the brackets C(z) of the family
-    (pos, neg, null) at null @ z
-    (`JACOBI_TERMS`, order [p][i][j][l], cyclic in i, j, l) and, for the
-    Kahler target, the first Bianchi sum of R' (`RIEMANN_TERMS`, order
-    [i][j][k][l], cyclic in i, j, k).  Both are totally antisymmetric in their
-    three cyclic slots, so only the rows with increasing cyclic indices are
-    kept (`rows`, flat indices into the stacked full map): they carry its
-    max-abs and 1/6 of its sum of squares.  q[a, b, :] = Q[e_a, e_b].
+    phi stacks the Jacobi sum of the brackets C(z) of the family (pos, neg)
+    at the coefficients basis @ z (`JACOBI_TERMS`, order [p][i][j][l], cyclic
+    in i, j, l) and, for the Kahler target, the first Bianchi sum of R'
+    (`RIEMANN_TERMS`, order [i][j][k][l], cyclic in i, j, k).  Both are
+    totally antisymmetric in their three cyclic slots, so only the rows with
+    increasing cyclic indices are kept (`rows`, flat indices into the stacked
+    full map): they carry its max-abs and 1/6 of its sum of squares.
+
+    `basis` is the integer echelon basis N of the family (`_integer_basis`)
+    and `gram` is N.T N, so z @ gram @ z = ||N z||**2 is the squared norm of
+    the bracket coefficients, half ||C(z)||_F**2.  `start` is V[free], the
+    orthonormal SVD basis V of the family on N's free triples: N is the
+    identity there, so N (start @ u) = V u.
+
+    Q is held as the list of its nonzero entries Q[e_a, e_b] on kept row k,
+    each with the output o = b K + k (K kept rows) that it adds to, in
+    levels: `outputs` are the outputs that have entries, most entries first,
+    and level j holds the entry j + 1 (in the order of a) of the first
+    widths[j] of them, those with more than j entries.  `cols` holds a and
+    `values` the entries, level after level.  A form of at most
+    _DENSE_ENTRIES entries (dim 4) is also held as the dense (r, r K) matrix
+    of Q z, `dense`, or else None: there one BLAS product costs less than the
+    scatter-add's numpy calls.
     """
 
     dim: int
     pos: NDArray
     neg: NDArray
-    null: NDArray
+    basis: NDArray
+    gram: NDArray
+    start: NDArray
     rows: NDArray
-    q: NDArray
+    cols: NDArray
+    values: NDArray
+    outputs: NDArray
+    widths: tuple[int, ...]
+    dense: NDArray | None
 
     def brackets(self, z: NDArray) -> NDArray:
-        return _brackets(self.dim, self.pos, self.neg, self.null @ z)
+        return _brackets(self.dim, self.pos, self.neg, self.basis @ z)
 
     def qz(self, z: NDArray) -> NDArray:
         """(Q z)[n, b, k] = Q[z_n, e_b] on kept row k, for each candidate z_n
         (a row of z): phi(z_n) = z_n @ qz(z)[n], and the Jacobian of phi at
-        z_n is 2 qz(z)[n].T."""
+        z_n is 2 qz(z)[n].T.  One stacked product with `dense`, or one
+        scatter-add: the products z_n[a] Q[e_a, e_b] of all the entries, then
+        one add per level, elementwise.  Both work row by row, so that a
+        candidate gets the same bits in any stack."""
         n, r = z.shape
-        return np.vecmat(z, self.q.reshape(r, -1)).reshape(n, r, -1)
+        if self.dense is not None:
+            return np.vecmat(z, self.dense).reshape(n, r, -1)
+        products = np.take(z, self.cols, axis=1)
+        products *= self.values
+        sums, offset = products[:, : self.widths[0]], self.widths[0]
+        for width in self.widths[1:]:
+            sums[:, :width] += products[:, offset : offset + width]
+            offset += width
+        out = np.zeros((n, r * self.rows.size))
+        out[:, self.outputs] = sums
+        return out.reshape(n, r, -1)
 
     def step(
-        self, z: NDArray, qz: NDArray, f: NDArray, stats: SearchStats
+        self, z: NDArray, gz: NDArray, qz: NDArray, f: NDArray, stats: SearchStats
     ) -> NDArray:
-        """Gauss-Newton step for phi(z_n) = 0 on the sphere ||z_n|| = 1, for
-        each row n, with qz = Q z and f = phi(z) = z @ qz; the last row
-        linearises ||z_n||**2 = 1.  The kept rows, weighted by sqrt(6), give
-        the normal equations of the full map.  Directions whose singular
-        value is below GN_RANK_CUTOFF times the largest are dropped: near a
-        singular root they are rounding noise, and a cutoff at the rounding
-        level (eps times the row count, about 6e-13 in dim 6) keeps some of
-        them and slows convergence to linear.  [A b] = QR [R c], and R has the
-        singular values of A: when ||R||_F ||R^-1||_F, a bound on their ratio,
-        certifies that none is dropped, the step is R^-1 c; else an SVD solves
-        on R (counted in stats.svd_steps)."""
+        """Gauss-Newton step for phi(z_n) = 0 on the sphere ||N z_n|| = 1, for
+        each row n, with gz = gram z, qz = Q z and f = phi(z) = z @ qz; the
+        last row linearises z_n @ gram @ z_n = 1.  The kept rows, weighted by
+        sqrt(6), give the normal equations of the full map.  Directions whose
+        singular value is below GN_RANK_CUTOFF times the largest are dropped:
+        near a singular root they are rounding noise, and a cutoff at the
+        rounding level (eps times the row count, about 6e-13 in dim 6) keeps
+        some of them and slows convergence to linear.  [A b] = QR [R c], and R
+        has the singular values of A: when ||R||_F ||R^-1||_F, a bound on their
+        ratio, certifies that none is dropped, the step is R^-1 c; else an SVD
+        solves on R (counted in stats.svd_steps)."""
         n, r = z.shape
         Ab = np.empty((n, qz.shape[2] + 1, r + 1))
         Ab[:, :-1, :r] = _ROW_WEIGHT * 2.0 * qz.transpose(0, 2, 1)
         Ab[:, :-1, r] = _ROW_WEIGHT * f
-        Ab[:, -1, :r] = 2.0 * z
-        Ab[:, -1, r] = np.vecdot(z, z) - 1.0
-        Rc = np.linalg.qr(Ab, mode="r")
+        Ab[:, -1, :r] = 2.0 * gz
+        Ab[:, -1, r] = np.vecdot(z, gz) - 1.0
+        # R of [A b] is the upper triangle of the first r + 1 rows of the
+        # factored matrix, which mode "raw" returns transposed
+        h = np.linalg.qr(Ab, mode="raw")[0].transpose(0, 2, 1)[:, : r + 1]
+        Rc = np.where(_upper_triangle(*h.shape[1:]), h, 0.0)
         R, c = Rc[:, :r, :r], Rc[:, :r, r]
         try:
             R_inv = np.linalg.inv(R)  # raises if any R is singular or not square
@@ -289,6 +387,12 @@ class QuadraticForm:
         return steps
 
 
+@lru_cache(maxsize=None)
+def _upper_triangle(m: int, n: int) -> NDArray:
+    """The mask of the upper triangle of an m x n matrix."""
+    return np.triu(np.ones((m, n), dtype=bool))
+
+
 def _inverse_or_nan(R: NDArray) -> NDArray:
     """R^-1, or NaN in the shape of R.T where R is singular or not square,
     which fails the rank certificate."""
@@ -298,33 +402,42 @@ def _inverse_or_nan(R: NDArray) -> NDArray:
         return np.full(R.shape[::-1], np.nan)
 
 
-# kept rows per batched product of the form build: a chunk's factors and
-# products take about 5 MB in dim 8, against 149 MB for q
-_FORM_CHUNK = 8
+# kept rows per chunk of the form build: a chunk's products take at most
+# 14 MB in dim 10
+_FORM_CHUNK = 64
+# the most entries r**2 K of a form that is also held dense, 256 kB: one
+# candidate's product with a dim-4 form (2,304 or 4,608 entries) takes 1.4
+# and 1.8 us dense and 7 us as a scatter-add, with a dim-6 form (349,920 or
+# 699,840) 106 and 253 us dense and 31 and 63 us as a scatter-add
+_DENSE_ENTRIES = 2**15
 
 
 @lru_cache(maxsize=None)
 def _quadratic_form(dim: int, want_kahler: bool) -> QuadraticForm:
-    """Q of the generic family from the bilinear map B with phi(C) = B(C, C):
-    q[a, b, k] = (B(D_a, D_b) + B(D_b, D_a))[k] / 2 for the null-space
-    directions D_a, on the kept rows k only.  Row k of B(A, A') sums the
-    products sign x(A) y(A') over m, the terms of its map's table and the three
-    cyclic shifts of its cyclic letters; a chunk of rows gathers its factors by
-    flat index and is one batched matmul, (K, r, T) @ (K, T, r), written into q."""
+    """Q of the generic family in its integer coordinates, from the bilinear
+    map B with phi(C) = B(C, C): Q[e_a, e_b] = (B(D_a, D_b) + B(D_b, D_a)) / 2
+    on kept row k for the directions D_a = C(e_a).  Row k of B(A, A') sums
+    the products sign x(A) y(A') over m, the terms of its map's table and the
+    three cyclic shifts of its cyclic letters: the tables (x, y, w) hold the
+    flat indices of x and y in the stacked factors, and the weights.  The
+    directions are sparse, so Q is summed from the products on their
+    supports, a chunk of rows at a time (`_products`): no dense Q is built."""
+    _, membership = _membership(dim)
     pos, neg, null = _generic_family(dim)
-    r = null.shape[1]
-    D = _brackets(dim, pos, neg, null)  # [m][i][j][a]
+    basis, free = _integer_basis(dim, membership, null.shape[1])
+    r = basis.shape[1]
+    D = _brackets(dim, pos, neg, basis)  # [m][i][j][a]
     factors, maps = {"C": D.transpose(3, 0, 1, 2)}, [(JACOBI_TERMS, "pijl", "ijl")]
     if want_kahler:
-        g, J = canonical_norden_pair(dim)
-        gamma = levi_civita(factors["C"], g, np.linalg.inv(g))
+        g, J, g_inv = _canonical_pair(dim)
+        gamma = levi_civita(factors["C"], g, g_inv)
         nabla_J = compute_nabla_J(gamma, J)
         factors["gamma"] = conn = gamma + q_array(*twist_arrays(nabla_J, J))
         factors["L"] = lower(conn, g)
         maps.append((RIEMANN_TERMS, "ijkl", "ijk"))
     names, shape = list(factors), (len(factors),) + (dim,) * 3
     flat = np.stack(list(factors.values()), -1).transpose(4, 1, 2, 3, 0).reshape(-1, r)
-    rows, chunks = [], []
+    rows, tables = [], []
     for n, (terms, row, cyc) in enumerate(maps):
         grid = dict(zip(row + "m", np.indices((dim,) * 5).reshape(5, dim**4, dim)))
         a, b, c = (grid[letter][:, 0] for letter in cyc)
@@ -336,31 +449,105 @@ def _quadratic_form(dim: int, want_kahler: bool) -> QuadraticForm:
                 for ind, (name, idx) in zip(xy, pair):
                     multi = [names.index(name)] + [grid[i] for i in idx.translate(turn)]
                     ind.append(np.ravel_multi_index(multi, shape))
-        x, y = (np.concatenate(ind, axis=1) for ind in xy)
-        w = np.repeat([0.5 * sign for sign, *_ in terms] * 3, dim)[:, None]  # exact
-        for k in range(0, kept.size, _FORM_CHUNK):
-            chunks.append((x[k : k + _FORM_CHUNK], y[k : k + _FORM_CHUNK], w))
+        w = np.repeat([0.5 * sign for sign, *_ in terms] * 3, dim)  # exact
+        tables += [(*(np.concatenate(ind, axis=1) for ind in xy), w)]
         rows.append(kept + n * dim**4)
     rows = np.concatenate(rows)
-    q, col = np.empty((r, r, rows.size)), 0
-    for x, y, w in chunks:  # a chunk of rows: (K, r, T) @ (K, T, r)
-        half = (w * flat[x]).transpose(0, 2, 1) @ flat[y]
-        out, col = q[:, :, col : col + len(x)], col + len(x)
-        np.add(half.transpose(1, 2, 0), half.transpose(2, 1, 0), out=out)
-    return QuadraticForm(dim, pos, neg, null, rows, q)
+    # the directions' supports: flat factor f is nonzero on the directions
+    # support[start[f] : start[f + 1]], with the values value[...]
+    f, support = np.nonzero(flat)
+    value, start = flat[f, support], np.searchsorted(f, np.arange(len(flat) + 1))
+    keys, values, first = [], [], 0
+    for x, y, w in tables:
+        for k in range(0, len(x), _FORM_CHUNK):
+            xk, yk = x[k : k + _FORM_CHUNK], y[k : k + _FORM_CHUNK]
+            key, both = _products(
+                rows.size, r, first + k, xk, yk, w, support, value, start
+            )
+            keys.append(key)
+            values.append(both)
+        first += len(x)
+    keys, values = np.concatenate(keys), np.concatenate(values)
+    dense = None
+    if r * r * rows.size <= _DENSE_ENTRIES:
+        dense = np.zeros((r, r * rows.size))
+        dense[keys % r, keys // r] = values
+    return QuadraticForm(
+        dim, pos, neg, basis, basis.T @ basis, null[free], rows,
+        *_levels(r, keys, values), dense,
+    )
+
+
+def _products(
+    K: int, r: int, first: int, x: NDArray, y: NDArray, w: NDArray,
+    support: NDArray, value: NDArray, start: NDArray,
+) -> tuple[NDArray, NDArray]:
+    """(keys (b K + k) r + a, values Q[e_a, e_b] on kept row k) of the
+    nonzero entries of Q on the kept rows k = first, first + 1, ... of the
+    tables x, y and w: row k of B(A, A') sums w[t] x(A) y(A') over the terms
+    t, with x and y read at the flat factor indices x[k, t] and y[k, t].  A
+    term adds to B(D_a, D_b) only where D_a is in the support of its x and
+    D_b in that of its y: every such pair is listed and B is summed by key,
+    and Q is B plus its transpose, two addends an entry, which makes it
+    symmetric bit for bit."""
+    count = np.diff(start)
+    nx, ny = count[x].ravel(), count[y].ravel()
+    pairs = nx * ny
+    term = np.repeat(np.arange(pairs.size), pairs)  # of each pair
+    within = np.arange(term.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    ex = start[x.ravel()][term] + within // ny[term]
+    ey = start[y.ravel()][term] + within % ny[term]
+    k = first + term // x.shape[1]
+    b, a = support[ey], support[ex]
+    products = w[term % x.shape[1]] * value[ex] * value[ey]
+    keys, half = _sum_by_key((b * K + k) * r + a, products)
+    b, k, a = keys // (K * r), keys // r % K, keys % r
+    keys, both = _sum_by_key(
+        np.concatenate([keys, (a * K + k) * r + b]), np.concatenate([half, half])
+    )
+    nonzero = both != 0.0
+    return keys[nonzero], both[nonzero]
+
+
+def _sum_by_key(keys: NDArray, values: NDArray) -> tuple[NDArray, NDArray]:
+    """The distinct keys (non-negative), ascending, and the sum of the values
+    of each."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[first], np.add.reduceat(values[order], first)
+
+
+def _levels(
+    r: int, keys: NDArray, values: NDArray
+) -> tuple[NDArray, NDArray, NDArray, tuple[int, ...]]:
+    """(cols, values, outputs, widths) of `QuadraticForm` from the nonzero
+    entries values[e] = Q[e_a, e_b] on kept row k, keyed (b K + k) r + a
+    for the K kept rows."""
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    outputs = keys // r
+    first = np.flatnonzero(np.diff(outputs, prepend=-1))  # of each output
+    count = np.diff(first, append=outputs.size)
+    most = np.argsort(-count, kind="stable")
+    first, count = first[most], count[most]
+    levels = [first[count > j] + j for j in range(count.max())]
+    entries = np.concatenate(levels)
+    return keys[entries] % r, values[entries], outputs[first], tuple(map(len, levels))
 
 
 class _Lockstep:
     """Sphere-constrained damped Gauss-Newton candidates of one form, run in
     lockstep: a round judges every candidate's residual and makes one stacked
-    step and one stacked product Q step for those that go on.  Stacked BLAS
-    and LAPACK calls work row by row, so each candidate computes bit for bit
+    step and one stacked product Q step for those that go on.  Each candidate
+    carries gram z and Q z along with z.  Stacked BLAS and LAPACK calls and
+    the form's product work row by row, so each candidate computes bit for bit
     what it would alone."""
 
     def __init__(self, form: QuadraticForm) -> None:
-        r = form.null.shape[1]
+        r = form.basis.shape[1]
         self.form, self.tags = form, []
-        self.z = np.empty((0, r))
+        self.z, self.gz = np.empty((0, r)), np.empty((0, r))
         self.qz = np.empty((0, r, form.rows.size))
         # steps per candidate, most for the first: candidates keep their order
         self.steps = np.empty(0, dtype=int)
@@ -369,11 +556,14 @@ class _Lockstep:
         return len(self.tags)
 
     def add(self, tag, rng: np.random.Generator) -> None:
-        """Draw candidate `tag`'s start point on the sphere and enter it."""
-        z = rng.uniform(-1.0, 1.0, self.z.shape[1])
-        z = (z / np.linalg.norm(z))[None]
+        """Draw candidate `tag`'s start point and enter it: a uniform draw u
+        normalised to the unit sphere of the SVD coordinates, at z = start @ u,
+        where ||N z|| = ||V u|| = 1."""
+        u = rng.uniform(-1.0, 1.0, self.form.start.shape[1])
+        z = (self.form.start @ (u / np.linalg.norm(u)))[None]
         self.tags.append(tag)
         self.z = np.concatenate([self.z, z])
+        self.gz = np.concatenate([self.gz, np.vecmat(z, self.form.gram)])
         self.qz = np.concatenate([self.qz, self.form.qz(z)])
         self.steps = np.append(self.steps, 0)
 
@@ -400,12 +590,13 @@ class _Lockstep:
         stats.gn_rounds += 1
         stats.gn_iterations += len(self.tags)
         self.steps += 1
-        z, qz = self.z, self.qz
-        step = self.form.step(z, qz, f, stats)
+        z, gz, qz = self.z, self.gz, self.qz
+        step = self.form.step(z, gz, qz, f, stats)
         # one product Q step prices every halving lam at once, as
         # phi(z - lam step) = phi(z) - 2 lam Q[z, step] + lam^2 Q[step, step],
-        # and carries qz by linearity; the first trial that lowers max|phi|
-        # wins, and the retraction onto the sphere scales qz with z
+        # and carries qz by linearity, as one product gram step carries gz;
+        # the first trial that lowers max|phi| wins, and the retraction onto
+        # the sphere scales gz and qz with z
         q_step = self.form.qz(step)
         trials = (
             f[:, None]
@@ -415,8 +606,9 @@ class _Lockstep:
         lower = np.abs(trials).max(axis=2) < norm_inf[:, None]
         lam = _HALVINGS[lower.argmax(axis=1)]
         z = z - lam * step
-        norm = np.sqrt(np.vecdot(z, z))[:, None]
-        self.z = z / norm
+        gz = gz - lam * np.vecmat(step, self.form.gram)
+        norm = np.sqrt(np.vecdot(z, gz))[:, None]
+        self.z, self.gz = z / norm, gz / norm
         qz -= lam[:, :, None] * q_step  # in place: self.qz
         qz /= norm[:, :, None]
         went_on = lower.any(axis=1)
@@ -432,7 +624,8 @@ class _Lockstep:
         out = [(self.tags[k], self.z[k]) for k in np.flatnonzero(ended)]
         self.tags = [tag for tag, gone in zip(self.tags, ended) if not gone]
         keep = ~ended
-        self.z, self.qz, self.steps = self.z[keep], self.qz[keep], self.steps[keep]
+        self.z, self.gz, self.qz = self.z[keep], self.gz[keep], self.qz[keep]
+        self.steps = self.steps[keep]
         return out
 
 
@@ -467,7 +660,7 @@ def _accept(C: NDArray, cfg: SearchConfig, stats: SearchStats) -> list[bool]:
     Each entry gets the bracket residuals of `validate_manifold` against its
     tolerances (a NaN fails; a Jacobi failure is `rejected_jacobi`), then its
     class label and, for the Kahler target, the first Bianchi gate of R'."""
-    g, J = canonical_norden_pair(cfg.dim)
+    g, J, g_inv = _canonical_pair(cfg.dim)
     antisymmetry, jacobi = bracket_residuals(C)
     valid = []
     for k, (r_anti, r_jacobi) in enumerate(zip(antisymmetry.tolist(), jacobi.tolist())):
@@ -481,7 +674,7 @@ def _accept(C: NDArray, cfg: SearchConfig, stats: SearchStats) -> list[bool]:
     if not valid:
         return hits
     C = C[valid]
-    gamma = levi_civita(C, g, np.linalg.inv(g))
+    gamma = levi_civita(C, g, g_inv)
     nabla_J = compute_nabla_J(gamma, J)
     labels = classify(lower(nabla_J, g), cfg.tolerance)
     accepted = [cls.label is ClassLabel.QUASI_KAHLER_W3 for cls in labels]
@@ -560,7 +753,7 @@ def search_w3_examples(
                     found[j] = (kind, C)
             pending = []
 
-    g, J = canonical_norden_pair(cfg.dim)
+    g, J, _ = _canonical_pair(cfg.dim)
     manifests = []
     for n, j in enumerate(sorted(found), 1):
         kind, C = found[j]

@@ -261,7 +261,7 @@ def _class_dependent_values(ctx: GeometryContext, a: NDArray, b: NDArray) -> Non
 def _non_finite(ctx: GeometryContext) -> list[Violation]:
     """Every residual and scalar of `ctx` that is not finite (brackets so large
     that the curvature overflows, say)."""
-    values = {"cyclic-F norm": ctx.classification.f_norm, **ctx.values}
+    values = {"F max-abs": ctx.classification.f_norm, **ctx.values}
     if ctx.panel is not None:
         for name in geo.ScalarPanel.FIELDS:
             values[f"scalar {name}"] = getattr(ctx.panel, name)

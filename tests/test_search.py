@@ -63,6 +63,18 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="at least 4"):
             SearchConfig(dim=2, seed=1)
 
+    @pytest.mark.parametrize("field", ("dim", "seed", "max_candidates", "max_results"))
+    @pytest.mark.parametrize("value", (1.5, 4.0, "4", True))
+    def test_non_integer_rejected(self, field, value):
+        # seed=1.5 used to fail inside the search, and max_results=2.5 to
+        # return 3 hits
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SearchConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SearchConfig(dim=np.int64(6), seed=np.int32(1), max_results=np.int64(2))
+        assert (cfg.dim, cfg.seed, cfg.max_results) == (6, 1, 2)
+
     @pytest.mark.parametrize("target", ("w3-kahler-rprime", "bogus"))
     def test_target_not_a_member_rejected(self, target):
         with pytest.raises(ValueError, match="target must be a SearchTarget"):
@@ -175,6 +187,29 @@ class TestMembership:
         for pos, neg, null in families:
             assert np.union1d(pos, neg).size == 2 * len(null)
 
+    @pytest.mark.parametrize("dim", (4, 6, 8))
+    def test_integer_basis_is_certified_exactly(self, dim):
+        _, rows = search._membership(dim)
+        null = search._generic_family(dim)[2]
+        N, free = search._integer_basis(dim, rows, null.shape[1])
+        assert set(np.unique(N).tolist()) <= {-1.0, 0.0, 1.0}
+        assert not np.signbit(N[N == 0.0]).any()
+        # the membership matrix is quarter-integral: 4 rows @ N = 0 in integers
+        four_rows = np.rint(4.0 * rows)
+        assert np.array_equal(four_rows, 4.0 * rows)
+        assert not (four_rows.astype(np.int64) @ N.astype(np.int64)).any()
+        assert np.array_equal(N[free], np.eye(null.shape[1]))
+        assert np.max(np.abs(N @ null[free] - null)) <= 1e-12
+        form = search._quadratic_form(dim, False)
+        assert np.array_equal(form.basis, N) and np.array_equal(form.start, null[free])
+        assert np.array_equal(form.gram, N.T @ N)
+
+    def test_basis_without_integer_certificate_raises(self):
+        # a null space the echelon basis cannot span: the rank check fails
+        _, rows = search._membership(4)
+        with pytest.raises(ArithmeticError, match="integer echelon basis"):
+            search._integer_basis(4, rows, 13)
+
     @pytest.mark.parametrize("dim", (6, 8))
     def test_pool_two_step_searches_reproduce_their_manifests(self, dim):
         entries = json.loads((POOL / "pool.json").read_text(encoding="utf-8"))
@@ -286,14 +321,15 @@ def _kernel_map(C, kahler):
     return np.concatenate(parts)
 
 
-def _polarised_form(dim, kahler):
-    """(rows, q) of the generic family by polarisation of the kernel maps:
-    q[a, b] = (phi(D_a + D_b) - phi(D_a) - phi(D_b)) / 2 on the rows whose
-    cyclic indices increase, one batched kernel call per direction a."""
-    pos, neg, null = search._generic_family(dim)
-    r = null.shape[1]
+def _polarised_form(dim, basis, kahler):
+    """(rows, q) of the generic family in the coordinates of `basis` by
+    polarisation of the kernel maps: q[a, b] = (phi(D_a + D_b) - phi(D_a) -
+    phi(D_b)) / 2 on the rows whose cyclic indices increase, one batched
+    kernel call per direction a."""
+    pos = search._generic_family(dim)[0]
+    r = basis.shape[1]
     g, J = canonical_norden_pair(dim)
-    D = _loop_basis(dim, np.column_stack(np.unravel_index(pos, (dim,) * 3))) @ null
+    D = _loop_basis(dim, np.column_stack(np.unravel_index(pos, (dim,) * 3))) @ basis
     D = D.T.reshape(r, dim, dim, dim)
     index = list(itertools.product(range(dim), repeat=4))
     rows = [n for n, (p, i, j, l) in enumerate(index) if i < j < l]
@@ -328,22 +364,48 @@ def form_case(request):
     form = search._quadratic_form(dim, kahler)
     rng = np.random.default_rng(100 * dim + kahler)
     # off the sphere, so that the sphere row has a residual too
-    return form, kahler, rng.uniform(-2.0, 2.0, form.null.shape[1])
+    return form, kahler, rng.uniform(-2.0, 2.0, form.basis.shape[1])
 
 
 class TestQuadraticForm:
     def test_form_equals_the_kernel_map_on_the_kept_rows(self, form_case):
+        # both products: a dim-4 form's dense one, and the scatter-add
         form, kahler, z = form_case
         kept = _kernel_map(form.brackets(z), kahler)[form.rows]
-        err = np.max(np.abs(z @ _qz(form, z) - kept))
-        assert err <= 1e-13 * (1.0 + np.max(np.abs(kept)))
+        for product in (form, replace(form, dense=None)):
+            err = np.max(np.abs(z @ _qz(product, z) - kept))
+            assert err <= 1e-13 * (1.0 + np.max(np.abs(kept)))
 
     def test_form_equals_the_polarised_kernel_maps(self, form_case):
         form, kahler, _ = form_case
-        rows, q = _polarised_form(form.dim, kahler)
+        rows, q = _polarised_form(form.dim, form.basis, kahler)
         assert np.array_equal(form.rows, rows)
-        assert np.max(np.abs(form.q - q)) <= 1e-15
-        assert np.array_equal(form.q, form.q.transpose(1, 0, 2))
+        dense = _dense(form)
+        assert np.max(np.abs(dense - q)) <= 1e-15
+        assert np.array_equal(dense, dense.transpose(1, 0, 2))
+        # storage by size: dim 4 is held dense too, dim 6 only as entries
+        r, K = form.basis.shape[1], form.rows.size
+        assert (form.dense is not None) == (r * r * K <= search._DENSE_ENTRIES)
+        assert (form.dense is not None) == (form.dim == 4)
+        if form.dense is not None:
+            assert np.array_equal(form.dense, dense.reshape(r, -1))
+
+    @pytest.mark.parametrize("dim", (6, 8))
+    def test_no_cached_array_as_large_as_a_dense_form(self, dim):
+        # 1.9-3.3% and 0.5-1.2% of Q's entries are nonzero in dims 6 and 8;
+        # a dense Q would hold r**2 K
+        for kahler in (False, True):
+            form = search._quadratic_form(dim, kahler)
+            r, K = form.basis.shape[1], form.rows.size
+            arrays = [v for v in vars(form).values() if isinstance(v, np.ndarray)]
+            assert max(a.size for a in arrays) < r * r * K
+
+    def test_stacked_product_equals_each_row_alone(self, form_case):
+        form, _, z = form_case
+        rows = np.random.default_rng(7).uniform(-1.0, 1.0, (5, z.size))
+        stacked = form.qz(rows)
+        for n, row in enumerate(rows):
+            assert form.qz(row[None])[0].tobytes() == stacked[n].tobytes()
 
     def test_kept_rows_carry_max_abs_and_a_sixth_of_the_squares(self, form_case):
         form, kahler, z = form_case
@@ -356,15 +418,17 @@ class TestQuadraticForm:
         assert 6.0 * np.sum(kept**2) == pytest.approx(np.sum(full**2), rel=1e-12)
 
     def test_reduced_step_equals_the_central_difference_step(self, form_case):
-        # the sphere row is the linearisation of ||z||**2 = 1, (2 z, ||z||**2 - 1)
+        # the sphere row is the linearisation of ||N z||**2 = 1,
+        # (2 N.T N z, ||N z||**2 - 1)
         form, kahler, z = form_case
         C = form.brackets(z)
         cols = []
         for e in np.eye(z.size):
             D = form.brackets(e)
             cols.append(0.5 * (_kernel_map(C + D, kahler) - _kernel_map(C - D, kahler)))
-        A = np.vstack([np.array(cols).T, 2.0 * z[None, :]])
-        b = np.concatenate([_kernel_map(C, kahler), [z @ z - 1.0]])
+        Nz = form.basis @ z
+        A = np.vstack([np.array(cols).T, 2.0 * (form.basis.T @ Nz)[None, :]])
+        b = np.concatenate([_kernel_map(C, kahler), [Nz @ Nz - 1.0]])
         full_step = np.linalg.lstsq(A, b, rcond=None)[0]
         step = _step(form, z, _qz(form, z), SearchStats())
         assert np.linalg.norm(step - full_step) <= 1e-8 * np.linalg.norm(full_step)
@@ -391,14 +455,7 @@ class TestQuadraticForm:
         # no inverse exists and the minimum-norm least-squares step is taken
         q = np.zeros((3, 3, 1))
         q[1, 1, 0] = q[2, 2, 0] = 1.0
-        form = search.QuadraticForm(
-            dim=1,
-            pos=np.arange(1),
-            neg=np.arange(0),
-            null=np.eye(3)[:1],
-            rows=np.arange(1),
-            q=q,
-        )
+        form = _stub_form(q)
         z, stats = np.array([1.0, 0.5, 0.25]), SearchStats()
         step = _step(form, z, _qz(form, z), stats)
         reference = np.linalg.lstsq(*_weighted_system(form, z), rcond=1e-10)[0]
@@ -447,7 +504,33 @@ def _qz(form, z):
 
 def _step(form, z, qz, stats):
     """The Gauss-Newton step of the single candidate z, as a batch of one."""
-    return form.step(z[None], qz[None], (z @ qz)[None], stats)[0]
+    return form.step(z[None], (form.gram @ z)[None], qz[None], (z @ qz)[None], stats)[0]
+
+
+def _dense(form):
+    """Q of `form` as a dense array q[a, b, k] = Q[e_a, e_b] on kept row k,
+    from its levels."""
+    r, K = form.basis.shape[1], form.rows.size
+    q, start = np.zeros((r, r * K)), 0
+    for width in form.widths:
+        q[form.cols[start : start + width], form.outputs[:width]] = form.values[
+            start : start + width
+        ]
+        start += width
+    return q.reshape(r, r, K)
+
+
+def _stub_form(q):
+    """The form with the dense Q q[a, b, k] on r <= 4 triples of dimension 2
+    whose brackets are the coordinates: N is the identity, so the sphere
+    ||N z|| = 1 is ||z|| = 1, and C(z) holds z and -z.  Its product is the
+    scatter-add."""
+    r, _, K = q.shape
+    a, b, k = np.nonzero(q)
+    return search.QuadraticForm(
+        2, np.arange(r), r + np.arange(r), np.eye(r), np.eye(r), np.eye(r),
+        np.arange(K), *search._levels(r, (b * K + k) * r + a, q[a, b, k]), None,
+    )
 
 
 _COUNTERS = ("gn_iterations", "svd_steps", "stalled", "iteration_cap")
@@ -478,10 +561,10 @@ def _alone(rng, form, stats):
 
 def _weighted_system(form, z):
     """The weighted Gauss-Newton system (A, b) of `form` at z on the sphere
-    ||z|| = 1, written out."""
-    qz = _qz(form, z)
-    A = np.vstack([np.sqrt(6.0) * 2.0 * qz.T, 2.0 * z[None, :]])
-    b = np.concatenate([np.sqrt(6.0) * (z @ qz), [z @ z - 1.0]])
+    ||N z|| = 1, written out."""
+    qz, Nz = _qz(form, z), form.basis @ z
+    A = np.vstack([np.sqrt(6.0) * 2.0 * qz.T, 2.0 * (form.basis.T @ Nz)[None, :]])
+    b = np.concatenate([np.sqrt(6.0) * (z @ qz), [Nz @ Nz - 1.0]])
     return A, b
 
 
@@ -496,15 +579,7 @@ def _cutoff_stub():
     q[0, 0] = [h, h]
     q[0, 1, 0] = q[1, 0, 0] = 1.0
     q[0, 2, 1] = q[2, 0, 1] = eps2
-    form = search.QuadraticForm(
-        dim=1,
-        pos=np.arange(1),
-        neg=np.arange(0),
-        null=np.array([[1.0, 0.0, 0.0]]),
-        rows=np.arange(2),
-        q=q / (2.0 * np.sqrt(6.0)),
-    )
-    return form, np.eye(3)[0]
+    return _stub_form(q / (2.0 * np.sqrt(6.0))), np.eye(3)[0]
 
 
 class _LoggingForm:
@@ -523,8 +598,8 @@ class _LoggingForm:
     def __getattr__(self, name):
         return getattr(self.form, name)
 
-    def step(self, z, qz, f, stats=None):
-        self.last_step = self.form.step(z, qz, f, stats)
+    def step(self, z, gz, qz, f, stats=None):
+        self.last_step = self.form.step(z, gz, qz, f, stats)
         return self.last_step
 
     def qz(self, z):
@@ -713,19 +788,12 @@ def test_twist_pair_computed_once(
 
 
 def _root_form():
-    """phi(z) = z_1**2, one row, with brackets z_0 (a 1 x 1 x 1 array): on
-    the unit circle the root z_1 = 0 is singular, and the plain Gauss-Newton
-    step and the retraction map the slope t = z_1 / z_0 to t / (2 + t**2)."""
+    """phi(z) = z_1**2, one row: on the unit circle ||N z|| = ||z|| = 1 the
+    root z_1 = 0 is singular, and the plain Gauss-Newton step and the
+    retraction map the slope t = z_1 / z_0 to t / (2 + t**2)."""
     q = np.zeros((2, 2, 1))
     q[1, 1, 0] = 1.0
-    return search.QuadraticForm(
-        dim=1,
-        pos=np.arange(1),
-        neg=np.arange(0),
-        null=np.array([[1.0, 0.0]]),
-        rows=np.arange(1),
-        q=q,
-    )
+    return _stub_form(q)
 
 
 class _ScaledSteps:
@@ -739,8 +807,8 @@ class _ScaledSteps:
     def __getattr__(self, name):
         return getattr(self.form, name)
 
-    def step(self, z, qz, f, stats=None):
-        return self.factor * self.form.step(z, qz, f, stats)
+    def step(self, z, gz, qz, f, stats=None):
+        return self.factor * self.form.step(z, gz, qz, f, stats)
 
 
 class TestFloorStop:
@@ -776,7 +844,7 @@ class TestFloorStop:
         # the plain step maps the slope t to t / (2 + t**2), so max|phi| =
         # t**2 / (1 + t**2) falls about fourfold per iteration
         C, stats = self._run(_root_form(), phi_start)
-        assert C is not None and C.shape == (1, 1, 1)
+        assert C is not None and C.shape == (2, 2, 2)
         assert stats.iteration_cap == stats.stalled == 0
         t, expected = math.sqrt(phi_start), 0
         while t * t / (1.0 + t * t) >= search.GN_CONVERGENCE:
@@ -898,14 +966,15 @@ class _UphillBelowAxis:
     def __getattr__(self, name):
         return getattr(self.form, name)
 
-    def step(self, z, qz, f, stats=None):
-        return np.where(z[:, 1:2] < 0.0, -1.0, 1.0) * self.form.step(z, qz, f, stats)
+    def step(self, z, gz, qz, f, stats=None):
+        sign = np.where(z[:, 1:2] < 0.0, -1.0, 1.0)
+        return sign * self.form.step(z, gz, qz, f, stats)
 
 
 class TestSphere:
-    """Every Gauss-Newton candidate stays on the unit sphere ||z|| = 1,
-    where ||C(z)||_F**2 = 2, and the retraction keeps the carried Q z equal
-    to a direct product."""
+    """Every Gauss-Newton candidate stays on the unit sphere ||N z|| = 1,
+    where ||C(z)||_F**2 = 2, and the retraction keeps the carried N.T N z and
+    Q z equal to direct products."""
 
     @pytest.mark.parametrize(
         "dim,kahler,seed,n", [(4, False, 201, 23), (4, True, 103, 6), (6, True, 42, 3)]
@@ -919,8 +988,9 @@ class TestSphere:
             batch.add(tag, rng)
         checked = 0
         while batch:
-            for z, qz in zip(batch.z, batch.qz):
-                assert abs(np.linalg.norm(z) - 1.0) <= 1e-14
+            for z, gz, qz in zip(batch.z, batch.gz, batch.qz):
+                assert abs(np.linalg.norm(form.basis @ z) - 1.0) <= 1e-14
+                assert np.max(np.abs(gz - form.gram @ z)) <= 1e-14 * np.max(np.abs(gz))
                 direct = _qz(form, z)
                 assert np.max(np.abs(qz - direct)) <= 1e-13 * np.max(np.abs(direct))
                 C = form.brackets(z)

@@ -1,5 +1,7 @@
 """The identity-check catalog, gating, equivalences and report determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from norden import (
     run_suite,
 )
 from norden.cli import emit_report
-from norden.suite import KAHLER
+from norden.suite import KAHLER, _non_finite, build_context
 
 TOL = 1e-9
 
@@ -230,6 +232,17 @@ class TestCheckIdentity:
         assert result.status == "NA"
         expected = f"BIANCHI_R_PRIME fails (residual {bianchi.residual:.2e})"
         assert result.reason == expected == "BIANCHI_R_PRIME fails (residual 1.27e-01)"
+
+
+class TestNonFinite:
+    def test_overflowing_f_is_named_by_its_report_name(self, two_step_6):
+        # f_norm is max|F|, which the text report prints as "F max-abs"
+        ctx = build_context(two_step_6)
+        assert _non_finite(ctx) == []
+        ctx.classification = replace(ctx.classification, f_norm=float("inf"))
+        [violation] = _non_finite(ctx)
+        assert violation.name == "finite value of F max-abs"
+        assert violation.residual == float("inf")
 
 
 class TestDeterminism:
