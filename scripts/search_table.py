@@ -24,7 +24,8 @@ a configuration has no baseline row, and 0 when everything reads the same.
 
 A closing line gives the bytes each of the search's caches holds at the end
 (the test suite's calls included), summed over the arrays of its cached
-values, each counted once with the array that owns its memory.  The count is
+values, each counted once with the array that owns its memory, and their
+total, where an array that two caches share counts once.  The count is
 deterministic, so two trees compare cache memory in the same run as their
 hits; it is for information and does not enter the exit code.
 """
@@ -53,8 +54,8 @@ import norden  # noqa: E402
 from norden import SearchConfig, SearchTarget, manifests, search  # noqa: E402
 
 SHOWN = ("hits", "candidates", "gn_iterations", "gn_rounds", "svd_steps", "rejected_class")
-CACHES = ("_membership", "_generic_family", "_two_step_families", "_quadratic_form",
-          "_canonical_pair", "_upper_triangle")
+CACHES = ("_membership", "_generic_family", "_integer_basis", "_two_step_families",
+          "_quadratic_form", "_canonical_pair", "_upper_triangle")
 
 
 class Recorder:
@@ -109,7 +110,11 @@ class CacheValues:
         return wrapper
 
     def nbytes(self) -> dict[str, int]:
-        return {name: held_bytes(list(values.values())) for name, values in self.values.items()}
+        """Bytes per cache, and in all of them, where an array that two caches
+        hold (the form's N is `_integer_basis`'s) counts once."""
+        held = {name: list(values.values()) for name, values in self.values.items()}
+        return {**{name: held_bytes(v) for name, v in held.items()},
+                "total": held_bytes(list(held.values()))}
 
 
 def held_bytes(value) -> int:

@@ -29,8 +29,7 @@ quadratic Jacobi identity is handled two ways:
   product tables that the kernels evaluate (`_quadratic_form`).  In the
   coordinates of N, Q is sparse (3.3% of its entries are nonzero in dim 6,
   1.2% in dim 8, for the Kahler target), and it is built from the supports of
-  the directions and held as the list of its nonzero entries (a dim-4 form,
-  whose product that list would slow, also dense).  Qz gives the
+  the directions and held as the list of its nonzero entries.  Qz gives the
   residual and the Jacobian and is linear in z: an iteration is one small
   rank-revealing least-squares solve (`QuadraticForm.step`), one product Q
   step, which prices every line-search trial and carries Qz to the next
@@ -220,15 +219,18 @@ def _generic_family(dim: int) -> _Family:
     return (*_positions(dim, triples), _null_space(rows))
 
 
-def _integer_basis(dim: int, rows: NDArray, r: int) -> tuple[NDArray, NDArray]:
-    """(N, free): the null-space basis N of the quarter-integral membership
-    matrix `rows` in reduced row-echelon form, the identity on the free
-    columns `free`.  The cyclic sum of F is totally symmetric, so the rows
-    (a, b, c) with a <= b <= c are all the distinct ones, and one Gauss-Jordan
-    elimination of them gives N.  Its entries are integers (0 and +-1 in dims
-    4 to 12); the product 4 rows @ N, exact in floating point on integers this
-    small, is zero and N has the rank r of the SVD null space, which certifies
-    it; ArithmeticError is raised where that fails."""
+@lru_cache(maxsize=None)
+def _integer_basis(dim: int) -> tuple[NDArray, NDArray]:
+    """(N, free): the basis N of the generic family's null space in reduced
+    row-echelon form, the identity on the free triples `free`.  The
+    membership matrix is quarter-integral, and the cyclic sum of F is totally
+    symmetric, so its rows (a, b, c) with a <= b <= c are all the distinct
+    ones, and one Gauss-Jordan elimination of them gives N.  Its entries are
+    integers (0 and +-1 in dims 4 to 12).  Four times the rows is integral,
+    the product 4 rows @ N, exact in floating point on integers this small,
+    is zero, and N has the rank of the SVD null space: that certifies N, and
+    ArithmeticError is raised where it fails."""
+    _, rows = _membership(dim)
     A = np.rint(4.0 * rows)
     distinct = [(a * dim + b) * dim + c
                 for a, b, c in itertools.combinations_with_replacement(range(dim), 3)]
@@ -248,7 +250,8 @@ def _integer_basis(dim: int, rows: NDArray, r: int) -> tuple[NDArray, NDArray]:
     N = np.zeros((A.shape[1], free.size))
     N[free, np.arange(free.size)] = 1.0
     N[pivots] = np.rint(0.0 - R[: len(pivots), free]) + 0.0  # no -0.0
-    if free.size != r or (A @ N).any():
+    r = _generic_family(dim)[2].shape[1]
+    if not np.array_equal(A, 4.0 * rows) or free.size != r or (A @ N).any():
         raise ArithmeticError("the membership null space has no integer echelon basis")
     return N, free
 
@@ -302,14 +305,13 @@ class QuadraticForm:
     identity there, so N (start @ u) = V u.
 
     Q is held as the list of its nonzero entries Q[e_a, e_b] on kept row k,
-    each with the output o = b K + k (K kept rows) that it adds to, in
-    levels: `outputs` are the outputs that have entries, most entries first,
-    and level j holds the entry j + 1 (in the order of a) of the first
-    widths[j] of them, those with more than j entries.  `cols` holds a and
-    `values` the entries, level after level.  A form of at most
-    _DENSE_ENTRIES entries (dim 4) is also held as the dense (r, r K) matrix
-    of Q z, `dense`, or else None: there one BLAS product costs less than the
-    scatter-add's numpy calls.
+    each with the output (b, k) of Q z that it adds to, in levels: the
+    outputs that have entries are ordered most entries first, and level j
+    holds the entry j + 1 (in the order of a) of the first widths[j] of them,
+    those with more than j entries.  `cols` holds a and `values` the entries,
+    level after level, with one slot of value 0 after level 0, at
+    widths[0].  `gather[b, k]` is the position of output (b, k) in level 0,
+    or that slot where it has no entry.
     """
 
     dim: int
@@ -321,9 +323,8 @@ class QuadraticForm:
     rows: NDArray
     cols: NDArray
     values: NDArray
-    outputs: NDArray
     widths: tuple[int, ...]
-    dense: NDArray | None
+    gather: NDArray
 
     def brackets(self, z: NDArray) -> NDArray:
         return _brackets(self.dim, self.pos, self.neg, self.basis @ z)
@@ -331,22 +332,21 @@ class QuadraticForm:
     def qz(self, z: NDArray) -> NDArray:
         """(Q z)[n, b, k] = Q[z_n, e_b] on kept row k, for each candidate z_n
         (a row of z): phi(z_n) = z_n @ qz(z)[n], and the Jacobian of phi at
-        z_n is 2 qz(z)[n].T.  One stacked product with `dense`, or one
-        scatter-add: the products z_n[a] Q[e_a, e_b] of all the entries, then
-        one add per level, elementwise.  Both work row by row, so that a
-        candidate gets the same bits in any stack."""
-        n, r = z.shape
-        if self.dense is not None:
-            return np.vecmat(z, self.dense).reshape(n, r, -1)
+        z_n is 2 qz(z)[n].T.  One stacked scatter-add: the products
+        z_n[a] Q[e_a, e_b] of all the entries, one add per level into level
+        0, elementwise, and one gather of the outputs.  It works row by row,
+        so that a candidate gets the same bits in any stack.  (np.add.reduceat
+        over the entries sorted by output would too, but runs its inner loop
+        once per output: about three times slower on a dim-6 Kahler form.)"""
         products = np.take(z, self.cols, axis=1)
         products *= self.values
-        sums, offset = products[:, : self.widths[0]], self.widths[0]
+        slot = self.widths[0]
+        products[:, slot] = 0.0  # not -0.0, whatever the sign of z
+        offset = slot + 1
         for width in self.widths[1:]:
-            sums[:, :width] += products[:, offset : offset + width]
+            products[:, :width] += products[:, offset : offset + width]
             offset += width
-        out = np.zeros((n, r * self.rows.size))
-        out[:, self.outputs] = sums
-        return out.reshape(n, r, -1)
+        return np.take(products, self.gather, axis=1)
 
     def step(
         self, z: NDArray, gz: NDArray, qz: NDArray, f: NDArray, stats: SearchStats
@@ -405,11 +405,6 @@ def _inverse_or_nan(R: NDArray) -> NDArray:
 # kept rows per chunk of the form build: a chunk's products take at most
 # 14 MB in dim 10
 _FORM_CHUNK = 64
-# the most entries r**2 K of a form that is also held dense, 256 kB: one
-# candidate's product with a dim-4 form (2,304 or 4,608 entries) takes 1.4
-# and 1.8 us dense and 7 us as a scatter-add, with a dim-6 form (349,920 or
-# 699,840) 106 and 253 us dense and 31 and 63 us as a scatter-add
-_DENSE_ENTRIES = 2**15
 
 
 @lru_cache(maxsize=None)
@@ -422,9 +417,8 @@ def _quadratic_form(dim: int, want_kahler: bool) -> QuadraticForm:
     flat indices of x and y in the stacked factors, and the weights.  The
     directions are sparse, so Q is summed from the products on their
     supports, a chunk of rows at a time (`_products`): no dense Q is built."""
-    _, membership = _membership(dim)
     pos, neg, null = _generic_family(dim)
-    basis, free = _integer_basis(dim, membership, null.shape[1])
+    basis, free = _integer_basis(dim)
     r = basis.shape[1]
     D = _brackets(dim, pos, neg, basis)  # [m][i][j][a]
     factors, maps = {"C": D.transpose(3, 0, 1, 2)}, [(JACOBI_TERMS, "pijl", "ijl")]
@@ -468,13 +462,9 @@ def _quadratic_form(dim: int, want_kahler: bool) -> QuadraticForm:
             values.append(both)
         first += len(x)
     keys, values = np.concatenate(keys), np.concatenate(values)
-    dense = None
-    if r * r * rows.size <= _DENSE_ENTRIES:
-        dense = np.zeros((r, r * rows.size))
-        dense[keys % r, keys // r] = values
     return QuadraticForm(
         dim, pos, neg, basis, basis.T @ basis, null[free], rows,
-        *_levels(r, keys, values), dense,
+        *_levels(r, rows.size, keys, values),
     )
 
 
@@ -519,9 +509,9 @@ def _sum_by_key(keys: NDArray, values: NDArray) -> tuple[NDArray, NDArray]:
 
 
 def _levels(
-    r: int, keys: NDArray, values: NDArray
-) -> tuple[NDArray, NDArray, NDArray, tuple[int, ...]]:
-    """(cols, values, outputs, widths) of `QuadraticForm` from the nonzero
+    r: int, K: int, keys: NDArray, values: NDArray
+) -> tuple[NDArray, NDArray, tuple[int, ...], NDArray]:
+    """(cols, values, widths, gather) of `QuadraticForm` from the nonzero
     entries values[e] = Q[e_a, e_b] on kept row k, keyed (b K + k) r + a
     for the K kept rows."""
     order = np.argsort(keys, kind="stable")
@@ -533,7 +523,13 @@ def _levels(
     first, count = first[most], count[most]
     levels = [first[count > j] + j for j in range(count.max())]
     entries = np.concatenate(levels)
-    return keys[entries] % r, values[entries], outputs[first], tuple(map(len, levels))
+    slot = first.size  # after level 0: the outputs without entries
+    gather = np.full(r * K, slot)
+    gather[outputs[first]] = np.arange(slot)
+    return (
+        np.insert(keys[entries] % r, slot, 0), np.insert(values[entries], slot, 0.0),
+        tuple(map(len, levels)), gather.reshape(r, K),
+    )
 
 
 class _Lockstep:

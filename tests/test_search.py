@@ -191,7 +191,7 @@ class TestMembership:
     def test_integer_basis_is_certified_exactly(self, dim):
         _, rows = search._membership(dim)
         null = search._generic_family(dim)[2]
-        N, free = search._integer_basis(dim, rows, null.shape[1])
+        N, free = search._integer_basis(dim)
         assert set(np.unique(N).tolist()) <= {-1.0, 0.0, 1.0}
         assert not np.signbit(N[N == 0.0]).any()
         # the membership matrix is quarter-integral: 4 rows @ N = 0 in integers
@@ -204,11 +204,22 @@ class TestMembership:
         assert np.array_equal(form.basis, N) and np.array_equal(form.start, null[free])
         assert np.array_equal(form.gram, N.T @ N)
 
-    def test_basis_without_integer_certificate_raises(self):
-        # a null space the echelon basis cannot span: the rank check fails
-        _, rows = search._membership(4)
+    def test_basis_without_integer_certificate_raises(self, monkeypatch):
+        # uncached: a null space the echelon basis cannot span fails the rank
+        # check, and rows that are not quarter-integral fail even where their
+        # rounding has the right null space
+        triples, rows = search._membership(4)
+        pos, neg, null = search._generic_family(4)
+        wider = (pos, neg, np.zeros((len(triples), null.shape[1] + 1)))
+        monkeypatch.setattr(search, "_generic_family", lambda dim: wider)
         with pytest.raises(ArithmeticError, match="integer echelon basis"):
-            search._integer_basis(4, rows, 13)
+            search._integer_basis.__wrapped__(4)
+        monkeypatch.setattr(search, "_generic_family", lambda dim: (pos, neg, null))
+        search._integer_basis.__wrapped__(4)
+        off_grid = rows + 1e-9 * (rows != 0.0)
+        monkeypatch.setattr(search, "_membership", lambda dim: (triples, off_grid))
+        with pytest.raises(ArithmeticError, match="integer echelon basis"):
+            search._integer_basis.__wrapped__(4)
 
     @pytest.mark.parametrize("dim", (6, 8))
     def test_pool_two_step_searches_reproduce_their_manifests(self, dim):
@@ -369,12 +380,10 @@ def form_case(request):
 
 class TestQuadraticForm:
     def test_form_equals_the_kernel_map_on_the_kept_rows(self, form_case):
-        # both products: a dim-4 form's dense one, and the scatter-add
         form, kahler, z = form_case
         kept = _kernel_map(form.brackets(z), kahler)[form.rows]
-        for product in (form, replace(form, dense=None)):
-            err = np.max(np.abs(z @ _qz(product, z) - kept))
-            assert err <= 1e-13 * (1.0 + np.max(np.abs(kept)))
+        err = np.max(np.abs(z @ _qz(form, z) - kept))
+        assert err <= 1e-13 * (1.0 + np.max(np.abs(kept)))
 
     def test_form_equals_the_polarised_kernel_maps(self, form_case):
         form, kahler, _ = form_case
@@ -383,17 +392,11 @@ class TestQuadraticForm:
         dense = _dense(form)
         assert np.max(np.abs(dense - q)) <= 1e-15
         assert np.array_equal(dense, dense.transpose(1, 0, 2))
-        # storage by size: dim 4 is held dense too, dim 6 only as entries
-        r, K = form.basis.shape[1], form.rows.size
-        assert (form.dense is not None) == (r * r * K <= search._DENSE_ENTRIES)
-        assert (form.dense is not None) == (form.dim == 4)
-        if form.dense is not None:
-            assert np.array_equal(form.dense, dense.reshape(r, -1))
 
-    @pytest.mark.parametrize("dim", (6, 8))
+    @pytest.mark.parametrize("dim", (4, 6, 8))
     def test_no_cached_array_as_large_as_a_dense_form(self, dim):
-        # 1.9-3.3% and 0.5-1.2% of Q's entries are nonzero in dims 6 and 8;
-        # a dense Q would hold r**2 K
+        # 10.1-10.9%, 1.9-3.3% and 0.5-1.2% of Q's entries are nonzero in
+        # dims 4, 6 and 8; a dense Q would hold r**2 K
         for kahler in (False, True):
             form = search._quadratic_form(dim, kahler)
             r, K = form.basis.shape[1], form.rows.size
@@ -406,6 +409,9 @@ class TestQuadraticForm:
         stacked = form.qz(rows)
         for n, row in enumerate(rows):
             assert form.qz(row[None])[0].tobytes() == stacked[n].tobytes()
+        # the outputs without entries read +0.0, as in a zeroed array
+        empty = form.gather == form.widths[0]
+        assert empty.any() and not np.signbit(stacked[:, empty]).any()
 
     def test_kept_rows_carry_max_abs_and_a_sixth_of_the_squares(self, form_case):
         form, kahler, z = form_case
@@ -511,12 +517,17 @@ def _dense(form):
     """Q of `form` as a dense array q[a, b, k] = Q[e_a, e_b] on kept row k,
     from its levels."""
     r, K = form.basis.shape[1], form.rows.size
+    slot, gather = form.widths[0], form.gather.ravel()
+    outputs = np.empty(slot, dtype=int)  # of level 0, in order
+    outputs[gather[gather < slot]] = np.flatnonzero(gather < slot)
+    assert np.array_equal(np.sort(outputs), np.flatnonzero(gather < slot))
+    assert form.cols[slot] == 0 and form.values[slot] == 0.0
     q, start = np.zeros((r, r * K)), 0
-    for width in form.widths:
-        q[form.cols[start : start + width], form.outputs[:width]] = form.values[
+    for j, width in enumerate(form.widths):
+        q[form.cols[start : start + width], outputs[:width]] = form.values[
             start : start + width
         ]
-        start += width
+        start += width + (j == 0)  # and the slot after level 0
     return q.reshape(r, r, K)
 
 
@@ -529,7 +540,7 @@ def _stub_form(q):
     a, b, k = np.nonzero(q)
     return search.QuadraticForm(
         2, np.arange(r), r + np.arange(r), np.eye(r), np.eye(r), np.eye(r),
-        np.arange(K), *search._levels(r, (b * K + k) * r + a, q[a, b, k]), None,
+        np.arange(K), *search._levels(r, K, (b * K + k) * r + a, q[a, b, k]),
     )
 
 
