@@ -5,13 +5,12 @@ curvatures, and certifies the identity catalog numerically on left-invariant
 Lie-group models."""
 
 from .curvature import (
-    antisym_residual,
     bianchi_residual,
-    kahler_residual,
     metric_pairing,
     pi_forms,
     ricci_and_scalars,
     riemann,
+    symmetry_panel,
     tensor_H,
     tensor_P,
 )

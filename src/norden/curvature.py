@@ -1,17 +1,19 @@
 """Curvature tensors of the Levi-Civita and skew-torsion connections, the
-auxiliary tensors P and H, the symmetry residuals of a rank-4 tensor,
-the two scalar curvatures, and the standard Kahler basis tensors pi_1, pi_2,
-pi_3 with their combinations.
+auxiliary tensors P and H, the symmetry residuals of a stack of rank-4
+tensors, the two scalar curvatures, and the standard Kahler basis tensors
+pi_1, pi_2, pi_3 with their combinations.
 Every function takes the arrays it reads (data, then g, g^{-1}, J) and
 returns arrays or numbers.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from numpy.typing import NDArray
 
-from .tensors import contract, cyclic_sum3, residual, zero_residual
+from .tensors import contract, cyclic_sum3, permutation_residual, zero_residual
 
 # g(R(e_i,e_j)e_k, e_l) as signed products of two factors (name, index letters)
 # summed over m: the brackets C, the connection gamma and its lowered form
@@ -23,14 +25,6 @@ RIEMANN_TERMS = (
 )
 
 
-def antisym_residual(L: NDArray) -> float:
-    """Residual of both pair antisymmetries L(x,y,z,w) = -L(y,x,z,w) = -L(x,y,w,z)."""
-    return max(
-        residual(L, -L.transpose(1, 0, 2, 3)),
-        residual(L, -L.transpose(0, 1, 3, 2)),
-    )
-
-
 def bianchi_residual(L: NDArray) -> float | NDArray:
     """Residual of the first Bianchi identity: the cyclic sum over the first
     three slots of L vanishes.  Leading batch axes of L index a stack: one
@@ -38,10 +32,31 @@ def bianchi_residual(L: NDArray) -> float | NDArray:
     return zero_residual(cyclic_sum3(L, (-4, -3, -2)), L.ndim - 4)
 
 
-def kahler_residual(L: NDArray, J: NDArray) -> float:
-    """Residual of L(x,y,Jz,Jw) = -L(x,y,z,w); J^T L J acts on the last two
-    slots and broadcasts over the first two."""
-    return residual(J.T @ L @ J, -L)
+class SymmetryPanel(NamedTuple):
+    """Per entry of a stack of rank-4 tensors L: max|L|, and the residuals
+    (`tensors.residual`) of both pair antisymmetries L(x,y,z,w) =
+    -L(y,x,z,w) = -L(x,y,w,z) (the larger of the two), of the first Bianchi
+    identity and of L(x,y,Jz,Jw) = -L(x,y,z,w)."""
+
+    top: NDArray
+    antisym: NDArray
+    bianchi: NDArray
+    kahler: NDArray
+
+
+def symmetry_panel(L: NDArray, J: NDArray) -> SymmetryPanel:
+    """The symmetry residuals of each entry of the stack L (K, d, d, d, d),
+    with max|L| taken once per entry.  They are bit for bit the residuals of
+    each entry against -L(y,x,z,w), -L(x,y,w,z) and -J^T L J: J^T L J acts on
+    the last two slots, one entry at a time, L - (-X) is L + X, and a
+    permutation of L keeps its max-abs."""
+    entry = (1, 2, 3, 4)
+    top = np.abs(L).max(entry)
+    antisym = permutation_residual(L, top, ((1, 0, 2, 3), (0, 1, 3, 2)), -1, batch=1)
+    twisted = J.T @ L @ J
+    scale = 1.0 + np.maximum(np.abs(twisted).max(entry), top)
+    kahler = np.abs(twisted + L).max(entry) / scale
+    return SymmetryPanel(top, antisym, bianchi_residual(L), kahler)
 
 
 def riemann(gamma: NDArray, C: NDArray, g: NDArray) -> NDArray:

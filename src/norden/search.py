@@ -409,16 +409,32 @@ _FORM_CHUNK = 64
 
 @lru_cache(maxsize=None)
 def _quadratic_form(dim: int, want_kahler: bool) -> QuadraticForm:
-    """Q of the generic family in its integer coordinates, from the bilinear
-    map B with phi(C) = B(C, C): Q[e_a, e_b] = (B(D_a, D_b) + B(D_b, D_a)) / 2
-    on kept row k for the directions D_a = C(e_a).  Row k of B(A, A') sums
-    the products sign x(A) y(A') over m, the terms of its map's table and the
-    three cyclic shifts of its cyclic letters: the tables (x, y, w) hold the
-    flat indices of x and y in the stacked factors, and the weights.  The
-    directions are sparse, so Q is summed from the products on their
-    supports, a chunk of rows at a time (`_products`): no dense Q is built."""
+    """Q of the generic family in its integer coordinates: its entries
+    (`_form_entries`) in levels (`_levels`).  The build's arrays are released
+    before the levels are built."""
     pos, neg, null = _generic_family(dim)
     basis, free = _integer_basis(dim)
+    rows, keys, values = _form_entries(dim, want_kahler, pos, neg, basis)
+    return QuadraticForm(
+        dim, pos, neg, basis, basis.T @ basis, null[free], rows,
+        *_levels(basis.shape[1], rows.size, keys, values),
+    )
+
+
+def _form_entries(
+    dim: int, want_kahler: bool, pos: NDArray, neg: NDArray, basis: NDArray
+) -> tuple[NDArray, NDArray, NDArray]:
+    """(rows, keys, values): the kept rows of Q and its nonzero entries
+    values[e] = Q[e_a, e_b] on kept row k, keyed (b K + k) r + a, in
+    ascending order of key, from the bilinear map B with phi(C) = B(C, C):
+    Q[e_a, e_b] = (B(D_a, D_b) + B(D_b, D_a)) / 2 on kept row k for the
+    directions D_a = C(e_a) of the family (pos, neg) at the basis.  Row k of
+    B(A, A') sums the products sign x(A) y(A') over m, the terms of its
+    map's table and the three cyclic shifts of its cyclic letters: the
+    tables (x, y, w) hold the flat indices of x and y in the stacked
+    factors, and the weights.  The directions are sparse, so Q is summed
+    from the products on their supports, a chunk of rows at a time
+    (`_products`): no dense Q is built."""
     r = basis.shape[1]
     D = _brackets(dim, pos, neg, basis)  # [m][i][j][a]
     factors, maps = {"C": D.transpose(3, 0, 1, 2)}, [(JACOBI_TERMS, "pijl", "ijl")]
@@ -461,11 +477,14 @@ def _quadratic_form(dim: int, want_kahler: bool) -> QuadraticForm:
             keys.append(key)
             values.append(both)
         first += len(x)
-    keys, values = np.concatenate(keys), np.concatenate(values)
-    return QuadraticForm(
-        dim, pos, neg, basis, basis.T @ basis, null[free], rows,
-        *_levels(r, rows.size, keys, values),
-    )
+    # sorted by key once, each unsorted array released as soon as its sorted
+    # copy is made
+    keys = np.concatenate(keys)
+    values = np.concatenate(values)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    values = values[order]
+    return rows, keys, values
 
 
 def _products(
@@ -513,23 +532,28 @@ def _levels(
 ) -> tuple[NDArray, NDArray, tuple[int, ...], NDArray]:
     """(cols, values, widths, gather) of `QuadraticForm` from the nonzero
     entries values[e] = Q[e_a, e_b] on kept row k, keyed (b K + k) r + a
-    for the K kept rows."""
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
+    for the K kept rows, in ascending order of key."""
     outputs = keys // r
-    first = np.flatnonzero(np.diff(outputs, prepend=-1))  # of each output
+    # the first entry of each output
+    first = np.flatnonzero(np.concatenate([[True], outputs[1:] != outputs[:-1]]))
     count = np.diff(first, append=outputs.size)
     most = np.argsort(-count, kind="stable")
     first, count = first[most], count[most]
-    levels = [first[count > j] + j for j in range(count.max())]
-    entries = np.concatenate(levels)
     slot = first.size  # after level 0: the outputs without entries
     gather = np.full(r * K, slot)
     gather[outputs[first]] = np.arange(slot)
-    return (
-        np.insert(keys[entries] % r, slot, 0), np.insert(values[entries], slot, 0.0),
-        tuple(map(len, levels)), gather.reshape(r, K),
-    )
+    del outputs
+    levels = [first[count > j] + j for j in range(count.max())]
+    widths = tuple(map(len, levels))
+    # level 0, the slot (filled below), then the other levels
+    entries = np.concatenate([levels[0], [0], *levels[1:]])
+    del levels, first, count
+    cols = keys[entries]
+    cols %= r
+    cols[slot] = 0
+    values = values[entries]
+    values[slot] = 0.0
+    return cols, values, widths, gather.reshape(r, K)
 
 
 class _Lockstep:
@@ -547,25 +571,35 @@ class _Lockstep:
         self.qz = np.empty((0, r, form.rows.size))
         # steps per candidate, most for the first: candidates keep their order
         self.steps = np.empty(0, dtype=int)
+        self.drawn: list[NDArray] = []  # start points not yet entered
 
     def __len__(self) -> int:
         return len(self.tags)
 
     def add(self, tag, rng: np.random.Generator) -> None:
-        """Draw candidate `tag`'s start point and enter it: a uniform draw u
-        normalised to the unit sphere of the SVD coordinates, at z = start @ u,
-        where ||N z|| = ||V u|| = 1."""
+        """Draw candidate `tag`'s start point, which `enter` enters: a uniform
+        draw u normalised to the unit sphere of the SVD coordinates, at
+        z = start @ u, where ||N z|| = ||V u|| = 1."""
         u = rng.uniform(-1.0, 1.0, self.form.start.shape[1])
-        z = (self.form.start @ (u / np.linalg.norm(u)))[None]
         self.tags.append(tag)
+        self.drawn.append(self.form.start @ (u / np.linalg.norm(u)))
+
+    def enter(self) -> None:
+        """Enter the candidates drawn since the last call, in draw order, with
+        one product gram z and one product Q z for all of them."""
+        if not self.drawn:
+            return
+        z, self.drawn = np.stack(self.drawn), []
         self.z = np.concatenate([self.z, z])
         self.gz = np.concatenate([self.gz, np.vecmat(z, self.form.gram)])
         self.qz = np.concatenate([self.qz, self.form.qz(z)])
-        self.steps = np.append(self.steps, 0)
+        self.steps = np.concatenate([self.steps, np.zeros(len(z), dtype=int)])
 
     def round(self, stats: SearchStats) -> list[tuple[object, NDArray | None]]:
         """One round; returns (tag, brackets with max-abs 1, or None after
-        counting the failure in `stats`) for each candidate that ended."""
+        counting the failure in `stats`) for each candidate that ended.  The
+        candidates drawn since the last round enter first."""
+        self.enter()
         f = np.vecmat(self.z, self.qz)
         norm_inf = np.abs(f).max(axis=1)
         ended = []

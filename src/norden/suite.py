@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -33,6 +34,7 @@ from .tensors import (
     check_tolerance,
     cyclic_sum3,
     lower,
+    permutation_residual,
     residual,
     scalar_residual,
     zero_residual,
@@ -97,16 +99,45 @@ class GeometryContext:
     panel: geo.ScalarPanel | None = None
 
 
-def _class_independent_values(ctx: GeometryContext) -> tuple[NDArray, NDArray]:
-    """Fills the values of the checks that run on every class; returns the
-    twist pair of nabla J, which the class-dependent values share."""
+class _SkewTorsion(NamedTuple):
+    """The natural connection's side of a W0/W3 manifold: Q (mixed), the
+    coefficients gamma + Q of nabla' = nabla + Q, qq = g(Q(x,y),Q(z,w)),
+    and R', P and H."""
+
+    q_vec: NDArray
+    gamma_p: NDArray
+    qq: NDArray
+    R_prime: NDArray
+    P: NDArray
+    H: NDArray
+
+
+def _skew_torsion(ctx: GeometryContext, a: NDArray, b: NDArray) -> _SkewTorsion:
+    """The natural connection's side, from the twist pair (a, b) of nabla J."""
+    C, g = ctx.m.structure_constants, ctx.m.metric
+    q_vec = geo.q_array(a, b)
+    gamma_p = ctx.gamma + q_vec
+    # g(Q(x,y),Q(z,w)) is shared by R' (correction route), P and EQ_2_6/EQ_2_7
+    qq = curv.metric_pairing(q_vec, q_vec, g)
+    return _SkewTorsion(
+        q_vec, gamma_p, qq, curv.riemann(gamma_p, C, g), curv.tensor_P(qq),
+        curv.tensor_H(a, b, g),
+    )
+
+
+def _class_independent_values(
+    ctx: GeometryContext, a: NDArray, b: NDArray, sym: curv.SymmetryPanel
+) -> None:
+    """Fills the values of the checks that run on every class, from the twist
+    pair (a, b) of nabla J and the symmetry panel whose entry 0 is R's."""
     F, Rc, J = ctx.F, ctx.R, ctx.m.J
     v = ctx.values
-    v["EQ_1_3_A"] = residual(F, F.transpose(0, 2, 1))
+    v["EQ_1_3_A"] = permutation_residual(F, ctx.classification.f_norm, ((0, 2, 1),))
     v["EQ_1_3_B"] = residual(F, J.T @ F @ J)
 
-    v["R_CURVATURE_LIKE"] = max(curv.antisym_residual(Rc), curv.bianchi_residual(Rc))
-    v["R_PAIR_SYMMETRY"] = residual(Rc, Rc.transpose(2, 3, 0, 1))
+    top, antisym, bianchi = sym.top[0], sym.antisym.item(0), sym.bianchi.item(0)
+    v["R_CURVATURE_LIKE"] = max(antisym, bianchi)
+    v["R_PAIR_SYMMETRY"] = permutation_residual(Rc, top, ((2, 3, 0, 1),))
 
     dF = covariant_derivative(ctx.gamma, F)
     lhs = dF - dF.transpose(1, 0, 2, 3)
@@ -114,16 +145,20 @@ def _class_independent_values(ctx: GeometryContext) -> tuple[NDArray, NDArray]:
     v["EQ_1_5"] = residual(lhs, rhs)
 
     # the three equivalent membership conditions
-    a, b = geo.twist_arrays(ctx.nabla_J, J)
     v["EQ_1_4"] = ctx.classification.w3_residual
     v["EQ_1_13"] = zero_residual(cyclic_sum3(np.einsum("ai,ajk->ijk", J, F)))
     v["EQ_1_14"] = zero_residual(a + a.transpose(0, 2, 1) + b + b.transpose(0, 2, 1))
-    return a, b
 
 
-def _class_dependent_values(ctx: GeometryContext, a: NDArray, b: NDArray) -> None:
+def _class_dependent_values(
+    ctx: GeometryContext, skew: _SkewTorsion, sym: curv.SymmetryPanel
+) -> None:
+    """Fills the values of the W0/W3 checks; `sym` is the symmetry panel of
+    [R, R', P, H]."""
     m, F, nJ, Rc = ctx.m, ctx.F, ctx.nabla_J, ctx.R
     C, g, J, g_inv = m.structure_constants, m.metric, m.J, m.metric_inv
+    q_vec, gamma_p, qq, Rpc, P, H = skew
+    antisym, bianchi, kahler = (x.tolist() for x in sym[1:])
     tol = ctx.tolerance
     v = ctx.values
 
@@ -141,43 +176,33 @@ def _class_dependent_values(ctx: GeometryContext, a: NDArray, b: NDArray) -> Non
     RJ2 = np.einsum("bj,ibcl->ijcl", J, Rc)
     RJ1 = np.einsum("ai,ajcl->ijcl", J, Rc)
     S = J.T @ RJ2 - RJ2 @ J + RJ1 @ J - J.T @ RJ1
-    sym = nJ + nJ.transpose(0, 2, 1)
-    G = curv.metric_pairing(sym, sym, g)
+    sym_nJ = nJ + nJ.transpose(0, 2, 1)
+    G = curv.metric_pairing(sym_nJ, sym_nJ, g)
     v["EQ_1_15"] = residual(cyclic_sum3(S), cyclic_sum3(G))
 
-    q_vec = geo.q_array(a, b)
     qc = lower(q_vec, g)
     v["EQ_1_19"] = residual(qc, geo.q_from_cyclic_F(F, J))
-    v["Q_SKEW"] = max(
-        residual(qc, -qc.transpose(1, 0, 2)), residual(qc, -qc.transpose(0, 2, 1))
-    )
+    v["Q_SKEW"] = permutation_residual(qc, np.abs(qc).max(), ((1, 0, 2), (0, 2, 1)), -1)
     v["Q_TRACE"] = zero_residual(np.einsum("ij,kij->k", g_inv, q_vec))
     v["F_TRACE_A"] = zero_residual(np.einsum("ij,ijz->z", g_inv, F))
     v["F_TRACE_B"] = zero_residual(np.einsum("ij,aj,iaz->z", g_inv, J, F))
 
-    gamma_p = ctx.gamma + q_vec  # the natural connection nabla' = nabla + Q
     v["NATURAL_G"] = zero_residual(covariant_derivative(gamma_p, g))
     v["NATURAL_J"] = zero_residual(geo.compute_nabla_J(gamma_p, J))
     v["TORSION_2Q"] = residual(torsion(gamma_p, C), 2.0 * q_vec)
 
-    # nabla Q and g(Q(x,y),Q(z,w)), shared by R' (correction route), P and
-    # EQ_2_6/EQ_2_7
-    dQ = covariant_derivative(ctx.gamma, qc)
-    qq = curv.metric_pairing(q_vec, q_vec, g)
-    Rpc = curv.riemann(gamma_p, C, g)
+    dQ = covariant_derivative(ctx.gamma, qc)  # nabla Q
     v["EQ_2_3"] = residual(Rpc, curv.curvature_prime_from_correction(Rc, dQ, qq))
-    v["R_PRIME_1_10"] = curv.antisym_residual(Rpc)
-    v["R_PRIME_1_12"] = curv.kahler_residual(Rpc, J)
-    v["BIANCHI_R_PRIME"] = curv.bianchi_residual(Rpc)
+    v["R_PRIME_1_10"] = antisym[1]
+    v["R_PRIME_1_12"] = kahler[1]
+    v["BIANCHI_R_PRIME"] = bianchi[1]
 
-    P = curv.tensor_P(qq)
     v["EQ_2_8"] = residual(3.0 * Rpc, 3.0 * Rc + P)
 
-    H = curv.tensor_H(a, b, g)
-    v["EQ_2_14"] = curv.bianchi_residual(H)
-    v["H_1_10"] = curv.antisym_residual(H)
-    v["H_1_12"] = curv.kahler_residual(H, J)
-    v["P_CURVATURE_LIKE"] = max(curv.antisym_residual(P), curv.bianchi_residual(P))
+    v["EQ_2_14"] = bianchi[3]
+    v["H_1_10"] = antisym[3]
+    v["H_1_12"] = kahler[3]
+    v["P_CURVATURE_LIKE"] = max(antisym[2], bianchi[2])
 
     v["EQ_2_6"] = residual(Rpc, Rc - dQ.transpose(2, 0, 1, 3) + qq)
     v["EQ_2_7"] = residual(
@@ -221,9 +246,7 @@ def _class_dependent_values(ctx: GeometryContext, a: NDArray, b: NDArray) -> Non
     def indicator(x: float) -> bool:
         return x <= tol
 
-    v["COR_2_2"] = float(
-        indicator(curv.kahler_residual(P, J)) != indicator(curv.kahler_residual(Rc, J))
-    )
+    v["COR_2_2"] = float(indicator(kahler[2]) != indicator(kahler[0]))
     h_kahler_full = max(v["H_1_10"], v["EQ_2_14"], v["H_1_12"])
     v["COR_2_4"] = float(indicator(v["BIANCHI_R_PRIME"]) != indicator(h_kahler_full))
     iso = indicator(scalar_residual(sq, 0.0))
@@ -299,9 +322,15 @@ def build_context(
             classification=geo.classify(F, tolerance),
             R=curv.riemann(gamma, C, g),
         )
-        twists = _class_independent_values(ctx)
-        if ctx.classification.is_w3_or_kahler:
-            _class_dependent_values(ctx, *twists)
+        a, b = geo.twist_arrays(nabla_J, J)
+        # one symmetry panel judges R, and on W0/W3 R', P and H with it
+        if not ctx.classification.is_w3_or_kahler:
+            _class_independent_values(ctx, a, b, curv.symmetry_panel(ctx.R[None], J))
+        else:
+            skew = _skew_torsion(ctx, a, b)
+            sym = curv.symmetry_panel(np.stack([ctx.R, skew.R_prime, skew.P, skew.H]), J)
+            _class_independent_values(ctx, a, b, sym)
+            _class_dependent_values(ctx, skew, sym)
     bad = _non_finite(ctx)
     if bad:
         raise InvalidManifoldError(ValidationOutcome(violations=tuple(bad)))

@@ -110,6 +110,32 @@ def residual(a: NDArray, b: NDArray, batch: int = 0) -> float | NDArray:
     return out if batch else float(out)
 
 
+def permutation_residual(
+    t: NDArray,
+    top: float | NDArray,
+    perms: tuple[tuple[int, ...], ...],
+    sign: int = 1,
+    batch: int = 0,
+) -> float | NDArray:
+    """The largest over the slot permutations σ in `perms` of
+    residual(t, sign * t∘σ), given top = max|t| (per entry of the first
+    `batch` axes, as in `residual`; σ permutes the axes after them).
+
+    The same bits as those residuals: t∘σ has the max-abs of t, t - (-x) is
+    t + x, and dividing by the one scale keeps the order of the deviations.
+    A NaN or infinite entry of t gives NaN, as there.
+    """
+    lead = tuple(range(batch))
+    axes = tuple(range(batch, t.ndim))
+    deviation = None
+    for perm in perms:
+        other = t.transpose(lead + tuple(batch + p for p in perm))
+        dev = np.abs(t + other if sign < 0 else t - other).max(axes)
+        deviation = dev if deviation is None else np.maximum(deviation, dev)
+    out = deviation / (1.0 + top)
+    return out if batch else float(out)
+
+
 def zero_residual(a: NDArray, batch: int = 0) -> float | NDArray:
     """Residual of `a` against the zero tensor of the same shape:
     max|a| / (1 + max|a|); per entry of the first `batch` axes, as in

@@ -29,15 +29,12 @@ from norden import (
     LieFrameManifold,
     SearchConfig,
     SearchTarget,
-    antisym_residual,
-    bianchi_residual,
     bundled_manifest_path,
     classify,
     compute_nabla_J,
     contract,
     covariant_derivative,
     cyclic_sum3,
-    kahler_residual,
     load_manifest,
     pi_forms,
     residual,
@@ -45,6 +42,7 @@ from norden import (
     run_suite,
     scalar_residual,
     search_w3_examples,
+    symmetry_panel,
 )
 from norden.cli import emit_report, main
 from norden.curvature import kahler_form
@@ -581,9 +579,8 @@ def test_criterion_8_synthetic_decomposition():
     m = load_manifest(bundled_manifest_path("flat_kahler_4"))
     pi1, pi2, pi3 = pi_forms(m.metric, m.J)
     synth = 3.0 * (pi1 - pi2) + 5.0 * pi3
-    kahler_defect = max(
-        antisym_residual(synth), bianchi_residual(synth), kahler_residual(synth, m.J)
-    )
+    sym = symmetry_panel(synth[None], m.J)
+    kahler_defect = max(sym.antisym.item(0), sym.bianchi.item(0), sym.kahler.item(0))
     if kahler_defect > TOL:
         failures.append("synthetic tensor is not Kahler")
     tau, tau_star = ricci_and_scalars(synth, m.metric_inv, m.J)

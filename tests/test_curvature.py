@@ -1,21 +1,23 @@
 """Curvature tensors, scalar contractions, P, H and the dimension-4 decomposition."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from norden import (
-    antisym_residual,
     bianchi_residual,
+    bundled_manifest_path,
     canonical_norden_pair,
     compute_nabla_J,
     covariant_derivative,
-    kahler_residual,
+    load_manifest,
     metric_pairing,
     pi_forms,
     ricci_and_scalars,
     riemann,
+    symmetry_panel,
     tensor_H,
     tensor_P,
 )
@@ -29,9 +31,43 @@ from test_geometry import norms_of, q_of
 from test_manifolds import gamma_of
 
 
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool"
+BUNDLED = ("flat_kahler_4", "w3_generic_4", "w3_kahler_rprime_4", "w3_two_step_6")
+
+
+def panel_of(L, J):
+    """The symmetry panel of the one tensor L, as floats: (antisymmetry,
+    Bianchi, Kahler) residuals."""
+    sym = symmetry_panel(L[None], J)
+    return sym.antisym.item(0), sym.bianchi.item(0), sym.kahler.item(0)
+
+
 def kahler_defect(L, J):
     """The largest of the three residuals that make L a Kahler tensor."""
-    return max(antisym_residual(L), bianchi_residual(L), kahler_residual(L, J))
+    return max(panel_of(L, J))
+
+
+def reference_panel(L, J):
+    """The per-tensor formulas the panel replaces: both pair antisymmetries,
+    the first Bianchi identity and L(x,y,Jz,Jw) = -L(x,y,z,w)."""
+    antisym = max(
+        residual(L, -L.transpose(1, 0, 2, 3)), residual(L, -L.transpose(0, 1, 3, 2))
+    )
+    return antisym, bianchi_residual(L), residual(J.T @ L @ J, -L)
+
+
+def curvatures_of(m):
+    """[R, R', P, H] of a manifold, as the suite builds them."""
+    gamma = gamma_of(m)
+    nJ = compute_nabla_J(gamma, m.J)
+    q_vec, _ = q_of(m, nJ)
+    qq = metric_pairing(q_vec, q_vec, m.metric)
+    return [
+        riemann(gamma, m.structure_constants, m.metric),
+        riemann(gamma + q_vec, m.structure_constants, m.metric),
+        tensor_P(qq),
+        tensor_H(*twist_arrays(nJ, m.J), m.metric),
+    ]
 
 
 def loop_tau(arr, g_inv):
@@ -41,6 +77,45 @@ def loop_tau(arr, g_inv):
     for i, j, k, s in itertools.product(range(dim), repeat=4):
         tau += g_inv[i][j] * g_inv[k][s] * arr[i][k][s][j]
     return tau
+
+
+def assert_panel_matches_reference(tensors, J):
+    sym = symmetry_panel(np.stack(tensors), J)
+    for k, L in enumerate(tensors):
+        want = np.array(reference_panel(L, J))
+        got = np.array([sym.antisym[k], sym.bianchi[k], sym.kahler[k]])
+        assert np.array_equal(got, want, equal_nan=True), (k, got, want)
+        assert np.array_equal(sym.top[k], np.abs(L).max(), equal_nan=True)
+
+
+class TestSymmetryPanel:
+    """One call judges a stack of rank-4 tensors bit for bit as the
+    per-tensor formulas judge each entry, non-finite entries included."""
+
+    @pytest.mark.parametrize(
+        "name", BUNDLED + tuple(sorted(p.stem for p in POOL.glob("*.manifest")))
+    )
+    def test_curvatures_of_bundled_and_pool_manifests(self, name):
+        path = bundled_manifest_path(name) if name in BUNDLED else POOL / f"{name}.manifest"
+        m = load_manifest(path)
+        assert_panel_matches_reference(curvatures_of(m), m.J)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, overflow
+    @pytest.mark.parametrize("dim", (4, 6))
+    def test_random_stacks_with_non_finite_entries(self, dim):
+        rng = np.random.default_rng(dim)
+        J = canonical_norden_pair(dim)[1]
+        for twist in (J, rng.standard_normal((dim, dim))):
+            stack = rng.standard_normal((5, *(dim,) * 4))
+            stack[1, 0, 1, 2, 3] = np.nan
+            stack[2, 1, 0, 3, 2] = np.inf
+            stack[3] *= 1e308  # finite, but its sums overflow
+            assert_panel_matches_reference(list(stack), twist)
+            sym = symmetry_panel(stack, twist)
+            for k in (1, 2):
+                assert np.isnan([sym.antisym[k], sym.bianchi[k], sym.kahler[k]]).all()
+            assert not np.isfinite([sym.antisym[3], sym.bianchi[3], sym.kahler[3]]).any()
+            assert np.isfinite([sym.antisym[0], sym.bianchi[0], sym.kahler[0]]).all()
 
 
 class TestSymmetryResiduals:
@@ -61,20 +136,21 @@ class TestSymmetryResiduals:
                         J[c, k] * J[d, l] * L[i, j, c, d]
                         for c, d in itertools.product(range(dim), repeat=2)
                     )
-                assert abs(kahler_residual(L, J) - residual(twisted, -L)) <= tol
+                assert abs(panel_of(L, J)[2] - residual(twisted, -L)) <= tol
 
 
 class TestRiemann:
     def test_flat_vanishes(self, flat4):
         R = riemann(gamma_of(flat4), flat4.structure_constants, flat4.metric)
         assert np.max(np.abs(R)) == 0.0
-        assert max(antisym_residual(R), bianchi_residual(R)) <= 1e-9
+        assert max(panel_of(R, flat4.J)[:2]) <= 1e-9
 
     def test_levi_civita_identities(self, w3_pool, other_class_6):
         for m in list(w3_pool)[:8] + [other_class_6]:
             R = riemann(gamma_of(m), m.structure_constants, m.metric)
-            assert antisym_residual(R) <= 1e-10
-            assert bianchi_residual(R) <= 1e-9
+            antisym, bianchi, _ = panel_of(R, m.J)
+            assert antisym <= 1e-10
+            assert bianchi <= 1e-9
             assert residual(R, R.transpose(2, 3, 0, 1)) <= 1e-9
 
     def test_skew_torsion_curvature_two_routes(self, w3_pool):
@@ -96,8 +172,9 @@ class TestRiemann:
             gamma = gamma_of(m)
             q_vec, _ = q_of(m, compute_nabla_J(gamma, m.J))
             R_prime = riemann(gamma + q_vec, m.structure_constants, m.metric)
-            assert antisym_residual(R_prime) <= 1e-9
-            assert kahler_residual(R_prime, m.J) <= 1e-9
+            antisym, _, kahler = panel_of(R_prime, m.J)
+            assert antisym <= 1e-9
+            assert kahler <= 1e-9
 
 
 class TestRicciScalars:
@@ -144,8 +221,9 @@ class TestTensorP:
             gamma = gamma_of(m)
             q_vec, _ = q_of(m, compute_nabla_J(gamma, m.J))
             P = tensor_P(metric_pairing(q_vec, q_vec, m.metric))
-            assert antisym_residual(P) <= 1e-9
-            assert bianchi_residual(P) <= 1e-9
+            antisym, bianchi, _ = panel_of(P, m.J)
+            assert antisym <= 1e-9
+            assert bianchi <= 1e-9
 
     def test_tau_P_value(self, w3_pool):
         """tau(P) = (9/8) ||nabla J||^2 holds on every quasi-Kahler sample."""
@@ -168,8 +246,9 @@ class TestTensorH:
         for m in list(w3_pool)[:8]:
             nJ = compute_nabla_J(gamma_of(m), m.J)
             H = tensor_H(*twist_arrays(nJ, m.J), m.metric)
-            assert antisym_residual(H) <= 1e-9
-            assert kahler_residual(H, m.J) <= 1e-9
+            antisym, _, kahler = panel_of(H, m.J)
+            assert antisym <= 1e-9
+            assert kahler <= 1e-9
 
     def test_tau_H_value(self, w3_pool):
         """tau(H) = 2 ||nabla J||^2 on every quasi-Kahler sample (the analogous
@@ -195,9 +274,9 @@ class TestPiForms:
         for m in list(w3_pool)[:6] + [other_class_6]:
             pi1, pi2, pi3 = pi_forms(m.metric, m.J)
             assert kahler_defect(pi1 - pi2, m.J) <= 1e-9
-            assert kahler_residual(pi1 - pi2, m.J) <= 1e-10
+            assert panel_of(pi1 - pi2, m.J)[2] <= 1e-10
             assert kahler_defect(pi3, m.J) <= 1e-9
-            assert kahler_residual(pi3, m.J) <= 1e-10
+            assert panel_of(pi3, m.J)[2] <= 1e-10
 
 
 class TestDim4Decomposition:

@@ -537,7 +537,7 @@ def _stub_form(q):
     ||N z|| = 1 is ||z|| = 1, and C(z) holds z and -z.  Its product is the
     scatter-add."""
     r, _, K = q.shape
-    a, b, k = np.nonzero(q)
+    b, k, a = np.nonzero(q.transpose(1, 2, 0))  # in ascending order of key
     return search.QuadraticForm(
         2, np.arange(r), r + np.arange(r), np.eye(r), np.eye(r), np.eye(r),
         np.arange(K), *search._levels(r, K, (b * K + k) * r + a, q[a, b, k]),
@@ -997,6 +997,7 @@ class TestSphere:
         rng = np.random.default_rng(seed)
         for tag in range(n):
             batch.add(tag, rng)
+        batch.enter()  # the start points, checked before the first round
         checked = 0
         while batch:
             for z, gz, qz in zip(batch.z, batch.gz, batch.qz):

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from norden.tensors import (
     contract,
     cyclic_sum3,
+    permutation_residual,
     residual,
     scalar_residual,
     zero_residual,
@@ -265,6 +266,23 @@ class TestResidualBits:
         for k in range(len(a)):
             assert same_bits(stacked[k], residual(a[k], b[k]))
             assert same_bits(zero[k], zero_residual(a[k]))
+
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(
+        hnp.arrays(np.float64, st.integers(1, 4).map(lambda n: (n, n, n)), elements=ENTRIES),
+        st.sampled_from((1, -1)),
+    )
+    def test_permutation_residual_matches_residual_of_each_permutation(self, t, sign):
+        """Given max|t|, one call gives the largest residual of t against
+        sign * t∘σ for each σ; a non-finite t gives NaN both ways."""
+        perms = ((1, 0, 2), (0, 2, 1))
+        want = max(residual(t, sign * t.transpose(p)) for p in perms)
+        got = permutation_residual(t, np.abs(t).max(), perms, sign)
+        assert type(got) is float
+        assert same_bits(got, want) or math.isnan(got) and math.isnan(want)
+        stacked = permutation_residual(t[None], np.abs(t[None]).max((1, 2, 3)), perms, sign, 1)
+        assert stacked.shape == (1,)
+        assert same_bits(stacked[0], got) or math.isnan(got) and math.isnan(stacked[0])
 
     def test_empty_arrays(self):
         for shape in ((0, 3), (2, 0, 2), (0, 0, 0, 0)):
