@@ -71,11 +71,13 @@ def riemann(gamma: NDArray, C: NDArray, g: NDArray) -> NDArray:
     return R
 
 
-def ricci_and_scalars(L: NDArray, g_inv: NDArray, J: NDArray) -> tuple[float, float]:
-    """(tau, tau*) of L: tau = g^{ij} rho(e_i,e_j) and tau* = g^{ij} rho(e_i,Je_j)
-    of its Ricci tensor rho(x,y) = g^{ij} L(e_i,x,y,e_j)."""
-    rho = contract(L, 0, 3, g_inv)
-    return float(contract(rho, 0, 1, g_inv)), float(np.einsum("ab,am,mb->", g_inv, rho, J))
+def ricci_and_scalars(L: NDArray, g_inv: NDArray, J: NDArray) -> NDArray:
+    """(tau, tau*) of L on a last axis of 2: tau = g^{ij} rho(e_i,e_j) and
+    tau* = g^{ij} rho(e_i,Je_j) of its Ricci tensor rho(x,y) =
+    g^{ij} L(e_i,x,y,e_j).  Leading batch axes of L are kept."""
+    rho = contract(L, L.ndim - 4, L.ndim - 1, g_inv)
+    tau = contract(rho, rho.ndim - 2, rho.ndim - 1, g_inv)
+    return np.stack([tau, np.einsum("ab,...am,mb->...", g_inv, rho, J)], -1)
 
 
 def metric_pairing(A: NDArray, B: NDArray, g: NDArray) -> NDArray:

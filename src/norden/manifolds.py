@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .tensors import cyclic_sum3, lower, residual
+from .tensors import cyclic_sum3, lower, permutation_residual, residual
 
 JACOBI_TOLERANCE = 1e-10
 MATRIX_TOLERANCE = 1e-12
@@ -147,7 +147,9 @@ def bracket_residuals(C: NDArray) -> tuple[NDArray, NDArray]:
     """The residuals of the bracket checks of `validate_manifold` for a stack
     of brackets C (K, d, d, d), one entry per bracket: antisymmetry (judged
     against MATRIX_TOLERANCE) and the max-abs Jacobi sum (JACOBI_TOLERANCE)."""
-    antisymmetry = residual(C, -C.swapaxes(-1, -2), batch=1)
+    # C[k][i][j] against -C[k][j][i], from max|C| per entry
+    top = np.abs(C).max((-3, -2, -1))
+    antisymmetry = permutation_residual(C, top, ((0, 2, 1),), -1, batch=1)
     return antisymmetry, np.abs(jacobi_array(C)).max(axis=(-4, -3, -2, -1))
 
 

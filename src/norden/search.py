@@ -445,8 +445,15 @@ def _form_entries(
         factors["gamma"] = conn = gamma + q_array(*twist_arrays(nabla_J, J))
         factors["L"] = lower(conn, g)
         maps.append((RIEMANN_TERMS, "ijkl", "ijk"))
+        del gamma, nabla_J, conn
     names, shape = list(factors), (len(factors),) + (dim,) * 3
     flat = np.stack(list(factors.values()), -1).transpose(4, 1, 2, 3, 0).reshape(-1, r)
+    # the directions' supports: flat factor f is nonzero on the directions
+    # support[start[f] : start[f + 1]], with the values value[...]; only
+    # they are read below, so the dense factors are released
+    f, support = np.nonzero(flat)
+    value, start = flat[f, support], np.searchsorted(f, np.arange(len(flat) + 1))
+    del D, factors, flat, f
     rows, tables = [], []
     for n, (terms, row, cyc) in enumerate(maps):
         grid = dict(zip(row + "m", np.indices((dim,) * 5).reshape(5, dim**4, dim)))
@@ -463,10 +470,6 @@ def _form_entries(
         tables += [(*(np.concatenate(ind, axis=1) for ind in xy), w)]
         rows.append(kept + n * dim**4)
     rows = np.concatenate(rows)
-    # the directions' supports: flat factor f is nonzero on the directions
-    # support[start[f] : start[f + 1]], with the values value[...]
-    f, support = np.nonzero(flat)
-    value, start = flat[f, support], np.searchsorted(f, np.arange(len(flat) + 1))
     keys, values, first = [], [], 0
     for x, y, w in tables:
         for k in range(0, len(x), _FORM_CHUNK):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -90,7 +89,6 @@ class GeometryContext:
 
     m: LieFrameManifold
     tolerance: float
-    gamma: NDArray
     nabla_J: NDArray
     F: NDArray
     classification: geo.Classification
@@ -99,68 +97,88 @@ class GeometryContext:
     panel: geo.ScalarPanel | None = None
 
 
-class _SkewTorsion(NamedTuple):
-    """The natural connection's side of a W0/W3 manifold: Q (mixed), the
-    coefficients gamma + Q of nabla' = nabla + Q, qq = g(Q(x,y),Q(z,w)),
-    and R', P and H."""
-
-    q_vec: NDArray
-    gamma_p: NDArray
-    qq: NDArray
-    R_prime: NDArray
-    P: NDArray
-    H: NDArray
-
-
-def _skew_torsion(ctx: GeometryContext, a: NDArray, b: NDArray) -> _SkewTorsion:
-    """The natural connection's side, from the twist pair (a, b) of nabla J."""
-    C, g = ctx.m.structure_constants, ctx.m.metric
-    q_vec = geo.q_array(a, b)
-    gamma_p = ctx.gamma + q_vec
-    # g(Q(x,y),Q(z,w)) is shared by R' (correction route), P and EQ_2_6/EQ_2_7
-    qq = curv.metric_pairing(q_vec, q_vec, g)
-    return _SkewTorsion(
-        q_vec, gamma_p, qq, curv.riemann(gamma_p, C, g), curv.tensor_P(qq),
-        curv.tensor_H(a, b, g),
-    )
+def _non_finite(ctx: GeometryContext) -> list[Violation]:
+    """Every residual and scalar of `ctx` that is not finite (brackets so large
+    that the curvature overflows, say)."""
+    values = {"F max-abs": ctx.classification.f_norm, **ctx.values}
+    if ctx.panel is not None:
+        for name in geo.ScalarPanel.FIELDS:
+            values[f"scalar {name}"] = getattr(ctx.panel, name)
+    return [
+        Violation(f"finite value of {name}", x)
+        for name, x in values.items()
+        if not math.isfinite(x)
+    ]
 
 
-def _class_independent_values(
-    ctx: GeometryContext, a: NDArray, b: NDArray, sym: curv.SymmetryPanel
-) -> None:
-    """Fills the values of the checks that run on every class, from the twist
-    pair (a, b) of nabla J and the symmetry panel whose entry 0 is R's."""
-    F, Rc, J = ctx.F, ctx.R, ctx.m.J
+def _finite(ctx: GeometryContext) -> GeometryContext:
+    """`ctx`, or InvalidManifoldError naming its non-finite values."""
+    bad = _non_finite(ctx)
+    if bad:
+        raise InvalidManifoldError(ValidationOutcome(violations=tuple(bad)))
+    return ctx
+
+
+# an overflow shows up as a non-finite residual, reported by `_finite`
+@np.errstate(over="ignore", invalid="ignore")
+def build_context(
+    m: LieFrameManifold, tolerance: float = DEFAULT_TOLERANCE
+) -> GeometryContext:
+    """Compute every residual and scalar of the catalog once.
+
+    One pass: gamma, nabla J, F, the class, R and the twist pair (a, b) of
+    nabla J; on W0/W3 also Q, the coefficients gamma + Q of nabla' = nabla + Q,
+    qq = g(Q(x,y),Q(z,w)), R', P and H.  The stack L = [R, R', P, H] (R alone
+    on class OTHER) gives the symmetry residuals, and on W0/W3 the scalar
+    curvatures, in one call each.  The values are written in one fixed order,
+    the order in which `_non_finite` names violations.
+
+    Raises InvalidManifoldError if the manifold fails validation, or if any
+    residual or scalar computed from it is not finite.
+    """
+    check_tolerance(tolerance)
+    outcome = validate_manifold(m)
+    if not outcome.ok:
+        raise InvalidManifoldError(outcome)
+    C, g, J, g_inv = m.structure_constants, m.metric, m.J, m.metric_inv
+    gamma = levi_civita(C, g, g_inv)
+    nJ = geo.compute_nabla_J(gamma, J)
+    F = lower(nJ, g)
+    cls = geo.classify(F, tolerance)
+    Rc = curv.riemann(gamma, C, g)
+    ctx = GeometryContext(m, tolerance, nJ, F, cls, Rc)
+    a, b = geo.twist_arrays(nJ, J)
+    if cls.is_w3_or_kahler:
+        q_vec = geo.q_array(a, b)
+        gamma_p = gamma + q_vec
+        # g(Q(x,y),Q(z,w)) is shared by R' (correction route), P and EQ_2_6/EQ_2_7
+        qq = curv.metric_pairing(q_vec, q_vec, g)
+        L = np.stack(
+            [Rc, curv.riemann(gamma_p, C, g), curv.tensor_P(qq), curv.tensor_H(a, b, g)]
+        )
+    else:
+        L = Rc[None]
+    sym = curv.symmetry_panel(L, J)
+    antisym, bianchi, kahler = (x.tolist() for x in sym[1:])
     v = ctx.values
-    v["EQ_1_3_A"] = permutation_residual(F, ctx.classification.f_norm, ((0, 2, 1),))
+
+    v["EQ_1_3_A"] = permutation_residual(F, cls.f_norm, ((0, 2, 1),))
     v["EQ_1_3_B"] = residual(F, J.T @ F @ J)
+    v["R_CURVATURE_LIKE"] = max(antisym[0], bianchi[0])
+    v["R_PAIR_SYMMETRY"] = permutation_residual(Rc, sym.top[0], ((2, 3, 0, 1),))
 
-    top, antisym, bianchi = sym.top[0], sym.antisym.item(0), sym.bianchi.item(0)
-    v["R_CURVATURE_LIKE"] = max(antisym, bianchi)
-    v["R_PAIR_SYMMETRY"] = permutation_residual(Rc, top, ((2, 3, 0, 1),))
-
-    dF = covariant_derivative(ctx.gamma, F)
+    dF = covariant_derivative(gamma, F)
     lhs = dF - dF.transpose(1, 0, 2, 3)
     rhs = np.einsum("ijal,ak->ijkl", Rc, J) - np.einsum("ijka,al->ijkl", Rc, J)
     v["EQ_1_5"] = residual(lhs, rhs)
 
     # the three equivalent membership conditions
-    v["EQ_1_4"] = ctx.classification.w3_residual
+    v["EQ_1_4"] = cls.w3_residual
     v["EQ_1_13"] = zero_residual(cyclic_sum3(np.einsum("ai,ajk->ijk", J, F)))
     v["EQ_1_14"] = zero_residual(a + a.transpose(0, 2, 1) + b + b.transpose(0, 2, 1))
-
-
-def _class_dependent_values(
-    ctx: GeometryContext, skew: _SkewTorsion, sym: curv.SymmetryPanel
-) -> None:
-    """Fills the values of the W0/W3 checks; `sym` is the symmetry panel of
-    [R, R', P, H]."""
-    m, F, nJ, Rc = ctx.m, ctx.F, ctx.nabla_J, ctx.R
-    C, g, J, g_inv = m.structure_constants, m.metric, m.J, m.metric_inv
-    q_vec, gamma_p, qq, Rpc, P, H = skew
-    antisym, bianchi, kahler = (x.tolist() for x in sym[1:])
-    tol = ctx.tolerance
-    v = ctx.values
+    if not cls.is_w3_or_kahler:
+        return _finite(ctx)
+    _, Rpc, P, _ = L
 
     # ||nabla J||^2, its associated variant (g~(x,y) = g(x,Jy) in the inner
     # pairing) and the cross form of EQ_1_7
@@ -191,7 +209,7 @@ def _class_dependent_values(
     v["NATURAL_J"] = zero_residual(geo.compute_nabla_J(gamma_p, J))
     v["TORSION_2Q"] = residual(torsion(gamma_p, C), 2.0 * q_vec)
 
-    dQ = covariant_derivative(ctx.gamma, qc)  # nabla Q
+    dQ = covariant_derivative(gamma, qc)  # nabla Q
     v["EQ_2_3"] = residual(Rpc, curv.curvature_prime_from_correction(Rc, dQ, qq))
     v["R_PRIME_1_10"] = antisym[1]
     v["R_PRIME_1_12"] = kahler[1]
@@ -211,14 +229,9 @@ def _class_dependent_values(
     )
     v["TORSION_PARALLEL"] = zero_residual(covariant_derivative(gamma_p, qc))
 
-    panel = geo.ScalarPanel(
-        *curv.ricci_and_scalars(Rc, g_inv, J),
-        *curv.ricci_and_scalars(Rpc, g_inv, J),
-        *curv.ricci_and_scalars(P, g_inv, J),
-        *curv.ricci_and_scalars(H, g_inv, J),
-        sq_norm_nablaJ=sq,
-        assoc_sq_norm_nablaJ=assoc,
-    )
+    # (tau, tau*) of R, R', P and H, in the panel's field order
+    scalars = curv.ricci_and_scalars(L, g_inv, J).ravel().tolist()
+    panel = geo.ScalarPanel(*scalars, sq_norm_nablaJ=sq, assoc_sq_norm_nablaJ=assoc)
     ctx.panel = panel
 
     v["EQ_3_1"] = scalar_residual(3.0 * panel.tau_prime, 3.0 * panel.tau + panel.tau_P)
@@ -244,7 +257,7 @@ def _class_dependent_values(
 
     # equivalence / biconditional checks, encoded as status agreement (0 or 1)
     def indicator(x: float) -> bool:
-        return x <= tol
+        return x <= tolerance
 
     v["COR_2_2"] = float(indicator(kahler[2]) != indicator(kahler[0]))
     h_kahler_full = max(v["H_1_10"], v["EQ_2_14"], v["H_1_12"])
@@ -279,62 +292,7 @@ def _class_dependent_values(
             (16.0 * panel.tau_star - panel.tau_H) / 128.0,
         )
         v["THM_3_3"] = residual(Rc, rhs33 - P3)
-
-
-def _non_finite(ctx: GeometryContext) -> list[Violation]:
-    """Every residual and scalar of `ctx` that is not finite (brackets so large
-    that the curvature overflows, say)."""
-    values = {"F max-abs": ctx.classification.f_norm, **ctx.values}
-    if ctx.panel is not None:
-        for name in geo.ScalarPanel.FIELDS:
-            values[f"scalar {name}"] = getattr(ctx.panel, name)
-    return [
-        Violation(f"finite value of {name}", x)
-        for name, x in values.items()
-        if not math.isfinite(x)
-    ]
-
-
-def build_context(
-    m: LieFrameManifold, tolerance: float = DEFAULT_TOLERANCE
-) -> GeometryContext:
-    """Compute every residual and scalar of the catalog once.
-
-    Raises InvalidManifoldError if the manifold fails validation, or if any
-    residual or scalar computed from it is not finite.
-    """
-    check_tolerance(tolerance)
-    # an overflow shows up as a non-finite residual, reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        outcome = validate_manifold(m)
-        if not outcome.ok:
-            raise InvalidManifoldError(outcome)
-        C, g, J = m.structure_constants, m.metric, m.J
-        gamma = levi_civita(C, g, m.metric_inv)
-        nabla_J = geo.compute_nabla_J(gamma, J)
-        F = lower(nabla_J, g)
-        ctx = GeometryContext(
-            m=m,
-            tolerance=tolerance,
-            gamma=gamma,
-            nabla_J=nabla_J,
-            F=F,
-            classification=geo.classify(F, tolerance),
-            R=curv.riemann(gamma, C, g),
-        )
-        a, b = geo.twist_arrays(nabla_J, J)
-        # one symmetry panel judges R, and on W0/W3 R', P and H with it
-        if not ctx.classification.is_w3_or_kahler:
-            _class_independent_values(ctx, a, b, curv.symmetry_panel(ctx.R[None], J))
-        else:
-            skew = _skew_torsion(ctx, a, b)
-            sym = curv.symmetry_panel(np.stack([ctx.R, skew.R_prime, skew.P, skew.H]), J)
-            _class_independent_values(ctx, a, b, sym)
-            _class_dependent_values(ctx, skew, sym)
-    bad = _non_finite(ctx)
-    if bad:
-        raise InvalidManifoldError(ValidationOutcome(violations=tuple(bad)))
-    return ctx
+    return _finite(ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,48 @@ class TestRiemann:
             assert kahler <= 1e-9
 
 
+def reference_scalars(L, g_inv, J):
+    """(tau, tau*) of one tensor by the per-tensor formula the stacked call
+    replaced: two contractions and one einsum, each to a float."""
+    rho = contract(L, 0, 3, g_inv)
+    return float(contract(rho, 0, 1, g_inv)), float(np.einsum("ab,am,mb->", g_inv, rho, J))
+
+
+def assert_scalars_match_entries(stack, g_inv, J):
+    got = ricci_and_scalars(stack, g_inv, J)
+    assert got.shape == (len(stack), 2)
+    for k, L in enumerate(stack):
+        alone = ricci_and_scalars(L, g_inv, J)
+        assert alone.shape == (2,)
+        assert np.array_equal(got[k], alone, equal_nan=True), (k, got[k], alone)
+        assert np.array_equal(alone, reference_scalars(L, g_inv, J), equal_nan=True), k
+
+
+class TestStackedScalars:
+    """One call on a stack gives each entry's (tau, tau*) bit for bit,
+    non-finite entries included."""
+
+    @pytest.mark.parametrize(
+        "name", BUNDLED + tuple(sorted(p.stem for p in POOL.glob("*.manifest")))
+    )
+    def test_curvatures_of_bundled_and_pool_manifests(self, name):
+        path = bundled_manifest_path(name) if name in BUNDLED else POOL / f"{name}.manifest"
+        m = load_manifest(path)
+        assert_scalars_match_entries(np.stack(curvatures_of(m)), m.metric_inv, m.J)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("dim", (4, 6))
+    def test_random_stack_with_non_finite_entries(self, dim):
+        rng = np.random.default_rng(dim)
+        g, J = canonical_norden_pair(dim)
+        stack = rng.standard_normal((4, *(dim,) * 4))
+        stack[1, 0, 1, 2, 3] = np.nan
+        stack[2, 1, 0, 3, 2] = np.inf
+        assert_scalars_match_entries(stack, np.linalg.inv(g), J)
+        scalars = ricci_and_scalars(stack, np.linalg.inv(g), J)
+        assert np.isnan(scalars[1:3]).all() and np.isfinite(scalars[[0, 3]]).all()
+
+
 class TestRicciScalars:
     def test_zero_tensor(self, flat4):
         zero = np.zeros((4, 4, 4, 4))

@@ -29,7 +29,7 @@ from norden import (
     search_w3_examples,
     validate_manifold,
 )
-from norden import geometry, search
+from norden import curvature, geometry, search, suite
 from norden.curvature import riemann
 from norden.geometry import q_array, twist_arrays
 from norden.manifests import manifest_to_json
@@ -796,6 +796,54 @@ def test_twist_pair_computed_once(
         calls.clear()
         search._accept(stack[:entries], SearchConfig(dim=4, target=target), SearchStats())
         assert len(calls) == want, (target, entries)
+
+
+# the kernels `build_context` calls, each by the module attribute it reads
+_CONTEXT_KERNELS = (
+    (suite, "levi_civita"),
+    (geometry, "compute_nabla_J"),
+    (geometry, "twist_arrays"),
+    (curvature, "riemann"),
+    (curvature, "symmetry_panel"),
+    (curvature, "ricci_and_scalars"),
+    (curvature, "metric_pairing"),
+    (geometry, "metric_trace"),
+    (suite, "covariant_derivative"),
+)
+
+
+def test_kernel_calls_per_context(
+    monkeypatch, flat4, kahler_rprime_4, two_step_6, other_class_6
+):
+    """One pass per manifold: on W0/W3 R, R', P and H are built once each
+    (R and R' by `riemann`, P from the one qq of `metric_pairing`) and
+    judged with one symmetry panel and one call for their scalars; class
+    OTHER builds and judges R alone and takes no scalars."""
+    calls = {}
+
+    def counted(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in _CONTEXT_KERNELS:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    w3 = {
+        "levi_civita": 1, "compute_nabla_J": 2, "twist_arrays": 1, "riemann": 2,
+        "symmetry_panel": 1, "ricci_and_scalars": 1, "metric_pairing": 3,
+        "metric_trace": 4, "covariant_derivative": 4,
+    }
+    other = {
+        "levi_civita": 1, "compute_nabla_J": 1, "twist_arrays": 1, "riemann": 1,
+        "symmetry_panel": 1, "covariant_derivative": 1,
+    }
+    cases = ((flat4, w3), (kahler_rprime_4, w3), (two_step_6, w3), (other_class_6, other))
+    for m, want in cases:
+        calls.clear()
+        build_context(m)
+        assert calls == want, m
 
 
 def _root_form():

@@ -258,13 +258,29 @@ class TestResidualBits:
             assert same_bits(zero_residual(a), three_max_zero_residual(a))
 
     @settings(max_examples=200, derandomize=True, database=None)
-    @given(array_pairs())
-    def test_batched_residuals_are_the_residuals_of_the_entries(self, pair):
-        a, b = pair
-        stacked, zero = residual(a, b, batch=1), zero_residual(a, batch=1)
-        assert stacked.shape == zero.shape == a.shape[:1]
+    @given(
+        hnp.arrays(
+            np.float64,
+            # (K, n, n, n): a stack of K cubes
+            st.tuples(st.integers(1, 3), st.integers(1, 4)).map(lambda kn: kn[:1] + kn[1:] * 3),
+            elements=ENTRIES,
+        ),
+        st.sampled_from((1, -1)),
+        array_pairs(),
+    )
+    def test_batched_residuals_are_the_residuals_of_the_entries(self, t, sign, pair):
+        """A stack of entries gives each entry's residual: against
+        sign * t∘σ given max|t| per entry, and against zero."""
+        perms = ((1, 0, 2), (0, 2, 1))
+        stacked = permutation_residual(t, np.abs(t).max((1, 2, 3)), perms, sign, batch=1)
+        a = pair[0]
+        zero = zero_residual(a, batch=1)
+        assert stacked.shape == t.shape[:1] and zero.shape == a.shape[:1]
+        for k in range(len(t)):
+            want = max(residual(t[k], sign * t[k].transpose(p)) for p in perms)
+            got = stacked[k]
+            assert same_bits(got, want) or math.isnan(got) and math.isnan(want)
         for k in range(len(a)):
-            assert same_bits(stacked[k], residual(a[k], b[k]))
             assert same_bits(zero[k], zero_residual(a[k]))
 
     @settings(max_examples=300, derandomize=True, database=None)
