@@ -33,7 +33,15 @@ from .manifests import (
 )
 from .manifolds import InvalidManifoldError
 from .search import SearchConfig, SearchTarget, search_w3_examples
-from .suite import DEFAULT_TOLERANCE, VerificationReport, run_suite
+from .suite import (
+    CHECK_CATALOG,
+    DEFAULT_TOLERANCE,
+    FAIL,
+    NA,
+    PASS,
+    VerificationReport,
+    run_suite,
+)
 from .tensors import check_tolerance
 
 TEXT = "text"
@@ -52,12 +60,29 @@ def _panel_dict(report: VerificationReport) -> dict | None:
 
 
 # the JSON report as `emit_json` lays out its dict (keys in this order, two
-# spaces per level), written with one format string per check
+# spaces per level).  A check is written from its head (its encoded id and
+# anchor), its residual, its tolerance and the tail of its status.  The heads
+# of the catalog's checks and the tails of PASS, FAIL and NA are made once, at
+# import; any other head or tail is encoded on the spot.
 _SCALAR_KEYS = tuple(encode_basestring_ascii(name) for name in ScalarPanel.FIELDS)
-_CHECK_JSON = (
-    '    {{\n      "id": {},\n      "anchor": {},\n      "residual": {},\n'
-    '      "tolerance": {},\n      "status": {}\n    }}'
-)
+_TOLERANCE = ',\n      "tolerance": '
+
+
+def _check_head(check_id: str, anchor: str) -> str:
+    return (
+        f'    {{\n      "id": {encode_basestring(check_id)},\n'
+        f'      "anchor": {encode_basestring(anchor)},\n      "residual": '
+    )
+
+
+def _status_tail(status: str) -> str:
+    return f',\n      "status": {encode_basestring(status)}\n    }}'
+
+
+_CHECK_HEADS = {
+    (d.check_id, d.anchor): _check_head(d.check_id, d.anchor) for d in CHECK_CATALOG
+}
+_STATUS_TAILS = {status: _status_tail(status) for status in (PASS, FAIL, NA)}
 
 
 def _json_report(report: VerificationReport) -> str:
@@ -69,17 +94,23 @@ def _json_report(report: VerificationReport) -> str:
             f"    {key}: {json_number(getattr(panel, name))}"
             for key, name in zip(_SCALAR_KEYS, panel.FIELDS)
         ) + "\n  }"
-    checks = ",\n".join(
-        _CHECK_JSON.format(
-            encode_basestring(c.check_id),
-            encode_basestring(c.anchor),
-            json_number(c.residual),
-            json_number(c.tolerance),
-            encode_basestring(c.status),
+    # each tolerance object is formatted once; by identity, as equal numbers
+    # can print differently (0.0 and -0.0, 10**20 and 1e20)
+    tolerances: dict[int, str] = {}
+    checks = []
+    for c in report.checks:
+        tolerance = tolerances.get(id(c.tolerance))
+        if tolerance is None:
+            tolerance = _TOLERANCE + json_number(c.tolerance)
+            tolerances[id(c.tolerance)] = tolerance
+        key = c.check_id, c.anchor
+        checks.append(
+            (_CHECK_HEADS.get(key) or _check_head(*key))
+            + json_number(c.residual)
+            + tolerance
+            + (_STATUS_TAILS.get(c.status) or _status_tail(c.status))
         )
-        for c in report.checks
-    )
-    checks = "[\n" + checks + "\n  ]" if checks else "[]"
+    checks = "[\n" + ",\n".join(checks) + "\n  ]" if checks else "[]"
     return (
         f'{{\n  "manifold_id": {encode_basestring(report.manifold_id)},\n'
         f'  "suite_version": {encode_basestring(report.suite_version)},\n'

@@ -36,23 +36,26 @@ class SymmetryPanel(NamedTuple):
     """Per entry of a stack of rank-4 tensors L: max|L|, and the residuals
     (`tensors.residual`) of both pair antisymmetries L(x,y,z,w) =
     -L(y,x,z,w) = -L(x,y,w,z) (the larger of the two), of the first Bianchi
-    identity and of L(x,y,Jz,Jw) = -L(x,y,z,w)."""
+    identity and of L(x,y,Jz,Jw) = -L(x,y,z,w) (None when no J is given)."""
 
     top: NDArray
     antisym: NDArray
     bianchi: NDArray
-    kahler: NDArray
+    kahler: NDArray | None
 
 
-def symmetry_panel(L: NDArray, J: NDArray) -> SymmetryPanel:
+def symmetry_panel(L: NDArray, J: NDArray | None) -> SymmetryPanel:
     """The symmetry residuals of each entry of the stack L (K, d, d, d, d),
-    with max|L| taken once per entry.  They are bit for bit the residuals of
-    each entry against -L(y,x,z,w), -L(x,y,w,z) and -J^T L J: J^T L J acts on
-    the last two slots, one entry at a time, L - (-X) is L + X, and a
-    permutation of L keeps its max-abs."""
+    with max|L| taken once per entry; the Kahler residuals only when J is
+    given.  They are bit for bit the residuals of each entry against
+    -L(y,x,z,w), -L(x,y,w,z) and -J^T L J: J^T L J acts on the last two
+    slots, one entry at a time, L - (-X) is L + X, and a permutation of L
+    keeps its max-abs."""
     entry = (1, 2, 3, 4)
     top = np.abs(L).max(entry)
     antisym = permutation_residual(L, top, ((1, 0, 2, 3), (0, 1, 3, 2)), -1, batch=1)
+    if J is None:
+        return SymmetryPanel(top, antisym, bianchi_residual(L), None)
     twisted = J.T @ L @ J
     scale = 1.0 + np.maximum(np.abs(twisted).max(entry), top)
     kahler = np.abs(twisted + L).max(entry) / scale

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from norden import (
+    InvalidManifoldError,
     LieFrameManifold,
     canonical_norden_pair,
     covariant_derivative,
     levi_civita,
+    run_suite,
     validate_manifold,
 )
 from norden.manifolds import jacobi_array
@@ -172,6 +174,20 @@ class TestValidation:
         outcome = validate_manifold(m)
         assert any("antisymmetry" in v.name for v in outcome.violations)
 
+    def test_degenerate_metric_reported(self):
+        _, J = canonical_norden_pair(4)
+        m = LieFrameManifold(
+            dim=4,
+            structure_constants=np.zeros((4, 4, 4)),
+            metric=np.diag([1.0, 1.0, -1.0, 0.0]),
+            J=J,
+        )
+        outcome = validate_manifold(m)
+        assert "metric nondegeneracy" in [v.name for v in outcome.violations]
+        with pytest.raises(InvalidManifoldError) as raised:
+            run_suite(m)
+        assert raised.value.outcome == outcome
+
 
 class TestLeviCivita:
     def test_flat_connection_vanishes(self, flat4):
@@ -224,6 +240,11 @@ class TestLeviCivita:
         )
         with pytest.raises(np.linalg.LinAlgError):
             gamma_of(m)
+
+    def test_metric_inverse_is_cached_and_read_only(self, flat4):
+        assert flat4.metric_inv is flat4.metric_inv
+        with pytest.raises(ValueError):
+            flat4.metric_inv[0] = 1.0
 
 
 class TestCovariantDerivative:

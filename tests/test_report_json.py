@@ -113,3 +113,37 @@ def test_empty_checks_and_missing_residual(two_step_6):
     one = dataclasses.replace(report, checks=(first,))
     assert emit_report(one, "json") == oracle(one)
     assert b'"residual": null' in emit_report(one, "json")
+
+
+def test_checks_with_different_tolerances(two_step_6):
+    """Each check prints its own tolerance, also where equal numbers print
+    differently (0.0 and -0.0)."""
+    report = run_suite(two_step_6, manifold_id="w3_two_step_6")
+    for others in ((1e-6,), (0.0, -0.0)):
+        checks = tuple(
+            dataclasses.replace(c, tolerance=others[k % len(others)]) if k % 3 else c
+            for k, c in enumerate(report.checks)
+        )
+        mixed = dataclasses.replace(report, checks=checks)
+        assert emit_report(mixed, "json") == oracle(mixed)
+    assert b'"tolerance": -0,' in emit_report(mixed, "json")
+
+
+def test_check_outside_the_catalog_is_escaped(two_step_6):
+    """An id and anchor that no catalog check has, with a quote, a backslash,
+    non-ASCII text and a control character; and a catalog id with another
+    anchor."""
+    report = run_suite(two_step_6, manifold_id="w3_two_step_6")
+    first, second = report.checks[:2]
+    odd = dataclasses.replace(
+        first, check_id='EQ "9"\\x ∇′', anchor="R′(x,y) = 0\t\x1f Kähler 𝔤", status="SKIP"
+    )
+    renamed = dataclasses.replace(second, anchor=first.anchor)
+    hand = dataclasses.replace(report, checks=(odd, renamed, *report.checks[2:]))
+    out = emit_report(hand, "json")
+    assert out == oracle(hand)
+    text = out.decode()
+    assert '"id": "EQ \\"9\\"\\\\x ∇′",' in text
+    assert '"anchor": "R′(x,y) = 0\\t\\u001f Kähler 𝔤",' in text
+    assert '"status": "SKIP"' in text
+    assert emit_report(report, "json") == oracle(report)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -231,6 +231,14 @@ ENTRIES = st.floats(allow_nan=True, allow_infinity=True, width=64) | st.sampled_
 )
 
 
+def edge_pair(in_a: float, in_b: float):
+    """Two 2x2 arrays of ordinary entries with one entry set in each."""
+    a = np.array([[0.5, -2.0], [1.0, 0.0]])
+    b = a[::-1].copy()
+    a[0, 1], b[1, 1] = in_a, in_b
+    return a, b
+
+
 @st.composite
 def array_pairs(draw):
     shape = draw(hnp.array_shapes(min_dims=2, max_dims=4, min_side=0, max_side=4))
@@ -246,10 +254,28 @@ class TestResidualBits:
 
     @settings(max_examples=300, derandomize=True, database=None)
     @given(array_pairs())
+    @example(edge_pair(math.nan, 1.0))
+    @example(edge_pair(1.0, math.inf))
+    @example(edge_pair(-math.inf, -math.inf))
+    @example(edge_pair(1e308, 1.0))
+    @example(edge_pair(6e307, -1e308))
+    @example(edge_pair(5e-324, 0.0))
     def test_residual_matches_three_max_formula(self, pair):
+        """Also given top_a = max|a|, as a NumPy or a Python float; and
+        3 max|a| is max|3a| (x -> 3x rounds monotonically, and overflows to
+        inf on both sides), so residual(3a, b) may take it."""
         a, b = pair
-        assert same_bits(residual(a, b), three_max_residual(a, b))
-        assert same_bits(residual(b, a), three_max_residual(b, a))
+        for x, y in ((a, b), (b, a)):
+            want = three_max_residual(x, y)
+            assert same_bits(residual(x, y), want)
+            if x.size == 0:
+                continue
+            top = np.abs(x).max()
+            assert same_bits(residual(x, y, top), want)
+            assert same_bits(residual(x, y, float(top)), want)
+            assert same_bits(3.0 * float(top), float(np.abs(3.0 * x).max()))
+            want3 = three_max_residual(3.0 * x, y)
+            assert same_bits(residual(3.0 * x, y, 3.0 * float(top)), want3)
 
     @settings(max_examples=300, derandomize=True, database=None)
     @given(array_pairs())
