@@ -61,11 +61,11 @@ def _panel_dict(report: VerificationReport) -> dict | None:
 
 # the JSON report as `emit_json` lays out its dict (keys in this order, two
 # spaces per level).  A check is written from its head (its encoded id and
-# anchor), its residual, its tolerance and the tail of its status.  The heads
-# of the catalog's checks and the tails of PASS, FAIL and NA are made once, at
-# import; any other head or tail is encoded on the spot.
+# anchor, keyed by `c[:2]`), its residual, the report's tolerance and the tail
+# of its status.  The heads of the catalog's checks and the tails of PASS, FAIL
+# and NA are made once, at import; any other head or tail is encoded on the
+# spot.
 _SCALAR_KEYS = tuple(encode_basestring_ascii(name) for name in ScalarPanel.FIELDS)
-_TOLERANCE = ',\n      "tolerance": '
 
 
 def _check_head(check_id: str, anchor: str) -> str:
@@ -94,22 +94,14 @@ def _json_report(report: VerificationReport) -> str:
             f"    {key}: {json_number(getattr(panel, name))}"
             for key, name in zip(_SCALAR_KEYS, panel.FIELDS)
         ) + "\n  }"
-    # each tolerance object is formatted once; by identity, as equal numbers
-    # can print differently (0.0 and -0.0, 10**20 and 1e20)
-    tolerances: dict[int, str] = {}
-    checks = []
-    for c in report.checks:
-        tolerance = tolerances.get(id(c.tolerance))
-        if tolerance is None:
-            tolerance = _TOLERANCE + json_number(c.tolerance)
-            tolerances[id(c.tolerance)] = tolerance
-        key = c.check_id, c.anchor
-        checks.append(
-            (_CHECK_HEADS.get(key) or _check_head(*key))
-            + json_number(c.residual)
-            + tolerance
-            + (_STATUS_TAILS.get(c.status) or _status_tail(c.status))
-        )
+    tolerance = ',\n      "tolerance": ' + json_number(report.tolerance)
+    checks = [
+        (_CHECK_HEADS.get(c[:2]) or _check_head(*c[:2]))
+        + json_number(c.residual)
+        + tolerance
+        + (_STATUS_TAILS.get(c.status) or _status_tail(c.status))
+        for c in report.checks
+    ]
     checks = "[\n" + ",\n".join(checks) + "\n  ]" if checks else "[]"
     return (
         f'{{\n  "manifold_id": {encode_basestring(report.manifold_id)},\n'
@@ -141,11 +133,12 @@ def _format_text(report: VerificationReport, elapsed: float | None) -> str:
         for name, value in panel.items():
             lines.append(f"  {name:22s} {value:.17g}")
     lines.append("checks:")
+    tolerance = f"{report.tolerance:.1e}"
     for c in report.checks:
         res = "      n/a" if c.residual is None else f"{c.residual:9.2e}"
         note = f"  [{c.reason}]" if c.status == "NA" and c.reason else ""
         lines.append(
-            f"  {c.status:4s} {c.check_id:18s} {res}  <=  {c.tolerance:.1e}"
+            f"  {c.status:4s} {c.check_id:18s} {res}  <=  {tolerance}"
             f"  {c.anchor}{note}"
         )
     lines.append(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -46,22 +47,28 @@ FAIL = "FAIL"
 NA = "NA"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     anchor: str
     residual: float | None
-    tolerance: float
     status: str
     reason: str | None = None
 
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The verdicts of one run of the suite on one manifold.
+
+    Every check was judged against `tolerance`, the one tolerance of the run:
+    PASS when its residual is at most `tolerance`, FAIL above it, NA when its
+    gate is unmet (`reason` says why).  `scalar_panel` is None on class OTHER.
+    """
+
     manifold_id: str
     class_label: geo.Classification
     scalar_panel: geo.ScalarPanel | None
     checks: tuple[CheckResult, ...]
+    tolerance: float
     suite_version: str = SUITE_VERSION
 
     @property
@@ -523,12 +530,11 @@ def run_suite(
             raise RuntimeError(f"no residual available for {defn.check_id}")
         else:
             status = PASS if res <= tolerance else FAIL
-        checks.append(
-            CheckResult(defn.check_id, defn.anchor, res, tolerance, status, reason)
-        )
+        checks.append(CheckResult(defn.check_id, defn.anchor, res, status, reason))
     return VerificationReport(
         manifold_id=manifold_id,
         class_label=ctx.classification,
         scalar_panel=ctx.panel,
         checks=tuple(checks),
+        tolerance=tolerance,
     )

@@ -171,32 +171,31 @@ class TestVerify:
 
 
 class TestToleranceResolution:
+    """The resolved tolerance is printed on every check of both formats."""
+
+    def assert_every_check(self, capsys, tolerance, *argv):
+        path = str(bundled_manifest_path("flat_kahler_4"))
+        code, out, _ = run_cli(capsys, "verify", path, "--format", "json", *argv)
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert len(checks) > 0
+        assert all(c["tolerance"] == tolerance for c in checks)
+        code, out, _ = run_cli(capsys, "verify", path, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        summary = next(k for k, line in enumerate(lines) if line.startswith("summary: "))
+        lines = lines[lines.index("checks:") + 1 : summary]
+        assert len(lines) == len(checks)
+        assert all(f"  <=  {tolerance:.1e}  " in line for line in lines)
+
     def test_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("NORDEN_TOLERANCE", "1e-3")
-        code, out, _ = run_cli(
-            capsys,
-            "verify",
-            str(bundled_manifest_path("flat_kahler_4")),
-            "--format",
-            "json",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["checks"][0]["tolerance"] == 1e-3
+        self.assert_every_check(capsys, 1e-3)
 
-    def test_flag_wins_over_env(self, capsys, monkeypatch):
+    def test_flag_wins_over_env(self, capsys, monkeypatch, flat4):
         monkeypatch.setenv("NORDEN_TOLERANCE", "1e-3")
-        code, out, _ = run_cli(
-            capsys,
-            "verify",
-            str(bundled_manifest_path("flat_kahler_4")),
-            "--tolerance",
-            "1e-6",
-            "--format",
-            "json",
-        )
-        doc = json.loads(out)
-        assert doc["checks"][0]["tolerance"] == 1e-6
+        self.assert_every_check(capsys, 1e-6, "--tolerance", "1e-6")
+        assert run_suite(flat4, 1e-6).tolerance == 1e-6
 
     def test_bad_env_value_exit_two(self, capsys, monkeypatch):
         monkeypatch.setenv("NORDEN_TOLERANCE", "soft")
