@@ -54,8 +54,8 @@ import norden  # noqa: E402
 from norden import SearchConfig, SearchTarget, manifests, search  # noqa: E402
 
 SHOWN = ("hits", "candidates", "gn_iterations", "gn_rounds", "svd_steps", "rejected_class")
-CACHES = ("_membership", "_generic_family", "_integer_basis", "_two_step_families",
-          "_quadratic_form", "_canonical_pair", "_upper_triangle")
+CACHES = ("_membership", "_generic_family", "_integer_basis", "_two_step_centres",
+          "_two_step_family", "_quadratic_form", "_canonical_pair", "_upper_triangle")
 
 
 class Recorder:
@@ -108,6 +108,7 @@ class CacheValues:
             return value
 
         wrapper.__wrapped__ = cached.__wrapped__  # the uncached builder, as tests call it
+        wrapper.cache_info = cached.cache_info
         return wrapper
 
     def nbytes(self) -> dict[str, int]:

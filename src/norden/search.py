@@ -11,7 +11,14 @@ quadratic Jacobi identity is handled two ways:
 
 * two-step nilpotent ansatz (brackets land in a central coordinate subspace):
   Jacobi holds identically, so accepted samples are exact.  Nontrivial
-  null spaces exist only for dimension >= 6.
+  null spaces exist only for dimension >= 6.  The plan lists the centres Z
+  whose family has one, found once per dimension without an SVD: a family's
+  nullity is read off the eigenvalues of its integer Gram matrix, summed
+  exactly from the sparse membership columns, and the pass certifies that
+  each eigenvalue is zero or far from it (`_two_step_centres`).  A family's
+  orthonormal null space is built on its first draw, by one SVD whose
+  nullity must agree (`_two_step_family`), so a search pays only for the
+  families it draws from.
 * Gauss-Newton projection: a damped Gauss-Newton iteration drives the Jacobi
   residual (and, for the Kahler target, the first Bianchi residual of the
   skew-torsion curvature) to zero inside the membership null space of all
@@ -219,6 +226,17 @@ def _generic_family(dim: int) -> _Family:
     return (*_positions(dim, triples), _null_space(rows))
 
 
+def _distinct_rows(dim: int) -> tuple[NDArray, NDArray]:
+    """(rows, weight): the flat indices (a d + b) d + c of the rows of the
+    membership matrix with a <= b <= c, and the number of rows each stands
+    for, its distinct index permutations.  The cyclic sum of F is totally
+    symmetric, so these are all the distinct rows."""
+    index = list(itertools.combinations_with_replacement(range(dim), 3))
+    rows = [(a * dim + b) * dim + c for a, b, c in index]
+    weight = [len(set(itertools.permutations(abc))) for abc in index]
+    return np.array(rows), np.array(weight, dtype=float)
+
+
 @lru_cache(maxsize=None)
 def _integer_basis(dim: int) -> tuple[NDArray, NDArray]:
     """(N, free): the basis N of the generic family's null space in reduced
@@ -232,9 +250,7 @@ def _integer_basis(dim: int) -> tuple[NDArray, NDArray]:
     ArithmeticError is raised where it fails."""
     _, rows = _membership(dim)
     A = np.rint(4.0 * rows)
-    distinct = [(a * dim + b) * dim + c
-                for a, b, c in itertools.combinations_with_replacement(range(dim), 3)]
-    R, pivots = A[distinct], []
+    R, pivots = A[_distinct_rows(dim)[0]], []
     for col in range(A.shape[1]):
         top = len(pivots)
         below = top + np.flatnonzero(R[top:, col])
@@ -256,22 +272,95 @@ def _integer_basis(dim: int) -> tuple[NDArray, NDArray]:
     return N, free
 
 
+# bytes of each stack of Gram matrices in the centre pass, which bounds the
+# pass's transient memory
+_CENTRE_STACK_BYTES = 2**15
+# a Gram eigenvalue at most _GRAM_GAP[0] times the largest of its matrix is
+# zero, and one at least _GRAM_GAP[1] times it is not; in dims 6 to 10 they
+# are at most 5e-16 and at least 0.25 times it
+_GRAM_GAP = (1e-12, 1e-2)
+
+
+def _central_columns(dim: int, triples: NDArray, centres: NDArray) -> NDArray:
+    """The columns of each two-step family, one row of a mask per centre Z
+    (a row of `centres`): the triples (k, i, j) with k in Z and i, j not in
+    Z.  Brackets of the non-central indices land in the centre, so Jacobi
+    holds on the family automatically."""
+    in_centre = np.zeros((len(centres), dim), dtype=bool)
+    np.put_along_axis(in_centre, centres, True, axis=1)
+    central = in_centre[:, triples]
+    return central[..., 0] & ~central[..., 1] & ~central[..., 2]
+
+
 @lru_cache(maxsize=None)
-def _two_step_families(dim: int) -> tuple[_Family, ...]:
-    """The two-step ansatze with nontrivial null space, one per partition.
-    Brackets of the non-central indices land in the centre Z, so the family
-    is the triples (k, i, j) with k in Z and i, j not in Z; Jacobi then holds
-    automatically."""
+def _two_step_centres(dim: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(Z, nullity) of every centre Z whose two-step family has a nontrivial
+    null space, in plan order: by size, then lexicographically.  No family is
+    built here.
+
+    The nullity of a family's columns of the membership matrix is that of
+    their Gram matrix 16 rows.T rows, which is integral: it is summed from
+    4 rows on the distinct rows (`_distinct_rows`), each weighted by the
+    number of rows it stands for, and exact in floating point.  The matrix is
+    sparse (at most 2 nonzero entries per column in dims 4 to 12), so each
+    column is held as its nonzero entries, and the Gram matrices of a stack
+    of families of one size, at most `_CENTRE_STACK_BYTES`, are summed from
+    the products of the entries that share a row.  Their eigenvalues, one
+    batched call per stack, are read as zero or not against `_GRAM_GAP`.
+    ArithmeticError is raised where 4 rows is not integral or an eigenvalue
+    falls in the gap."""
     triples, rows = _membership(dim)
-    families = []
+    distinct, weight = _distinct_rows(dim)
+    # 4 rows on the distinct rows, held by column: column t has the value
+    # four[t, s] on distinct row at[t, s], padded with 0 on an extra row of
+    # weight 0
+    col, row = np.nonzero(rows[distinct].T)  # by column, then row
+    four_rows = 4.0 * rows[distinct[row], col]
+    if not np.array_equal(four_rows, np.rint(four_rows)):
+        raise ArithmeticError("the membership matrix is not quarter-integral")
+    entry = np.arange(len(col)) - np.searchsorted(col, col)  # within its column
+    at = np.full((len(triples), entry.max(initial=0) + 1), len(distinct))
+    four = np.zeros(at.shape)
+    at[col, entry], four[col, entry] = row, four_rows
+    weight = np.append(weight, 0.0)
+    found = []
     for z_size in range(1, dim - 1):
-        for Z in itertools.combinations(range(dim), z_size):
-            central = np.isin(triples, Z)
-            cols = central[:, 0] & ~central[:, 1] & ~central[:, 2]
-            null = _null_space(rows[:, cols])
-            if null.shape[1] > 0:
-                families.append((*_positions(dim, triples[cols]), null))
-    return tuple(families)
+        centres = np.array(list(itertools.combinations(range(dim), z_size)))
+        cols = np.nonzero(_central_columns(dim, triples, centres))[1].reshape(len(centres), -1)
+        n = cols.shape[1]
+        chunk = max(1, _CENTRE_STACK_BYTES // (8 * n * n))
+        for first in range(0, len(centres), chunk):
+            block = cols[first : first + chunk]
+            at_c, four_c = at[block], four[block]
+            weighted = weight[at_c] * four_c
+            gram = np.zeros((len(at_c), n, n))
+            for s, t in itertools.product(range(at.shape[1]), repeat=2):
+                term = weighted[:, :, None, s] * four_c[:, None, :, t]
+                term *= at_c[:, :, None, s] == at_c[:, None, :, t]
+                gram += term
+            eig = np.linalg.eigvalsh(gram)
+            eig /= np.maximum(eig[:, -1:], np.finfo(float).tiny)
+            zero = eig <= _GRAM_GAP[0]
+            if (~zero & (eig < _GRAM_GAP[1])).any():
+                raise ArithmeticError("a Gram eigenvalue of a two-step family is in the gap")
+            nullity = zero.sum(axis=1).tolist()
+            found += [(tuple(Z), k)
+                      for Z, k in zip(centres[first : first + chunk].tolist(), nullity) if k]
+    return tuple(found)
+
+
+@lru_cache(maxsize=None)
+def _two_step_family(dim: int, Z: tuple[int, ...]) -> _Family:
+    """The two-step family of centre Z, built on its first draw: its
+    columns of the membership matrix (`_central_columns`) with their
+    orthonormal SVD null space.  ArithmeticError is raised unless the
+    nullity is the one the centre pass certified."""
+    triples, rows = _membership(dim)
+    cols = _central_columns(dim, triples, np.array([Z]))[0]
+    null = _null_space(rows[:, cols])
+    if null.shape[1] != dict(_two_step_centres(dim)).get(Z, 0):
+        raise ArithmeticError(f"the nullity of two-step centre {Z} is not the centre pass's")
+    return (*_positions(dim, triples[cols]), null)
 
 
 # ---------------------------------------------------------------------------
@@ -738,9 +827,10 @@ def search_w3_examples(
     want_kahler = cfg.target is SearchTarget.W3_RPRIME_KAHLER
 
     # deterministic ansatz rotation: all two-step families, then one GN try
-    plan: list[tuple[str, _Family | None]] = []
+    # (families are built on their first draw)
+    plan: list[tuple[str, tuple[int, ...] | None]] = []
     if not want_kahler:
-        plan += [("two_step", family) for family in _two_step_families(cfg.dim)]
+        plan += [("two_step", Z) for Z, _ in _two_step_centres(cfg.dim)]
     plan.append(("gauss_newton", None))
 
     found: dict[int, tuple[str, NDArray]] = {}
@@ -760,10 +850,11 @@ def search_w3_examples(
             < cfg.max_results
         ):
             j = stats.candidates
-            kind, family = plan[j % len(plan)]
+            kind, Z = plan[j % len(plan)]
             stats.candidates += 1
             stats.by_ansatz[kind] = stats.by_ansatz.get(kind, 0) + 1
             if kind == "two_step":
+                family = _two_step_family(cfg.dim, Z)
                 C = _two_step_candidate(rng, cfg.dim, family, stats)
                 if C is not None:
                     pending.append((j, kind, C))

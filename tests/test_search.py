@@ -2,6 +2,7 @@
 reproducibility, classification of hits, targets, the Gauss-Newton quadratic
 form, the lockstep batch and the failure counters."""
 
+import functools
 import itertools
 import json
 import math
@@ -135,19 +136,22 @@ class TestMembership:
                 basis = _loop_basis(dim, triples)
                 null = search._null_space(_loop_w3_rows(dim, basis))
                 if null.shape[1] > 0:
-                    want.append((basis, null))
-        got = search._two_step_families(dim)
-        assert len(got) == len(want)
-        for (pos, neg, null), (want_basis, want_null) in zip(got, want):
+                    want.append((Z, basis, null))
+        centres = search._two_step_centres(dim)
+        assert [Z for Z, _ in centres] == [Z for Z, *_ in want]
+        for (Z, nullity), (_, want_basis, want_null) in zip(centres, want):
+            pos, neg, null = search._two_step_family(dim, Z)
             assert _unit_brackets(dim, pos, neg).tobytes() == want_basis.tobytes()
             assert null.tobytes() == want_null.tobytes()
+            assert nullity == want_null.shape[1]
 
     def test_draws_equal_the_basis_product(self):
         # a draw writes its coefficients onto the family's triples: bit for
         # bit the product with the oracle's basis matrix, which turns a zero
         # coefficient of either sign into +0.0 in both of its entries
         dim, rng, stats = 6, np.random.default_rng(6), SearchStats()
-        for family in search._two_step_families(dim):
+        for Z, _ in search._two_step_centres(dim):
+            family = search._two_step_family(dim, Z)
             pos, neg, null = family
             triples = np.column_stack(np.unravel_index(pos, (dim,) * 3))
             basis = _loop_basis(dim, triples)
@@ -172,9 +176,11 @@ class TestMembership:
     )
     def test_null_space_sizes(self, dim, generic, families, family_cols):
         assert search._generic_family(dim)[2].shape[1] == generic
-        two_step = search._two_step_families(dim)
-        assert len(two_step) == families
-        assert sum(null.shape[1] for *_, null in two_step) == family_cols
+        centres = search._two_step_centres(dim)
+        assert len(centres) == families
+        assert sum(nullity for _, nullity in centres) == family_cols
+        two_step = [search._two_step_family(dim, Z) for Z, _ in centres]
+        assert [null.shape[1] for *_, null in two_step] == [k for _, k in centres]
         # no cache holds a dense basis: the one axis of length d**3 is the
         # membership matrix's, a row per entry of the cyclic sum of F
         triples, rows = search._membership(dim)
@@ -186,6 +192,66 @@ class TestMembership:
         assert all(a.base is None for a in itertools.chain(*families))
         for pos, neg, null in families:
             assert np.union1d(pos, neg).size == 2 * len(null)
+
+    @pytest.mark.parametrize("dim", (4, 6, 8))
+    def test_centres_equal_the_per_partition_svd(self, dim):
+        # the centre pass reads each nullity off an integer Gram matrix; the
+        # reference takes one SVD of each partition's columns, found by
+        # looking its triples up one at a time
+        triples, rows = search._membership(dim)
+        column = {tuple(t): n for n, t in enumerate(triples.tolist())}
+        want = []
+        for z_size in range(1, dim - 1):
+            for Z in itertools.combinations(range(dim), z_size):
+                V = [v for v in range(dim) if v not in Z]
+                cols = [column[k, i, j] for i, j in itertools.combinations(V, 2) for k in Z]
+                nullity = search._null_space(rows[:, cols]).shape[1]
+                if nullity > 0:
+                    want.append((Z, nullity))
+        assert search._two_step_centres.__wrapped__(dim) == tuple(want)
+
+    def test_family_with_another_nullity_raises(self, monkeypatch):
+        Z, nullity = search._two_step_centres(6)[0]
+        monkeypatch.setattr(search, "_null_space", lambda A: np.zeros((A.shape[1], nullity + 1)))
+        with pytest.raises(ArithmeticError, match="nullity of two-step centre"):
+            search._two_step_family.__wrapped__(6, Z)
+
+    @pytest.mark.parametrize("relative", (1e-11, 1e-3))
+    def test_gram_eigenvalue_in_the_gap_raises(self, relative, monkeypatch):
+        # the smallest eigenvalue of the first Gram matrix of each stack is
+        # moved into the gap between zero and nonzero
+        eigvalsh = np.linalg.eigvalsh
+
+        def moved(gram):
+            eig = eigvalsh(gram)
+            eig[0, 0] = relative * eig[0, -1]
+            return eig
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+        with pytest.raises(ArithmeticError, match="in the gap"):
+            search._two_step_centres.__wrapped__(6)
+
+    def test_centres_of_rows_not_quarter_integral_raise(self, monkeypatch):
+        triples, rows = search._membership(6)
+        off_grid = rows + 1e-9 * (rows != 0.0)
+        monkeypatch.setattr(search, "_membership", lambda dim: (triples, off_grid))
+        with pytest.raises(ArithmeticError, match="quarter-integral"):
+            search._two_step_centres.__wrapped__(6)
+
+    def test_a_search_builds_only_the_families_it_draws(self, monkeypatch):
+        # a fresh cache: the one-candidate dim-8 search (the benchmark's
+        # warm-up) draws from the first centre of the plan and builds its
+        # family alone
+        fresh = functools.lru_cache(maxsize=None)(search._two_step_family.__wrapped__)
+        monkeypatch.setattr(search, "_two_step_family", fresh)
+        cfg = SearchConfig(dim=8, seed=1006, max_candidates=1, max_results=1)
+        _, stats = search_w3_examples(cfg)
+        assert stats.by_ansatz == {"two_step": 1}
+        assert fresh.cache_info().currsize == 1
+        # the family built is the first centre's: looking it up builds none
+        fresh(8, search._two_step_centres(8)[0][0])
+        info = fresh.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
     @pytest.mark.parametrize("dim", (4, 6, 8))
     def test_integer_basis_is_certified_exactly(self, dim):
@@ -672,7 +738,7 @@ class TestSearchStats:
 
     def test_two_step_collapse(self):
         stats = SearchStats()
-        family = search._two_step_families(6)[0]
+        family = search._two_step_family(6, search._two_step_centres(6)[0][0])
         assert search._two_step_candidate(FixedDraws(0.0), 6, family, stats) is None
         assert stats.collapsed == 1
 
@@ -1083,17 +1149,16 @@ def _one_at_a_time(cfg, two_step):
     (the Gauss-Newton candidates entered, the hits' brackets, stats)."""
     rng = np.random.default_rng(cfg.seed)
     stats = SearchStats()
-    families = search._two_step_families(cfg.dim)
-    plan = [("two_step", family) for family in families]
+    plan = [("two_step", Z) for Z, _ in search._two_step_centres(cfg.dim)]
     plan.append(("gauss_newton", None))
     gauss_newton, hits = [], []
     while stats.candidates < cfg.max_candidates and stats.hits < cfg.max_results:
         j = stats.candidates
-        kind, family = plan[j % len(plan)]
+        kind, Z = plan[j % len(plan)]
         stats.candidates += 1
         stats.by_ansatz[kind] = stats.by_ansatz.get(kind, 0) + 1
         if kind == "two_step":
-            C = two_step(rng, cfg.dim, family, stats)
+            C = two_step(rng, cfg.dim, search._two_step_family(cfg.dim, Z), stats)
         else:
             gauss_newton.append(j)
             C = _alone(rng, search._quadratic_form(cfg.dim, False), stats)
