@@ -3,11 +3,11 @@
 The fundamental tensor F is linear in the structure constants (through the
 Koszul formula with constant metric), so quasi-Kahler membership and bracket
 antisymmetry form a homogeneous linear system; candidates are drawn from its
-null space.  Its matrix is built once per dimension, by one batched kernel
-evaluation over the unit brackets of the antisymmetric triples (k, i, j), and
-every family below is a subset of those triples, kept as the flat positions
-of its entries in C (`_brackets`), never as a dense basis matrix.  The
-quadratic Jacobi identity is handled two ways:
+null space.  Its matrix is built once per dimension, by batched kernel
+evaluations over chunks of the unit brackets of the antisymmetric triples
+(k, i, j), and every family below is a subset of those triples, kept as the
+flat positions of its entries in C (`_brackets`), never as a dense basis
+matrix.  The quadratic Jacobi identity is handled two ways:
 
 * two-step nilpotent ansatz (brackets land in a central coordinate subspace):
   Jacobi holds identically, so accepted samples are exact.  Nontrivial
@@ -188,14 +188,24 @@ def _canonical_pair(dim: int) -> tuple[NDArray, NDArray, NDArray]:
     return pair
 
 
+# bytes of the unit brackets of each batched kernel evaluation in the
+# membership build, which bounds the build's transient memory
+_MEMBERSHIP_CHUNK_BYTES = 2**17
+
+
 def _w3_rows(dim: int, triples: NDArray) -> NDArray:
     """Matrix of the linear map (structure constants) -> cyclic sum of F,
-    one batched kernel evaluation over the unit brackets of `triples`."""
+    one batched kernel evaluation per chunk of the unit brackets of
+    `triples`, of at most `_MEMBERSHIP_CHUNK_BYTES`."""
     g, J, g_inv = _canonical_pair(dim)
-    C = _brackets(dim, *_positions(dim, triples), np.eye(len(triples)))
-    C = C.transpose(3, 0, 1, 2)
-    F = lower(compute_nabla_J(levi_civita(C, g, g_inv), J), g)
-    return cyclic_sum3(F, (-3, -2, -1)).reshape(len(C), -1).T
+    chunk = max(1, _MEMBERSHIP_CHUNK_BYTES // (8 * dim**3))
+    rows = np.empty((len(triples), dim**3))
+    for first in range(0, len(triples), chunk):
+        part = triples[first : first + chunk]
+        C = _brackets(dim, *_positions(dim, part), np.eye(len(part))).transpose(3, 0, 1, 2)
+        F = lower(compute_nabla_J(levi_civita(C, g, g_inv), J), g)
+        rows[first : first + chunk] = cyclic_sum3(F, (-3, -2, -1)).reshape(len(C), -1)
+    return rows.T
 
 
 def _null_space(A: NDArray) -> NDArray:
@@ -244,13 +254,15 @@ def _integer_basis(dim: int) -> tuple[NDArray, NDArray]:
     membership matrix is quarter-integral, and the cyclic sum of F is totally
     symmetric, so its rows (a, b, c) with a <= b <= c are all the distinct
     ones, and one Gauss-Jordan elimination of them gives N.  Its entries are
-    integers (0 and +-1 in dims 4 to 12).  Four times the rows is integral,
-    the product 4 rows @ N, exact in floating point on integers this small,
-    is zero, and N has the rank of the SVD null space: that certifies N, and
+    integers (0 and +-1 in dims 4 to 12).  Every row equals the rows of its
+    index permutations, four times the distinct rows is integral, their
+    product with N, exact in floating point on integers this small, is zero,
+    and N has the rank of the SVD null space: that certifies N, and
     ArithmeticError is raised where it fails."""
     _, rows = _membership(dim)
-    A = np.rint(4.0 * rows)
-    R, pivots = A[_distinct_rows(dim)[0]], []
+    A = 4.0 * rows[_distinct_rows(dim)[0]]
+    R, pivots = np.rint(A), []
+    integral = np.array_equal(R, A)
     for col in range(A.shape[1]):
         top = len(pivots)
         below = top + np.flatnonzero(R[top:, col])
@@ -267,7 +279,9 @@ def _integer_basis(dim: int) -> tuple[NDArray, NDArray]:
     N[free, np.arange(free.size)] = 1.0
     N[pivots] = np.rint(0.0 - R[: len(pivots), free]) + 0.0  # no -0.0
     r = _generic_family(dim)[2].shape[1]
-    if not np.array_equal(A, 4.0 * rows) or free.size != r or (A @ N).any():
+    cube = rows.reshape(dim, dim, dim, -1)  # a view; two swaps generate the permutations
+    symmetric = all(np.array_equal(cube, cube.swapaxes(k, k + 1)) for k in (0, 1))
+    if not (symmetric and integral) or free.size != r or (A @ N).any():
         raise ArithmeticError("the membership null space has no integer echelon basis")
     return N, free
 

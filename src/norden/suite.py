@@ -6,12 +6,18 @@ earlier checks that must PASS before it runs.  A check whose gate is unmet
 reports NA (never PASS/FAIL) with the reason; residuals are still logged
 whenever they are computable, so contrapositives remain observable in report
 data.
+
+Scalar relations are data: each is one row of its check (`CheckDef.rows`),
+its left and right sides as dyadic coefficients of named values of one panel
+per report, and one function evaluates every row (`_row`).  THM_3_1's zero
+tests and the Kahler-form coefficients of the dim-4 checks are rows too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -139,7 +145,11 @@ def build_context(
     on class OTHER) gives the symmetry residuals, and on W0/W3 the scalar
     curvatures, in one call each; no check of class OTHER reads R's Kahler
     residual, so the panel skips it there.  A residual against R or R' takes
-    their max-abs from the panel.  The values are written in one fixed order,
+    their max-abs from that panel.  The scalar relations come from their rows
+    on the scalar panel p: ||nabla J||^2, its associated variant and the trace of
+    EQ_1_7's cross form, then the curvature scalars and tr g(Q,Q); the two
+    traces stay out of the report's ScalarPanel.  Each relation is written as
+    soon as p holds what its row reads, so the values keep one fixed order,
     the order in which `_non_finite` names violations.
 
     Raises InvalidManifoldError if the manifold fails validation, or if any
@@ -190,13 +200,15 @@ def build_context(
     _, Rpc, P, _ = L
     kahler = sym.kahler.tolist()
 
-    # ||nabla J||^2, its associated variant (g~(x,y) = g(x,Jy) in the inner
-    # pairing) and the cross form of EQ_1_7
-    sq = float(geo.metric_trace(g_inv, nJ, g, nJ))
-    assoc = float(geo.metric_trace(g_inv, nJ, g @ J, nJ))
-    cross = float(-2 * geo.metric_trace(g_inv, nJ, g, nJ.swapaxes(1, 2)))
-    v["EQ_1_7"] = scalar_residual(sq, cross)
-    v["ASSOC_NORM_ZERO"] = scalar_residual(assoc, 0.0)
+    # the panel the scalar relations read (`CheckDef.rows`): ||nabla J||^2,
+    # its associated variant (g~(x,y) = g(x,Jy) in the inner pairing) and the
+    # trace of EQ_1_7's cross form; the curvature scalars join it below
+    p = {
+        "sq_norm_nablaJ": float(geo.metric_trace(g_inv, nJ, g, nJ)),
+        "assoc_sq_norm_nablaJ": float(geo.metric_trace(g_inv, nJ, g @ J, nJ)),
+        "cross_nablaJ": float(geo.metric_trace(g_inv, nJ, g, nJ.swapaxes(1, 2))),
+    }
+    _relations(v, p)
 
     # J-twisted curvature identity, with the empirically validated (+) sign
     # on the Gram side of symmetrized nabla J.
@@ -242,31 +254,13 @@ def build_context(
     )
     v["TORSION_PARALLEL"] = zero_residual(covariant_derivative(gamma_p, qc))
 
-    # (tau, tau*) of R, R', P and H, in the panel's field order
+    # (tau, tau*) of R, R', P and H, in the panel's field order, and the
+    # trace of g(Q,Q) that EQ_3_3 reads
     scalars = curv.ricci_and_scalars(L, g_inv, J).ravel().tolist()
-    panel = geo.ScalarPanel(*scalars, sq_norm_nablaJ=sq, assoc_sq_norm_nablaJ=assoc)
-    ctx.panel = panel
-
-    v["EQ_3_1"] = scalar_residual(3.0 * panel.tau_prime, 3.0 * panel.tau + panel.tau_P)
-    v["EQ_3_2"] = scalar_residual(
-        3.0 * panel.tau_prime_star, 3.0 * panel.tau_star + panel.tau_star_P
-    )
-    trace_qq = float(3.0 * geo.metric_trace(g_inv, q_vec, g, q_vec.swapaxes(1, 2)))
-    v["EQ_3_3"] = scalar_residual(panel.tau_P, trace_qq)
-    v["EQ_3_4"] = scalar_residual(panel.tau_P, 9.0 / 8.0 * sq)
-    v["EQ_3_5"] = scalar_residual(panel.tau_prime, panel.tau + 3.0 / 8.0 * sq)
-    v["EQ_3_6"] = scalar_residual(panel.tau_star_P, -3.0 / 8.0 * sq)
-    v["EQ_3_7"] = scalar_residual(panel.tau_prime_star, panel.tau_star - sq / 8.0)
-    v["EQ_3_8"] = scalar_residual(
-        panel.tau_prime + 3.0 * panel.tau_prime_star,
-        panel.tau + 3.0 * panel.tau_star,
-    )
-    v["EQ_3_9_A"] = scalar_residual(panel.tau_H, 2.0 * sq)
-    v["EQ_3_9_B"] = scalar_residual(panel.tau_star_H, 2.0 * sq)
-    v["EQ_3_10"] = scalar_residual(panel.tau_prime, panel.tau + 3.0 / 16.0 * panel.tau_H)
-    v["EQ_3_11"] = scalar_residual(
-        panel.tau_prime_star, panel.tau_star - panel.tau_H / 16.0
-    )
+    p.update(zip(geo.ScalarPanel.FIELDS, scalars))
+    p["trace_QQ"] = float(geo.metric_trace(g_inv, q_vec, g, q_vec.swapaxes(1, 2)))
+    ctx.panel = geo.ScalarPanel(**{name: p[name] for name in geo.ScalarPanel.FIELDS})
+    _relations(v, p)
 
     # equivalence / biconditional checks, encoded as status agreement (0 or 1)
     def indicator(x: float) -> bool:
@@ -275,36 +269,20 @@ def build_context(
     v["COR_2_2"] = float(indicator(kahler[2]) != indicator(kahler[0]))
     h_kahler_full = max(v["H_1_10"], v["EQ_2_14"], v["H_1_12"])
     v["COR_2_4"] = float(indicator(v["BIANCHI_R_PRIME"]) != indicator(h_kahler_full))
-    iso = indicator(scalar_residual(sq, 0.0))
-    six = (
-        scalar_residual(panel.tau - panel.tau_prime, 0.0),
-        scalar_residual(panel.tau_star - panel.tau_prime_star, 0.0),
-        scalar_residual(panel.tau_P, 0.0),
-        scalar_residual(panel.tau_star_P, 0.0),
-        scalar_residual(panel.tau_H, 0.0),
-        scalar_residual(panel.tau_star_H, 0.0),
-    )
-    v["THM_3_1"] = float(any(indicator(s) != iso for s in six))
+    iso, *six = (indicator(scalar_residual(*_row(r, p))) for r in _ROWS["THM_3_1"])
+    v["THM_3_1"] = float(any(zero != iso for zero in six))
 
     if m.dim == 4:
         # the Kahler decomposition of R', and the reconstructions of R from
-        # scalars and P
+        # scalars and P, at their rows' coefficients of pi_1 - pi_2 and pi_3
         pis = curv.pi_forms(g, J)
-        rhs12 = curv.kahler_form(pis, panel.tau_prime / 8.0, panel.tau_prime_star / 8.0)
-        v["EQ_3_12"] = residual(Rpc, rhs12, top[1])
+        form = {d.check_id: curv.kahler_form(pis, *_row(d.rows[0], p))
+                for d in CHECK_CATALOG if d.dim4}
+        v["EQ_3_12"] = residual(Rpc, form["EQ_3_12"], top[1])
         P3 = P / 3.0
-        rhs13 = curv.kahler_form(
-            pis, (panel.tau + 3.0 / 8.0 * sq) / 8.0, (panel.tau_star - sq / 8.0) / 8.0
-        )
-        v["EQ_3_13"] = residual(Rc, rhs13 - P3, top[0])
-        rhs32 = curv.kahler_form(pis, panel.tau / 8.0, panel.tau_star / 8.0)
-        v["THM_3_2"] = float(indicator(residual(Rc, rhs32 - P3, top[0])) != iso)
-        rhs33 = curv.kahler_form(
-            pis,
-            (16.0 * panel.tau + panel.tau_H) / 128.0,
-            (16.0 * panel.tau_star - panel.tau_H) / 128.0,
-        )
-        v["THM_3_3"] = residual(Rc, rhs33 - P3, top[0])
+        v["EQ_3_13"] = residual(Rc, form["EQ_3_13"] - P3, top[0])
+        v["THM_3_2"] = float(indicator(residual(Rc, form["THM_3_2"] - P3, top[0])) != iso)
+        v["THM_3_3"] = residual(Rc, form["THM_3_3"] - P3, top[0])
     return _finite(ctx)
 
 
@@ -316,18 +294,27 @@ def build_context(
 # the J-invariance of the last two slots
 KAHLER = ("R_PRIME_1_10", "BIANCHI_R_PRIME", "R_PRIME_1_12")
 
+# two linear forms over the panel of `build_context`, {panel value: dyadic
+# coefficient}, each summed in its order: a scalar relation's left and right
+# sides, or a dim-4 check's coefficients of pi_1 - pi_2 and of pi_3
+_Row = tuple[dict[str, float], dict[str, float]]
+
 
 @dataclass(frozen=True)
 class CheckDef:
     """`gate` is None for a check that runs on every class; otherwise the
     check needs class KAHLER_W0 or QUASI_KAHLER_W3 and the earlier checks it
-    names to PASS, and with `dim4` also dimension 4."""
+    names to PASS, and with `dim4` also dimension 4.  A scalar relation is one
+    row of `rows`, and its residual is the `scalar_residual` of the row's two
+    sides.  THM_3_1's rows are its seven zero tests, and a dim-4 check's row
+    holds the coefficients of its Kahler form."""
 
     check_id: str
     anchor: str
     gate: tuple[str, ...] | None
     value_key: str
     dim4: bool = False
+    rows: tuple[_Row, ...] = ()
 
 
 def _defs() -> tuple[CheckDef, ...]:
@@ -339,39 +326,31 @@ def _defs() -> tuple[CheckDef, ...]:
         gate: tuple[str, ...] | None = (),
         value_key: str | None = None,
         dim4: bool = False,
+        rows: tuple[_Row, ...] = (),
     ):
-        d.append(CheckDef(check_id, anchor, gate, value_key or check_id, dim4))
+        d.append(CheckDef(check_id, anchor, gate, value_key or check_id, dim4, rows))
 
+    # one check per call; a scalar relation's row follows its anchor
+    sq = "sq_norm_nablaJ"
     add("EQ_1_3_A", "F(x,y,z) = F(x,z,y)", None)
     add("EQ_1_3_B", "F(x,y,z) = F(x,Jy,Jz)", None)
-    add(
-        "EQ_1_5",
-        "(nabla_x F)(y,z,w) - (nabla_y F)(x,z,w) = R(x,y,Jz,w) - R(x,y,z,Jw)",
-        None,
-    )
-    add(
-        "R_CURVATURE_LIKE",
-        "R has both pair antisymmetries and satisfies the first Bianchi identity",
-        None,
-    )
+    add("EQ_1_5", "(nabla_x F)(y,z,w) - (nabla_y F)(x,z,w) = R(x,y,Jz,w) - R(x,y,z,Jw)",
+        None)
+    add("R_CURVATURE_LIKE",
+        "R has both pair antisymmetries and satisfies the first Bianchi identity", None)
     add("R_PAIR_SYMMETRY", "R(x,y,z,w) = R(z,w,x,y)", None)
     add("EQ_1_4", "cyclic sum of F vanishes (quasi-Kahler membership condition)")
     add("EQ_1_13", "cyclic sum of F(Jx,y,z) vanishes")
-    add(
-        "EQ_1_14",
-        "(nabla_x J)Jy + (nabla_y J)Jx + (nabla_{Jx} J)y + (nabla_{Jy} J)x = 0",
-    )
-    add(
-        "EQ_1_7",
+    add("EQ_1_14", "(nabla_x J)Jy + (nabla_y J)Jx + (nabla_{Jx} J)y + (nabla_{Jy} J)x = 0")
+    add("EQ_1_7",
         "||nabla J||^2 = -2 g^{ij} g^{ks} g((nabla_{e_i} J)e_k, (nabla_{e_s} J)e_j)",
-    )
-    add("ASSOC_NORM_ZERO", "associated square norm of nabla J vanishes on this class")
-    add(
-        "EQ_1_15",
+        rows=(({sq: 1}, {"cross_nablaJ": -2}),))
+    add("ASSOC_NORM_ZERO", "associated square norm of nabla J vanishes on this class",
+        rows=(({"assoc_sq_norm_nablaJ": 1}, {}),))
+    add("EQ_1_15",
         "cyclic{R(x,Jy,Jz,w)-R(x,Jy,z,Jw)+R(Jx,y,z,Jw)-R(Jx,y,Jz,w)} = "
         "+cyclic{g((nabla_x J)y+(nabla_y J)x, (nabla_z J)w+(nabla_w J)z)} "
-        "(sign on the right empirically corrected; see README findings)",
-    )
+        "(sign on the right empirically corrected; see README findings)")
     add("EQ_1_19", "g(Q(y,z),w) = -1/4 cyclic sum of F(y,z,Jw)")
     add("Q_SKEW", "g(Q(x,y),z) is totally skew-symmetric")
     add("Q_TRACE", "g^{ij} Q(e_i,e_j) = 0")
@@ -380,107 +359,105 @@ def _defs() -> tuple[CheckDef, ...]:
     add("NATURAL_G", "nabla' g = 0")
     add("NATURAL_J", "nabla' J = 0")
     add("TORSION_2Q", "torsion of nabla' equals 2Q")
-    add(
-        "EQ_2_3",
-        "R' from its curvature formula equals R plus nabla-Q and Q-quadratic terms",
-    )
+    add("EQ_2_3", "R' from its curvature formula equals R plus nabla-Q and Q-quadratic terms")
     add("R_PRIME_1_10", "R' has both pair antisymmetries")
     add("R_PRIME_1_12", "R'(x,y,Jz,Jw) = -R'(x,y,z,w)")
     add("BIANCHI_R_PRIME", "first Bianchi identity for R'")
     add("EQ_2_8", "3R' = 3R + P")
-    add(
-        "EQ_2_14",
+    add("EQ_2_14",
         "cyclic g((nabla_x J)Jy+(nabla_{Jx} J)y, (nabla_z J)Jw+(nabla_{Jz} J)w) = 0 "
-        "(identically satisfied on this class; see README findings)",
-    )
-    add(
-        "TORSION_PARALLEL",
-        "nabla' Q = 0; empirically co-vanishes with BIANCHI_R_PRIME on this model class",
-    )
+        "(identically satisfied on this class; see README findings)")
+    add("TORSION_PARALLEL",
+        "nabla' Q = 0; empirically co-vanishes with BIANCHI_R_PRIME on this model class")
     add("EQ_2_6", "R' = R - (nabla_z Q)(x,y,w) + g(Q(x,y),Q(z,w))", KAHLER)
-    add(
-        "EQ_2_7",
+    add("EQ_2_7",
         "R'(x,y,z,w)+R'(z,y,x,w) = R(x,y,z,w)+R(z,y,x,w)+g(Q(x,y),Q(z,w))+g(Q(z,y),Q(x,w))",
-        KAHLER,
-    )
-    add(
-        "P_CURVATURE_LIKE",
-        "P has both pair antisymmetries and satisfies the first Bianchi identity",
-    )
+        KAHLER)
+    add("P_CURVATURE_LIKE",
+        "P has both pair antisymmetries and satisfies the first Bianchi identity")
     add("H_1_10", "H has both pair antisymmetries")
     add("H_1_12", "H(x,y,Jz,Jw) = -H(x,y,z,w)")
     add("COR_2_2", "P is Kahler iff R is Kahler (statuses agree)", KAHLER)
-    add(
-        "COR_2_4",
-        "R' satisfies the first Bianchi identity iff H is a Kahler tensor (statuses agree)",
-    )
-    add(
-        "THM_2_1_FWD",
-        "R' Bianchi holds => 3R' = 3R + P",
-        ("BIANCHI_R_PRIME",),
-        "EQ_2_8",
-    )
-    add(
-        "THM_2_1_REV",
-        "3R' = 3R + P => R' Bianchi holds",
-        ("EQ_2_8",),
-        "BIANCHI_R_PRIME",
-    )
-    add(
-        "THM_2_3_FWD",
-        "R' Bianchi holds => the cyclic nabla-J condition of EQ_2_14",
-        ("BIANCHI_R_PRIME",),
-        "EQ_2_14",
-    )
-    add(
-        "THM_2_3_REV",
-        "the cyclic nabla-J condition of EQ_2_14 => R' Bianchi holds",
-        ("EQ_2_14",),
-        "BIANCHI_R_PRIME",
-    )
-    add("EQ_3_1", "3 tau' = 3 tau + tau(P)", KAHLER)
-    add("EQ_3_2", "3 tau'* = 3 tau* + tau*(P)", KAHLER)
-    add("EQ_3_3", "tau(P) = 3 g^{ij} g^{ks} g(Q(e_i,e_k), Q(e_s,e_j))")
-    add("EQ_3_4", "tau(P) = (9/8) ||nabla J||^2")
-    add("EQ_3_5", "tau' = tau + (3/8) ||nabla J||^2", KAHLER)
-    add("EQ_3_6", "tau*(P) = -(3/8) ||nabla J||^2")
-    add("EQ_3_7", "tau'* = tau* - (1/8) ||nabla J||^2", KAHLER)
-    add("EQ_3_8", "tau' + 3 tau'* = tau + 3 tau*", KAHLER)
-    add("EQ_3_9_A", "tau(H) = 2 ||nabla J||^2")
-    add("EQ_3_9_B", "tau*(H) = 2 ||nabla J||^2")
-    add("EQ_3_10", "tau' = tau + (3/16) tau(H)", KAHLER)
-    add("EQ_3_11", "tau'* = tau* - (1/16) tau(H)", KAHLER)
-    add(
-        "THM_3_1",
-        "||nabla J||^2 = 0 iff each of tau-tau', tau*-tau'*, tau(P), tau*(P), "
-        "tau(H), tau*(H) is 0 (statuses agree)",
-        KAHLER,
-    )
-    add("EQ_3_12", "R' = (tau'/8)(pi_1 - pi_2) + (tau'*/8) pi_3", KAHLER, dim4=True)
-    add(
-        "EQ_3_13",
-        "R = (1/8){(tau + (3/8)||nabla J||^2)(pi_1-pi_2) + "
-        "(tau* - (1/8)||nabla J||^2) pi_3} - (1/3)P",
-        KAHLER,
-        dim4=True,
-    )
-    add(
-        "THM_3_2",
-        "||nabla J||^2 = 0 iff R = (1/8){tau (pi_1-pi_2) + tau* pi_3} - (1/3)P "
-        "(statuses agree)",
-        KAHLER,
-        dim4=True,
-    )
-    add(
-        "THM_3_3",
+    add("COR_2_4",
+        "R' satisfies the first Bianchi identity iff H is a Kahler tensor (statuses agree)")
+    add("THM_2_1_FWD", "R' Bianchi holds => 3R' = 3R + P", ("BIANCHI_R_PRIME",), "EQ_2_8")
+    add("THM_2_1_REV", "3R' = 3R + P => R' Bianchi holds", ("EQ_2_8",), "BIANCHI_R_PRIME")
+    add("THM_2_3_FWD", "R' Bianchi holds => the cyclic nabla-J condition of EQ_2_14",
+        ("BIANCHI_R_PRIME",), "EQ_2_14")
+    add("THM_2_3_REV", "the cyclic nabla-J condition of EQ_2_14 => R' Bianchi holds",
+        ("EQ_2_14",), "BIANCHI_R_PRIME")
+    add("EQ_3_1", "3 tau' = 3 tau + tau(P)", KAHLER,
+        rows=(({"tau_prime": 3}, {"tau": 3, "tau_P": 1}),))
+    add("EQ_3_2", "3 tau'* = 3 tau* + tau*(P)", KAHLER,
+        rows=(({"tau_prime_star": 3}, {"tau_star": 3, "tau_star_P": 1}),))
+    add("EQ_3_3", "tau(P) = 3 g^{ij} g^{ks} g(Q(e_i,e_k), Q(e_s,e_j))",
+        rows=(({"tau_P": 1}, {"trace_QQ": 3}),))
+    add("EQ_3_4", "tau(P) = (9/8) ||nabla J||^2", rows=(({"tau_P": 1}, {sq: 9 / 8}),))
+    add("EQ_3_5", "tau' = tau + (3/8) ||nabla J||^2", KAHLER,
+        rows=(({"tau_prime": 1}, {"tau": 1, sq: 3 / 8}),))
+    add("EQ_3_6", "tau*(P) = -(3/8) ||nabla J||^2", rows=(({"tau_star_P": 1}, {sq: -3 / 8}),))
+    add("EQ_3_7", "tau'* = tau* - (1/8) ||nabla J||^2", KAHLER,
+        rows=(({"tau_prime_star": 1}, {"tau_star": 1, sq: -1 / 8}),))
+    add("EQ_3_8", "tau' + 3 tau'* = tau + 3 tau*", KAHLER,
+        rows=(({"tau_prime": 1, "tau_prime_star": 3}, {"tau": 1, "tau_star": 3}),))
+    add("EQ_3_9_A", "tau(H) = 2 ||nabla J||^2", rows=(({"tau_H": 1}, {sq: 2}),))
+    add("EQ_3_9_B", "tau*(H) = 2 ||nabla J||^2", rows=(({"tau_star_H": 1}, {sq: 2}),))
+    add("EQ_3_10", "tau' = tau + (3/16) tau(H)", KAHLER,
+        rows=(({"tau_prime": 1}, {"tau": 1, "tau_H": 3 / 16}),))
+    add("EQ_3_11", "tau'* = tau* - (1/16) tau(H)", KAHLER,
+        rows=(({"tau_prime_star": 1}, {"tau_star": 1, "tau_H": -1 / 16}),))
+    add("THM_3_1", "||nabla J||^2 = 0 iff each of tau-tau', tau*-tau'*, tau(P), tau*(P), "
+        "tau(H), tau*(H) is 0 (statuses agree)", KAHLER,
+        rows=tuple((zero, {}) for zero in (
+            {sq: 1}, {"tau": 1, "tau_prime": -1}, {"tau_star": 1, "tau_prime_star": -1},
+            {"tau_P": 1}, {"tau_star_P": 1}, {"tau_H": 1}, {"tau_star_H": 1})))
+    add("EQ_3_12", "R' = (tau'/8)(pi_1 - pi_2) + (tau'*/8) pi_3", KAHLER, dim4=True,
+        rows=(({"tau_prime": 1 / 8}, {"tau_prime_star": 1 / 8}),))
+    add("EQ_3_13", "R = (1/8){(tau + (3/8)||nabla J||^2)(pi_1-pi_2) + "
+        "(tau* - (1/8)||nabla J||^2) pi_3} - (1/3)P", KAHLER, dim4=True,
+        rows=(({"tau": 1 / 8, sq: 3 / 64}, {"tau_star": 1 / 8, sq: -1 / 64}),))
+    add("THM_3_2", "||nabla J||^2 = 0 iff R = (1/8){tau (pi_1-pi_2) + tau* pi_3} - (1/3)P "
+        "(statuses agree)", KAHLER, dim4=True,
+        rows=(({"tau": 1 / 8}, {"tau_star": 1 / 8}),))
+    add("THM_3_3",
         "R = (1/128){(16 tau + tau(H))(pi_1-pi_2) + (16 tau* - tau(H)) pi_3} - (1/3)P",
-        KAHLER,
-        dim4=True,
-    )
+        KAHLER, dim4=True,
+        rows=(({"tau": 1 / 8, "tau_H": 1 / 128}, {"tau_star": 1 / 8, "tau_H": -1 / 128}),))
     return tuple(d)
 
 
 CHECK_CATALOG: tuple[CheckDef, ...] = _defs()
+_ROWS = {d.check_id: d.rows for d in CHECK_CATALOG if d.rows}
+
+
+def _row(row: _Row, p: dict[str, float]) -> list[float]:
+    """A row's two sides on the panel `p`: each term's coefficient times its
+    value, summed left to right (an empty side is 0)."""
+    sides = []
+    for side in row:
+        x = None
+        for name, c in side.items():
+            x = c * p[name] if x is None else x + c * p[name]
+        sides.append(0.0 if x is None else x)
+    return sides
+
+
+@lru_cache(maxsize=None)
+def _relations_reading(names: frozenset[str]) -> tuple[tuple[str, _Row], ...]:
+    """The scalar relations, in catalog order, whose rows read only `names`."""
+    return tuple(
+        (d.check_id, d.rows[0])
+        for d in CHECK_CATALOG
+        if len(d.rows) == 1 and not d.dim4 and {n for side in d.rows[0] for n in side} <= names
+    )
+
+
+def _relations(v: dict[str, float], p: dict[str, float]) -> None:
+    """Write into `v`, in catalog order, the residual of each scalar relation
+    that `v` lacks and whose row reads only values that `p` holds."""
+    for key, row in _relations_reading(frozenset(p)):
+        if key not in v:
+            v[key] = scalar_residual(*_row(row, p))
 
 
 def _gate_reason(

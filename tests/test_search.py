@@ -109,6 +109,16 @@ def _loop_w3_rows(dim, basis):
     return np.array(rows).T
 
 
+def _one_batch_w3_rows(dim, triples):
+    """Membership matrix by one batched kernel evaluation over all the unit
+    brackets of `triples`: the reference for the chunks of `search._w3_rows`."""
+    g, J, g_inv = search._canonical_pair(dim)
+    C = search._brackets(dim, *search._positions(dim, triples), np.eye(len(triples)))
+    C = C.transpose(3, 0, 1, 2)
+    F = lower(compute_nabla_J(levi_civita(C, g, g_inv), J), g)
+    return cyclic_sum3(F, (-3, -2, -1)).reshape(len(C), -1).T
+
+
 def _unit_brackets(dim, pos, neg):
     """The family's unit brackets, one flattened column per triple: its
     columns of the basis matrix."""
@@ -126,6 +136,21 @@ class TestMembership:
         pos, neg = search._positions(dim, triples)
         assert _unit_brackets(dim, pos, neg).tobytes() == basis.tobytes()
         assert rows.tobytes() == _loop_w3_rows(dim, basis).tobytes()
+
+    @pytest.mark.parametrize("dim", (4, 6, 8, 10))
+    def test_chunked_rows_equal_the_one_batch_rows(self, dim, monkeypatch):
+        # from dim 6 on the build takes several chunks; uncached, so that the
+        # dim-10 matrix is not kept
+        triples, rows = search._membership.__wrapped__(dim)
+        chunk = search._MEMBERSHIP_CHUNK_BYTES // (8 * dim**3)
+        assert dim == 4 or 0 < chunk < len(triples)
+        want = _one_batch_w3_rows(dim, triples)
+        assert rows.tobytes() == want.tobytes() and rows.strides == want.strides
+        # and with one bracket or five brackets per chunk (a short last chunk
+        # in dims 4 and 8)
+        for brackets in (1, 5):
+            monkeypatch.setattr(search, "_MEMBERSHIP_CHUNK_BYTES", brackets * 8 * dim**3)
+            assert search._w3_rows(dim, triples).tobytes() == want.tobytes()
 
     def test_families_equal_the_per_partition_construction(self):
         dim, want = 6, []
@@ -284,6 +309,20 @@ class TestMembership:
         search._integer_basis.__wrapped__(4)
         off_grid = rows + 1e-9 * (rows != 0.0)
         monkeypatch.setattr(search, "_membership", lambda dim: (triples, off_grid))
+        with pytest.raises(ArithmeticError, match="integer echelon basis"):
+            search._integer_basis.__wrapped__(4)
+
+    def test_basis_of_rows_with_one_altered_row_raises(self, monkeypatch):
+        # the elimination reads the distinct rows (a, b, c), a <= b <= c, alone:
+        # a change to a row that is not one of them, still quarter-integral,
+        # fails the certificate's symmetry of the rows
+        triples, rows = search._membership(4)
+        _, free = search._integer_basis(4)
+        row = (1 * 4 + 0) * 4 + 0  # (1, 0, 0)
+        assert row not in search._distinct_rows(4)[0]
+        altered = rows.copy()
+        altered[row, free[0]] += 0.25
+        monkeypatch.setattr(search, "_membership", lambda dim: (triples, altered))
         with pytest.raises(ArithmeticError, match="integer echelon basis"):
             search._integer_basis.__wrapped__(4)
 

@@ -1,6 +1,9 @@
 """The identity-check catalog, gating, equivalences and report determinism."""
 
+import math
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +13,18 @@ from norden import (
     ClassLabel,
     InvalidManifoldError,
     LieFrameManifold,
+    ScalarPanel,
+    SearchConfig,
+    bundled_manifest_path,
     canonical_norden_pair,
+    load_manifest,
     run_suite,
+    scalar_residual,
+    search_w3_examples,
+    suite,
 )
 from norden.cli import emit_report
+from norden.geometry import metric_trace, q_array, twist_arrays
 from norden.suite import KAHLER, _non_finite, build_context
 
 TOL = 1e-9
@@ -261,3 +272,182 @@ class TestDeterminism:
             if not line.startswith("time:")
         ]
         assert text1 == text2
+
+
+# ---------------------------------------------------------------------------
+# scalar relations as rows over the panel
+# ---------------------------------------------------------------------------
+
+SCALAR_RELATIONS = (
+    "EQ_1_7", "ASSOC_NORM_ZERO", "EQ_3_1", "EQ_3_2", "EQ_3_3", "EQ_3_4", "EQ_3_5",
+    "EQ_3_6", "EQ_3_7", "EQ_3_8", "EQ_3_9_A", "EQ_3_9_B", "EQ_3_10", "EQ_3_11",
+)
+DIM4_FORMS = ("EQ_3_12", "EQ_3_13", "THM_3_2", "THM_3_3")
+# the values of the panel beyond ScalarPanel's fields: the traces that EQ_1_7
+# reads as x(-2) and EQ_3_3 as x3
+PANEL_TRACES = ("cross_nablaJ", "trace_QQ")
+GOLDEN = Path(__file__).resolve().parent / "golden"
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool"
+BUNDLED = ("flat_kahler_4", "w3_generic_4", "w3_kahler_rprime_4", "w3_two_step_6")
+
+
+def _rows_of(check_id):
+    [defn] = [d for d in CHECK_CATALOG if d.check_id == check_id]
+    return defn.rows
+
+
+def _traces(ctx):
+    """The two traces of the panel, and Q, by the kernels `build_context` uses."""
+    m, nJ = ctx.m, ctx.nabla_J
+    g, g_inv = m.metric, m.metric_inv
+    q_vec = q_array(*twist_arrays(nJ, m.J))
+    cross = metric_trace(g_inv, nJ, g, nJ.swapaxes(1, 2))
+    return cross, metric_trace(g_inv, q_vec, g, q_vec.swapaxes(1, 2))
+
+
+def _panel(ctx):
+    """The panel the rows read: ScalarPanel's fields and the two traces."""
+    p = {name: getattr(ctx.panel, name) for name in ScalarPanel.FIELDS}
+    p.update(zip(PANEL_TRACES, (float(t) for t in _traces(ctx))))
+    return p
+
+
+def _reference(ctx):
+    """The scalar relations as hand-written expressions, the way the suite
+    computed them before they were rows: each relation's residual, THM_3_1's
+    seven zero-test residuals and the (pi_1 - pi_2, pi_3) coefficients of the
+    dim-4 checks."""
+    m, nJ, panel = ctx.m, ctx.nabla_J, ctx.panel
+    g, J, g_inv = m.metric, m.J, m.metric_inv
+    sq = float(metric_trace(g_inv, nJ, g, nJ))
+    assoc = float(metric_trace(g_inv, nJ, g @ J, nJ))
+    cross_trace, qq_trace = _traces(ctx)
+    cross = float(-2 * cross_trace)
+    trace_qq = float(3.0 * qq_trace)
+    relations = {
+        "EQ_1_7": scalar_residual(sq, cross),
+        "ASSOC_NORM_ZERO": scalar_residual(assoc, 0.0),
+        "EQ_3_1": scalar_residual(3.0 * panel.tau_prime, 3.0 * panel.tau + panel.tau_P),
+        "EQ_3_2": scalar_residual(
+            3.0 * panel.tau_prime_star, 3.0 * panel.tau_star + panel.tau_star_P
+        ),
+        "EQ_3_3": scalar_residual(panel.tau_P, trace_qq),
+        "EQ_3_4": scalar_residual(panel.tau_P, 9.0 / 8.0 * sq),
+        "EQ_3_5": scalar_residual(panel.tau_prime, panel.tau + 3.0 / 8.0 * sq),
+        "EQ_3_6": scalar_residual(panel.tau_star_P, -3.0 / 8.0 * sq),
+        "EQ_3_7": scalar_residual(panel.tau_prime_star, panel.tau_star - sq / 8.0),
+        "EQ_3_8": scalar_residual(
+            panel.tau_prime + 3.0 * panel.tau_prime_star,
+            panel.tau + 3.0 * panel.tau_star,
+        ),
+        "EQ_3_9_A": scalar_residual(panel.tau_H, 2.0 * sq),
+        "EQ_3_9_B": scalar_residual(panel.tau_star_H, 2.0 * sq),
+        "EQ_3_10": scalar_residual(panel.tau_prime, panel.tau + 3.0 / 16.0 * panel.tau_H),
+        "EQ_3_11": scalar_residual(panel.tau_prime_star, panel.tau_star - panel.tau_H / 16.0),
+    }
+    zeros = (
+        scalar_residual(sq, 0.0),
+        scalar_residual(panel.tau - panel.tau_prime, 0.0),
+        scalar_residual(panel.tau_star - panel.tau_prime_star, 0.0),
+        scalar_residual(panel.tau_P, 0.0),
+        scalar_residual(panel.tau_star_P, 0.0),
+        scalar_residual(panel.tau_H, 0.0),
+        scalar_residual(panel.tau_star_H, 0.0),
+    )
+    coefficients = {
+        "EQ_3_12": (panel.tau_prime / 8.0, panel.tau_prime_star / 8.0),
+        "EQ_3_13": ((panel.tau + 3.0 / 8.0 * sq) / 8.0, (panel.tau_star - sq / 8.0) / 8.0),
+        "THM_3_2": (panel.tau / 8.0, panel.tau_star / 8.0),
+        "THM_3_3": (
+            (16.0 * panel.tau + panel.tau_H) / 128.0,
+            (16.0 * panel.tau_star - panel.tau_H) / 128.0,
+        ),
+    }
+    return relations, zeros, coefficients
+
+
+def _hex(values):
+    return [float.hex(float(x)) for x in values]
+
+
+@pytest.fixture(scope="module")
+def row_manifolds():
+    """W0/W3 manifolds: the bundled ones, the golden and pool manifests and
+    the seed-42 search hits in dims 4, 6 and 8."""
+    paths = [bundled_manifest_path(name) for name in BUNDLED]
+    paths += sorted(GOLDEN.glob("*.manifest")) + sorted(POOL.glob("*.manifest"))
+    pool = [load_manifest(path) for path in paths]
+    for dim, n in ((4, 8), (6, 6), (8, 6)):  # as the acceptance tests and benchmark run them
+        cfg = SearchConfig(dim=dim, seed=42, max_candidates=40 * n, max_results=n)
+        pool += search_w3_examples(cfg)[0]
+    contexts = [build_context(m) for m in pool]
+    return [ctx for ctx in contexts if ctx.panel is not None]
+
+
+class TestScalarRows:
+    def test_rows_equal_the_hand_written_expressions_bit_for_bit(self, row_manifolds):
+        assert len(row_manifolds) >= 30
+        assert {ctx.m.dim for ctx in row_manifolds} == {4, 6, 8}
+        for ctx in row_manifolds:
+            relations, zeros, coefficients = _reference(ctx)
+            p = _panel(ctx)
+            for key, want in relations.items():
+                [row] = _rows_of(key)
+                got = scalar_residual(*suite._row(row, p))
+                assert _hex([got, ctx.values[key]]) == _hex([want, want]), key
+            got = [scalar_residual(*suite._row(row, p)) for row in _rows_of("THM_3_1")]
+            assert _hex(got) == _hex(zeros)
+            iso = zeros[0] <= ctx.tolerance
+            disagree = any((z <= ctx.tolerance) != iso for z in zeros[1:])
+            assert ctx.values["THM_3_1"] == float(disagree)
+            if ctx.m.dim == 4:
+                for key, want in coefficients.items():
+                    [row] = _rows_of(key)
+                    assert _hex(suite._row(row, p)) == _hex(want), key
+            else:
+                assert not set(DIM4_FORMS) & set(ctx.values)
+
+    def test_every_scalar_relation_is_one_row_of_dyadic_coefficients(self, two_step_6):
+        ids = {d.check_id for d in CHECK_CATALOG}
+        rowed = {d.check_id: d.rows for d in CHECK_CATALOG if d.rows}
+        # every row belongs to an existing check, and these are its checks
+        assert set(rowed) <= ids
+        assert set(rowed) == {*SCALAR_RELATIONS, "THM_3_1", *DIM4_FORMS}
+        # one row per scalar relation and per dim-4 form; THM_3_1's zero tests
+        # of ||nabla J||^2 and of six scalars
+        assert all(len(rowed[key]) == 1 for key in (*SCALAR_RELATIONS, *DIM4_FORMS))
+        assert len(rowed["THM_3_1"]) == 7
+        assert all(rhs == {} for _, rhs in rowed["THM_3_1"])
+        assert [d.check_id for d in CHECK_CATALOG if d.dim4] == list(DIM4_FORMS)
+        # every row reads existing panel values only, and every coefficient
+        # is dyadic
+        names = set(ScalarPanel.FIELDS) | set(PANEL_TRACES)
+        p = _panel(build_context(two_step_6))
+        assert set(p) == names
+        for rows in rowed.values():
+            for row in rows:
+                for form in row:
+                    assert set(form) <= names
+                    for c in form.values():
+                        q = Fraction(c).denominator
+                        assert q & (q - 1) == 0, (form, c)
+                assert all(math.isfinite(x) for x in suite._row(row, p))
+        # a side is its first product exactly, -0.0 included, as tau'/8 was,
+        # and an empty side is 0
+        assert _hex(suite._row(({"tau": 1 / 8}, {}), {"tau": -0.0})) == _hex([-0.0, 0.0])
+
+    def test_values_keep_their_key_order(self, generic_w3_4, two_step_6, other_class_4):
+        # the order in which `_non_finite` names the violations of a report
+        w3 = [
+            "EQ_1_3_A", "EQ_1_3_B", "R_CURVATURE_LIKE", "R_PAIR_SYMMETRY", "EQ_1_5",
+            "EQ_1_4", "EQ_1_13", "EQ_1_14", "EQ_1_7", "ASSOC_NORM_ZERO", "EQ_1_15",
+            "EQ_1_19", "Q_SKEW", "Q_TRACE", "F_TRACE_A", "F_TRACE_B", "NATURAL_G",
+            "NATURAL_J", "TORSION_2Q", "EQ_2_3", "R_PRIME_1_10", "R_PRIME_1_12",
+            "BIANCHI_R_PRIME", "EQ_2_8", "EQ_2_14", "H_1_10", "H_1_12",
+            "P_CURVATURE_LIKE", "EQ_2_6", "EQ_2_7", "TORSION_PARALLEL", "EQ_3_1",
+            "EQ_3_2", "EQ_3_3", "EQ_3_4", "EQ_3_5", "EQ_3_6", "EQ_3_7", "EQ_3_8",
+            "EQ_3_9_A", "EQ_3_9_B", "EQ_3_10", "EQ_3_11", "COR_2_2", "COR_2_4", "THM_3_1",
+        ]
+        assert list(build_context(generic_w3_4).values) == w3 + list(DIM4_FORMS)
+        assert list(build_context(two_step_6).values) == w3
+        assert list(build_context(other_class_4).values) == w3[:8]
