@@ -1,13 +1,19 @@
 """Command-line front end.
 
 Subcommands:
-  verify MANIFEST [--tolerance R] [--format text|json]   run the identity suite
+  verify PATH [PATH ...] [--tolerance R] [--format text|json]
+         run the identity suite on each manifest; a directory PATH stands
+         for its *.manifest files, sorted by name
   search [--dim N] [--seed S] [--max-candidates K] [--tolerance R]
          [--target w3|w3-kahler-rprime] [--out DIR] [--max-results M]
-  demo [--tolerance R] [--format text|json]              verify the bundled flat example
+  demo [--tolerance R] [--format text|json]   verify the bundled flat example
 
-Exit codes: 0 all checks PASS or NA, 1 any FAIL, 2 input error.  Every input
-error prints one `error:` line on stderr, from `main` alone.
+Exit codes: 0 all checks PASS or NA, 1 any FAIL, 2 input error; a batch of
+manifests exits with the worst code of its manifests.  Every input error
+prints one `error:` line on stderr, from `_error` alone; in a batch of more
+than one manifest the line names the manifest's path, and the batch goes on.
+`verify` writes each report exactly as a run on that manifest alone would,
+in argument order, so its JSON output is a stream of complete documents.
 The env var NORDEN_TOLERANCE overrides the default tolerance; the
 --tolerance flag wins over the env var.  A tolerance must be a finite
 number in (0, 1).
@@ -162,7 +168,16 @@ def emit_report(
 
 
 class _InputError(Exception):
-    """Bad input found by the CLI itself; `main` prints it and exits 2."""
+    """Bad input found by the CLI itself; printed by `_error`, exit code 2."""
+
+
+_INPUT_ERRORS = (ManifestError, InvalidManifoldError, _InputError)
+
+
+def _error(message: object) -> int:
+    """Print one input error line on stderr; its exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
 
 
 def _resolve_tolerance(arg_value: float | None) -> float:
@@ -186,13 +201,26 @@ def _resolve_tolerance(arg_value: float | None) -> float:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     tolerance = _resolve_tolerance(args.tolerance)
-    manifest = load_manifest(args.manifest)
-    start = time.perf_counter()
-    report = run_suite(manifest, tolerance)
-    elapsed = time.perf_counter() - start
-    sys.stdout.buffer.write(emit_report(report, args.format, elapsed=elapsed))
-    sys.stdout.buffer.flush()
-    return EXIT_FAIL if report.n_fail else EXIT_OK
+    paths = []
+    for arg in map(Path, args.paths):
+        found = sorted(arg.glob("*.manifest")) if arg.is_dir() else []
+        paths += found or [arg]  # a directory without manifests is an input error
+    code = EXIT_OK
+    for path in paths:
+        try:
+            if path.is_dir():
+                raise _InputError(f"no *.manifest file in directory {path}")
+            manifest = load_manifest(path)
+            start = time.perf_counter()
+            report = run_suite(manifest, tolerance)
+            elapsed = time.perf_counter() - start
+        except _INPUT_ERRORS as exc:
+            code = _error(f"{path}: {exc}" if len(paths) > 1 else exc)
+            continue
+        sys.stdout.buffer.write(emit_report(report, args.format, elapsed=elapsed))
+        sys.stdout.buffer.flush()
+        code = max(code, EXIT_FAIL if report.n_fail else EXIT_OK)
+    return code
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -250,8 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run the identity suite on a manifest")
-    p_verify.add_argument("manifest", help="path of a .manifest JSON file")
+    p_verify = sub.add_parser("verify", help="run the identity suite on manifests")
+    p_verify.add_argument(
+        "paths", nargs="+", metavar="PATH",
+        help="a .manifest JSON file, or a directory of them",
+    )
     p_verify.add_argument("--tolerance", type=float, default=None)
     p_verify.add_argument("--format", choices=[TEXT, STRUCTURED], default=TEXT)
     p_verify.set_defaults(func=_cmd_verify)
@@ -274,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--tolerance", type=float, default=None)
     p_demo.add_argument("--format", choices=[TEXT, STRUCTURED], default=TEXT)
     p_demo.set_defaults(
-        func=_cmd_verify, manifest=bundled_manifest_path("flat_kahler_4")
+        func=_cmd_verify, paths=[bundled_manifest_path("flat_kahler_4")]
     )
 
     return parser
@@ -285,9 +316,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ManifestError, InvalidManifoldError, _InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except _INPUT_ERRORS as exc:
+        return _error(exc)
 
 
 if __name__ == "__main__":

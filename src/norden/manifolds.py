@@ -4,21 +4,26 @@ A manifold here is a frame {e_i}, structure constants C[k][i][j] with
 [e_i, e_j] = C[k][i][j] e_k, a constant-component metric g and an almost
 complex structure J (column j of the J matrix is J e_j).  All covariant
 quantities reduce to finite algebra on these arrays, so every identity can
-be certified without discretization error.
+be certified without discretization error.  What reads only the pair (g, J)
+is computed once per pair, in its record (`pair_record`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
 
+from .curvature import PiForms, pi_forms
 from .tensors import cyclic_sum3, lower, permutation_residual, residual
 
 JACOBI_TOLERANCE = 1e-10
 MATRIX_TOLERANCE = 1e-12
+# the most pairs (g, J) whose record `pair_record` keeps; past it the least
+# recently used is dropped, and rebuilt when next asked for
+PAIR_RECORDS = 64
 # [[e_i,e_j],e_l] in frame components [p][i][j][l] as signed products of two
 # factors (name, index letters) summed over m; the Jacobi sum is its cyclic sum
 # in (i, j, l).  The search's quadratic form reads it, and so, once, do the axes
@@ -61,14 +66,14 @@ class LieFrameManifold:
             object.__setattr__(self, name, arr)
 
     @cached_property
+    def pair(self) -> PairRecord:
+        """The record of this manifold's pair (g, J), looked up once."""
+        return pair_record(self.metric, self.J)
+
+    @property
     def metric_inv(self) -> NDArray:
-        """g^{-1}, computed once per manifold."""
-        try:
-            g_inv = np.linalg.inv(self.metric)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"metric is singular: {exc}") from exc
-        g_inv.setflags(write=False)
-        return g_inv
+        """g^{-1}, from the pair's record."""
+        return self.pair.metric_inv
 
 
 @dataclass(frozen=True)
@@ -139,7 +144,7 @@ def validate_manifold(m: LieFrameManifold) -> ValidationOutcome:
         )
         if not r[0] <= tol
     ]
-    violations += _pair_violations(m.metric, m.J)
+    violations += m.pair.violations
     return ValidationOutcome(violations=tuple(violations))
 
 
@@ -153,27 +158,67 @@ def bracket_residuals(C: NDArray) -> tuple[NDArray, NDArray]:
     return antisymmetry, np.abs(jacobi_array(C)).max(axis=(-4, -3, -2, -1))
 
 
-def _pair_violations(g: NDArray, J: NDArray) -> list[Violation]:
-    """Violations of the invariants that read only the metric and J."""
-    d = len(g)
-    residuals = {
-        "almost complex structure J^2=-I": residual(J @ J, -np.eye(d)),
-        "Norden compatibility J^T g J = -g": residual(J.T @ g @ J, -g),
-        "metric symmetry": residual(g, g.T),
-    }
-    violations = [
-        Violation(name, r) for name, r in residuals.items() if not r <= MATRIX_TOLERANCE
-    ]
-    eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
-    smallest, n_pos = float(np.min(np.abs(eigs))), int(np.sum(eigs > 0))
-    if smallest <= MATRIX_TOLERANCE:
-        violations.append(Violation("metric nondegeneracy", smallest))
-    elif n_pos != d // 2:
-        signature = f"({n_pos},{d-n_pos}) != ({d//2},{d//2})"
-        violations.append(
-            Violation(f"metric signature {signature}", float(abs(n_pos - d // 2)))
-        )
-    return violations
+@dataclass(frozen=True, eq=False)
+class PairRecord:
+    """What reads only a pair (g, J): the violations of its invariants, g^{-1}
+    and the pi-forms, each built on first use and read-only.  Every manifold
+    on the pair shares one record (`pair_record`); only dimension-4 checks
+    read the pi-forms."""
+
+    g: NDArray
+    J: NDArray
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """The violated invariants that read only g and J."""
+        g, J, d = self.g, self.J, len(self.g)
+        residuals = {
+            "almost complex structure J^2=-I": residual(J @ J, -np.eye(d)),
+            "Norden compatibility J^T g J = -g": residual(J.T @ g @ J, -g),
+            "metric symmetry": residual(g, g.T),
+        }
+        violations = [
+            Violation(name, r) for name, r in residuals.items() if not r <= MATRIX_TOLERANCE
+        ]
+        eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
+        smallest, n_pos = float(np.abs(eigs).min()), int(np.count_nonzero(eigs > 0))
+        if smallest <= MATRIX_TOLERANCE:
+            violations.append(Violation("metric nondegeneracy", smallest))
+        elif n_pos != d // 2:
+            signature = f"({n_pos},{d-n_pos}) != ({d//2},{d//2})"
+            violations.append(
+                Violation(f"metric signature {signature}", float(abs(n_pos - d // 2)))
+            )
+        return tuple(violations)
+
+    @cached_property
+    def metric_inv(self) -> NDArray:
+        """g^{-1}; a singular metric raises LinAlgError, at every call."""
+        try:
+            g_inv = np.linalg.inv(self.g)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"metric is singular: {exc}") from exc
+        g_inv.setflags(write=False)
+        return g_inv
+
+    @cached_property
+    def pi_forms(self) -> PiForms:
+        """`curvature.pi_forms(g, J)`."""
+        pis = pi_forms(self.g, self.J)
+        for pi in pis:
+            pi.setflags(write=False)
+        return pis
+
+
+def pair_record(g: NDArray, J: NDArray) -> PairRecord:
+    """The record of the float pair (g, J), keyed by its shape and bytes."""
+    return _pair_record(g.shape, g.tobytes(), J.tobytes())
+
+
+@lru_cache(maxsize=PAIR_RECORDS)
+def _pair_record(shape: tuple[int, ...], g: bytes, J: bytes) -> PairRecord:
+    # arrays over the key's own bytes, which numpy keeps read-only
+    return PairRecord(*(np.frombuffer(a).reshape(shape) for a in (g, J)))
 
 
 def levi_civita(C: NDArray, g: NDArray, g_inv: NDArray) -> NDArray:

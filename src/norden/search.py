@@ -77,6 +77,7 @@ from .manifolds import (
     bracket_residuals,
     canonical_norden_pair,
     levi_civita,
+    pair_record,
 )
 from .tensors import DEFAULT_TOLERANCE, check_tolerance, cyclic_sum3, lower
 
@@ -180,12 +181,11 @@ def _brackets(dim: int, pos: NDArray, neg: NDArray, coeff: NDArray) -> NDArray:
 @lru_cache(maxsize=None)
 def _canonical_pair(dim: int) -> tuple[NDArray, NDArray, NDArray]:
     """(g, J, g^-1) of the canonical pair, read-only: every candidate of a
-    dimension is judged on it, and manifests copy what they are given."""
+    dimension is judged on it, and manifests copy what they are given.  g^-1
+    is the pair's record's."""
     g, J = canonical_norden_pair(dim)
-    pair = (g, J, np.linalg.inv(g))
-    for array in pair:
-        array.flags.writeable = False
-    return pair
+    g.flags.writeable = J.flags.writeable = False
+    return g, J, pair_record(g, J).metric_inv
 
 
 # bytes of the unit brackets of each batched kernel evaluation in the

@@ -9,8 +9,9 @@ data.
 
 Scalar relations are data: each is one row of its check (`CheckDef.rows`),
 its left and right sides as dyadic coefficients of named values of one panel
-per report, and one function evaluates every row (`_row`).  THM_3_1's zero
-tests and the Kahler-form coefficients of the dim-4 checks are rows too.
+per report, and one function evaluates a stage's rows in one call (`_rows`).
+THM_3_1's zero tests and the Kahler-form coefficients of the dim-4 checks are
+rows too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -269,15 +270,16 @@ def build_context(
     v["COR_2_2"] = float(indicator(kahler[2]) != indicator(kahler[0]))
     h_kahler_full = max(v["H_1_10"], v["EQ_2_14"], v["H_1_12"])
     v["COR_2_4"] = float(indicator(v["BIANCHI_R_PRIME"]) != indicator(h_kahler_full))
-    iso, *six = (indicator(scalar_residual(*_row(r, p))) for r in _ROWS["THM_3_1"])
+    iso, *six = (indicator(scalar_residual(*s)) for s in _rows(_ROWS["THM_3_1"], p))
     v["THM_3_1"] = float(any(zero != iso for zero in six))
 
     if m.dim == 4:
         # the Kahler decomposition of R', and the reconstructions of R from
-        # scalars and P, at their rows' coefficients of pi_1 - pi_2 and pi_3
-        pis = curv.pi_forms(g, J)
-        form = {d.check_id: curv.kahler_form(pis, *_row(d.rows[0], p))
-                for d in CHECK_CATALOG if d.dim4}
+        # scalars and P, at their rows' coefficients of pi_1 - pi_2 and pi_3;
+        # the pi-forms are the pair's
+        pis = m.pair.pi_forms
+        form = {key: curv.kahler_form(pis, *s)
+                for key, s in zip(_DIM4, _rows((_ROWS[key][0] for key in _DIM4), p))}
         v["EQ_3_12"] = residual(Rpc, form["EQ_3_12"], top[1])
         P3 = P / 3.0
         v["EQ_3_13"] = residual(Rc, form["EQ_3_13"] - P3, top[0])
@@ -294,10 +296,12 @@ def build_context(
 # the J-invariance of the last two slots
 KAHLER = ("R_PRIME_1_10", "BIANCHI_R_PRIME", "R_PRIME_1_12")
 
-# two linear forms over the panel of `build_context`, {panel value: dyadic
-# coefficient}, each summed in its order: a scalar relation's left and right
-# sides, or a dim-4 check's coefficients of pi_1 - pi_2 and of pi_3
-_Row = tuple[dict[str, float], dict[str, float]]
+# two linear forms over the panel of `build_context`, each a tuple of terms
+# (panel value, dyadic coefficient) summed in its order: a scalar relation's
+# left and right sides, or a dim-4 check's coefficients of pi_1 - pi_2 and of
+# pi_3
+_Side = tuple[tuple[str, float], ...]
+_Row = tuple[_Side, _Side]
 
 
 @dataclass(frozen=True)
@@ -326,11 +330,14 @@ def _defs() -> tuple[CheckDef, ...]:
         gate: tuple[str, ...] | None = (),
         value_key: str | None = None,
         dim4: bool = False,
-        rows: tuple[_Row, ...] = (),
+        rows: tuple[tuple[dict[str, float], dict[str, float]], ...] = (),
     ):
-        d.append(CheckDef(check_id, anchor, gate, value_key or check_id, dim4, rows))
+        terms = tuple(tuple(tuple((n, float(c)) for n, c in side.items()) for side in row)
+                      for row in rows)
+        d.append(CheckDef(check_id, anchor, gate, value_key or check_id, dim4, terms))
 
-    # one check per call; a scalar relation's row follows its anchor
+    # one check per call; a scalar relation's row, {panel value: coefficient}
+    # per side, follows its anchor
     sq = "sq_norm_nablaJ"
     add("EQ_1_3_A", "F(x,y,z) = F(x,z,y)", None)
     add("EQ_1_3_B", "F(x,y,z) = F(x,Jy,Jz)", None)
@@ -428,18 +435,22 @@ def _defs() -> tuple[CheckDef, ...]:
 
 CHECK_CATALOG: tuple[CheckDef, ...] = _defs()
 _ROWS = {d.check_id: d.rows for d in CHECK_CATALOG if d.rows}
+_DIM4 = tuple(d.check_id for d in CHECK_CATALOG if d.dim4)
 
 
-def _row(row: _Row, p: dict[str, float]) -> list[float]:
-    """A row's two sides on the panel `p`: each term's coefficient times its
-    value, summed left to right (an empty side is 0)."""
-    sides = []
-    for side in row:
-        x = None
-        for name, c in side.items():
+def _rows(rows: Iterable[_Row], p: dict[str, float]) -> list[tuple[float, float]]:
+    """Each row's two sides on the panel `p`: each term's coefficient times
+    its value, summed left to right from the first product (an empty side is
+    0)."""
+    out = []
+    for lhs, rhs in rows:
+        x = y = None
+        for name, c in lhs:
             x = c * p[name] if x is None else x + c * p[name]
-        sides.append(0.0 if x is None else x)
-    return sides
+        for name, c in rhs:
+            y = c * p[name] if y is None else y + c * p[name]
+        out.append((0.0 if x is None else x, 0.0 if y is None else y))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -448,16 +459,17 @@ def _relations_reading(names: frozenset[str]) -> tuple[tuple[str, _Row], ...]:
     return tuple(
         (d.check_id, d.rows[0])
         for d in CHECK_CATALOG
-        if len(d.rows) == 1 and not d.dim4 and {n for side in d.rows[0] for n in side} <= names
+        if len(d.rows) == 1 and not d.dim4
+        and {name for side in d.rows[0] for name, _ in side} <= names
     )
 
 
 def _relations(v: dict[str, float], p: dict[str, float]) -> None:
     """Write into `v`, in catalog order, the residual of each scalar relation
     that `v` lacks and whose row reads only values that `p` holds."""
-    for key, row in _relations_reading(frozenset(p)):
-        if key not in v:
-            v[key] = scalar_residual(*_row(row, p))
+    todo = [(key, row) for key, row in _relations_reading(frozenset(p)) if key not in v]
+    for (key, _), sides in zip(todo, _rows((row for _, row in todo), p)):
+        v[key] = scalar_residual(*sides)
 
 
 def _gate_reason(

@@ -170,6 +170,112 @@ class TestVerify:
         assert line in emit_report(report, TEXT).decode("utf-8").splitlines()
 
 
+
+def _untimed(text):
+    """A text report, or a stream of them, without the `time:` lines."""
+    return "".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith("time: ")
+    )
+
+
+def _json_stream(text):
+    """The JSON documents of a stream written one after another."""
+    decoder, docs, at = json.JSONDecoder(), [], 0
+    while at < len(text):
+        doc, at = decoder.raw_decode(text, at)
+        docs.append(doc)
+        while at < len(text) and text[at].isspace():
+            at += 1
+    return docs
+
+
+class TestBatchVerify:
+    """`verify PATH [PATH ...]`: each report as a run on its manifest alone
+    writes it, in argument order, and the worst exit code of the batch."""
+
+    @pytest.fixture
+    def bad(self, tmp_path):
+        """A manifest of valid JSON whose pair is not Norden (exit 2)."""
+        _, J = canonical_norden_pair(4)
+        bad = ManifoldManifest(
+            id="bad_norden", dim=4, structure_constants=np.zeros((4, 4, 4)),
+            metric=np.eye(4), J=J,
+        )
+        return str(save_manifest(bad, tmp_path / "bad.manifest"))
+
+    @staticmethod
+    def _paths(*names):
+        return [str(bundled_manifest_path(name)) for name in names]
+
+    def test_two_manifests_give_the_two_single_runs(self, capsys):
+        paths = self._paths("flat_kahler_4", "w3_two_step_6")
+        for fmt in ("json", "text"):
+            singles = [run_cli(capsys, "verify", p, "--format", fmt) for p in paths]
+            code, out, err = run_cli(capsys, "verify", *paths, "--format", fmt)
+            assert code == max(c for c, _, _ in singles) == 1
+            assert err == ""
+            if fmt == "json":
+                assert out == "".join(o for _, o, _ in singles)
+                assert _json_stream(out) == [json.loads(o) for _, o, _ in singles]
+            else:
+                assert _untimed(out) == "".join(_untimed(o) for _, o, _ in singles)
+                assert out.count("\ntime: ") == 2
+
+    def test_a_directory_expands_in_sorted_order(self, capsys, tmp_path):
+        names = ("w3_two_step_6", "flat_kahler_4", "w3_generic_4")
+        for stem, name in zip(("b", "a", "c"), names):
+            save_manifest(load_manifest(bundled_manifest_path(name)), tmp_path / f"{stem}.manifest")
+        (tmp_path / "notes.json").write_text("{}", encoding="utf-8")
+        (tmp_path / "sub").mkdir()
+        code, out, err = run_cli(capsys, "verify", str(tmp_path), "--format", "json")
+        assert (code, err) == (1, "")
+        assert [d["manifold_id"] for d in _json_stream(out)] == [
+            "flat_kahler_4", "w3_two_step_6", "w3_generic_4"
+        ]
+        # a directory among files keeps its place in argument order
+        first = str(bundled_manifest_path("w3_kahler_rprime_4"))
+        code, out, _ = run_cli(capsys, "verify", first, str(tmp_path), "--format", "json")
+        assert [d["manifold_id"] for d in _json_stream(out)] == [
+            "w3_kahler_rprime_4", "flat_kahler_4", "w3_two_step_6", "w3_generic_4"
+        ]
+
+    def test_the_exit_code_is_the_worst_of_the_batch(self, capsys, bad):
+        by_code = {0: self._paths("flat_kahler_4")[0], 1: self._paths("w3_generic_4")[0], 2: bad}
+        for codes in ((0, 0), (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1), (1, 2, 0)):
+            code, _, err = run_cli(capsys, "verify", *(by_code[c] for c in codes))
+            assert code == max(codes), codes
+            assert err.count("error: ") == codes.count(2)
+
+    def test_a_bad_manifest_in_a_batch_gives_one_error_line(self, capsys, bad, tmp_path):
+        junk = tmp_path / "junk.manifest"
+        junk.write_text("...", encoding="utf-8")
+        good = self._paths("flat_kahler_4", "w3_two_step_6")
+        singles = [run_cli(capsys, "verify", p, "--format", "json")[1] for p in good]
+        for middle, cause in ((bad, "manifold failed validation: "), (str(junk), "malformed JSON: ")):
+            code, out, err = run_cli(capsys, "verify", good[0], middle, good[1], "--format", "json")
+            assert code == 2
+            assert out == "".join(singles)
+            assert err.startswith(f"error: {middle}: {cause}")
+            assert err.count("\n") == 1 and err.endswith("\n")
+        # alone, the same manifest's line is as it always was
+        code, out, err = run_cli(capsys, "verify", bad)
+        assert code == 2
+        assert_input_error(out, err)
+        assert err.startswith("error: manifold failed validation: ")
+
+    def test_a_directory_without_manifests_exits_two(self, capsys, tmp_path):
+        (tmp_path / "notes.json").write_text("{}", encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", str(tmp_path))
+        assert code == 2
+        assert_input_error(out, err)
+        assert str(tmp_path) in err
+        flat = self._paths("flat_kahler_4")[0]
+        code, out, err = run_cli(capsys, "verify", str(tmp_path), flat, "--format", "json")
+        assert code == 2
+        assert out == run_cli(capsys, "verify", flat, "--format", "json")[1]
+        assert err.startswith(f"error: {tmp_path}: ") and err.count("\n") == 1
+
+
 class TestToleranceResolution:
     """The resolved tolerance is printed on every check of both formats."""
 

@@ -1,7 +1,11 @@
-"""Manifold validation, the Levi-Civita connection and covariant derivatives."""
+"""Manifold validation, the per-pair record, the Levi-Civita connection and
+covariant derivatives."""
 
+import dataclasses
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +13,24 @@ import pytest
 from norden import (
     InvalidManifoldError,
     LieFrameManifold,
+    bundled_manifest_path,
     canonical_norden_pair,
+    cli,
     covariant_derivative,
     levi_civita,
+    load_manifest,
+    manifolds,
+    pi_forms,
     run_suite,
+    save_manifest,
+    search,
     validate_manifold,
 )
-from norden.manifolds import jacobi_array
+from norden.manifolds import PAIR_RECORDS, jacobi_array, pair_record
 from norden.tensors import residual
+
+ROOT = Path(__file__).resolve().parents[1]
+POOL = ROOT / "perfbench" / "pool"
 
 
 def gamma_of(m):
@@ -285,3 +299,123 @@ class TestCovariantDerivative:
         db = covariant_derivative(gamma, b)
         dab = covariant_derivative(gamma, 2.0 * a - 3.0 * b)
         assert residual(dab, 2.0 * da - 3.0 * db) <= 1e-12
+
+
+class TestPairRecord:
+    """One read-only record per pair (g, J), shared by every manifold and by
+    the search: its violations, g^-1 and the pi-forms."""
+
+    @staticmethod
+    def _report_table_paths(tmp_path, monkeypatch):
+        """The manifests of scripts/report_table.py: pool.json's, the other
+        bundled ones and the seed-0 class-OTHER draws of verify_pool."""
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+
+        pool = json.loads((POOL / "pool.json").read_text(encoding="utf-8"))
+        paths = [bundled_manifest_path(e["bundled"]) if "bundled" in e else POOL / e["file"]
+                 for e in pool["manifests"]]
+        data = bundled_manifest_path("flat_kahler_4").parent
+        paths += sorted(set(data.glob("*.manifest")) - set(paths))
+        rng = np.random.default_rng([0, 0])
+        for dim in (4, 6, 8):
+            for k in range(2):
+                other = workloads.other_brackets(rng, dim, f"other_d{dim}_seed0_{k}")
+                paths.append(save_manifest(other, tmp_path / f"{other.id}.manifest"))
+        return paths
+
+    @staticmethod
+    def _verify(capsys, path, fmt):
+        """Exit code and stdout of `norden verify PATH --format FMT`, without
+        the `time:` line."""
+        code = cli.main(["verify", str(path), "--format", fmt])
+        out = capsys.readouterr().out
+        return code, [line for line in out.splitlines() if not line.startswith("time: ")]
+
+    def test_reports_are_the_same_with_a_cold_and_a_warm_record(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        paths = self._report_table_paths(tmp_path, monkeypatch)
+        assert len(paths) == 21
+        for path in paths:
+            for fmt in ("json", "text"):
+                manifolds._pair_record.cache_clear()
+                cold = self._verify(capsys, path, fmt)
+                assert manifolds._pair_record.cache_info().misses == 1
+                warm = self._verify(capsys, path, fmt)
+                assert manifolds._pair_record.cache_info().hits >= 1
+                assert warm == cold, (path.name, fmt)
+
+    def test_the_oldest_pair_is_evicted_past_the_bound(self):
+        g, J = canonical_norden_pair(4)
+        metrics = [(k + 1.0) * g for k in range(PAIR_RECORDS + 1)]
+        manifolds._pair_record.cache_clear()
+        records = [pair_record(gk, J) for gk in metrics]
+        assert manifolds._pair_record.cache_info().currsize == PAIR_RECORDS
+        # the newest PAIR_RECORDS pairs keep their records; the first does not
+        assert all(pair_record(gk, J) is r for gk, r in zip(metrics[1:], records[1:]))
+        first = pair_record(metrics[0], J)
+        assert first is not records[0]
+        assert np.array_equal(first.g, metrics[0])
+
+    def test_stored_arrays_are_read_only(self):
+        flat4 = load_manifest(bundled_manifest_path("flat_kahler_4"))
+        record = flat4.pair
+        assert record is pair_record(flat4.metric, flat4.J)
+        assert isinstance(record.violations, tuple)
+        for array in (record.g, record.J, record.metric_inv, *record.pi_forms):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.g = np.eye(4)
+
+    def test_one_record_serves_every_reader_of_a_pair(self):
+        g, J = canonical_norden_pair(4)
+        manifolds._pair_record.cache_clear()
+        search._canonical_pair.cache_clear()
+        record = pair_record(g, J)
+        flat4, generic_w3_4 = (
+            load_manifest(bundled_manifest_path(name))
+            for name in ("flat_kahler_4", "w3_generic_4")
+        )
+        assert flat4.metric_inv is generic_w3_4.metric_inv is record.metric_inv
+        assert search._canonical_pair(4)[2] is record.metric_inv
+        m = LieFrameManifold(dim=4, structure_constants=np.zeros((4, 4, 4)), metric=g, J=J)
+        assert m.pair is record
+        assert np.array_equal(record.metric_inv, np.linalg.inv(g))
+        for got, want in zip(record.pi_forms, pi_forms(g, J)):
+            assert np.array_equal(got, want)
+
+    def test_singular_metric_gives_the_same_error(self):
+        g, J = canonical_norden_pair(4)
+        g[0, 0] = 0.0
+        with pytest.raises(np.linalg.LinAlgError) as raw:
+            np.linalg.inv(g)
+        manifolds._pair_record.cache_clear()
+        for _ in ("cold", "warm"):
+            m = LieFrameManifold(dim=4, structure_constants=np.zeros((4, 4, 4)), metric=g, J=J)
+            with pytest.raises(np.linalg.LinAlgError) as exc:
+                m.metric_inv
+            assert str(exc.value) == f"metric is singular: {raw.value}"
+            assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+        assert manifolds._pair_record.cache_info().hits == 1
+
+    def test_a_pair_that_is_not_norden_gives_the_same_violations(self):
+        g, _ = canonical_norden_pair(4)
+        J = np.eye(4)  # J^2 = I, and J^T g J = g
+        manifolds._pair_record.cache_clear()
+        outcomes = []
+        for _ in ("cold", "warm"):
+            m = LieFrameManifold(dim=4, structure_constants=np.zeros((4, 4, 4)), metric=g, J=J)
+            outcomes.append(validate_manifold(m))
+            with pytest.raises(InvalidManifoldError) as exc:
+                run_suite(m)
+            assert exc.value.outcome == outcomes[-1]
+        assert manifolds._pair_record.cache_info().hits == 1
+        cold, warm = outcomes
+        assert warm == cold
+        assert [v.name for v in cold.violations] == [
+            "almost complex structure J^2=-I",
+            "Norden compatibility J^T g J = -g",
+        ]

@@ -393,17 +393,17 @@ class TestScalarRows:
             p = _panel(ctx)
             for key, want in relations.items():
                 [row] = _rows_of(key)
-                got = scalar_residual(*suite._row(row, p))
+                [sides] = suite._rows([row], p)
+                got = scalar_residual(*sides)
                 assert _hex([got, ctx.values[key]]) == _hex([want, want]), key
-            got = [scalar_residual(*suite._row(row, p)) for row in _rows_of("THM_3_1")]
+            got = [scalar_residual(*sides) for sides in suite._rows(_rows_of("THM_3_1"), p)]
             assert _hex(got) == _hex(zeros)
             iso = zeros[0] <= ctx.tolerance
             disagree = any((z <= ctx.tolerance) != iso for z in zeros[1:])
             assert ctx.values["THM_3_1"] == float(disagree)
             if ctx.m.dim == 4:
                 for key, want in coefficients.items():
-                    [row] = _rows_of(key)
-                    assert _hex(suite._row(row, p)) == _hex(want), key
+                    assert _hex(*suite._rows(_rows_of(key), p)) == _hex(want), key
             else:
                 assert not set(DIM4_FORMS) & set(ctx.values)
 
@@ -417,24 +417,27 @@ class TestScalarRows:
         # of ||nabla J||^2 and of six scalars
         assert all(len(rowed[key]) == 1 for key in (*SCALAR_RELATIONS, *DIM4_FORMS))
         assert len(rowed["THM_3_1"]) == 7
-        assert all(rhs == {} for _, rhs in rowed["THM_3_1"])
+        assert all(rhs == () for _, rhs in rowed["THM_3_1"])
         assert [d.check_id for d in CHECK_CATALOG if d.dim4] == list(DIM4_FORMS)
-        # every row reads existing panel values only, and every coefficient
-        # is dyadic
+        # every row reads existing panel values only, each once, and every
+        # coefficient is a dyadic float, made so when the catalog was built
         names = set(ScalarPanel.FIELDS) | set(PANEL_TRACES)
         p = _panel(build_context(two_step_6))
         assert set(p) == names
         for rows in rowed.values():
             for row in rows:
                 for form in row:
-                    assert set(form) <= names
-                    for c in form.values():
+                    assert isinstance(form, tuple)
+                    assert len(dict(form)) == len(form)
+                    assert set(dict(form)) <= names
+                    for _, c in form:
                         q = Fraction(c).denominator
-                        assert q & (q - 1) == 0, (form, c)
-                assert all(math.isfinite(x) for x in suite._row(row, p))
+                        assert type(c) is float and q & (q - 1) == 0, (form, c)
+                assert all(math.isfinite(x) for x in suite._rows([row], p)[0])
         # a side is its first product exactly, -0.0 included, as tau'/8 was,
         # and an empty side is 0
-        assert _hex(suite._row(({"tau": 1 / 8}, {}), {"tau": -0.0})) == _hex([-0.0, 0.0])
+        row = ((("tau", 1 / 8),), ())
+        assert _hex(*suite._rows([row], {"tau": -0.0})) == _hex([-0.0, 0.0])
 
     def test_values_keep_their_key_order(self, generic_w3_4, two_step_6, other_class_4):
         # the order in which `_non_finite` names the violations of a report
@@ -451,3 +454,35 @@ class TestScalarRows:
         assert list(build_context(generic_w3_4).values) == w3 + list(DIM4_FORMS)
         assert list(build_context(two_step_6).values) == w3
         assert list(build_context(other_class_4).values) == w3[:8]
+
+
+class TestJParity:
+    """(C, g, -J) is a Norden structure of the same class: it keeps every
+    verdict and the J-even scalars, and negates the J-odd ones."""
+
+    EVEN = ("tau", "tau_prime", "tau_P", "tau_H", "sq_norm_nablaJ")
+    ODD = ("tau_star", "tau_prime_star", "tau_star_P", "tau_star_H", "assoc_sq_norm_nablaJ")
+
+    def test_minus_J_keeps_verdicts_and_flips_the_starred_scalars(self):
+        assert set(self.EVEN + self.ODD) == set(ScalarPanel.FIELDS)
+        paths = [bundled_manifest_path(name) for name in BUNDLED]
+        paths += sorted(POOL.glob("*.manifest"))
+        assert len(paths) == 15
+        for path in paths:
+            m = load_manifest(path)
+            minus = LieFrameManifold(
+                dim=m.dim, structure_constants=m.structure_constants, metric=m.metric, J=-m.J
+            )
+            report, flipped = run_suite(m), run_suite(minus)
+            assert flipped.class_label.label is report.class_label.label, path.stem
+            assert [c[:2] + c[3:] for c in flipped.checks] == [
+                c[:2] + c[3:] for c in report.checks
+            ], path.stem
+            panel, flipped_panel = report.scalar_panel, flipped.scalar_panel
+            # bit for bit; + 0.0 folds a zero's sign, which a sum need not keep
+            for name in self.EVEN:
+                want = getattr(panel, name)
+                assert _hex([getattr(flipped_panel, name) + 0.0]) == _hex([want + 0.0]), name
+            for name in self.ODD:
+                want = -getattr(panel, name)
+                assert _hex([getattr(flipped_panel, name) + 0.0]) == _hex([want + 0.0]), name
