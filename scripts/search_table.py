@@ -108,7 +108,7 @@ class CacheValues:
             return value
 
         wrapper.__wrapped__ = cached.__wrapped__  # the uncached builder, as tests call it
-        wrapper.cache_info = cached.cache_info
+        wrapper.cache_info, wrapper.cache_clear = cached.cache_info, cached.cache_clear
         return wrapper
 
     def nbytes(self) -> dict[str, int]:

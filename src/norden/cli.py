@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 all checks PASS or NA, 1 any FAIL, 2 input error; a batch of
 manifests exits with the worst code of its manifests.  Every input error
 prints one `error:` line on stderr, from `_error` alone; in a batch of more
-than one manifest the line names the manifest's path, and the batch goes on.
+than one manifest the line names the manifest's path once, and the batch
+goes on.
 `verify` writes each report exactly as a run on that manifest alone would,
 in argument order, so its JSON output is a stream of complete documents.
 The env var NORDEN_TOLERANCE overrides the default tolerance; the
@@ -207,15 +208,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         paths += found or [arg]  # a directory without manifests is an input error
     code = EXIT_OK
     for path in paths:
+        if path.is_dir():
+            code = _error(f"no *.manifest file in directory {path}")
+            continue
         try:
-            if path.is_dir():
-                raise _InputError(f"no *.manifest file in directory {path}")
             manifest = load_manifest(path)
             start = time.perf_counter()
             report = run_suite(manifest, tolerance)
             elapsed = time.perf_counter() - start
         except _INPUT_ERRORS as exc:
-            code = _error(f"{path}: {exc}" if len(paths) > 1 else exc)
+            named = getattr(exc, "path", None) == path
+            code = _error(f"{path}: {exc}" if len(paths) > 1 and not named else exc)
             continue
         sys.stdout.buffer.write(emit_report(report, args.format, elapsed=elapsed))
         sys.stdout.buffer.flush()

@@ -24,7 +24,12 @@ from .manifolds import LieFrameManifold
 
 
 class ManifestError(Exception):
-    """Base class for manifest I/O failures."""
+    """Base class for manifest I/O failures; `path` is the file that the
+    message names, where it names one."""
+
+    def __init__(self, message: object, path: Path | None = None) -> None:
+        super().__init__(message)
+        self.path = path
 
 
 class ManifestNotFoundError(ManifestError):
@@ -174,13 +179,13 @@ def parse_manifest(text: str) -> ManifoldManifest:
 def load_manifest(path: str | Path) -> ManifoldManifest:
     path = Path(path)
     if not path.is_file():
-        raise ManifestNotFoundError(f"manifest file not found: {path}")
+        raise ManifestNotFoundError(f"manifest file not found: {path}", path)
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ManifestFormatError(f"{path} is not UTF-8 text: {exc}") from None
+        raise ManifestFormatError(f"{path} is not UTF-8 text: {exc}", path) from None
     except OSError as exc:
-        raise ManifestError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise ManifestError(f"cannot read {path}: {exc.strerror or exc}", path) from None
     return parse_manifest(text)
 
 

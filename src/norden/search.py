@@ -7,33 +7,33 @@ null space.  Its matrix is built once per dimension, by batched kernel
 evaluations over chunks of the unit brackets of the antisymmetric triples
 (k, i, j), and every family below is a subset of those triples, kept as the
 flat positions of its entries in C (`_brackets`), never as a dense basis
-matrix.  The quadratic Jacobi identity is handled two ways:
+matrix.  Every nullity the search relies on is certified one way, without an
+SVD, from the eigenvalues of an exact integer Gram matrix (`_nullities`).
+The quadratic Jacobi identity is handled two ways:
 
 * two-step nilpotent ansatz (brackets land in a central coordinate subspace):
   Jacobi holds identically, so accepted samples are exact.  Nontrivial
   null spaces exist only for dimension >= 6.  The plan lists the centres Z
-  whose family has one, found once per dimension without an SVD: a family's
-  nullity is read off the eigenvalues of its integer Gram matrix, summed
-  exactly from the sparse membership columns, and the pass certifies that
-  each eigenvalue is zero or far from it (`_two_step_centres`).  A family's
-  orthonormal null space is built on its first draw, by one SVD whose
-  nullity must agree (`_two_step_family`), so a search pays only for the
-  families it draws from.
+  whose family has one, found once per dimension without an SVD
+  (`_two_step_centres`).  A family's orthonormal null space is built on its
+  first draw, by one SVD whose nullity must agree (`_two_step_family`), so
+  a search pays only for the families it draws from.
 * Gauss-Newton projection: a damped Gauss-Newton iteration drives the Jacobi
   residual (and, for the Kahler target, the first Bianchi residual of the
-  skew-torsion curvature) to zero inside the membership null space of all
-  the triples.  Its coordinates z are those of the null space's integer
-  echelon basis N (`_integer_basis`: entries 0 and +-1, the identity on the
-  free triples).  A candidate starts at a uniform draw u on the unit sphere
-  of the orthonormal SVD basis V of the same space, at z = V[free] u, so
-  that N z = V u, and stays on the sphere ||N z|| = 1 of the bracket
-  coefficients, where ||C(z)||_F**2 = 2, which keeps it off the abelian
-  solution.  Gauss-Newton is invariant under a linear change of coordinates
-  that carries the start point and the constraint along, so the iterates are
-  those of the coordinates of V, up to rounding.  Both residual maps are
-  homogeneous quadratic in z, so they are precomputed once per (dim, target)
-  as a symmetric form Q with phi(z) = Q[z, z] (`QuadraticForm`), from the
-  product tables that the kernels evaluate (`_quadratic_form`).  In the
+  skew-torsion curvature) to zero inside the membership null space of all the
+  triples.  Its coordinates z are those of the null space's integer echelon
+  basis N (`_integer_basis`: entries 0 and +-1, the identity on the free
+  triples).  A candidate starts at a uniform draw u on the unit sphere of the
+  orthonormal SVD basis V of the same space, at z = V[free] u, so that
+  N z = V u, and stays on the sphere ||N z|| = 1 of the bracket coefficients,
+  where ||C(z)||_F**2 = 2, which keeps it off the abelian solution; V serves
+  only these start points.  Gauss-Newton is invariant under a linear change
+  of coordinates that carries the start point and the constraint along, so
+  the iterates are those of the coordinates of V, up to rounding.  Both
+  residual maps are homogeneous quadratic in z, so they are precomputed once
+  per (dim, target) as a symmetric form Q with phi(z) = Q[z, z]
+  (`QuadraticForm`), from the product tables that the kernels evaluate
+  (`_quadratic_form`).  In the
   coordinates of N, Q is sparse (3.3% of its entries are nonzero in dim 6,
   1.2% in dim 8, for the Kahler target), and it is built from the supports of
   the directions and held as the list of its nonzero entries.  Qz gives the
@@ -231,38 +231,78 @@ def _membership(dim: int) -> tuple[NDArray, NDArray]:
 @lru_cache(maxsize=None)
 def _generic_family(dim: int) -> _Family:
     """The family of all the triples: the full antisymmetric constant space
-    intersected with the membership condition."""
+    intersected with the membership condition.  Its orthonormal SVD null
+    space gives the Gauss-Newton start points (`QuadraticForm.start`)."""
     triples, rows = _membership(dim)
     return (*_positions(dim, triples), _null_space(rows))
 
 
 def _distinct_rows(dim: int) -> tuple[NDArray, NDArray]:
-    """(rows, weight): the flat indices (a d + b) d + c of the rows of the
-    membership matrix with a <= b <= c, and the number of rows each stands
-    for, its distinct index permutations.  The cyclic sum of F is totally
-    symmetric, so these are all the distinct rows."""
+    """(A, weight): A = 4 rows on the rows (a d + b) d + c, a <= b <= c, of
+    the membership matrix, and the number of rows each stands for, its
+    distinct index permutations.  The cyclic sum of F is totally symmetric,
+    so these are all the distinct rows, and the matrix is quarter-integral,
+    so A is integral: both are checked once, here, and ArithmeticError is
+    raised where one fails."""
+    _, rows = _membership(dim)
+    cube = rows.reshape(dim, dim, dim, -1)  # a view; two swaps generate the permutations
+    if not all(np.array_equal(cube, cube.swapaxes(k, k + 1)) for k in (0, 1)):
+        raise ArithmeticError("the membership matrix is not totally symmetric in its rows")
     index = list(itertools.combinations_with_replacement(range(dim), 3))
-    rows = [(a * dim + b) * dim + c for a, b, c in index]
+    A = rows[[(a * dim + b) * dim + c for a, b, c in index]]
+    A *= 4.0
+    nonzero = A[A != 0.0]
+    if not np.array_equal(nonzero, np.rint(nonzero)):
+        raise ArithmeticError("the membership matrix is not quarter-integral")
     weight = [len(set(itertools.permutations(abc))) for abc in index]
-    return np.array(rows), np.array(weight, dtype=float)
+    return A, np.array(weight, dtype=float)
+
+
+# bytes of each stack of a nullity pass, its gathered columns of A and their
+# Gram matrices, which bounds the pass's transient memory
+_CENTRE_STACK_BYTES = 2**15
+# a Gram eigenvalue at most _GRAM_GAP[0] times the largest of its matrix is
+# zero, and one at least _GRAM_GAP[1] times it is not; in dims 4 to 10 they
+# are at most 7e-16 and at least 0.25 times it
+_GRAM_GAP = (1e-12, 1e-2)
+
+
+def _nullities(A: NDArray, weight: NDArray, cols: NDArray) -> list[int]:
+    """The nullity of each set S of membership columns, a row of `cols`: that
+    of the Gram matrix A_S.T diag(weight) A_S of its columns of A
+    (`_distinct_rows`), 16 times their Gram matrix over all d**3 rows.  Its
+    entries are small integers, exact in any order of summation.  A stack of
+    sets, at most `_CENTRE_STACK_BYTES` with their columns, takes one batched
+    product and one batched eigenvalue call, whose values are read as zero
+    or not against `_GRAM_GAP`; ArithmeticError is raised where one falls in
+    the gap.  This is the search's one rank certificate."""
+    n = cols.shape[1]
+    chunk = max(1, _CENTRE_STACK_BYTES // (8 * n * (n + len(A))))
+    nullities = []
+    for first in range(0, len(cols), chunk):
+        stack = A[:, cols[first : first + chunk]].transpose(1, 0, 2)
+        gram = np.matmul(stack.transpose(0, 2, 1), weight[:, None] * stack)
+        eig = np.linalg.eigvalsh(gram)
+        eig /= np.maximum(eig[:, -1:], np.finfo(float).tiny)
+        zero = eig <= _GRAM_GAP[0]
+        if (~zero & (eig < _GRAM_GAP[1])).any():
+            raise ArithmeticError("a Gram eigenvalue of the membership columns is in the gap")
+        nullities += zero.sum(axis=1).tolist()
+    return nullities
 
 
 @lru_cache(maxsize=None)
 def _integer_basis(dim: int) -> tuple[NDArray, NDArray]:
     """(N, free): the basis N of the generic family's null space in reduced
-    row-echelon form, the identity on the free triples `free`.  The
-    membership matrix is quarter-integral, and the cyclic sum of F is totally
-    symmetric, so its rows (a, b, c) with a <= b <= c are all the distinct
-    ones, and one Gauss-Jordan elimination of them gives N.  Its entries are
-    integers (0 and +-1 in dims 4 to 12).  Every row equals the rows of its
-    index permutations, four times the distinct rows is integral, their
-    product with N, exact in floating point on integers this small, is zero,
-    and N has the rank of the SVD null space: that certifies N, and
-    ArithmeticError is raised where it fails."""
-    _, rows = _membership(dim)
-    A = 4.0 * rows[_distinct_rows(dim)[0]]
-    R, pivots = np.rint(A), []
-    integral = np.array_equal(R, A)
+    row-echelon form, the identity on the free triples `free`, from one
+    Gauss-Jordan elimination of the distinct rows (`_distinct_rows`).  Its
+    entries are integers (0 and +-1 in dims 4 to 12).  The product of A with
+    N, exact in floating point on integers this small, is zero, and N has as
+    many columns as the nullity of all the columns (`_nullities`): that
+    certifies N, and ArithmeticError is raised where it fails."""
+    A, weight = _distinct_rows(dim)
+    nullity = _nullities(A, weight, np.arange(A.shape[1])[None])[0]
+    R, pivots = A.copy(), []
     for col in range(A.shape[1]):
         top = len(pivots)
         below = top + np.flatnonzero(R[top:, col])
@@ -278,21 +318,9 @@ def _integer_basis(dim: int) -> tuple[NDArray, NDArray]:
     N = np.zeros((A.shape[1], free.size))
     N[free, np.arange(free.size)] = 1.0
     N[pivots] = np.rint(0.0 - R[: len(pivots), free]) + 0.0  # no -0.0
-    r = _generic_family(dim)[2].shape[1]
-    cube = rows.reshape(dim, dim, dim, -1)  # a view; two swaps generate the permutations
-    symmetric = all(np.array_equal(cube, cube.swapaxes(k, k + 1)) for k in (0, 1))
-    if not (symmetric and integral) or free.size != r or (A @ N).any():
+    if free.size != nullity or (A @ N).any():
         raise ArithmeticError("the membership null space has no integer echelon basis")
     return N, free
-
-
-# bytes of each stack of Gram matrices in the centre pass, which bounds the
-# pass's transient memory
-_CENTRE_STACK_BYTES = 2**15
-# a Gram eigenvalue at most _GRAM_GAP[0] times the largest of its matrix is
-# zero, and one at least _GRAM_GAP[1] times it is not; in dims 6 to 10 they
-# are at most 5e-16 and at least 0.25 times it
-_GRAM_GAP = (1e-12, 1e-2)
 
 
 def _central_columns(dim: int, triples: NDArray, centres: NDArray) -> NDArray:
@@ -310,56 +338,17 @@ def _central_columns(dim: int, triples: NDArray, centres: NDArray) -> NDArray:
 def _two_step_centres(dim: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(Z, nullity) of every centre Z whose two-step family has a nontrivial
     null space, in plan order: by size, then lexicographically.  No family is
-    built here.
-
-    The nullity of a family's columns of the membership matrix is that of
-    their Gram matrix 16 rows.T rows, which is integral: it is summed from
-    4 rows on the distinct rows (`_distinct_rows`), each weighted by the
-    number of rows it stands for, and exact in floating point.  The matrix is
-    sparse (at most 2 nonzero entries per column in dims 4 to 12), so each
-    column is held as its nonzero entries, and the Gram matrices of a stack
-    of families of one size, at most `_CENTRE_STACK_BYTES`, are summed from
-    the products of the entries that share a row.  Their eigenvalues, one
-    batched call per stack, are read as zero or not against `_GRAM_GAP`.
-    ArithmeticError is raised where 4 rows is not integral or an eigenvalue
-    falls in the gap."""
-    triples, rows = _membership(dim)
-    distinct, weight = _distinct_rows(dim)
-    # 4 rows on the distinct rows, held by column: column t has the value
-    # four[t, s] on distinct row at[t, s], padded with 0 on an extra row of
-    # weight 0
-    col, row = np.nonzero(rows[distinct].T)  # by column, then row
-    four_rows = 4.0 * rows[distinct[row], col]
-    if not np.array_equal(four_rows, np.rint(four_rows)):
-        raise ArithmeticError("the membership matrix is not quarter-integral")
-    entry = np.arange(len(col)) - np.searchsorted(col, col)  # within its column
-    at = np.full((len(triples), entry.max(initial=0) + 1), len(distinct))
-    four = np.zeros(at.shape)
-    at[col, entry], four[col, entry] = row, four_rows
-    weight = np.append(weight, 0.0)
+    built here: the nullities of the families' columns of the membership
+    matrix (`_central_columns`) are certified by `_nullities`, one pass per
+    centre size."""
+    triples, _ = _membership(dim)
+    A, weight = _distinct_rows(dim)
     found = []
     for z_size in range(1, dim - 1):
         centres = np.array(list(itertools.combinations(range(dim), z_size)))
         cols = np.nonzero(_central_columns(dim, triples, centres))[1].reshape(len(centres), -1)
-        n = cols.shape[1]
-        chunk = max(1, _CENTRE_STACK_BYTES // (8 * n * n))
-        for first in range(0, len(centres), chunk):
-            block = cols[first : first + chunk]
-            at_c, four_c = at[block], four[block]
-            weighted = weight[at_c] * four_c
-            gram = np.zeros((len(at_c), n, n))
-            for s, t in itertools.product(range(at.shape[1]), repeat=2):
-                term = weighted[:, :, None, s] * four_c[:, None, :, t]
-                term *= at_c[:, :, None, s] == at_c[:, None, :, t]
-                gram += term
-            eig = np.linalg.eigvalsh(gram)
-            eig /= np.maximum(eig[:, -1:], np.finfo(float).tiny)
-            zero = eig <= _GRAM_GAP[0]
-            if (~zero & (eig < _GRAM_GAP[1])).any():
-                raise ArithmeticError("a Gram eigenvalue of a two-step family is in the gap")
-            nullity = zero.sum(axis=1).tolist()
-            found += [(tuple(Z), k)
-                      for Z, k in zip(centres[first : first + chunk].tolist(), nullity) if k]
+        found += [(tuple(Z), k)
+                  for Z, k in zip(centres.tolist(), _nullities(A, weight, cols)) if k]
     return tuple(found)
 
 

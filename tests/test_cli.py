@@ -273,7 +273,23 @@ class TestBatchVerify:
         code, out, err = run_cli(capsys, "verify", str(tmp_path), flat, "--format", "json")
         assert code == 2
         assert out == run_cli(capsys, "verify", flat, "--format", "json")[1]
-        assert err.startswith(f"error: {tmp_path}: ") and err.count("\n") == 1
+        # the message names the directory, so the line names it once
+        assert err == f"error: no *.manifest file in directory {tmp_path}\n"
+
+    def test_a_missing_or_unreadable_file_in_a_batch_is_named_once(self, capsys, tmp_path):
+        # messages that name their file get no path prefix in a batch; alone,
+        # each line is as it always was
+        flat = self._paths("flat_kahler_4")[0]
+        single = run_cli(capsys, "verify", flat, "--format", "json")[1]
+        binary = tmp_path / "binary.manifest"
+        binary.write_bytes(b"\xff\xfe")
+        missing = str(tmp_path / "missing.manifest")
+        for path, cause in ((missing, "manifest file not found: "), (str(binary), "")):
+            alone = run_cli(capsys, "verify", path)
+            assert alone[0] == 2 and alone[2].startswith(f"error: {cause}{path}")
+            code, out, err = run_cli(capsys, "verify", path, flat, "--format", "json")
+            assert (code, out, err) == (2, single, alone[2])
+            assert err.count(path) == 1
 
 
 class TestToleranceResolution:

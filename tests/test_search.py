@@ -3,6 +3,7 @@ reproducibility, classification of hits, targets, the Gauss-Newton quadratic
 form, the lockstep batch and the failure counters."""
 
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -244,7 +245,8 @@ class TestMembership:
     @pytest.mark.parametrize("relative", (1e-11, 1e-3))
     def test_gram_eigenvalue_in_the_gap_raises(self, relative, monkeypatch):
         # the smallest eigenvalue of the first Gram matrix of each stack is
-        # moved into the gap between zero and nonzero
+        # moved into the gap between zero and nonzero, in the centre pass and
+        # in the basis's certificate alike
         eigvalsh = np.linalg.eigvalsh
 
         def moved(gram):
@@ -255,6 +257,8 @@ class TestMembership:
         monkeypatch.setattr(np.linalg, "eigvalsh", moved)
         with pytest.raises(ArithmeticError, match="in the gap"):
             search._two_step_centres.__wrapped__(6)
+        with pytest.raises(ArithmeticError, match="in the gap"):
+            search._integer_basis.__wrapped__(4)
 
     def test_centres_of_rows_not_quarter_integral_raise(self, monkeypatch):
         triples, rows = search._membership(6)
@@ -262,6 +266,53 @@ class TestMembership:
         monkeypatch.setattr(search, "_membership", lambda dim: (triples, off_grid))
         with pytest.raises(ArithmeticError, match="quarter-integral"):
             search._two_step_centres.__wrapped__(6)
+
+    def test_centres_of_rows_not_totally_symmetric_raise(self, monkeypatch):
+        # the pass reads the distinct rows (a, b, c), a <= b <= c, alone: a
+        # change to another row, still quarter-integral, fails the symmetry
+        # of the rows
+        triples, rows = search._membership(6)
+        row = (1 * 6 + 0) * 6 + 0  # (1, 0, 0)
+        altered = rows.copy()
+        altered[row, 0] += 0.25
+        monkeypatch.setattr(search, "_membership", lambda dim: (triples, altered))
+        with pytest.raises(ArithmeticError, match="not totally symmetric"):
+            search._two_step_centres.__wrapped__(6)
+
+    def test_certificates_call_no_svd(self, monkeypatch):
+        # the plan and the integer basis certify their nullities from Gram
+        # eigenvalues alone; the generic family is uncached, so that a call
+        # to it would show
+        for dim in (4, 6, 8):
+            search._membership(dim)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(search, "_generic_family", search._generic_family.__wrapped__)
+        for dim in (4, 6, 8):
+            search._two_step_centres.__wrapped__(dim)
+            search._integer_basis.__wrapped__(dim)
+
+    @pytest.mark.parametrize(
+        "dim,plan,basis",
+        [
+            (4, "2e38e77b22c314a4", "a0b9280f7b1f013b"),
+            (6, "753a2630c13dbf11", "5b12b5adbb928c17"),
+            (8, "5ec0c8a3f03869b0", "f0bf5d21ccb8d3c0"),
+        ],
+    )
+    def test_plan_and_basis_keep_their_digests(self, dim, plan, basis):
+        # sha256 prefixes of the plan's repr and of the basis's arrays (shape,
+        # dtype and bytes of N, then of free): how their nullities are
+        # certified must not move a bit of either
+        assert hashlib.sha256(repr(search._two_step_centres(dim)).encode()).hexdigest()[:16] == plan
+        h = hashlib.sha256()
+        for a in search._integer_basis(dim):
+            h.update(repr((a.shape, a.dtype.str)).encode())
+            h.update(a.tobytes())
+        assert h.hexdigest()[:16] == basis
 
     def test_a_search_builds_only_the_families_it_draws(self, monkeypatch):
         # a fresh cache: the one-candidate dim-8 search (the benchmark's
@@ -296,20 +347,31 @@ class TestMembership:
         assert np.array_equal(form.gram, N.T @ N)
 
     def test_basis_without_integer_certificate_raises(self, monkeypatch):
-        # uncached: a null space the echelon basis cannot span fails the rank
-        # check, and rows that are not quarter-integral fail even where their
-        # rounding has the right null space
+        # uncached: a nullity other than the basis's width fails the rank
+        # check; a doubled pivot column keeps the nullity, but halves the
+        # basis entries of its pivot, which round off the null space and fail
+        # the product; rows that are not quarter-integral fail even where
+        # their rounding has the right null space
         triples, rows = search._membership(4)
-        pos, neg, null = search._generic_family(4)
-        wider = (pos, neg, np.zeros((len(triples), null.shape[1] + 1)))
-        monkeypatch.setattr(search, "_generic_family", lambda dim: wider)
+        nullities = search._nullities
+        monkeypatch.setattr(
+            search, "_nullities", lambda *args: [k + 1 for k in nullities(*args)]
+        )
         with pytest.raises(ArithmeticError, match="integer echelon basis"):
             search._integer_basis.__wrapped__(4)
-        monkeypatch.setattr(search, "_generic_family", lambda dim: (pos, neg, null))
-        search._integer_basis.__wrapped__(4)
+        monkeypatch.setattr(search, "_nullities", nullities)
+        N, free = search._integer_basis.__wrapped__(4)
+        pivots = np.delete(np.arange(len(N)), free)
+        doubled = rows.copy()
+        doubled[:, pivots[N[pivots].any(axis=1)][0]] *= 2.0
+        monkeypatch.setattr(search, "_membership", lambda dim: (triples, doubled))
+        A, weight = search._distinct_rows(4)
+        assert nullities(A, weight, np.arange(len(N))[None]) == [free.size]
+        with pytest.raises(ArithmeticError, match="integer echelon basis"):
+            search._integer_basis.__wrapped__(4)
         off_grid = rows + 1e-9 * (rows != 0.0)
         monkeypatch.setattr(search, "_membership", lambda dim: (triples, off_grid))
-        with pytest.raises(ArithmeticError, match="integer echelon basis"):
+        with pytest.raises(ArithmeticError, match="quarter-integral"):
             search._integer_basis.__wrapped__(4)
 
     def test_basis_of_rows_with_one_altered_row_raises(self, monkeypatch):
@@ -319,11 +381,10 @@ class TestMembership:
         triples, rows = search._membership(4)
         _, free = search._integer_basis(4)
         row = (1 * 4 + 0) * 4 + 0  # (1, 0, 0)
-        assert row not in search._distinct_rows(4)[0]
         altered = rows.copy()
         altered[row, free[0]] += 0.25
         monkeypatch.setattr(search, "_membership", lambda dim: (triples, altered))
-        with pytest.raises(ArithmeticError, match="integer echelon basis"):
+        with pytest.raises(ArithmeticError, match="not totally symmetric"):
             search._integer_basis.__wrapped__(4)
 
     @pytest.mark.parametrize("dim", (6, 8))
