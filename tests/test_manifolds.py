@@ -4,6 +4,7 @@ covariant derivatives."""
 import dataclasses
 import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from norden import (
+    ClassLabel,
     InvalidManifoldError,
     LieFrameManifold,
     bundled_manifest_path,
@@ -27,7 +29,7 @@ from norden import (
     validate_manifold,
 )
 from norden.manifolds import PAIR_RECORDS, jacobi_array, pair_record
-from norden.tensors import residual
+from norden.tensors import cyclic_sum3, residual
 
 ROOT = Path(__file__).resolve().parents[1]
 POOL = ROOT / "perfbench" / "pool"
@@ -78,12 +80,38 @@ def loop_jacobi(C):
     return out
 
 
+def full_jacobi(C):
+    """The Jacobi sum at all d**4 entries, order [p][i][j][l]: the cyclic sum
+    in (i, j, l) of the products [i][j][p][l] = sum_m C[m][i][j] C[p][m][l],
+    one stacked matmul (ij, m) @ (m, pl), as `jacobi_array` forms them.  The
+    reference for its independent entries; leading batch axes are kept."""
+    d, lead = C.shape[-1], tuple(range(C.ndim - 3))
+    x = C.transpose(lead + (-2, -1, -3)).reshape(C.shape[:-3] + (d * d, d))
+    y = C.transpose(lead + (-2, -3, -1)).reshape(C.shape[:-3] + (d, d * d))
+    ijpl = (x @ y).reshape(C.shape + (d,))
+    return cyclic_sum3(ijpl, (-4, -3, -1)).transpose(lead + (-2, -4, -3, -1))
+
+
+def independent_entries(full):
+    """The entries [..., p, i, j, l] of a Jacobi sum at i < j < l, shape
+    (..., d, C(d, 3)), the triples in `itertools.combinations` order."""
+    d = full.shape[-1]
+    i, j, l = np.array(list(itertools.combinations(range(d), 3)), dtype=int).reshape(-1, 3).T
+    return full[..., i, j, l]
+
+
+def _brackets(rng, shape, antisymmetric):
+    C = rng.standard_normal(shape)
+    # a - b and b - a round to opposite values: exactly antisymmetric
+    return C - C.swapaxes(-2, -1) if antisymmetric else C
+
+
 class TestJacobiArray:
     def test_matches_loop_oracle(self):
         C = np.random.default_rng(8).standard_normal((2, 4, 4, 4))
         got = jacobi_array(C)
-        want = np.array([loop_jacobi(c.tolist()) for c in C])
-        assert got.shape == want.shape
+        want = independent_entries(np.array([loop_jacobi(c.tolist()) for c in C]))
+        assert got.shape == want.shape == (2, 4, 4)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_fraction_brackets_are_exact(self):
@@ -91,7 +119,49 @@ class TestJacobiArray:
         C = [[[Fraction(x, 3) for x in row] for row in M] for M in ints]
         got = jacobi_array(np.array(C, dtype=object))
         assert all(isinstance(x, Fraction) for x in got.flat)
-        assert got.tolist() == loop_jacobi(C)
+        want = independent_entries(np.array(loop_jacobi(C), dtype=object))
+        assert got.tolist() == want.tolist()
+        assert got.tolist() == independent_entries(full_jacobi(np.array(C, dtype=object))).tolist()
+
+    @pytest.mark.parametrize("antisymmetric", [True, False], ids=["antisymmetric", "general"])
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8, 10])
+    def test_entries_equal_the_full_sum_bit_for_bit(self, dim, antisymmetric):
+        rng = np.random.default_rng(10 * dim + antisymmetric)
+        for shape in ((dim,) * 3, (3,) + (dim,) * 3, (2, 2) + (dim,) * 3):
+            C = _brackets(rng, shape, antisymmetric)
+            got, want = jacobi_array(C), independent_entries(full_jacobi(C))
+            assert got.shape == shape[:-3] + (dim, math.comb(dim, 3))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [4, 6, 8, 10])
+    def test_max_abs_is_the_full_max_abs_on_random_brackets(self, dim):
+        C = _brackets(np.random.default_rng(dim), (20,) + (dim,) * 3, True)
+        assert_max_abs_is_the_full_max_abs(C)
+
+    def test_max_abs_is_the_full_max_abs_on_the_pools(self, big_w3_pool):
+        """The test pools' hits and the benchmark's frozen ones (dims 4 to 8)."""
+        frozen = [load_manifest(p) for p in sorted(POOL.glob("*.manifest"))]
+        for dim in (4, 6, 8):
+            pool = [m for m in big_w3_pool + frozen if m.dim == dim]
+            assert_max_abs_is_the_full_max_abs(np.stack([m.structure_constants for m in pool]))
+
+    def test_below_dimension_three_no_entries_and_residual_zero(self):
+        C = np.zeros((2, 2, 2))
+        C[0, 0, 1], C[0, 1, 0] = 1.0, -1.0  # [e0, e1] = e0
+        assert jacobi_array(C).shape == (2, 0)
+        assert manifolds.bracket_residuals(C[None])[1].tolist() == [0.0]
+
+
+def assert_max_abs_is_the_full_max_abs(C):
+    """On exactly antisymmetric brackets the max-abs over the independent
+    entries is that over all d**4 entries up to the order of the three
+    addends: within 4 ulps of it, or of max|C|**2 where the sum is rounding
+    (on Jacobi solutions)."""
+    kept = np.abs(jacobi_array(C)).max(axis=(-2, -1))
+    full = np.abs(full_jacobi(C)).max(axis=(-4, -3, -2, -1))
+    top = np.abs(C).max(axis=(-3, -2, -1))
+    assert np.all(kept <= full)
+    assert np.all(full - kept <= 4 * np.spacing(np.maximum(full, top**2)))
 
 
 class TestValidation:
@@ -119,6 +189,18 @@ class TestValidation:
             dim=dim, structure_constants=np.zeros((dim,) * 3), metric=g, J=J
         )
         assert validate_manifold(m).ok
+
+    def test_dimension_two_validates(self):
+        """Dimension 2 has no Jacobi entries to judge: [e0, e1] = e0 on the
+        canonical pair is a valid manifold of class OTHER."""
+        g, J = canonical_norden_pair(2)
+        C = np.zeros((2, 2, 2))
+        C[0, 0, 1], C[0, 1, 0] = 1.0, -1.0
+        m = LieFrameManifold(dim=2, structure_constants=C, metric=g, J=J)
+        assert validate_manifold(m).ok
+        report = run_suite(m)
+        assert report.class_label.label is ClassLabel.OTHER
+        assert (report.n_pass, report.n_fail, report.n_na) == (5, 0, 49)
 
     def test_search_output_validates(self, generic_w3_4, kahler_rprime_4):
         assert validate_manifold(generic_w3_4).ok

@@ -38,7 +38,7 @@ from norden.manifests import manifest_to_json
 from norden.manifolds import jacobi_array, levi_civita
 from norden.tensors import lower
 
-from test_manifolds import gamma_of
+from test_manifolds import full_jacobi, gamma_of
 
 
 class TestSearchConfig:
@@ -487,10 +487,11 @@ class TestSearch:
 
 
 def _kernel_map(C, kahler):
-    """The full Gauss-Newton residual map from the kernels: the Jacobi sum and,
-    for the Kahler target, the first Bianchi sum of R'."""
+    """The full Gauss-Newton residual map from the kernels: the Jacobi sum at
+    all d**4 entries (the reference `full_jacobi`) and, for the Kahler target,
+    the first Bianchi sum of R'."""
     g, J = canonical_norden_pair(C.shape[0])
-    parts = [jacobi_array(C).ravel()]
+    parts = [full_jacobi(C).ravel()]
     if kahler:
         gamma = levi_civita(C, g, np.linalg.inv(g))
         conn = gamma + q_array(*twist_arrays(compute_nabla_J(gamma, J), J))
@@ -502,7 +503,8 @@ def _polarised_form(dim, basis, kahler):
     """(rows, q) of the generic family in the coordinates of `basis` by
     polarisation of the kernel maps: q[a, b] = (phi(D_a + D_b) - phi(D_a) -
     phi(D_b)) / 2 on the rows whose cyclic indices increase, one batched
-    kernel call per direction a."""
+    kernel call per direction a.  `jacobi_array` gives the Jacobi rows
+    alone."""
     pos = search._generic_family(dim)[0]
     r = basis.shape[1]
     g, J = canonical_norden_pair(dim)
@@ -510,17 +512,18 @@ def _polarised_form(dim, basis, kahler):
     D = D.T.reshape(r, dim, dim, dim)
     index = list(itertools.product(range(dim), repeat=4))
     rows = [n for n, (p, i, j, l) in enumerate(index) if i < j < l]
-    conn = None
+    conn, bianchi = None, [n for n, (i, j, k, l) in enumerate(index) if i < j < k]
     if kahler:
-        rows += [dim**4 + n for n, (i, j, k, l) in enumerate(index) if i < j < k]
+        rows += [dim**4 + n for n in bianchi]
         gamma = levi_civita(D, g, np.linalg.inv(g))
         conn = gamma + q_array(*twist_arrays(compute_nabla_J(gamma, J), J))
 
     def phi(C, conn):
         parts = [jacobi_array(C).reshape(len(C), -1)]
         if conn is not None:
-            parts.append(cyclic_sum3(riemann(conn, C, g), (-4, -3, -2)).reshape(len(C), -1))
-        return np.concatenate(parts, axis=1)[:, rows]
+            R = cyclic_sum3(riemann(conn, C, g), (-4, -3, -2)).reshape(len(C), -1)
+            parts.append(R[:, bianchi])
+        return np.concatenate(parts, axis=1)
 
     diag = phi(D, conn)
     q = np.empty((r, r, len(rows)))
@@ -547,7 +550,11 @@ def form_case(request):
 class TestQuadraticForm:
     def test_form_equals_the_kernel_map_on_the_kept_rows(self, form_case):
         form, kahler, z = form_case
-        kept = _kernel_map(form.brackets(z), kahler)[form.rows]
+        C = form.brackets(z)
+        kept = _kernel_map(C, kahler)[form.rows]
+        # jacobi_array's entries are the form's Jacobi rows, in their order
+        jacobi = jacobi_array(C).ravel()
+        assert jacobi.tobytes() == kept[: jacobi.size].tobytes()
         err = np.max(np.abs(z @ _qz(form, z) - kept))
         assert err <= 1e-13 * (1.0 + np.max(np.abs(kept)))
 
