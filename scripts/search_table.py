@@ -54,7 +54,7 @@ import norden  # noqa: E402
 from norden import SearchConfig, SearchTarget, manifests, search  # noqa: E402
 
 SHOWN = ("hits", "candidates", "gn_iterations", "gn_rounds", "svd_steps", "rejected_class")
-CACHES = ("_membership", "_generic_family", "_integer_basis", "_two_step_centres",
+CACHES = ("_membership", "_generic_family", "_echelon", "_integer_basis", "_two_step_centres",
           "_two_step_family", "_quadratic_form", "_canonical_pair", "_upper_triangle")
 
 

@@ -7,14 +7,14 @@ null space.  Its matrix is built once per dimension, by batched kernel
 evaluations over chunks of the unit brackets of the antisymmetric triples
 (k, i, j), and every family below is a subset of those triples, kept as the
 flat positions of its entries in C (`_brackets`), never as a dense basis
-matrix.  Every nullity the search relies on is certified one way, without an
-SVD, from the eigenvalues of an exact integer Gram matrix (`_nullities`).
-The quadratic Jacobi identity is handled two ways:
+matrix.  It is a direct sum of blocks of 1, 5 and 12 columns, and every
+nullity the search relies on comes from one exact elimination per block
+(`_echelon`).  The quadratic Jacobi identity is handled two ways:
 
 * two-step nilpotent ansatz (brackets land in a central coordinate subspace):
   Jacobi holds identically, so accepted samples are exact.  Nontrivial
   null spaces exist only for dimension >= 6.  The plan lists the centres Z
-  whose family has one, found once per dimension without an SVD
+  whose family has one, found once per dimension by exact ranks
   (`_two_step_centres`).  A family's orthonormal null space is built on its
   first draw, by one SVD whose nullity must agree (`_two_step_family`), so
   a search pays only for the families it draws from.
@@ -237,14 +237,15 @@ def _generic_family(dim: int) -> _Family:
     return (*_positions(dim, triples), _null_space(rows))
 
 
-def _distinct_rows(dim: int) -> tuple[NDArray, NDArray]:
-    """(A, weight): A = 4 rows on the rows (a d + b) d + c, a <= b <= c, of
-    the membership matrix, and the number of rows each stands for, its
-    distinct index permutations.  The cyclic sum of F is totally symmetric,
-    so these are all the distinct rows, and the matrix is quarter-integral,
-    so A is integral: both are checked once, here, and ArithmeticError is
-    raised where one fails."""
-    _, rows = _membership(dim)
+def _distinct_rows(dim: int) -> tuple[NDArray, list[tuple[NDArray, NDArray]]]:
+    """(A, blocks): A = 4 rows on the rows (a d + b) d + c, a <= b <= c, of
+    the membership matrix, and its blocks (columns, int64 matrix A_b).  The
+    cyclic sum of F is totally symmetric, so these are all the distinct rows;
+    the matrix is quarter-integral, so A is integral; and A is the direct sum
+    of the A_b, where column (k, i, j) is in the block of {k, i, j} mod m
+    (m = d/2) and the parity of the count of k, i, j >= m.  All three are
+    checked once, here, and ArithmeticError is raised where one fails."""
+    triples, rows = _membership(dim)
     cube = rows.reshape(dim, dim, dim, -1)  # a view; two swaps generate the permutations
     if not all(np.array_equal(cube, cube.swapaxes(k, k + 1)) for k in (0, 1)):
         raise ArithmeticError("the membership matrix is not totally symmetric in its rows")
@@ -254,71 +255,56 @@ def _distinct_rows(dim: int) -> tuple[NDArray, NDArray]:
     nonzero = A[A != 0.0]
     if not np.array_equal(nonzero, np.rint(nonzero)):
         raise ArithmeticError("the membership matrix is not quarter-integral")
-    weight = [len(set(itertools.permutations(abc))) for abc in index]
-    return A, np.array(weight, dtype=float)
+    m = dim // 2
+    key = np.column_stack([np.sort(triples % m, axis=1), (triples >= m).sum(axis=1) % 2])
+    block = np.unique(key, axis=0, return_inverse=True)[1].ravel()
+    blocks = [np.flatnonzero(block == b) for b in range(block.max() + 1)]
+    rows_of = [A[:, cols].any(axis=1) for cols in blocks]
+    if sum(rows_of).max() > 1:
+        raise ArithmeticError("a membership row has nonzero entries in two blocks")
+    return A, [(cols, A[r][:, cols].astype(np.int64)) for cols, r in zip(blocks, rows_of)]
 
 
-# bytes of each stack of a nullity pass, its gathered columns of A and their
-# Gram matrices, which bounds the pass's transient memory
-_CENTRE_STACK_BYTES = 2**15
-# a Gram eigenvalue at most _GRAM_GAP[0] times the largest of its matrix is
-# zero, and one at least _GRAM_GAP[1] times it is not; in dims 4 to 10 they
-# are at most 7e-16 and at least 0.25 times it
-_GRAM_GAP = (1e-12, 1e-2)
-
-
-def _nullities(A: NDArray, weight: NDArray, cols: NDArray) -> list[int]:
-    """The nullity of each set S of membership columns, a row of `cols`: that
-    of the Gram matrix A_S.T diag(weight) A_S of its columns of A
-    (`_distinct_rows`), 16 times their Gram matrix over all d**3 rows.  Its
-    entries are small integers, exact in any order of summation.  A stack of
-    sets, at most `_CENTRE_STACK_BYTES` with their columns, takes one batched
-    product and one batched eigenvalue call, whose values are read as zero
-    or not against `_GRAM_GAP`; ArithmeticError is raised where one falls in
-    the gap.  This is the search's one rank certificate."""
-    n = cols.shape[1]
-    chunk = max(1, _CENTRE_STACK_BYTES // (8 * n * (n + len(A))))
-    nullities = []
-    for first in range(0, len(cols), chunk):
-        stack = A[:, cols[first : first + chunk]].transpose(1, 0, 2)
-        gram = np.matmul(stack.transpose(0, 2, 1), weight[:, None] * stack)
-        eig = np.linalg.eigvalsh(gram)
-        eig /= np.maximum(eig[:, -1:], np.finfo(float).tiny)
-        zero = eig <= _GRAM_GAP[0]
-        if (~zero & (eig < _GRAM_GAP[1])).any():
-            raise ArithmeticError("a Gram eigenvalue of the membership columns is in the gap")
-        nullities += zero.sum(axis=1).tolist()
-    return nullities
+@lru_cache(maxsize=None)
+def _echelon(shape: tuple[int, int], data: bytes) -> tuple[tuple[int, ...], tuple]:
+    """(pivots, rows): the pivot columns and nonzero rows of the reduced
+    row-echelon form of the int64 matrix `data` of `shape`, each row scaled
+    to integers (row / row[pivot] is the form's row), exactly: fraction-free
+    Gauss-Jordan in Python integers.  Memoised by shape and bytes, as the
+    blocks repeat."""
+    rows, pivots = np.frombuffer(data, dtype=np.int64).reshape(shape).tolist(), []
+    for col in range(shape[1]):
+        below = [r for r in range(len(pivots), len(rows)) if rows[r][col]]
+        if below:
+            top = rows[below[0]]
+            rows[below[0]], rows[len(pivots)] = rows[len(pivots)], top
+            rows = [row if row is top or not row[col]
+                    else [top[col] * x - row[col] * y for x, y in zip(row, top)]
+                    for row in rows]
+            pivots.append(col)
+    return tuple(pivots), tuple(map(tuple, rows[: len(pivots)]))
 
 
 @lru_cache(maxsize=None)
 def _integer_basis(dim: int) -> tuple[NDArray, NDArray]:
     """(N, free): the basis N of the generic family's null space in reduced
-    row-echelon form, the identity on the free triples `free`, from one
-    Gauss-Jordan elimination of the distinct rows (`_distinct_rows`).  Its
-    entries are integers (0 and +-1 in dims 4 to 12).  The product of A with
-    N, exact in floating point on integers this small, is zero, and N has as
-    many columns as the nullity of all the columns (`_nullities`): that
-    certifies N, and ArithmeticError is raised where it fails."""
-    A, weight = _distinct_rows(dim)
-    nullity = _nullities(A, weight, np.arange(A.shape[1])[None])[0]
-    R, pivots = A.copy(), []
-    for col in range(A.shape[1]):
-        top = len(pivots)
-        below = top + np.flatnonzero(R[top:, col])
-        if below.size == 0:
-            continue
-        R[[top, below[0]]] = R[[below[0], top]]
-        R[top, col:] /= R[top, col]
-        others = np.flatnonzero(R[:, col])
-        others = others[others != top]
-        R[others, col:] -= R[others, col, None] * R[top, col:]
-        pivots.append(col)
+    row-echelon form, the identity on the free triples `free`, assembled from
+    the exact echelon forms of the blocks (`_distinct_rows`, `_echelon`): a
+    column is a pivot of A exactly where it is one of its block.  Its entries
+    are rounded to integers (0 and +-1 in dims 4 to 12), and A @ N, exact in
+    floating point on integers this small, is zero: that certifies N, and
+    ArithmeticError is raised where it fails."""
+    A, blocks = _distinct_rows(dim)
+    R, pivots = np.zeros(A.shape), []
+    for cols, A_b in blocks:
+        for pivot, row in zip(*_echelon(A_b.shape, A_b.tobytes())):
+            R[len(pivots), cols] = np.divide(row, row[pivot])
+            pivots.append(cols[pivot])
     free = np.delete(np.arange(A.shape[1]), pivots)
     N = np.zeros((A.shape[1], free.size))
     N[free, np.arange(free.size)] = 1.0
     N[pivots] = np.rint(0.0 - R[: len(pivots), free]) + 0.0  # no -0.0
-    if free.size != nullity or (A @ N).any():
+    if (A @ N).any():
         raise ArithmeticError("the membership null space has no integer echelon basis")
     return N, free
 
@@ -337,18 +323,31 @@ def _central_columns(dim: int, triples: NDArray, centres: NDArray) -> NDArray:
 @lru_cache(maxsize=None)
 def _two_step_centres(dim: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(Z, nullity) of every centre Z whose two-step family has a nontrivial
-    null space, in plan order: by size, then lexicographically.  No family is
-    built here: the nullities of the families' columns of the membership
-    matrix (`_central_columns`) are certified by `_nullities`, one pass per
-    centre size."""
+    null space, in plan order (by size, then lexicographically), building no
+    family.  A is the direct sum of its blocks (`_distinct_rows`), so the
+    nullity sums |S| - rank(A_b[:, S]) over the blocks, by exact elimination
+    (`_echelon`), S the family's columns (`_central_columns`) in block b.  A
+    bit mask codes each S, and each distinct A_b[:, S] is ranked once."""
     triples, _ = _membership(dim)
-    A, weight = _distinct_rows(dim)
-    found = []
+    blocks = _distinct_rows(dim)[1]  # A is not kept
+    first: dict = {}  # the first block of each distinct matrix, by shape and bytes
+    kind = [first.setdefault((A_b.shape, A_b.tobytes()), b) for b, (_, A_b) in enumerate(blocks)]
+    width = max(len(cols) for cols, _ in blocks)
+    # the blocks' triples, [slot][block], padded with (0, 0, 0), in no family
+    slots = np.stack([np.pad(triples[cols], ((0, width - len(cols)), (0, 0)))
+                      for cols, _ in blocks], axis=1)
+    n, bits, found = len(blocks), 1 << np.arange(width), []
     for z_size in range(1, dim - 1):
         centres = np.array(list(itertools.combinations(range(dim), z_size)))
-        cols = np.nonzero(_central_columns(dim, triples, centres))[1].reshape(len(centres), -1)
-        found += [(tuple(Z), k)
-                  for Z, k in zip(centres.tolist(), _nullities(A, weight, cols)) if k]
+        masks = sum(_central_columns(dim, slots[s], centres) * bits[s] for s in range(width))
+        keys, inverse = np.unique(masks * n + kind, return_inverse=True)
+        nullity = []
+        for key in keys.tolist():  # key = mask * n + first block of its matrix
+            A_b = blocks[key % n][1]
+            S = A_b[:, (bits[: A_b.shape[1]] & key // n) > 0]
+            nullity.append(S.shape[1] - len(_echelon(S.shape, S.tobytes())[0]))
+        total = np.array(nullity)[inverse.reshape(masks.shape)].sum(axis=1)
+        found += [(tuple(Z), k) for Z, k in zip(centres.tolist(), total.tolist()) if k]
     return tuple(found)
 
 

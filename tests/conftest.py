@@ -106,12 +106,3 @@ def big_w3_pool(w3_pool):
     pool += _search_pool(6, seed=204, n=4, target=SearchTarget.W3_RPRIME_KAHLER)
     assert len(pool) >= 50
     return pool
-
-
-@pytest.fixture(scope="session")
-def kahler_pool(flat4, kahler_rprime_4):
-    """Manifolds whose skew-torsion curvature is Kahlerian (incl. the flat one)."""
-    pool = [flat4, kahler_rprime_4]
-    pool += _search_pool(4, seed=301, n=5, target=SearchTarget.W3_RPRIME_KAHLER)
-    pool += _search_pool(6, seed=302, n=4, target=SearchTarget.W3_RPRIME_KAHLER)
-    return pool

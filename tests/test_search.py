@@ -221,7 +221,7 @@ class TestMembership:
 
     @pytest.mark.parametrize("dim", (4, 6, 8))
     def test_centres_equal_the_per_partition_svd(self, dim):
-        # the centre pass reads each nullity off an integer Gram matrix; the
+        # the centre pass sums each nullity over the blocks' exact ranks; the
         # reference takes one SVD of each partition's columns, found by
         # looking its triples up one at a time
         triples, rows = search._membership(dim)
@@ -242,23 +242,46 @@ class TestMembership:
         with pytest.raises(ArithmeticError, match="nullity of two-step centre"):
             search._two_step_family.__wrapped__(6, Z)
 
-    @pytest.mark.parametrize("relative", (1e-11, 1e-3))
-    def test_gram_eigenvalue_in_the_gap_raises(self, relative, monkeypatch):
-        # the smallest eigenvalue of the first Gram matrix of each stack is
-        # moved into the gap between zero and nonzero, in the centre pass and
-        # in the basis's certificate alike
-        eigvalsh = np.linalg.eigvalsh
-
-        def moved(gram):
-            eig = eigvalsh(gram)
-            eig[0, 0] = relative * eig[0, -1]
-            return eig
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", moved)
-        with pytest.raises(ArithmeticError, match="in the gap"):
+    def test_rows_across_two_blocks_raise(self, monkeypatch):
+        # a distinct row and its permutations gain an entry in a column of
+        # another block than their nonzero entries: the rows stay totally
+        # symmetric and quarter-integral, but the split into blocks fails, in
+        # the centre pass and in the basis alike
+        triples, rows = search._membership(6)
+        (first, _), (second, _) = search._distinct_rows(6)[1][:2]
+        row = np.unravel_index(np.flatnonzero(rows[:, first].any(axis=1))[0], (6,) * 3)
+        altered = rows.copy()
+        for abc in set(itertools.permutations(row)):
+            assert altered[np.ravel_multi_index(abc, (6,) * 3), second[0]] == 0.0
+            altered[np.ravel_multi_index(abc, (6,) * 3), second[0]] = 0.25
+        monkeypatch.setattr(search, "_membership", lambda dim: (triples, altered))
+        with pytest.raises(ArithmeticError, match="two blocks"):
             search._two_step_centres.__wrapped__(6)
-        with pytest.raises(ArithmeticError, match="in the gap"):
-            search._integer_basis.__wrapped__(4)
+        with pytest.raises(ArithmeticError, match="two blocks"):
+            search._integer_basis.__wrapped__(6)
+
+    @pytest.mark.parametrize("dim,blocks", [(4, (4, 4, 0)), (6, (6, 12, 2)), (8, (8, 24, 8)),
+                                            (10, (10, 40, 20)), (12, (12, 60, 40))])
+    def test_blocks_of_1_5_and_12_columns(self, dim, blocks, monkeypatch):
+        # the membership matrix is the direct sum of 2m blocks of 1 column,
+        # 2m(m - 1) of 5 and 2 C(m, 3) of 12 (m = d/2), with 2, 3 and 4
+        # distinct rows and nullity 0, 3 and 9: the generic family has
+        # 3 m**2 (m - 1) directions.  Uncached, so that the dim-10 and dim-12
+        # matrices are not kept
+        monkeypatch.setattr(search, "_membership", search._membership.__wrapped__)
+        shapes = {1: (2, 0), 5: (3, 3), 12: (4, 9)}
+        count, columns = dict.fromkeys(shapes, 0), []
+        for cols, A_b in search._distinct_rows(dim)[1]:
+            rank = len(search._echelon(A_b.shape, A_b.tobytes())[0])
+            assert (A_b.shape[0], A_b.shape[1] - rank) == shapes[len(cols)]
+            count[len(cols)] += 1
+            columns += cols.tolist()
+        m = dim // 2
+        assert tuple(count.values()) == blocks == (2 * m, 2 * m * (m - 1), 2 * math.comb(m, 3))
+        assert sorted(columns) == list(range(dim * math.comb(dim, 2)))
+        assert 3 * blocks[1] + 9 * blocks[2] == 3 * m**2 * (m - 1)
+        if dim <= 8:
+            assert search._integer_basis(dim)[1].size == 3 * m**2 * (m - 1)
 
     def test_centres_of_rows_not_quarter_integral_raise(self, monkeypatch):
         triples, rows = search._membership(6)
@@ -280,16 +303,20 @@ class TestMembership:
             search._two_step_centres.__wrapped__(6)
 
     def test_certificates_call_no_svd(self, monkeypatch):
-        # the plan and the integer basis certify their nullities from Gram
-        # eigenvalues alone; the generic family is uncached, so that a call
-        # to it would show
+        # the plan and the integer basis certify their nullities by exact
+        # elimination alone, with no SVD and no eigenvalues; the generic
+        # family is uncached, so that a call to it would show
         for dim in (4, 6, 8):
             search._membership(dim)
 
-        def no_svd(*args, **kwargs):
-            raise AssertionError("np.linalg.svd called")
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"np.linalg.{name} called")
 
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
+            return call
+
+        for name in ("svd", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, forbidden(name))
         monkeypatch.setattr(search, "_generic_family", search._generic_family.__wrapped__)
         for dim in (4, 6, 8):
             search._two_step_centres.__wrapped__(dim)
@@ -347,26 +374,28 @@ class TestMembership:
         assert np.array_equal(form.gram, N.T @ N)
 
     def test_basis_without_integer_certificate_raises(self, monkeypatch):
-        # uncached: a nullity other than the basis's width fails the rank
-        # check; a doubled pivot column keeps the nullity, but halves the
+        # uncached: an elimination that misses each block's last pivot gives
+        # a basis one column wider per block, whose new columns fail the
+        # product; a doubled pivot column keeps the nullity, but halves the
         # basis entries of its pivot, which round off the null space and fail
         # the product; rows that are not quarter-integral fail even where
         # their rounding has the right null space
         triples, rows = search._membership(4)
-        nullities = search._nullities
+        echelon = search._echelon
         monkeypatch.setattr(
-            search, "_nullities", lambda *args: [k + 1 for k in nullities(*args)]
+            search, "_echelon", lambda *args: tuple(part[:-1] for part in echelon(*args))
         )
         with pytest.raises(ArithmeticError, match="integer echelon basis"):
             search._integer_basis.__wrapped__(4)
-        monkeypatch.setattr(search, "_nullities", nullities)
+        monkeypatch.setattr(search, "_echelon", echelon)
         N, free = search._integer_basis.__wrapped__(4)
         pivots = np.delete(np.arange(len(N)), free)
         doubled = rows.copy()
         doubled[:, pivots[N[pivots].any(axis=1)][0]] *= 2.0
         monkeypatch.setattr(search, "_membership", lambda dim: (triples, doubled))
-        A, weight = search._distinct_rows(4)
-        assert nullities(A, weight, np.arange(len(N))[None]) == [free.size]
+        blocks = search._distinct_rows(4)[1]
+        ranks = [len(echelon(A_b.shape, A_b.tobytes())[0]) for _, A_b in blocks]
+        assert len(N) - sum(ranks) == free.size
         with pytest.raises(ArithmeticError, match="integer echelon basis"):
             search._integer_basis.__wrapped__(4)
         off_grid = rows + 1e-9 * (rows != 0.0)
