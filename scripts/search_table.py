@@ -121,7 +121,8 @@ class CacheValues:
 
 def held_bytes(value) -> int:
     """Bytes of the arrays in `value` (through tuples, lists and dataclasses),
-    each counted once, by the array that owns its memory."""
+    each counted once, by the array or `bytes` object (the key of a pair
+    record, under its g and J) that owns its memory."""
     owners, stack = {}, [value]
     while stack:
         v = stack.pop()
@@ -132,7 +133,7 @@ def held_bytes(value) -> int:
         elif hasattr(v, "nbytes"):
             while getattr(v, "base", None) is not None:
                 v = v.base
-            owners[id(v)] = v.nbytes
+            owners[id(v)] = v.nbytes if hasattr(v, "nbytes") else len(v)
     return sum(owners.values())
 
 

@@ -65,8 +65,11 @@ def symmetry_panel(L: NDArray, J: NDArray | None) -> SymmetryPanel:
 def riemann(gamma: NDArray, C: NDArray, g: NDArray) -> NDArray:
     """Curvature g(R(x,y)z, w) of the frame connection gamma, R(x,y)z =
     nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z: one einsum per term of
-    `RIEMANN_TERMS`, leading batch axes kept; L stored [l][i][m] runs faster."""
-    L = np.einsum("ml,...mik->...lik", g, gamma).swapaxes(-3, -2).swapaxes(-2, -1)
+    `RIEMANN_TERMS`, leading batch axes kept.  L is g^T times the (m, ik) view
+    of gamma, stored [l][i][m], which runs faster."""
+    lead, d = gamma.shape[:-3], len(g)
+    L = (g.T @ gamma.reshape(lead + (d, d * d))).reshape(gamma.shape)
+    L = L.swapaxes(-3, -2).swapaxes(-2, -1)
     factors, R = {"C": C, "gamma": gamma, "L": L}, 0
     for sign, (a, x), (b, y) in RIEMANN_TERMS:
         t = np.einsum(f"...{x},...{y}->...ijkl", factors[a], factors[b])
@@ -87,7 +90,7 @@ def metric_pairing(A: NDArray, B: NDArray, g: NDArray) -> NDArray:
     """L[x][y][z][w] = g(A(x,y), B(z,w)) for vector-valued A and B.  With
     A = B = Q it is qq, of which every Q-quadratic term of R', P and
     EQ_2_6/EQ_2_7 is a slot permutation."""
-    gB = np.einsum("mn,nkl->mkl", g, B)
+    gB = (g @ B.reshape(len(g), -1)).reshape(B.shape)
     return np.einsum("mij,mkl->ijkl", A, gB)
 
 

@@ -66,13 +66,17 @@ ScalarPanel.FIELDS = tuple(f.name for f in fields(ScalarPanel))
 
 def compute_nabla_J(gamma: NDArray, J: NDArray) -> NDArray:
     """(nabla_{e_i} J)e_j of the frame connection gamma, index order [k][i][j];
-    leading batch axes of gamma are kept."""
-    return np.einsum("...kim,mj->...kij", gamma, J) - np.einsum("km,...mij->...kij", J, gamma)
+    leading batch axes of gamma are kept.  Two matrix products: gamma J, and
+    J times the (m, ij) view of gamma."""
+    lead, d = gamma.shape[:-3], len(J)
+    J_gamma = J @ gamma.reshape(lead + (d, d * d))
+    return gamma @ J - J_gamma.reshape(gamma.shape)
 
 
 def twist_arrays(nJ: NDArray, J: NDArray) -> tuple[NDArray, NDArray]:
-    """(nabla_x J)Jy and (nabla_{Jx} J)y as mixed arrays [k][x][y]."""
-    return np.einsum("...kia,aj->...kij", nJ, J), np.einsum("ai,...kaj->...kij", J, nJ)
+    """(nabla_x J)Jy and (nabla_{Jx} J)y as mixed arrays [k][x][y], the
+    matrix products nJ J and J^T nJ; leading batch axes are kept."""
+    return nJ @ J, J.T @ nJ
 
 
 def q_array(a: NDArray, b: NDArray) -> NDArray:

@@ -40,38 +40,36 @@ _Y_AXES = tuple(_Y.index(c) - 3 for c in "mpl")
 @dataclass(frozen=True, eq=False)
 class LieFrameManifold:
     """Structure constants, metric and almost complex structure in one frame;
-    equality and hashing are by identity."""
+    equality and hashing are by identity.  `pair` is the record of (g, J),
+    looked up at construction."""
 
     dim: int
     structure_constants: NDArray = field(repr=False)
     metric: NDArray = field(repr=False)
     J: NDArray = field(repr=False)
+    pair: PairRecord = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         d = self.dim
         if d <= 0 or d % 2 != 0:
             raise ValueError(f"frame dimension must be even and positive, got {d}")
-        # one read-only copy per field: the caller's arrays stay theirs
-        C, g, J = (
-            np.array(a, dtype=float, order="C")
-            for a in (self.structure_constants, self.metric, self.J)
-        )
+        # a read-only copy of C, so the caller's array stays theirs; g and J
+        # are the arrays of the pair's record, over immutable bytes
+        C = np.array(self.structure_constants, dtype=float, order="C")
+        g, J = (np.asarray(a, dtype=float) for a in (self.metric, self.J))
         if C.shape != (d, d, d):
             raise ValueError(f"structure constants shape {C.shape} != {(d, d, d)}")
         if g.shape != (d, d):
             raise ValueError(f"metric shape {g.shape} != {(d, d)}")
         if J.shape != (d, d):
             raise ValueError(f"J shape {J.shape} != {(d, d)}")
-        for name, arr in (("structure_constants", C), ("metric", g), ("J", J)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite entries")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @cached_property
-    def pair(self) -> PairRecord:
-        """The record of this manifold's pair (g, J), looked up once."""
-        return pair_record(self.metric, self.J)
+        if not np.isfinite(C).all():
+            raise ValueError("structure_constants contains non-finite entries")
+        C.setflags(write=False)
+        record = pair_record(g, J)
+        for name, value in (("structure_constants", C), ("metric", record.g),
+                            ("J", record.J), ("pair", record)):
+            object.__setattr__(self, name, value)
 
     @property
     def metric_inv(self) -> NDArray:
@@ -240,14 +238,19 @@ class PairRecord:
 
 
 def pair_record(g: NDArray, J: NDArray) -> PairRecord:
-    """The record of the float pair (g, J), keyed by its shape and bytes."""
+    """The record of the float pair (g, J), keyed by its shape and bytes;
+    ValueError if an entry is not finite, and no record is kept then."""
     return _pair_record(g.shape, g.tobytes(), J.tobytes())
 
 
 @lru_cache(maxsize=PAIR_RECORDS)
 def _pair_record(shape: tuple[int, ...], g: bytes, J: bytes) -> PairRecord:
-    # arrays over the key's own bytes, which numpy keeps read-only
-    return PairRecord(*(np.frombuffer(a).reshape(shape) for a in (g, J)))
+    # arrays over the key's own bytes, which numpy keeps read-only for good
+    arrays = [np.frombuffer(a).reshape(shape) for a in (g, J)]
+    for name, arr in zip(("metric", "J"), arrays):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} contains non-finite entries")
+    return PairRecord(*arrays)
 
 
 def levi_civita(C: NDArray, g: NDArray, g_inv: NDArray) -> NDArray:
@@ -256,12 +259,14 @@ def levi_civita(C: NDArray, g: NDArray, g_inv: NDArray) -> NDArray:
 
     The Koszul formula collapses to
     2 g(nabla_{e_i} e_j, e_k) = g([e_i,e_j],e_k) + g([e_k,e_i],e_j) + g([e_k,e_j],e_i).
-    Leading batch axes of C are kept.
+    Leading batch axes of C are kept; g^{-1} is applied as one matrix product
+    with the (m, ij) view of the lowered coefficients.
     """
     b = lower(C, g)  # b[i][j][k] = g([e_i,e_j],e_k)
     b_kij = b.swapaxes(-3, -2).swapaxes(-2, -1)  # b_kij[i][j][k] = b[k][i][j]
     low = (b + b_kij + b.swapaxes(-3, -1)) / 2
-    return np.einsum("km,...ijm->...kij", g_inv, low)
+    lead, d = b.shape[:-3], len(g_inv)
+    return (g_inv @ low.reshape(lead + (d * d, d)).swapaxes(-1, -2)).reshape(b.shape)
 
 
 def covariant_derivative(gamma: NDArray, t: NDArray) -> NDArray:

@@ -50,8 +50,9 @@ in the next one (`_accept`).  Every entry gets its bracket checks
 (antisymmetry, Jacobi), its class label and, for the Kahler target, the first
 Bianchi gate of R', through the engine's batched kernels.  The canonical pair
 (g, J) is not checked again: it validates in every dimension.  Each hit is
-written straight into a `ManifoldManifest`, whose construction is the one
-place its arrays are checked and copied.
+written straight into a `ManifoldManifest`, whose construction copies and
+checks its brackets and looks up the pair's record, whose arrays every hit
+of a dimension shares.
 
 Both paths are driven by one seeded generator, so searches are reproducible.
 """
@@ -180,12 +181,11 @@ def _brackets(dim: int, pos: NDArray, neg: NDArray, coeff: NDArray) -> NDArray:
 
 @lru_cache(maxsize=None)
 def _canonical_pair(dim: int) -> tuple[NDArray, NDArray, NDArray]:
-    """(g, J, g^-1) of the canonical pair, read-only: every candidate of a
-    dimension is judged on it, and manifests copy what they are given.  g^-1
-    is the pair's record's."""
-    g, J = canonical_norden_pair(dim)
-    g.flags.writeable = J.flags.writeable = False
-    return g, J, pair_record(g, J).metric_inv
+    """(g, J, g^-1) of the canonical pair, the read-only arrays of its
+    record: every candidate of a dimension is judged on it, and every hit's
+    manifest is written on it."""
+    record = pair_record(*canonical_norden_pair(dim))
+    return record.g, record.J, record.metric_inv
 
 
 # bytes of the unit brackets of each batched kernel evaluation in the
@@ -828,12 +828,10 @@ def search_w3_examples(
 
     want_kahler = cfg.target is SearchTarget.W3_RPRIME_KAHLER
 
-    # deterministic ansatz rotation: all two-step families, then one GN try
-    # (families are built on their first draw)
-    plan: list[tuple[str, tuple[int, ...] | None]] = []
-    if not want_kahler:
-        plan += [("two_step", Z) for Z, _ in _two_step_centres(cfg.dim)]
-    plan.append(("gauss_newton", None))
+    # deterministic ansatz rotation: candidate j draws from the two-step
+    # family of centre slot j % (len(centres) + 1), or tries Gauss-Newton in
+    # the last slot (families are built on their first draw)
+    centres = () if want_kahler else _two_step_centres(cfg.dim)
 
     found: dict[int, tuple[str, NDArray]] = {}
 
@@ -852,11 +850,12 @@ def search_w3_examples(
             < cfg.max_results
         ):
             j = stats.candidates
-            kind, Z = plan[j % len(plan)]
+            slot = j % (len(centres) + 1)
+            kind = "two_step" if slot < len(centres) else "gauss_newton"
             stats.candidates += 1
             stats.by_ansatz[kind] = stats.by_ansatz.get(kind, 0) + 1
             if kind == "two_step":
-                family = _two_step_family(cfg.dim, Z)
+                family = _two_step_family(cfg.dim, centres[slot][0])
                 C = _two_step_candidate(rng, cfg.dim, family, stats)
                 if C is not None:
                     pending.append((j, kind, C))

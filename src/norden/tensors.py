@@ -3,8 +3,11 @@
 Every geometric object in this package (the fundamental tensor, curvature
 tensors, torsion potential, ...) is a plain ndarray of frame components, one
 axis per slot.  The frame dimension is small (4, 6, 8), so dense row-major
-storage keeps every operation a plain einsum and makes independent
-loop-oracle comparison trivial.  Operations return new arrays.
+storage keeps every operation a plain einsum or matrix product and makes
+independent loop-oracle comparison trivial.  A contraction of one index
+against g, g^-1 or J is a matrix product over a reshaped view: on the
+canonical pair each entry of it has one nonzero product, so its bits do not
+depend on the order of summation.  Operations return new arrays.
 """
 
 from __future__ import annotations
@@ -82,8 +85,11 @@ def cyclic_sum3(t: NDArray, slots: tuple[int, int, int] = (0, 1, 2)) -> NDArray:
 
 def lower(t: NDArray, g: NDArray) -> NDArray:
     """Lower the vector index of a vector-valued 2-form stored t[k][i][j]:
-    out[i][j][k] = g(t(e_i, e_j), e_k); leading batch axes are kept."""
-    return np.einsum("...mij,mk->...ijk", t, g)
+    out[i][j][k] = g(t(e_i, e_j), e_k); leading batch axes are kept.  One
+    matrix product of the (ij, m) view of t with g."""
+    lead, d = t.shape[:-3], len(g)
+    out = t.reshape(lead + (d, d * d)).swapaxes(-1, -2) @ g
+    return out.reshape(lead + (d, d, d))
 
 
 def residual(a: NDArray, b: NDArray, top_a: float | None = None) -> float:

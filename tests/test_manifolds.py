@@ -452,6 +452,60 @@ class TestPairRecord:
         with pytest.raises(dataclasses.FrozenInstanceError):
             record.g = np.eye(4)
 
+    def test_a_manifold_holds_its_records_arrays(self):
+        """g and J are the record's arrays, over immutable bytes: their write
+        flag cannot be set again, and the caller's arrays stay theirs."""
+        g, J = canonical_norden_pair(4)
+        C = np.zeros((4, 4, 4))
+        C[2, 0, 1], C[2, 1, 0] = 1.0, -1.0
+        m = LieFrameManifold(dim=4, structure_constants=C, metric=g, J=J)
+        assert m.pair is pair_record(g, J)
+        assert m.metric is m.pair.g and m.J is m.pair.J
+        for array in (m.metric, m.J):
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+        assert not m.structure_constants.flags.writeable
+        kept = [a.copy() for a in (m.structure_constants, m.metric, m.J)]
+        for array in (C, g, J):
+            array[...] = 7.0
+        for array, before in zip((m.structure_constants, m.metric, m.J), kept):
+            assert array.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("CgJ", "structure_constants contains non-finite entries"),
+            ("gJ", "metric contains non-finite entries"),
+            ("J", "J contains non-finite entries"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_data_is_named_in_order(self, bad, message, value):
+        """C, then the metric, then J; a non-finite pair keeps no record."""
+        g, J = canonical_norden_pair(4)
+        C = np.zeros((4, 4, 4))
+        for name, array in (("C", C), ("g", g), ("J", J)):
+            if name in bad:
+                array.flat[5] = value
+        manifolds._pair_record.cache_clear()
+        with pytest.raises(ValueError) as exc:
+            LieFrameManifold(dim=4, structure_constants=C, metric=g, J=J)
+        assert str(exc.value) == message
+        assert manifolds._pair_record.cache_info().currsize == 0
+        with pytest.raises(ValueError, match="^metric" if "g" in bad else "^J"):
+            pair_record(g, J)
+        assert manifolds._pair_record.cache_info().currsize == 0
+
+    def test_every_hit_of_a_search_shares_one_record(self):
+        cfg = search.SearchConfig(dim=6, seed=102, max_candidates=240, max_results=6)
+        hits, _ = search.search_w3_examples(cfg)
+        assert len(hits) == 6
+        record = hits[0].pair
+        assert record is pair_record(*search._canonical_pair(6)[:2])
+        for m in hits:
+            assert m.pair is record
+            assert m.metric is record.g and m.J is record.J
+
     def test_one_record_serves_every_reader_of_a_pair(self):
         g, J = canonical_norden_pair(4)
         manifolds._pair_record.cache_clear()
