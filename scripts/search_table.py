@@ -54,8 +54,6 @@ import norden  # noqa: E402
 from norden import SearchConfig, SearchTarget, manifests, search  # noqa: E402
 
 SHOWN = ("hits", "candidates", "gn_iterations", "gn_rounds", "svd_steps", "rejected_class")
-CACHES = ("_membership", "_generic_family", "_echelon", "_integer_basis", "_two_step_centres",
-          "_two_step_family", "_quadratic_form", "_canonical_pair", "_upper_triangle")
 
 
 class Recorder:
@@ -92,14 +90,16 @@ class Recorder:
 
 
 class CacheValues:
-    """Wraps the search's cached builders where search.py looks them up, and
-    keeps each value they return by its arguments: what each cache holds."""
+    """Wraps the search's cached builders, every attribute of `norden.search`
+    with a `cache_info`, where search.py looks them up, and keeps each value
+    they return by its arguments: what each cache holds."""
 
     def __init__(self) -> None:
         self.values: dict[str, dict] = {}
-        for name in CACHES:
+        builders = [(n, v) for n, v in vars(search).items() if hasattr(v, "cache_info")]
+        for name, cached in builders:
             self.values[name] = {}
-            setattr(search, name, self._wrap(getattr(search, name), self.values[name]))
+            setattr(search, name, self._wrap(cached, self.values[name]))
 
     @staticmethod
     def _wrap(cached, values: dict):

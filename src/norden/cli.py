@@ -1,23 +1,16 @@
-"""Command-line front end.
+"""Command-line front end: `verify`, `search` and `demo`, whose options
+`build_parser` declares.
 
-Subcommands:
-  verify PATH [PATH ...] [--tolerance R] [--format text|json]
-         run the identity suite on each manifest; a directory PATH stands
-         for its *.manifest files, sorted by name
-  search [--dim N] [--seed S] [--max-candidates K] [--tolerance R]
-         [--target w3|w3-kahler-rprime] [--out DIR] [--max-results M]
-  demo [--tolerance R] [--format text|json]   verify the bundled flat example
-
-Exit codes: 0 all checks PASS or NA, 1 any FAIL, 2 input error; a batch of
-manifests exits with the worst code of its manifests.  Every input error
-prints one `error:` line on stderr, from `_error` alone; in a batch of more
-than one manifest the line names the manifest's path once, and the batch
-goes on.
-`verify` writes each report exactly as a run on that manifest alone would,
-in argument order, so its JSON output is a stream of complete documents.
-The env var NORDEN_TOLERANCE overrides the default tolerance; the
---tolerance flag wins over the env var.  A tolerance must be a finite
-number in (0, 1).
+Exit codes: 0 all checks PASS or NA, 1 any FAIL, 2 input error.  `verify`
+takes a batch of manifests, where a directory PATH stands for its *.manifest
+files, sorted by name; the batch exits with the worst code of its manifests.
+Every input error prints one `error:` line on stderr, from `_error` alone; in
+a batch of more than one manifest the line names the manifest's path once,
+and the batch goes on.  `verify` writes each report exactly as a run on that
+manifest alone would, in argument order, so its JSON output is a stream of
+complete documents.  The env var NORDEN_TOLERANCE overrides the default
+tolerance; the --tolerance flag wins over the env var.  A tolerance must be a
+finite number in (0, 1).
 """
 
 from __future__ import annotations

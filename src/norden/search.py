@@ -196,7 +196,8 @@ _MEMBERSHIP_CHUNK_BYTES = 2**17
 def _w3_rows(dim: int, triples: NDArray) -> NDArray:
     """Matrix of the linear map (structure constants) -> cyclic sum of F,
     one batched kernel evaluation per chunk of the unit brackets of
-    `triples`, of at most `_MEMBERSHIP_CHUNK_BYTES`."""
+    `triples`, of at most `_MEMBERSHIP_CHUNK_BYTES`: the rows of one
+    evaluation over all of them, bit for bit."""
     g, J, g_inv = _canonical_pair(dim)
     chunk = max(1, _MEMBERSHIP_CHUNK_BYTES // (8 * dim**3))
     rows = np.empty((len(triples), dim**3))
@@ -656,7 +657,10 @@ class _Lockstep:
     step and one stacked product Q step for those that go on.  Each candidate
     carries gram z and Q z along with z.  Stacked BLAS and LAPACK calls and
     the form's product work row by row, so each candidate computes bit for bit
-    what it would alone."""
+    what it would alone; a round pays numpy's cost per call, which dominates
+    a dim-4 step, once for the stack.  Where the step's sphere row holds,
+    ||N (z - lam step)||**2 = 1 + lam**2 ||N step||**2, so the retraction
+    z / ||N z|| only lowers max|phi|."""
 
     def __init__(self, form: QuadraticForm) -> None:
         r = form.basis.shape[1]

@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, formats, env overrides, search output files."""
 
+import argparse
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from norden import (
     load_manifest,
     run_suite,
 )
-from norden.cli import TEXT, emit_report, main
+from norden.cli import TEXT, _resolve_tolerance, build_parser, emit_report, main
 from norden.manifests import ManifoldManifest, save_manifest
 
 
@@ -484,3 +486,57 @@ class TestSearchCommand:
         )
         assert code == 0
         assert "found: w3_d6_seed3" in out
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_usage() -> dict[str, tuple[str, dict[str, str]]]:
+    """{subcommand: (positionals, {flag: shown value})} from the first code
+    block of README's *Command line*; an indented line continues the one
+    above it."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```\n", 2)[1]
+    commands = re.sub(r"\n\s+", " ", block).splitlines()
+    usage = {}
+    for line in commands:
+        sub, rest = re.fullmatch(r"norden (\w+) ?(.*)", line).groups()
+        positionals = rest.partition("[--")[0].strip()
+        flags = dict(re.findall(r"\[(--[\w-]+) ([^\]]+)\]", rest))
+        assert rest.count("[--") == len(flags), line
+        usage[sub] = (positionals, flags)
+    return usage
+
+
+def test_readme_usage_matches_the_parser(monkeypatch):
+    # each option shows its effective default, and its choices default first
+    monkeypatch.delenv("NORDEN_TOLERANCE", raising=False)
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    usage = _readme_usage()
+    assert sorted(usage) == sorted(subparsers)
+    for name, sub in subparsers.items():
+        positionals, flags = usage[name]
+        shown = " ".join(
+            f"{a.metavar} [{a.metavar} ...]" if a.nargs == "+" else a.metavar
+            for a in sub._actions if not a.option_strings
+        )
+        assert positionals == shown, name
+        options = {
+            a.option_strings[-1]: a for a in sub._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+        }
+        assert sorted(flags) == sorted(options), name
+        for flag, value in flags.items():
+            action = options[flag]
+            if action.choices is not None:
+                assert value.split("|") == [action.default] + [
+                    c for c in action.choices if c != action.default
+                ], (name, flag)
+            elif action.dest == "tolerance":
+                assert float(value) == _resolve_tolerance(action.default), (name, flag)
+            elif action.default is None:
+                assert value.isupper(), (name, flag)  # a placeholder: no default
+            else:
+                assert action.type(value) == action.default, (name, flag)

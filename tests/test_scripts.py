@@ -1,8 +1,7 @@
 """The tree-comparison scripts are gates: with `--baseline`, a report that
 differs from its baseline row makes `scripts/report_table.py` exit 1.
-`scripts/search_table.py` looks the search's caches up by name."""
+`scripts/search_table.py` wraps every cache of the search."""
 
-import ast
 import json
 import subprocess
 import sys
@@ -38,19 +37,35 @@ def test_report_table_exits_1_on_an_altered_digest(tmp_path):
     assert run.stdout.count("→ same") == 3 * len(doc["rows"]) - 1 + 1
 
 
-def test_search_table_names_every_search_cache():
-    # the script wraps each builder of its CACHES by name when it starts:
-    # they must be the search's lru_cache builders, all of them
+# imports scripts/search_table.py without running main: the import pins the
+# BLAS threads before numpy loads, so it needs an interpreter of its own
+_CACHE_PROBE = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("search_table", sys.argv[1])
+table = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(table)
+search = table.search
+builders = {n: v for n, v in vars(search).items() if hasattr(v, "cache_info")}
+caches = table.CacheValues()
+assert builders and sorted(caches.values) == sorted(builders), (caches.values, builders)
+for name, cached in builders.items():
+    wrapper = getattr(search, name)
+    assert wrapper is not cached, name
+    assert wrapper.__wrapped__ is cached.__wrapped__, name
+    assert wrapper.cache_info == cached.cache_info, name
+    assert wrapper.cache_clear == cached.cache_clear, name
+pair = search._canonical_pair(4)
+assert caches.values["_canonical_pair"][(4,)] is pair
+print(" ".join(sorted(builders)))
+"""
+
+
+def test_search_table_wraps_every_search_cache():
     script = ROOT / "scripts" / "search_table.py"
-    tree = ast.parse(script.read_text(encoding="utf-8"))
-    caches = next(
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["CACHES"]
+    run = subprocess.run(
+        [sys.executable, "-c", _CACHE_PROBE, str(script)],
+        capture_output=True, text=True, cwd=ROOT,
     )
-    builders = {name for name, value in vars(search).items() if hasattr(value, "cache_info")}
-    assert sorted(caches) == sorted(builders)
-    for name in caches:
-        builder = getattr(search, name)
-        assert builder.__wrapped__.__module__ == "norden.search"
-        assert builder.__wrapped__.__name__ == name
+    assert run.returncode == 0, run.stdout + run.stderr
+    builders = sorted(n for n, v in vars(search).items() if hasattr(v, "cache_info"))
+    assert run.stdout.split() == builders
