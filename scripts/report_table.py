@@ -9,9 +9,12 @@ ones of the verify_pool workload (`workloads.other_brackets`), written to a
 temporary directory.  Each is verified in process, through
 `norden.cli.main`, at one BLAS thread and the default tolerance, once with
 `--format json` and once with `--format text`; the `time:` line of the text
-report is dropped, as it is the one line that differs between runs.  Each manifest is printed as one
-markdown row: the exit code and sha256 prefixes of both reports.  The last
-line gives a sha256 prefix of all the reports concatenated, in table order.
+report is dropped, as it is the one line that differs between runs.  Each
+manifest is printed as one markdown row: the exit code, sha256 prefixes of
+both reports, and one of the JSON report's class and its (check id, status)
+list, which reads `same` for a change that moves residual bits only.  The
+last line gives a sha256 prefix of all the reports concatenated, in table
+order.
 `--json` writes the rows; `--baseline` reads such a file (of another tree,
 say) and prints each cell as `baseline → same`, or `baseline → this` where
 the two differ.  Run it in each tree to compare two trees.  With
@@ -46,6 +49,7 @@ import norden  # noqa: E402
 from norden import bundled_manifest_path, cli, save_manifest  # noqa: E402
 
 FORMATS = ("json", "text")
+COLUMNS = ("exit", *FORMATS, "statuses")
 
 
 def manifest_paths(tmp: Path) -> list[Path]:
@@ -73,13 +77,27 @@ def verify(path: Path, fmt: str) -> tuple[int, bytes]:
     return code, b"".join(line for line in lines if not line.startswith(b"time: "))
 
 
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:12]
+
+
+def statuses(report: bytes) -> str:
+    """Digest of the class and the (check id, status) list of a JSON report
+    (of none, when the run wrote no report)."""
+    docs = [json.loads(report)] if report else []
+    key = [[d["class"], [[c["id"], c["status"]] for c in d["checks"]]] for d in docs]
+    return digest(json.dumps(key).encode("utf-8"))
+
+
 def run(path: Path) -> tuple[dict, bytes]:
     row: dict = {"manifest": path.stem}
     reports = b""
     for fmt in FORMATS:
         code, report = verify(path, fmt)
         row["exit"] = code  # the same for both formats
-        row[fmt] = hashlib.sha256(report).hexdigest()[:12]
+        row[fmt] = digest(report)
+        if fmt == "json":
+            row["statuses"] = statuses(report)
         reports += report
     return row, reports
 
@@ -91,12 +109,13 @@ def cell(old, new) -> str:
 
 
 def table(rows: list[dict], baseline: dict[str, dict]) -> str:
-    lines = ["| manifest | exit | JSON report sha256 | text report sha256 |",
-             "|---|---|---|---|"]
+    lines = ["| manifest | exit | JSON report sha256 | text report sha256 "
+             "| class and statuses sha256 |",
+             "|---|---|---|---|---|"]
     for row in rows:
         base = baseline.get(row["manifest"], {})
         cells = [f"`{row['manifest']}`"]
-        cells += [cell(base.get(k), row[k]) for k in ("exit", *FORMATS)]
+        cells += [cell(base.get(k), row[k]) for k in COLUMNS]
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines)
 

@@ -17,7 +17,9 @@ from .tensors import contract, cyclic_sum3, permutation_residual, zero_residual
 
 # g(R(e_i,e_j)e_k, e_l) as signed products of two factors (name, index letters)
 # summed over m: the brackets C, the connection gamma and its lowered form
-# L[i][m][l] = g(nabla_{e_i} e_m, e_l).  `riemann` and the search's form read it.
+# L[i][m][l] = g(nabla_{e_i} e_m, e_l).  `riemann` and the search's form read it;
+# `riemann` takes the second term, the first with i and j exchanged, as the
+# transpose of the first's product.
 RIEMANN_TERMS = (
     (1, ("L", "iml"), ("gamma", "mjk")),
     (-1, ("L", "jml"), ("gamma", "mik")),
@@ -64,15 +66,22 @@ def symmetry_panel(L: NDArray, J: NDArray | None) -> SymmetryPanel:
 
 def riemann(gamma: NDArray, C: NDArray, g: NDArray) -> NDArray:
     """Curvature g(R(x,y)z, w) of the frame connection gamma, R(x,y)z =
-    nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z: one einsum per term of
-    `RIEMANN_TERMS`, leading batch axes kept.  L is g^T times the (m, ik) view
-    of gamma, stored [l][i][m], which runs faster."""
+    nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z, from the terms of
+    `RIEMANN_TERMS` with their signs, leading batch axes kept.  The second
+    term is the first with i and j exchanged, so the first term's einsum
+    gives it as its (i, j) transpose, with the same bits as an einsum of its
+    own; the third is an einsum.  L is g^T times the (m, ik) view of gamma,
+    stored [l][i][m], which runs faster."""
     lead, d = gamma.shape[:-3], len(g)
     L = (g.T @ gamma.reshape(lead + (d, d * d))).reshape(gamma.shape)
     L = L.swapaxes(-3, -2).swapaxes(-2, -1)
-    factors, R = {"C": C, "gamma": gamma, "L": L}, 0
-    for sign, (a, x), (b, y) in RIEMANN_TERMS:
-        t = np.einsum(f"...{x},...{y}->...ijkl", factors[a], factors[b])
+    factors = {"C": C, "gamma": gamma, "L": L}
+    first, third = (
+        np.einsum(f"...{x},...{y}->...ijkl", factors[a], factors[b])
+        for _, (a, x), (b, y) in RIEMANN_TERMS[::2]
+    )
+    R = 0
+    for (sign, _, _), t in zip(RIEMANN_TERMS, (first, first.swapaxes(-4, -3), third)):
         R = R + t if sign > 0 else R - t
     return R
 

@@ -129,4 +129,4 @@ def metric_trace(g_inv: NDArray, A: NDArray, G: NDArray, B: NDArray):
 
 def q_from_cyclic_F(F: NDArray, J: NDArray) -> NDArray:
     """Covariant Q by the independent route -1/4 cyclic-sum of F(y,z,Jw)."""
-    return -cyclic_sum3(np.einsum("ija,ak->ijk", F, J)) / 4
+    return -cyclic_sum3(F @ J) / 4

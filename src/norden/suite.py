@@ -189,12 +189,14 @@ def build_context(
 
     dF = covariant_derivative(gamma, F)
     lhs = dF - dF.transpose(1, 0, 2, 3)
-    rhs = np.einsum("ijal,ak->ijkl", Rc, J) - np.einsum("ijka,al->ijkl", Rc, J)
+    rhs = J.T @ Rc - Rc @ J
     v["EQ_1_5"] = residual(lhs, rhs)
 
     # the three equivalent membership conditions
     v["EQ_1_4"] = cls.w3_residual
-    v["EQ_1_13"] = zero_residual(cyclic_sum3(np.einsum("ai,ajk->ijk", J, F)))
+    d = len(J)
+    JF = (J.T @ F.reshape(d, -1)).reshape(F.shape)  # F(Jx,y,z)
+    v["EQ_1_13"] = zero_residual(cyclic_sum3(JF))
     v["EQ_1_14"] = zero_residual(a + a.transpose(0, 2, 1) + b + b.transpose(0, 2, 1))
     if not cls.is_w3_or_kahler:
         return _finite(ctx)
@@ -214,8 +216,8 @@ def build_context(
     # J-twisted curvature identity, with the empirically validated (+) sign
     # on the Gram side of symmetrized nabla J.
     # RJ2 = R(x,Jy,z,w) and RJ1 = R(Jx,y,z,w); J.T @ and @ J twist z and w
-    RJ2 = np.einsum("bj,ibcl->ijcl", J, Rc)
-    RJ1 = np.einsum("ai,ajcl->ijcl", J, Rc)
+    RJ2 = (J.T @ Rc.reshape(d, d, -1)).reshape(Rc.shape)
+    RJ1 = (J.T @ Rc.reshape(d, -1)).reshape(Rc.shape)
     S = J.T @ RJ2 - RJ2 @ J + RJ1 @ J - J.T @ RJ1
     sym_nJ = nJ + nJ.transpose(0, 2, 1)
     G = curv.metric_pairing(sym_nJ, sym_nJ, g)

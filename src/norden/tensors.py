@@ -7,7 +7,11 @@ storage keeps every operation a plain einsum or matrix product and makes
 independent loop-oracle comparison trivial.  A contraction of one index
 against g, g^-1 or J is a matrix product over a reshaped view: on the
 canonical pair each entry of it has one nonzero product, so its bits do not
-depend on the order of summation.  Operations return new arrays.
+depend on the order of summation.  The connection terms of a covariant
+derivative are matrix products against gamma, within rounding of the
+einsums they replaced; the remaining einsums (the curvature's L gamma and
+C L products, `curvature.metric_pairing`, the pi-forms and the traces) keep
+their bits.  Operations return new arrays.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
-"""The tree-comparison scripts are gates: with `--baseline`, a report that
-differs from its baseline row makes `scripts/report_table.py` exit 1.
+"""The tree-comparison scripts are gates: with `--baseline`, a report, or a
+report's class and statuses, that differs from its baseline row makes
+`scripts/report_table.py` exit 1.
 `scripts/search_table.py` wraps every cache of the search."""
 
 import json
@@ -34,7 +35,26 @@ def test_report_table_exits_1_on_an_altered_digest(tmp_path):
     assert run.returncode == 1
     assert f"| {'0' * 12} → {digest} |" in run.stdout
     # every other cell of the table, and the digest of all reports
-    assert run.stdout.count("→ same") == 3 * len(doc["rows"]) - 1 + 1
+    assert run.stdout.count("→ same") == 4 * len(doc["rows"]) - 1 + 1
+
+
+def test_report_table_shows_an_altered_status(tmp_path):
+    """A baseline with one check's status altered differs in the row's
+    statuses column alone, where its report digests read `same`."""
+    base = tmp_path / "base.json"
+    assert _report_table("--json", str(base)).returncode == 0
+    doc = json.loads(base.read_text(encoding="utf-8"))
+    row = doc["rows"][1]
+    statuses = row["statuses"]
+    cells = " | ".join(f"{row[k]} → same" for k in ("exit", "json", "text"))
+
+    row["statuses"] = "0" * 12
+    altered = tmp_path / "altered.json"
+    altered.write_text(json.dumps(doc), encoding="utf-8")
+    run = _report_table("--baseline", str(altered))
+    assert run.returncode == 1
+    assert f"| {cells} | {'0' * 12} → {statuses} |" in run.stdout
+    assert run.stdout.count("→ same") == 4 * len(doc["rows"]) - 1 + 1
 
 
 # imports scripts/search_table.py without running main: the import pins the
