@@ -38,11 +38,12 @@ nullity the search relies on comes from one exact elimination per block
   1.2% in dim 8, for the Kahler target), and it is built from the supports of
   the directions and held as the list of its nonzero entries.  Qz gives the
   residual and the Jacobian and is linear in z: an iteration is one small
-  rank-revealing least-squares solve (`QuadraticForm.step`), one product Q
-  step, which prices every line-search trial and carries Qz to the next
-  iterate on the sphere, and one product N.T N step, which carries the
-  sphere's gradient.  The candidates run in lockstep (`_Lockstep`), each bit
-  for bit as alone, and exactly those that a one-at-a-time search would run.
+  Levenberg-Marquardt solve, one QR of the Jacobian stacked over a multiple
+  of the identity (`QuadraticForm.step`), one product Q step, which prices
+  every line-search trial and carries Qz to the next iterate on the sphere,
+  and one product N.T N step, which carries the sphere's gradient.  The
+  candidates run in lockstep (`_Lockstep`), each bit for bit as alone, and
+  exactly those that a one-at-a-time search would run.
 
 Acceptance judges a stack: the two-step brackets drawn since the last round
 wait and are judged together with the Gauss-Newton candidates that converge
@@ -84,8 +85,8 @@ from .tensors import DEFAULT_TOLERANCE, check_tolerance, cyclic_sum3, lower
 
 GN_MAX_ITERATIONS = 120
 GN_CONVERGENCE = 1e-13
-# relative singular-value cutoff of the Gauss-Newton least-squares step
-GN_RANK_CUTOFF = 1e-10
+# Levenberg-Marquardt damping of the Gauss-Newton step, relative to ||A||_F
+GN_DAMPING = 1e-10
 # line-search step lengths lam = 1, 1/2, ..., 2**-15, and 2 lam and lam**2,
 # as columns
 _HALVINGS = 0.5 ** np.arange(16)[:, None]
@@ -144,7 +145,6 @@ class SearchStats:
     collapsed: int = 0  # two-step brackets drawn (near) zero, the abelian algebra
     gn_iterations: int = 0  # Gauss-Newton steps
     gn_rounds: int = 0  # lockstep rounds, each one stacked step of the active candidates
-    svd_steps: int = 0  # steps whose rank certificate failed, solved by SVD
     elapsed: float = 0.0
     by_ansatz: dict = field(default_factory=dict)
 
@@ -332,12 +332,15 @@ def _two_step_centres(dim: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     triples, _ = _membership(dim)
     blocks = _distinct_rows(dim)[1]  # A is not kept
     first: dict = {}  # the first block of each distinct matrix, by shape and bytes
-    kind = [first.setdefault((A_b.shape, A_b.tobytes()), b) for b, (_, A_b) in enumerate(blocks)]
+    kind = np.array([first.setdefault((A_b.shape, A_b.tobytes()), b)
+                     for b, (_, A_b) in enumerate(blocks)], dtype=np.int32)
     width = max(len(cols) for cols, _ in blocks)
     # the blocks' triples, [slot][block], padded with (0, 0, 0), in no family
     slots = np.stack([np.pad(triples[cols], ((0, width - len(cols)), (0, 0)))
                       for cols, _ in blocks], axis=1)
-    n, bits, found = len(blocks), 1 << np.arange(width), []
+    # masks and keys in 32 bits: a key is below 2**width n, with blocks of at
+    # most 12 columns
+    n, bits, found = len(blocks), 1 << np.arange(width, dtype=np.int32), []
     for z_size in range(1, dim - 1):
         centres = np.array(list(itertools.combinations(range(dim), z_size)))
         masks = sum(_central_columns(dim, slots[s], centres) * bits[s] for s in range(width))
@@ -440,58 +443,41 @@ class QuadraticForm:
             offset += width
         return np.take(products, self.gather, axis=1)
 
-    def step(
-        self, z: NDArray, gz: NDArray, qz: NDArray, f: NDArray, stats: SearchStats
-    ) -> NDArray:
-        """Gauss-Newton step for phi(z_n) = 0 on the sphere ||N z_n|| = 1, for
-        each row n, with gz = gram z, qz = Q z and f = phi(z) = z @ qz; the
-        last row linearises z_n @ gram @ z_n = 1.  The kept rows, weighted by
-        sqrt(6), give the normal equations of the full map.  Directions whose
-        singular value is below GN_RANK_CUTOFF times the largest are dropped:
-        near a singular root they are rounding noise, and a cutoff at the
-        rounding level (eps times the row count, about 6e-13 in dim 6) keeps
-        some of them and slows convergence to linear.  [A b] = QR [R c], and R
-        has the singular values of A: when ||R||_F ||R^-1||_F, a bound on their
-        ratio, certifies that none is dropped, the step is R^-1 c; else an SVD
-        solves on R (counted in stats.svd_steps)."""
+    def step(self, z: NDArray, gz: NDArray, qz: NDArray, f: NDArray) -> NDArray:
+        """Damped Gauss-Newton step for phi(z_n) = 0 on the sphere ||N z_n|| = 1,
+        for each row n, with gz = gram z, qz = Q z and f = phi(z) = z @ qz; the
+        last row of [A b] linearises z_n @ gram @ z_n = 1.  The kept rows,
+        weighted by sqrt(6), give the normal equations of the full map.  The
+        step is the least-squares solution of [A; mu I] s = [b; 0], with
+        mu = GN_DAMPING ||A||_F (Levenberg-Marquardt): the component along a
+        right singular vector of A, of singular value sigma, is damped by
+        sigma**2 / (sigma**2 + mu**2), so directions well above mu keep their
+        Gauss-Newton component, and none steps further than |u.b| / (2 mu),
+        where near a singular root the plain step would follow rounding noise
+        a long way.  The stack has full column rank (its singular values are
+        at least mu), so its QR factor R is invertible, with a condition
+        number of at most about 1 / GN_DAMPING, and the step is R^-1 c."""
         n, r = z.shape
-        Ab = np.empty((n, qz.shape[2] + 1, r + 1))
-        Ab[:, :-1, :r] = _ROW_WEIGHT * 2.0 * qz.transpose(0, 2, 1)
-        Ab[:, :-1, r] = _ROW_WEIGHT * f
-        Ab[:, -1, :r] = 2.0 * gz
-        Ab[:, -1, r] = np.vecdot(z, gz) - 1.0
-        # R of [A b] is the upper triangle of the first r + 1 rows of the
+        m = qz.shape[2] + 1  # rows of A
+        Ab = np.zeros((n, m + r, r + 1))
+        Ab[:, : m - 1, :r] = _ROW_WEIGHT * 2.0 * qz.transpose(0, 2, 1)
+        Ab[:, : m - 1, r] = _ROW_WEIGHT * f
+        Ab[:, m - 1, :r] = 2.0 * gz
+        Ab[:, m - 1, r] = np.vecdot(z, gz) - 1.0
+        A = Ab[:, :m, :r].reshape(n, -1)
+        diagonal = np.arange(r)
+        Ab[:, m + diagonal, diagonal] = GN_DAMPING * np.sqrt(np.vecdot(A, A))[:, None]
+        # R of the stack is the upper triangle of the first r + 1 rows of the
         # factored matrix, which mode "raw" returns transposed
         h = np.linalg.qr(Ab, mode="raw")[0].transpose(0, 2, 1)[:, : r + 1]
         Rc = np.where(_upper_triangle(*h.shape[1:]), h, 0.0)
-        R, c = Rc[:, :r, :r], Rc[:, :r, r]
-        try:
-            R_inv = np.linalg.inv(R)  # raises if any R is singular or not square
-        except np.linalg.LinAlgError:
-            R_inv = np.array([_inverse_or_nan(R_k) for R_k in R])
-        R_flat, R_inv_flat = R.reshape(n, -1), R_inv.reshape(n, -1)
-        bound = np.vecdot(R_flat, R_flat) * np.vecdot(R_inv_flat, R_inv_flat)
-        steps = np.matvec(R_inv, c)
-        for k, bound_k in enumerate(bound.tolist()):
-            if not bound_k < GN_RANK_CUTOFF**-2:  # also NaN: R singular or not square
-                stats.svd_steps += 1
-                steps[k] = np.linalg.lstsq(R[k], c[k], rcond=GN_RANK_CUTOFF)[0]
-        return steps
+        return np.linalg.solve(Rc[:, :r, :r], Rc[:, :r, r, None])[..., 0]
 
 
 @lru_cache(maxsize=None)
 def _upper_triangle(m: int, n: int) -> NDArray:
     """The mask of the upper triangle of an m x n matrix."""
     return np.triu(np.ones((m, n), dtype=bool))
-
-
-def _inverse_or_nan(R: NDArray) -> NDArray:
-    """R^-1, or NaN in the shape of R.T where R is singular or not square,
-    which fails the rank certificate."""
-    try:
-        return np.linalg.inv(R)
-    except np.linalg.LinAlgError:
-        return np.full(R.shape[::-1], np.nan)
 
 
 # kept rows per chunk of the form build: a chunk's products take at most
@@ -654,9 +640,10 @@ def _levels(
 class _Lockstep:
     """Sphere-constrained damped Gauss-Newton candidates of one form, run in
     lockstep: a round judges every candidate's residual and makes one stacked
-    step and one stacked product Q step for those that go on.  Each candidate
-    carries gram z and Q z along with z.  Stacked BLAS and LAPACK calls and
-    the form's product work row by row, so each candidate computes bit for bit
+    step (one QR and one solve) and one stacked product Q step for those that
+    go on.  Each candidate carries gram z and Q z along with z.  Stacked BLAS
+    and LAPACK calls and the form's product work row by row, and the step's
+    damping is each candidate's own, so each candidate computes bit for bit
     what it would alone; a round pays numpy's cost per call, which dominates
     a dim-4 step, once for the stack.  Where the step's sphere row holds,
     ||N (z - lam step)||**2 = 1 + lam**2 ||N step||**2, so the retraction
@@ -719,7 +706,7 @@ class _Lockstep:
         stats.gn_iterations += len(self.tags)
         self.steps += 1
         z, gz, qz = self.z, self.gz, self.qz
-        step = self.form.step(z, gz, qz, f, stats)
+        step = self.form.step(z, gz, qz, f)
         # one product Q step prices every halving lam at once, as
         # phi(z - lam step) = phi(z) - 2 lam Q[z, step] + lam^2 Q[step, step],
         # and carries qz by linearity, as one product gram step carries gz;

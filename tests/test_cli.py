@@ -415,11 +415,10 @@ class TestSearchCommand:
         n = {key: int(value) for key, value in (kv.split("=") for kv in head)}
         failures = ("stalled", "iteration_cap", "collapsed")
         rejections = ("rejected_class", "rejected_jacobi", "rejected_invalid")
-        steps = ("gn_iterations", "gn_rounds", "svd_steps")
+        steps = ("gn_iterations", "gn_rounds")
         assert set(n) == {"converged", "hits", *steps, *failures, *rejections}
         assert candidates == n["converged"] + sum(n[k] for k in failures)
         assert n["converged"] == n["hits"] + sum(n[k] for k in rejections)
-        assert n["gn_iterations"] > n["svd_steps"] > 0
         assert 0 < n["gn_rounds"] <= n["gn_iterations"]
 
     def test_one_hit_search_steps_one_candidate_per_round(self, capsys):

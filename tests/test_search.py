@@ -638,50 +638,70 @@ class TestQuadraticForm:
         A = np.vstack([np.array(cols).T, 2.0 * (form.basis.T @ Nz)[None, :]])
         b = np.concatenate([_kernel_map(C, kahler), [Nz @ Nz - 1.0]])
         full_step = np.linalg.lstsq(A, b, rcond=None)[0]
-        step = _step(form, z, _qz(form, z), SearchStats())
+        step = _step(form, z, _qz(form, z))
         assert np.linalg.norm(step - full_step) <= 1e-8 * np.linalg.norm(full_step)
 
     def test_step_is_the_truncated_least_squares_solution(self, form_case):
-        # a generic point: the rank certificate holds and no SVD runs
+        # a generic point: every singular value is far above the damping, which
+        # moves the step at the rounding level only
         form, _, z = form_case
-        stats = SearchStats()
-        step = _step(form, z, _qz(form, z), stats)
+        step = _step(form, z, _qz(form, z))
         reference = np.linalg.lstsq(*_weighted_system(form, z), rcond=1e-10)[0]
-        assert stats.svd_steps == 0
         assert np.linalg.norm(step - reference) <= 1e-12 * np.linalg.norm(reference)
 
-    def test_uncertified_step_is_the_truncated_least_squares_solution(self):
+    def test_step_is_the_damped_least_squares_solution(self, form_case):
+        # the least-squares solution of [A; mu I] s = [b; 0], at a generic
+        # point and at the two stubs, where the damping matters
+        generic = form_case[0], form_case[2]
+        for form, z in [generic, _cutoff_stub(), _underdetermined_stub()]:
+            A, b = _weighted_system(form, z)
+            mu = search.GN_DAMPING * np.linalg.norm(A)
+            augmented = np.vstack([A, mu * np.eye(z.size)]), np.append(b, np.zeros(z.size))
+            reference = np.linalg.lstsq(*augmented, rcond=None)[0]
+            step = _step(form, z, _qz(form, z))
+            assert np.linalg.norm(step - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    def test_step_keeps_the_truncated_solution_above_the_damping(self):
+        # the directions whose singular value is far above mu are those of
+        # the truncated solve
         form, z = _cutoff_stub()
-        stats = SearchStats()
-        step = _step(form, z, _qz(form, z), stats)
-        reference = np.linalg.lstsq(*_weighted_system(form, z), rcond=1e-10)[0]
-        assert stats.svd_steps == 1
-        assert np.linalg.norm(step - reference) <= 1e-12 * np.linalg.norm(reference)
-
-    def test_underdetermined_step_is_the_least_squares_solution(self):
-        # one row and the sphere row against three unknowns: R is 2 x 3, so
-        # no inverse exists and the minimum-norm least-squares step is taken
-        q = np.zeros((3, 3, 1))
-        q[1, 1, 0] = q[2, 2, 0] = 1.0
-        form = _stub_form(q)
-        z, stats = np.array([1.0, 0.5, 0.25]), SearchStats()
-        step = _step(form, z, _qz(form, z), stats)
-        reference = np.linalg.lstsq(*_weighted_system(form, z), rcond=1e-10)[0]
-        assert stats.svd_steps == 1
-        assert np.linalg.norm(step - reference) <= 1e-12 * np.linalg.norm(reference)
-
-    def test_step_drops_directions_below_the_rank_cutoff(self):
-        form, z = _cutoff_stub()
-        qz = _qz(form, z)
         A, b = _weighted_system(form, z)
         _, s, vt = np.linalg.svd(A)
-        assert np.finfo(float).eps * 2593 < s[-1] / s[0] < search.GN_RANK_CUTOFF
-        step = _step(form, z, qz, SearchStats())
-        assert abs(vt[-1] @ step) < 1e-15 * np.linalg.norm(step)
+        assert s[-2] > 1e6 * search.GN_DAMPING * np.linalg.norm(A)
+        step = _step(form, z, _qz(form, z))
+        reference = np.linalg.lstsq(A, b, rcond=1e-10)[0]
+        kept = vt[:-1]
+        assert np.linalg.norm(kept @ (step - reference)) <= 1e-12 * np.linalg.norm(reference)
         assert step[1] == pytest.approx(1e-3 / 2, rel=1e-6)
-        # a rounding-level cutoff keeps that direction and steps far along it
+
+    def test_underdetermined_step_is_the_minimum_norm_solution(self):
+        # one row and the sphere row against three unknowns: the stacked
+        # matrix is square all the same, and the damped step is the
+        # minimum-norm least-squares solution to within mu, with no component
+        # along the null space of A
+        form, z = _underdetermined_stub()
+        A, b = _weighted_system(form, z)
+        mu = search.GN_DAMPING * np.linalg.norm(A)
+        step = _step(form, z, _qz(form, z))
+        reference = np.linalg.lstsq(A, b, rcond=None)[0]
+        assert np.linalg.norm(step - reference) <= mu * np.linalg.norm(reference)
+        null = np.linalg.svd(A)[2][-1]
+        assert abs(null @ step) <= 1e-15 * np.linalg.norm(step)
+
+    def test_step_damps_directions_below_the_damping(self):
+        # a direction of singular value sigma < mu is damped by
+        # sigma**2 / (sigma**2 + mu**2) against the rounding-level solve,
+        # which steps far along it
+        form, z = _cutoff_stub()
+        A, b = _weighted_system(form, z)
+        _, s, vt = np.linalg.svd(A)
+        mu = search.GN_DAMPING * np.linalg.norm(A)
+        assert np.finfo(float).eps * 2593 * s[0] < s[-1] < mu
+        step = _step(form, z, _qz(form, z))
         kept = np.linalg.lstsq(A, b, rcond=None)[0]
-        assert abs(vt[-1] @ kept) > 1e6 * np.linalg.norm(step)
+        damping = s[-1] ** 2 / (s[-1] ** 2 + mu**2)
+        assert vt[-1] @ step == pytest.approx(damping * (vt[-1] @ kept), rel=1e-6)
+        assert abs(vt[-1] @ step) < 1e-2 * abs(vt[-1] @ kept)
 
     def test_one_form_product_per_iteration(self):
         # rows multiplied: one Q z per candidate that enters, at its start,
@@ -710,9 +730,9 @@ def _qz(form, z):
     return form.qz(z[None])[0]
 
 
-def _step(form, z, qz, stats):
+def _step(form, z, qz):
     """The Gauss-Newton step of the single candidate z, as a batch of one."""
-    return form.step(z[None], (form.gram @ z)[None], qz[None], (z @ qz)[None], stats)[0]
+    return form.step(z[None], (form.gram @ z)[None], qz[None], (z @ qz)[None])[0]
 
 
 def _dense(form):
@@ -746,7 +766,7 @@ def _stub_form(q):
     )
 
 
-_COUNTERS = ("gn_iterations", "svd_steps", "stalled", "iteration_cap")
+_COUNTERS = ("gn_iterations", "stalled", "iteration_cap")
 
 
 def _run_batch(form, draws, stats):
@@ -786,13 +806,21 @@ def _cutoff_stub():
     (h, 1, 0) and (h, 0, eps2), the right-hand side is (h, h) / 2, and with
     the sphere row (2, 0, 0) the smallest singular value is about eps2,
     along about e_2: between the rounding-level cutoff of the dim-6 Kahler
-    map (eps * 2593, about 6e-13) and GN_RANK_CUTOFF."""
+    map (eps * 2593, about 6e-13) and the damping GN_DAMPING ||A||_F."""
     eps2, h = 1e-11, 1e-3
     q = np.zeros((3, 3, 2))
     q[0, 0] = [h, h]
     q[0, 1, 0] = q[1, 0, 0] = 1.0
     q[0, 2, 1] = q[2, 0, 1] = eps2
     return _stub_form(q / (2.0 * np.sqrt(6.0))), np.eye(3)[0]
+
+
+def _underdetermined_stub():
+    """(form, z): one row and the sphere row against three unknowns, so A
+    is 2 x 3."""
+    q = np.zeros((3, 3, 1))
+    q[1, 1, 0] = q[2, 2, 0] = 1.0
+    return _stub_form(q), np.array([1.0, 0.5, 0.25])
 
 
 class _LoggingForm:
@@ -811,8 +839,8 @@ class _LoggingForm:
     def __getattr__(self, name):
         return getattr(self.form, name)
 
-    def step(self, z, gz, qz, f, stats=None):
-        self.last_step = self.form.step(z, gz, qz, f, stats)
+    def step(self, z, gz, qz, f):
+        self.last_step = self.form.step(z, gz, qz, f)
         return self.last_step
 
     def qz(self, z):
@@ -1068,8 +1096,8 @@ class _ScaledSteps:
     def __getattr__(self, name):
         return getattr(self.form, name)
 
-    def step(self, z, gz, qz, f, stats=None):
-        return self.factor * self.form.step(z, gz, qz, f, stats)
+    def step(self, z, gz, qz, f):
+        return self.factor * self.form.step(z, gz, qz, f)
 
 
 class TestFloorStop:
@@ -1214,7 +1242,7 @@ class TestLockstep:
             form = _UphillBelowAxis(form)
         alone = [np.random.default_rng(seed)] * n
         stats, converged = self._compare(form, alone, [np.random.default_rng(seed)] * n)
-        assert getattr(stats, failure) > 0 and converged > 0 and stats.svd_steps > 0
+        assert getattr(stats, failure) > 0 and converged > 0
 
 
 class _UphillBelowAxis:
@@ -1227,9 +1255,9 @@ class _UphillBelowAxis:
     def __getattr__(self, name):
         return getattr(self.form, name)
 
-    def step(self, z, gz, qz, f, stats=None):
+    def step(self, z, gz, qz, f):
         sign = np.where(z[:, 1:2] < 0.0, -1.0, 1.0)
-        return sign * self.form.step(z, gz, qz, f, stats)
+        return sign * self.form.step(z, gz, qz, f)
 
 
 class TestSphere:
