@@ -39,11 +39,16 @@ nullity the search relies on comes from one exact elimination per block
   the directions and held as the list of its nonzero entries.  Qz gives the
   residual and the Jacobian and is linear in z: an iteration is one small
   Levenberg-Marquardt solve, one QR of the Jacobian stacked over a multiple
-  of the identity (`QuadraticForm.step`), one product Q step, which prices
-  every line-search trial and carries Qz to the next iterate on the sphere,
-  and one product N.T N step, which carries the sphere's gradient.  The
-  candidates run in lockstep (`_Lockstep`), each bit for bit as alone, and
-  exactly those that a one-at-a-time search would run.
+  of the identity (`QuadraticForm.step`), one product N.T N step, which
+  carries the sphere's gradient and gives ||N step||, and one product Q step,
+  which prices every line-search trial and carries Qz to the next iterate on
+  the sphere.  A step longer than the sphere's radius, ||N step|| > 1, is
+  solved once more at the residual's damping, mu >= ||b||: a candidate on a
+  plateau far from a root would otherwise take steps many times the size of
+  the sphere, which the line search halves and the retraction folds back,
+  for a small decrease per step.  The candidates run in lockstep
+  (`_Lockstep`), each bit for bit as alone, and exactly those that a
+  one-at-a-time search would run.
 
 Acceptance judges a stack: the two-step brackets drawn since the last round
 wait and are judged together with the Gauss-Newton candidates that converge
@@ -443,7 +448,9 @@ class QuadraticForm:
             offset += width
         return np.take(products, self.gather, axis=1)
 
-    def step(self, z: NDArray, gz: NDArray, qz: NDArray, f: NDArray) -> NDArray:
+    def step(
+        self, z: NDArray, gz: NDArray, qz: NDArray, f: NDArray, at_residual: bool = False
+    ) -> NDArray:
         """Damped Gauss-Newton step for phi(z_n) = 0 on the sphere ||N z_n|| = 1,
         for each row n, with gz = gram z, qz = Q z and f = phi(z) = z @ qz; the
         last row of [A b] linearises z_n @ gram @ z_n = 1.  The kept rows,
@@ -456,7 +463,13 @@ class QuadraticForm:
         where near a singular root the plain step would follow rounding noise
         a long way.  The stack has full column rank (its singular values are
         at least mu), so its QR factor R is invertible, with a condition
-        number of at most about 1 / GN_DAMPING, and the step is R^-1 c."""
+        number of at most about 1 / GN_DAMPING, and the step is R^-1 c.
+
+        With `at_residual`, mu is max(GN_DAMPING ||A||_F, ||b||), the damping
+        at the residual's norm of Levenberg-Marquardt methods (Yamashita and
+        Fukushima): then ||step|| <= ||b|| / (2 mu) <= 1/2, and as b goes to
+        zero the damping does too.  `_Lockstep` takes this step in place of
+        one longer than the sphere's radius, ||N step|| > 1."""
         n, r = z.shape
         m = qz.shape[2] + 1  # rows of A
         Ab = np.zeros((n, m + r, r + 1))
@@ -465,8 +478,11 @@ class QuadraticForm:
         Ab[:, m - 1, :r] = 2.0 * gz
         Ab[:, m - 1, r] = np.vecdot(z, gz) - 1.0
         A = Ab[:, :m, :r].reshape(n, -1)
+        mu = GN_DAMPING * np.sqrt(np.vecdot(A, A))
+        if at_residual:
+            mu = np.maximum(mu, np.linalg.vector_norm(Ab[:, :m, r], axis=1))
         diagonal = np.arange(r)
-        Ab[:, m + diagonal, diagonal] = GN_DAMPING * np.sqrt(np.vecdot(A, A))[:, None]
+        Ab[:, m + diagonal, diagonal] = mu[:, None]
         # R of the stack is the upper triangle of the first r + 1 rows of the
         # factored matrix, which mode "raw" returns transposed
         h = np.linalg.qr(Ab, mode="raw")[0].transpose(0, 2, 1)[:, : r + 1]
@@ -641,13 +657,16 @@ class _Lockstep:
     """Sphere-constrained damped Gauss-Newton candidates of one form, run in
     lockstep: a round judges every candidate's residual and makes one stacked
     step (one QR and one solve) and one stacked product Q step for those that
-    go on.  Each candidate carries gram z and Q z along with z.  Stacked BLAS
-    and LAPACK calls and the form's product work row by row, and the step's
-    damping is each candidate's own, so each candidate computes bit for bit
-    what it would alone; a round pays numpy's cost per call, which dominates
-    a dim-4 step, once for the stack.  Where the step's sphere row holds,
-    ||N (z - lam step)||**2 = 1 + lam**2 ||N step||**2, so the retraction
-    z / ||N z|| only lowers max|phi|."""
+    go on.  The candidates whose step is longer than the sphere's radius,
+    ||N step||**2 = step @ gram @ step > 1, take the step at the residual's
+    damping instead, from one more stacked QR and solve over just them; the
+    others keep the plain step.  Each candidate carries gram z and Q z along
+    with z.  Stacked BLAS and LAPACK calls and the form's product work row by
+    row, and the step's damping is each candidate's own, so each candidate
+    computes bit for bit what it would alone; a round pays numpy's cost per
+    call, which dominates a dim-4 step, once for the stack.  Where the step's
+    sphere row holds, ||N (z - lam step)||**2 = 1 + lam**2 ||N step||**2, so the
+    retraction z / ||N z|| only lowers max|phi|."""
 
     def __init__(self, form: QuadraticForm) -> None:
         r = form.basis.shape[1]
@@ -707,11 +726,20 @@ class _Lockstep:
         self.steps += 1
         z, gz, qz = self.z, self.gz, self.qz
         step = self.form.step(z, gz, qz, f)
+        g_step = np.vecmat(step, self.form.gram)
+        # a step longer than the sphere's radius, ||N step|| > 1, is solved
+        # again at the residual's damping
+        long = np.vecdot(step, g_step) > 1.0
+        if long.any():
+            step[long] = self.form.step(
+                z[long], gz[long], qz[long], f[long], at_residual=True
+            )
+            g_step[long] = np.vecmat(step[long], self.form.gram)
         # one product Q step prices every halving lam at once, as
         # phi(z - lam step) = phi(z) - 2 lam Q[z, step] + lam^2 Q[step, step],
-        # and carries qz by linearity, as one product gram step carries gz;
-        # the first trial that lowers max|phi| wins, and the retraction onto
-        # the sphere scales gz and qz with z
+        # and carries qz by linearity, as g_step = gram step carries gz; the
+        # first trial that lowers max|phi| wins, and the retraction onto the
+        # sphere scales gz and qz with z
         q_step = self.form.qz(step)
         trials = (
             f[:, None]
@@ -721,7 +749,7 @@ class _Lockstep:
         lower = np.abs(trials).max(axis=2) < norm_inf[:, None]
         lam = _HALVINGS[lower.argmax(axis=1)]
         z = z - lam * step
-        gz = gz - lam * np.vecmat(step, self.form.gram)
+        gz = gz - lam * g_step
         norm = np.sqrt(np.vecdot(z, gz))[:, None]
         self.z, self.gz = z / norm, gz / norm
         qz -= lam[:, :, None] * q_step  # in place: self.qz

@@ -649,16 +649,20 @@ class TestQuadraticForm:
         reference = np.linalg.lstsq(*_weighted_system(form, z), rcond=1e-10)[0]
         assert np.linalg.norm(step - reference) <= 1e-12 * np.linalg.norm(reference)
 
-    def test_step_is_the_damped_least_squares_solution(self, form_case):
+    @pytest.mark.parametrize("at_residual", [False, True])
+    def test_step_is_the_damped_least_squares_solution(self, form_case, at_residual):
         # the least-squares solution of [A; mu I] s = [b; 0], at a generic
-        # point and at the two stubs, where the damping matters
+        # point and at the two stubs, where the damping matters; at the
+        # residual's damping mu is at least ||b||
         generic = form_case[0], form_case[2]
         for form, z in [generic, _cutoff_stub(), _underdetermined_stub()]:
             A, b = _weighted_system(form, z)
             mu = search.GN_DAMPING * np.linalg.norm(A)
+            if at_residual:
+                mu = max(mu, np.linalg.norm(b))
             augmented = np.vstack([A, mu * np.eye(z.size)]), np.append(b, np.zeros(z.size))
             reference = np.linalg.lstsq(*augmented, rcond=None)[0]
-            step = _step(form, z, _qz(form, z))
+            step = _step(form, z, _qz(form, z), at_residual)
             assert np.linalg.norm(step - reference) <= 1e-12 * np.linalg.norm(reference)
 
     def test_step_keeps_the_truncated_solution_above_the_damping(self):
@@ -730,9 +734,11 @@ def _qz(form, z):
     return form.qz(z[None])[0]
 
 
-def _step(form, z, qz):
+def _step(form, z, qz, at_residual=False):
     """The Gauss-Newton step of the single candidate z, as a batch of one."""
-    return form.step(z[None], (form.gram @ z)[None], qz[None], (z @ qz)[None])[0]
+    return form.step(
+        z[None], (form.gram @ z)[None], qz[None], (z @ qz)[None], at_residual
+    )[0]
 
 
 def _dense(form):
@@ -825,12 +831,14 @@ def _underdetermined_stub():
 
 class _LoggingForm:
     """`form` that logs its products row by row, ("step", None) for Q s with
-    the steps s it last returned and ("z", max|phi(z)|) for any other
-    product Q z, and
-    keeps every z it turns into brackets (the converged points)."""
+    the plain steps s it last returned and ("z", max|phi(z)|) for any other
+    product Q z, keeps every z it turns into brackets (the converged points)
+    and the candidates z of every step it solves at the residual's damping
+    (`resolved`)."""
 
     def __init__(self, form):
-        self.form, self.log, self.last_step, self.converged = form, [], None, []
+        self.form, self.log, self.last_step = form, [], None
+        self.converged, self.resolved = [], []
 
     def brackets(self, z):
         self.converged.append(z)
@@ -839,9 +847,13 @@ class _LoggingForm:
     def __getattr__(self, name):
         return getattr(self.form, name)
 
-    def step(self, z, gz, qz, f):
-        self.last_step = self.form.step(z, gz, qz, f)
-        return self.last_step
+    def step(self, z, gz, qz, f, at_residual=False):
+        step = self.form.step(z, gz, qz, f, at_residual)
+        if at_residual:
+            self.resolved.append(z.copy())
+        else:  # the round writes the steps solved again into this array
+            self.last_step = step
+        return step
 
     def qz(self, z):
         """Logs one entry per row (candidate) of the batch z."""
@@ -1096,8 +1108,8 @@ class _ScaledSteps:
     def __getattr__(self, name):
         return getattr(self.form, name)
 
-    def step(self, z, gz, qz, f):
-        return self.factor * self.form.step(z, gz, qz, f)
+    def step(self, z, gz, qz, f, at_residual=False):
+        return self.factor * self.form.step(z, gz, qz, f, at_residual)
 
 
 class TestFloorStop:
@@ -1244,6 +1256,56 @@ class TestLockstep:
         stats, converged = self._compare(form, alone, [np.random.default_rng(seed)] * n)
         assert getattr(stats, failure) > 0 and converged > 0
 
+    def test_only_a_step_longer_than_the_radius_is_solved_again(self):
+        # at slope 10 on the unit circle the plain step of phi = z_1**2 has
+        # length 5, at slope 1e-3 about 5e-4; only the first is solved again,
+        # at the residual's damping, and its mate steps as alone
+        long, mate = FixedDraws(10.0, offset=1.0), FixedDraws(1e-3, offset=1.0)
+        form = _LoggingForm(_root_form())
+        mate_ends, mate_iterates = _iterates(form, [mate])
+        assert form.resolved == []
+        ends, iterates = _iterates(form, [long, mate])
+        assert form.resolved
+        long_iterates = [z.tobytes() for z in iterates[0]]
+        for z in form.resolved:
+            assert z.shape == (1, 2) and z[0].tobytes() in long_iterates
+        assert [z.tobytes() for z in iterates[1]] == [z.tobytes() for z in mate_iterates[0]]
+        assert ends[1].tobytes() == mate_ends[0].tobytes()
+        assert ends[0] is not None  # the long candidate converges too
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_benchmark_kahler_searches_solve_no_step_again(self, seed, monkeypatch):
+        # the dim-6 Kahler-R' searches of the benchmark's search_kahler_gn
+        # workload take no step longer than the sphere's radius, so their
+        # hits are those of the plain damped step
+        form = _LoggingForm(search._quadratic_form(6, True))
+        monkeypatch.setattr(search, "_quadratic_form", lambda dim, kahler: form)
+        cfg = SearchConfig(
+            dim=6, seed=seed, max_candidates=40, max_results=1,
+            target=SearchTarget.W3_RPRIME_KAHLER,
+        )
+        hits, stats = search_w3_examples(cfg)
+        assert len(hits) == 1 and stats.gn_iterations > 0
+        assert form.resolved == []
+
+
+def _iterates(form, draws):
+    """Runs one Gauss-Newton candidate per generator of `draws` as one
+    lockstep batch.  Returns {tag: brackets or None} of the candidates that
+    ended, and {tag: its z at the start and after each round that it went
+    on}."""
+    batch, stats = search._Lockstep(form), SearchStats()
+    for tag, rng in enumerate(draws):
+        batch.add(tag, rng)
+    batch.enter()
+    ends, iterates = {}, {tag: [z.copy()] for tag, z in enumerate(batch.z)}
+    while batch:
+        for tag, C in batch.round(stats):
+            ends[tag] = C
+        for tag, z in zip(batch.tags, batch.z):
+            iterates[tag].append(z.copy())
+    return ends, iterates
+
 
 class _UphillBelowAxis:
     """`form` whose candidates with z_1 < 0 take the reversed step, which
@@ -1255,9 +1317,9 @@ class _UphillBelowAxis:
     def __getattr__(self, name):
         return getattr(self.form, name)
 
-    def step(self, z, gz, qz, f):
+    def step(self, z, gz, qz, f, at_residual=False):
         sign = np.where(z[:, 1:2] < 0.0, -1.0, 1.0)
-        return sign * self.form.step(z, gz, qz, f)
+        return sign * self.form.step(z, gz, qz, f, at_residual)
 
 
 class TestSphere:
