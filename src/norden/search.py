@@ -15,9 +15,11 @@ nullity the search relies on comes from one exact elimination per block
   Jacobi holds identically, so accepted samples are exact.  Nontrivial
   null spaces exist only for dimension >= 6.  The plan lists the centres Z
   whose family has one, found once per dimension by exact ranks
-  (`_two_step_centres`).  A family's orthonormal null space is built on its
-  first draw, by one SVD whose nullity must agree (`_two_step_family`), so
-  a search pays only for the families it draws from.
+  (`_two_step_centres`): one pass per block over the masks of its columns
+  in every family, which ranks each distinct mask once.  A family's
+  orthonormal null space is built on its first draw, by one SVD whose
+  nullity must agree (`_two_step_family`), so a search pays only for the
+  families it draws from.
 * Gauss-Newton projection: a damped Gauss-Newton iteration drives the Jacobi
   residual (and, for the Kahler target, the first Bianchi residual of the
   skew-torsion curvature) to zero inside the membership null space of all the
@@ -33,22 +35,23 @@ nullity the search relies on comes from one exact elimination per block
   residual maps are homogeneous quadratic in z, so they are precomputed once
   per (dim, target) as a symmetric form Q with phi(z) = Q[z, z]
   (`QuadraticForm`), from the product tables that the kernels evaluate
-  (`_quadratic_form`).  In the
-  coordinates of N, Q is sparse (3.3% of its entries are nonzero in dim 6,
-  1.2% in dim 8, for the Kahler target), and it is built from the supports of
-  the directions and held as the list of its nonzero entries.  Qz gives the
-  residual and the Jacobian and is linear in z: an iteration is one small
-  Levenberg-Marquardt solve, one QR of the Jacobian stacked over a multiple
-  of the identity (`QuadraticForm.step`), one product N.T N step, which
-  carries the sphere's gradient and gives ||N step||, and one product Q step,
-  which prices every line-search trial and carries Qz to the next iterate on
-  the sphere.  A step longer than the sphere's radius, ||N step|| > 1, is
-  solved once more at the residual's damping, mu >= ||b||: a candidate on a
-  plateau far from a root would otherwise take steps many times the size of
-  the sphere, which the line search halves and the retraction folds back,
-  for a small decrease per step.  The candidates run in lockstep
-  (`_Lockstep`), each bit for bit as alone, and exactly those that a
-  one-at-a-time search would run.
+  (`_quadratic_form`).  In the coordinates of N, Q is sparse (3.3% of its
+  entries are nonzero in dim 6, 1.2% in dim 8, for the Kahler target), and
+  it is built from the supports of the directions, a chunk of kept rows at
+  a time, and held as the list of its nonzero entries, keyed row-major by
+  (kept row, output, input), the order in which the chunks give them.  Qz
+  gives the residual and the Jacobian and is linear in z: an iteration is
+  one small Levenberg-Marquardt solve, one QR of the Jacobian stacked over a
+  multiple of the identity (`QuadraticForm.step`), one product N.T N step,
+  which carries the sphere's gradient and gives ||N step||, and one product
+  Q step, which prices every line-search trial and carries Qz to the next
+  iterate on the sphere.  A step longer than the sphere's radius,
+  ||N step|| > 1, is solved once more at the residual's damping,
+  mu >= ||b||: a candidate on a plateau far from a root would otherwise take
+  steps many times the size of the sphere, which the line search halves and
+  the retraction folds back, for a small decrease per step.  The candidates
+  run in lockstep (`_Lockstep`), each bit for bit as alone, and exactly
+  those that a one-at-a-time search would run.
 
 Acceptance judges a stack: the two-step brackets drawn since the last round
 wait and are judged together with the Gauss-Newton candidates that converge
@@ -235,14 +238,6 @@ def _membership(dim: int) -> tuple[NDArray, NDArray]:
 
 
 @lru_cache(maxsize=None)
-def _generic_family(dim: int) -> _Family:
-    """The family of all the triples: the full antisymmetric constant space
-    intersected with the membership condition.  Its orthonormal SVD null
-    space gives the Gauss-Newton start points (`QuadraticForm.start`)."""
-    triples, rows = _membership(dim)
-    return (*_positions(dim, triples), _null_space(rows))
-
-
 def _distinct_rows(dim: int) -> tuple[NDArray, list[tuple[NDArray, NDArray]]]:
     """(A, blocks): A = 4 rows on the rows (a d + b) d + c, a <= b <= c, of
     the membership matrix, and its blocks (columns, int64 matrix A_b).  The
@@ -250,7 +245,8 @@ def _distinct_rows(dim: int) -> tuple[NDArray, list[tuple[NDArray, NDArray]]]:
     the matrix is quarter-integral, so A is integral; and A is the direct sum
     of the A_b, where column (k, i, j) is in the block of {k, i, j} mod m
     (m = d/2) and the parity of the count of k, i, j >= m.  All three are
-    checked once, here, and ArithmeticError is raised where one fails."""
+    checked once per dimension, here, and ArithmeticError is raised where
+    one fails; the plan and the integer basis both read the result."""
     triples, rows = _membership(dim)
     cube = rows.reshape(dim, dim, dim, -1)  # a view; two swaps generate the permutations
     if not all(np.array_equal(cube, cube.swapaxes(k, k + 1)) for k in (0, 1)):
@@ -315,14 +311,13 @@ def _integer_basis(dim: int) -> tuple[NDArray, NDArray]:
     return N, free
 
 
-def _central_columns(dim: int, triples: NDArray, centres: NDArray) -> NDArray:
-    """The columns of each two-step family, one row of a mask per centre Z
-    (a row of `centres`): the triples (k, i, j) with k in Z and i, j not in
-    Z.  Brackets of the non-central indices land in the centre, so Jacobi
-    holds on the family automatically."""
-    in_centre = np.zeros((len(centres), dim), dtype=bool)
-    np.put_along_axis(in_centre, centres, True, axis=1)
-    central = in_centre[:, triples]
+def _central_columns(triples: NDArray, in_centre: NDArray) -> NDArray:
+    """The columns of the two-step family of each centre Z, a row of the
+    boolean table `in_centre` (..., d) that holds v in Z at [..., v]: the
+    triples (k, i, j) with k in Z and i, j not in Z.  Brackets of the
+    non-central indices land in the centre, so Jacobi holds on the family
+    automatically."""
+    central = in_centre[..., triples]
     return central[..., 0] & ~central[..., 1] & ~central[..., 2]
 
 
@@ -332,32 +327,22 @@ def _two_step_centres(dim: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     null space, in plan order (by size, then lexicographically), building no
     family.  A is the direct sum of its blocks (`_distinct_rows`), so the
     nullity sums |S| - rank(A_b[:, S]) over the blocks, by exact elimination
-    (`_echelon`), S the family's columns (`_central_columns`) in block b.  A
-    bit mask codes each S, and each distinct A_b[:, S] is ranked once."""
+    (`_echelon`), S the family's columns (`_central_columns`) in block b.
+    Block by block, an integer mask codes S for every centre at once, and
+    each distinct A_b[:, S] is ranked once (`_echelon` is memoised, so a
+    matrix that recurs in another block is not ranked again)."""
     triples, _ = _membership(dim)
-    blocks = _distinct_rows(dim)[1]  # A is not kept
-    first: dict = {}  # the first block of each distinct matrix, by shape and bytes
-    kind = np.array([first.setdefault((A_b.shape, A_b.tobytes()), b)
-                     for b, (_, A_b) in enumerate(blocks)], dtype=np.int32)
-    width = max(len(cols) for cols, _ in blocks)
-    # the blocks' triples, [slot][block], padded with (0, 0, 0), in no family
-    slots = np.stack([np.pad(triples[cols], ((0, width - len(cols)), (0, 0)))
-                      for cols, _ in blocks], axis=1)
-    # masks and keys in 32 bits: a key is below 2**width n, with blocks of at
-    # most 12 columns
-    n, bits, found = len(blocks), 1 << np.arange(width, dtype=np.int32), []
-    for z_size in range(1, dim - 1):
-        centres = np.array(list(itertools.combinations(range(dim), z_size)))
-        masks = sum(_central_columns(dim, slots[s], centres) * bits[s] for s in range(width))
-        keys, inverse = np.unique(masks * n + kind, return_inverse=True)
-        nullity = []
-        for key in keys.tolist():  # key = mask * n + first block of its matrix
-            A_b = blocks[key % n][1]
-            S = A_b[:, (bits[: A_b.shape[1]] & key // n) > 0]
-            nullity.append(S.shape[1] - len(_echelon(S.shape, S.tobytes())[0]))
-        total = np.array(nullity)[inverse.reshape(masks.shape)].sum(axis=1)
-        found += [(tuple(Z), k) for Z, k in zip(centres.tolist(), total.tolist()) if k]
-    return tuple(found)
+    centres = [Z for n in range(1, dim - 1) for Z in itertools.combinations(range(dim), n)]
+    in_centre = np.array([[v in Z for v in range(dim)] for Z in centres])
+    total = 0
+    for cols, A_b in _distinct_rows(dim)[1]:
+        bits = 1 << np.arange(len(cols))
+        masks = (_central_columns(triples[cols], in_centre) * bits).sum(axis=1)
+        keys, inverse = np.unique(masks, return_inverse=True)
+        distinct = [A_b[:, (bits & key) > 0] for key in keys.tolist()]  # A_b[:, S]
+        nullity = [S.shape[1] - len(_echelon(S.shape, S.tobytes())[0]) for S in distinct]
+        total = total + np.array(nullity)[inverse]
+    return tuple((Z, k) for Z, k in zip(centres, total.tolist()) if k)
 
 
 @lru_cache(maxsize=None)
@@ -367,7 +352,7 @@ def _two_step_family(dim: int, Z: tuple[int, ...]) -> _Family:
     orthonormal SVD null space.  ArithmeticError is raised unless the
     nullity is the one the centre pass certified."""
     triples, rows = _membership(dim)
-    cols = _central_columns(dim, triples, np.array([Z]))[0]
+    cols = _central_columns(triples, np.array([v in Z for v in range(dim)]))
     null = _null_space(rows[:, cols])
     if null.shape[1] != dict(_two_step_centres(dim)).get(Z, 0):
         raise ArithmeticError(f"the nullity of two-step centre {Z} is not the centre pass's")
@@ -406,12 +391,13 @@ class QuadraticForm:
 
     Q is held as the list of its nonzero entries Q[e_a, e_b] on kept row k,
     each with the output (b, k) of Q z that it adds to, in levels: the
-    outputs that have entries are ordered most entries first, and level j
-    holds the entry j + 1 (in the order of a) of the first widths[j] of them,
-    those with more than j entries.  `cols` holds a and `values` the entries,
-    level after level, with one slot of value 0 after level 0, at
-    widths[0].  `gather[b, k]` is the position of output (b, k) in level 0,
-    or that slot where it has no entry.
+    outputs that have entries are ordered most entries first, and then by
+    (b, k), and level j holds the entry j + 1 (in the order of a) of the
+    first widths[j] of them, those with more than j entries.  `cols` holds a
+    and `values` the entries, level after level, with one slot of value 0
+    after level 0, at widths[0].  `gather[b, k]`, a C-contiguous (r, K)
+    array, is the position of output (b, k) in level 0, or that slot where
+    it has no entry.
     """
 
     dim: int
@@ -503,14 +489,17 @@ _FORM_CHUNK = 64
 
 @lru_cache(maxsize=None)
 def _quadratic_form(dim: int, want_kahler: bool) -> QuadraticForm:
-    """Q of the generic family in its integer coordinates: its entries
-    (`_form_entries`) in levels (`_levels`).  The build's arrays are released
-    before the levels are built."""
-    pos, neg, null = _generic_family(dim)
+    """Q of the generic family (all the triples) in its integer coordinates:
+    its entries (`_form_entries`) in levels (`_levels`), with the start
+    points' basis V[free], V the orthonormal SVD null space of the
+    membership matrix.  The build's arrays are released before the levels
+    are built."""
+    triples, membership = _membership(dim)
+    pos, neg = _positions(dim, triples)
     basis, free = _integer_basis(dim)
     rows, keys, values = _form_entries(dim, want_kahler, pos, neg, basis)
     return QuadraticForm(
-        dim, pos, neg, basis, basis.T @ basis, null[free], rows,
+        dim, pos, neg, basis, basis.T @ basis, _null_space(membership)[free], rows,
         *_levels(basis.shape[1], rows.size, keys, values),
     )
 
@@ -519,7 +508,7 @@ def _form_entries(
     dim: int, want_kahler: bool, pos: NDArray, neg: NDArray, basis: NDArray
 ) -> tuple[NDArray, NDArray, NDArray]:
     """(rows, keys, values): the kept rows of Q and its nonzero entries
-    values[e] = Q[e_a, e_b] on kept row k, keyed (b K + k) r + a, in
+    values[e] = Q[e_a, e_b] on kept row k, keyed (k r + b) r + a, in
     ascending order of key, from the bilinear map B with phi(C) = B(C, C):
     Q[e_a, e_b] = (B(D_a, D_b) + B(D_b, D_a)) / 2 on kept row k for the
     directions D_a = C(e_a) of the family (pos, neg) at the basis.  Row k of
@@ -528,7 +517,9 @@ def _form_entries(
     tables (x, y, w) hold the flat indices of x and y in the stacked
     factors, and the weights.  The directions are sparse, so Q is summed
     from the products on their supports, a chunk of rows at a time
-    (`_products`): no dense Q is built."""
+    (`_products`): no dense Q is built.  The chunks cover ascending kept
+    rows, each in ascending order of key, so their entries, one after the
+    other, are in key order."""
     r = basis.shape[1]
     D = _brackets(dim, pos, neg, basis)  # [m][i][j][a]
     factors, maps = {"C": D.transpose(3, 0, 1, 2)}, [(JACOBI_TERMS, "pijl", "ijl")]
@@ -548,7 +539,7 @@ def _form_entries(
     f, support = np.nonzero(flat)
     value, start = flat[f, support], np.searchsorted(f, np.arange(len(flat) + 1))
     del D, factors, flat, f
-    rows, tables = [], []
+    rows, entries, first = [], [], 0
     for n, (terms, row, cyc) in enumerate(maps):
         grid = dict(zip(row + "m", np.indices((dim,) * 5).reshape(5, dim**4, dim)))
         a, b, c = (grid[letter][:, 0] for letter in cyc)
@@ -561,41 +552,28 @@ def _form_entries(
                     multi = [names.index(name)] + [grid[i] for i in idx.translate(turn)]
                     ind.append(np.ravel_multi_index(multi, shape))
         w = np.repeat([0.5 * sign for sign, *_ in terms] * 3, dim)  # exact
-        tables += [(*(np.concatenate(ind, axis=1) for ind in xy), w)]
-        rows.append(kept + n * dim**4)
-    rows = np.concatenate(rows)
-    keys, values, first = [], [], 0
-    for x, y, w in tables:
+        x, y = (np.concatenate(ind, axis=1) for ind in xy)
         for k in range(0, len(x), _FORM_CHUNK):
             xk, yk = x[k : k + _FORM_CHUNK], y[k : k + _FORM_CHUNK]
-            key, both = _products(
-                rows.size, r, first + k, xk, yk, w, support, value, start
-            )
-            keys.append(key)
-            values.append(both)
-        first += len(x)
-    # sorted by key once, each unsorted array released as soon as its sorted
-    # copy is made
-    keys = np.concatenate(keys)
-    values = np.concatenate(values)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    values = values[order]
-    return rows, keys, values
+            entries.append(_products(r, first + k, xk, yk, w, support, value, start))
+        rows.append(kept + n * dim**4)
+        first += len(kept)
+    keys, values = zip(*entries)
+    return np.concatenate(rows), np.concatenate(keys), np.concatenate(values)
 
 
 def _products(
-    K: int, r: int, first: int, x: NDArray, y: NDArray, w: NDArray,
+    r: int, first: int, x: NDArray, y: NDArray, w: NDArray,
     support: NDArray, value: NDArray, start: NDArray,
 ) -> tuple[NDArray, NDArray]:
-    """(keys (b K + k) r + a, values Q[e_a, e_b] on kept row k) of the
-    nonzero entries of Q on the kept rows k = first, first + 1, ... of the
+    """(keys (k r + b) r + a, ascending, values Q[e_a, e_b] on kept row k) of
+    the nonzero entries of Q on the kept rows k = first, first + 1, ... of the
     tables x, y and w: row k of B(A, A') sums w[t] x(A) y(A') over the terms
     t, with x and y read at the flat factor indices x[k, t] and y[k, t].  A
     term adds to B(D_a, D_b) only where D_a is in the support of its x and
     D_b in that of its y: every such pair is listed and B is summed by key,
-    and Q is B plus its transpose, two addends an entry, which makes it
-    symmetric bit for bit."""
+    and Q is B plus its transpose, (k r + a) r + b, two addends an entry,
+    which makes it symmetric bit for bit."""
     count = np.diff(start)
     nx, ny = count[x].ravel(), count[y].ravel()
     pairs = nx * ny
@@ -606,10 +584,10 @@ def _products(
     k = first + term // x.shape[1]
     b, a = support[ey], support[ex]
     products = w[term % x.shape[1]] * value[ex] * value[ey]
-    keys, half = _sum_by_key((b * K + k) * r + a, products)
-    b, k, a = keys // (K * r), keys // r % K, keys % r
+    keys, half = _sum_by_key((k * r + b) * r + a, products)
+    k, b, a = keys // (r * r), keys // r % r, keys % r
     keys, both = _sum_by_key(
-        np.concatenate([keys, (a * K + k) * r + b]), np.concatenate([half, half])
+        np.concatenate([keys, (k * r + a) * r + b]), np.concatenate([half, half])
     )
     nonzero = both != 0.0
     return keys[nonzero], both[nonzero]
@@ -628,17 +606,22 @@ def _levels(
     r: int, K: int, keys: NDArray, values: NDArray
 ) -> tuple[NDArray, NDArray, tuple[int, ...], NDArray]:
     """(cols, values, widths, gather) of `QuadraticForm` from the nonzero
-    entries values[e] = Q[e_a, e_b] on kept row k, keyed (b K + k) r + a
-    for the K kept rows, in ascending order of key."""
+    entries values[e] = Q[e_a, e_b] on kept row k, keyed (k r + b) r + a
+    for the K kept rows, in ascending order of key: the entries of output
+    (b, k), at k r + b, follow one another in the order of a."""
     outputs = keys // r
     # the first entry of each output
     first = np.flatnonzero(np.concatenate([[True], outputs[1:] != outputs[:-1]]))
     count = np.diff(first, append=outputs.size)
-    most = np.argsort(-count, kind="stable")
+    outputs = outputs[first]
+    outputs = outputs % r * K + outputs // r  # b K + k, the flat index of gather
+    # most entries first, then in the order of gather, so that the product's
+    # gather reads level 0 in runs of ascending positions
+    most = np.argsort(outputs - count * (r * K), kind="stable")
     first, count = first[most], count[most]
     slot = first.size  # after level 0: the outputs without entries
     gather = np.full(r * K, slot)
-    gather[outputs[first]] = np.arange(slot)
+    gather[outputs[most]] = np.arange(slot)
     del outputs
     levels = [first[count > j] + j for j in range(count.max())]
     widths = tuple(map(len, levels))

@@ -201,7 +201,10 @@ class TestMembership:
         [(4, 12, 0, 0), (6, 54, 17, 32), (8, 144, 146, 512)],
     )
     def test_null_space_sizes(self, dim, generic, families, family_cols):
-        assert search._generic_family(dim)[2].shape[1] == generic
+        # the generic family is that of all the triples: the form's start
+        # points span its null space
+        form = search._quadratic_form(dim, False)
+        assert form.start.shape[1] == generic
         centres = search._two_step_centres(dim)
         assert len(centres) == families
         assert sum(nullity for _, nullity in centres) == family_cols
@@ -211,12 +214,13 @@ class TestMembership:
         # membership matrix's, a row per entry of the cyclic sum of F
         triples, rows = search._membership(dim)
         assert rows.shape == (dim**3, len(triples))
-        families = (search._generic_family(dim), *two_step)
-        assert all(dim**3 not in a.shape for a in (triples, *itertools.chain(*families)))
+        arrays = (form.pos, form.neg, form.start, *itertools.chain(*two_step))
+        assert all(dim**3 not in a.shape for a in (triples, *arrays))
         # a family's arrays own their memory (a view of null would keep the
         # SVD's vt alive), and it names 2 entries of C per triple
-        assert all(a.base is None for a in itertools.chain(*families))
-        for pos, neg, null in families:
+        assert all(a.base is None for a in arrays)
+        assert np.union1d(form.pos, form.neg).size == 2 * len(triples)
+        for pos, neg, null in two_step:
             assert np.union1d(pos, neg).size == 2 * len(null)
 
     @pytest.mark.parametrize("dim", (4, 6, 8))
@@ -254,6 +258,7 @@ class TestMembership:
         for abc in set(itertools.permutations(row)):
             assert altered[np.ravel_multi_index(abc, (6,) * 3), second[0]] == 0.0
             altered[np.ravel_multi_index(abc, (6,) * 3), second[0]] = 0.25
+        monkeypatch.setattr(search, "_distinct_rows", search._distinct_rows.__wrapped__)
         monkeypatch.setattr(search, "_membership", lambda dim: (triples, altered))
         with pytest.raises(ArithmeticError, match="two blocks"):
             search._two_step_centres.__wrapped__(6)
@@ -269,6 +274,7 @@ class TestMembership:
         # 3 m**2 (m - 1) directions.  Uncached, so that the dim-10 and dim-12
         # matrices are not kept
         monkeypatch.setattr(search, "_membership", search._membership.__wrapped__)
+        monkeypatch.setattr(search, "_distinct_rows", search._distinct_rows.__wrapped__)
         shapes = {1: (2, 0), 5: (3, 3), 12: (4, 9)}
         count, columns = dict.fromkeys(shapes, 0), []
         for cols, A_b in search._distinct_rows(dim)[1]:
@@ -286,6 +292,7 @@ class TestMembership:
     def test_centres_of_rows_not_quarter_integral_raise(self, monkeypatch):
         triples, rows = search._membership(6)
         off_grid = rows + 1e-9 * (rows != 0.0)
+        monkeypatch.setattr(search, "_distinct_rows", search._distinct_rows.__wrapped__)
         monkeypatch.setattr(search, "_membership", lambda dim: (triples, off_grid))
         with pytest.raises(ArithmeticError, match="quarter-integral"):
             search._two_step_centres.__wrapped__(6)
@@ -298,14 +305,16 @@ class TestMembership:
         row = (1 * 6 + 0) * 6 + 0  # (1, 0, 0)
         altered = rows.copy()
         altered[row, 0] += 0.25
+        monkeypatch.setattr(search, "_distinct_rows", search._distinct_rows.__wrapped__)
         monkeypatch.setattr(search, "_membership", lambda dim: (triples, altered))
         with pytest.raises(ArithmeticError, match="not totally symmetric"):
             search._two_step_centres.__wrapped__(6)
 
     def test_certificates_call_no_svd(self, monkeypatch):
         # the plan and the integer basis certify their nullities by exact
-        # elimination alone, with no SVD and no eigenvalues; the generic
-        # family is uncached, so that a call to it would show
+        # elimination alone, with no SVD and no eigenvalues; the form, whose
+        # start points take the generic family's SVD, is uncached, so that a
+        # call to it would show
         for dim in (4, 6, 8):
             search._membership(dim)
 
@@ -317,7 +326,7 @@ class TestMembership:
 
         for name in ("svd", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, forbidden(name))
-        monkeypatch.setattr(search, "_generic_family", search._generic_family.__wrapped__)
+        monkeypatch.setattr(search, "_quadratic_form", search._quadratic_form.__wrapped__)
         for dim in (4, 6, 8):
             search._two_step_centres.__wrapped__(dim)
             search._integer_basis.__wrapped__(dim)
@@ -328,15 +337,25 @@ class TestMembership:
             (4, "2e38e77b22c314a4", "a0b9280f7b1f013b"),
             (6, "753a2630c13dbf11", "5b12b5adbb928c17"),
             (8, "5ec0c8a3f03869b0", "f0bf5d21ccb8d3c0"),
+            (10, "ee86def799d102f6", "61b82a0441192381"),
+            (12, "4e5651c6e0c6dc0a", "8127e8977ebec74f"),
         ],
     )
-    def test_plan_and_basis_keep_their_digests(self, dim, plan, basis):
+    def test_plan_and_basis_keep_their_digests(self, dim, plan, basis, monkeypatch):
         # sha256 prefixes of the plan's repr and of the basis's arrays (shape,
         # dtype and bytes of N, then of free): how their nullities are
-        # certified must not move a bit of either
-        assert hashlib.sha256(repr(search._two_step_centres(dim)).encode()).hexdigest()[:16] == plan
+        # certified must not move a bit of either.  Dims 10 and 12 build
+        # into caches of their own, dropped with the test, so that none of
+        # their matrices is kept
+        centres, integer_basis = search._two_step_centres, search._integer_basis
+        if dim > 8:
+            for name in ("_membership", "_distinct_rows"):
+                fresh = functools.lru_cache(maxsize=None)(getattr(search, name).__wrapped__)
+                monkeypatch.setattr(search, name, fresh)
+            centres, integer_basis = centres.__wrapped__, integer_basis.__wrapped__
+        assert hashlib.sha256(repr(centres(dim)).encode()).hexdigest()[:16] == plan
         h = hashlib.sha256()
-        for a in search._integer_basis(dim):
+        for a in integer_basis(dim):
             h.update(repr((a.shape, a.dtype.str)).encode())
             h.update(a.tobytes())
         assert h.hexdigest()[:16] == basis
@@ -359,7 +378,7 @@ class TestMembership:
     @pytest.mark.parametrize("dim", (4, 6, 8))
     def test_integer_basis_is_certified_exactly(self, dim):
         _, rows = search._membership(dim)
-        null = search._generic_family(dim)[2]
+        null = search._null_space(rows)
         N, free = search._integer_basis(dim)
         assert set(np.unique(N).tolist()) <= {-1.0, 0.0, 1.0}
         assert not np.signbit(N[N == 0.0]).any()
@@ -392,6 +411,7 @@ class TestMembership:
         pivots = np.delete(np.arange(len(N)), free)
         doubled = rows.copy()
         doubled[:, pivots[N[pivots].any(axis=1)][0]] *= 2.0
+        monkeypatch.setattr(search, "_distinct_rows", search._distinct_rows.__wrapped__)
         monkeypatch.setattr(search, "_membership", lambda dim: (triples, doubled))
         blocks = search._distinct_rows(4)[1]
         ranks = [len(echelon(A_b.shape, A_b.tobytes())[0]) for _, A_b in blocks]
@@ -412,6 +432,7 @@ class TestMembership:
         row = (1 * 4 + 0) * 4 + 0  # (1, 0, 0)
         altered = rows.copy()
         altered[row, free[0]] += 0.25
+        monkeypatch.setattr(search, "_distinct_rows", search._distinct_rows.__wrapped__)
         monkeypatch.setattr(search, "_membership", lambda dim: (triples, altered))
         with pytest.raises(ArithmeticError, match="not totally symmetric"):
             search._integer_basis.__wrapped__(4)
@@ -534,7 +555,7 @@ def _polarised_form(dim, basis, kahler):
     phi(D_b)) / 2 on the rows whose cyclic indices increase, one batched
     kernel call per direction a.  `jacobi_array` gives the Jacobi rows
     alone."""
-    pos = search._generic_family(dim)[0]
+    pos = search._positions(dim, search._membership(dim)[0])[0]
     r = basis.shape[1]
     g, J = canonical_norden_pair(dim)
     D = _loop_basis(dim, np.column_stack(np.unravel_index(pos, (dim,) * 3))) @ basis
@@ -594,6 +615,34 @@ class TestQuadraticForm:
         dense = _dense(form)
         assert np.max(np.abs(dense - q)) <= 1e-15
         assert np.array_equal(dense, dense.transpose(1, 0, 2))
+
+    @pytest.mark.parametrize(
+        "dim,kahler,digest",
+        [
+            (4, False, "d10bdc68f81ef871"),
+            (4, True, "93b82949139d0d28"),
+            (6, False, "ae65a717699fdbc2"),
+            (6, True, "d3a38cfdb3ac80fb"),
+            (8, False, "83faa8cb92d2ec50"),
+            (8, True, "5d70c3c3a4b207c3"),
+        ],
+    )
+    def test_products_keep_their_digests(self, dim, kahler, digest):
+        # sha256 prefixes of the bytes of Q z for three rows z: a random one,
+        # the same with -0.0 on every other coordinate, and one of zeros of
+        # both signs, whose outputs read -0.0 where the products of all
+        # their entries do; how the entries are keyed and levelled must not
+        # move a bit
+        form = search._quadratic_form(dim, kahler)
+        r, K = form.basis.shape[1], form.rows.size
+        assert form.gather.shape == (r, K) and form.gather.flags.c_contiguous
+        z = np.random.default_rng(dim).uniform(-1.0, 1.0, (3, r))
+        z[1, ::2] = -0.0
+        z[2] = 0.0
+        z[2, ::3] = -0.0
+        qz = form.qz(z)
+        assert np.signbit(qz[2]).any() and not np.signbit(qz[2]).all()
+        assert hashlib.sha256(qz.tobytes()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("dim", (4, 6, 8))
     def test_no_cached_array_as_large_as_a_dense_form(self, dim):
@@ -765,10 +814,10 @@ def _stub_form(q):
     ||N z|| = 1 is ||z|| = 1, and C(z) holds z and -z.  Its product is the
     scatter-add."""
     r, _, K = q.shape
-    b, k, a = np.nonzero(q.transpose(1, 2, 0))  # in ascending order of key
+    k, b, a = np.nonzero(q.transpose(2, 1, 0))  # in ascending order of key
     return search.QuadraticForm(
         2, np.arange(r), r + np.arange(r), np.eye(r), np.eye(r), np.eye(r),
-        np.arange(K), *search._levels(r, K, (b * K + k) * r + a, q[a, b, k]),
+        np.arange(K), *search._levels(r, K, (k * r + b) * r + a, q[a, b, k]),
     )
 
 
